@@ -1,9 +1,11 @@
 """Command-line front end.
 
 Subcommands: tower, kappa, zeta, cover-verify, export-dot.  All output is
-deterministic: identical invocations produce identical bytes, with or
-without --parallel.  Exit codes: 0 success (tower: full fit verified),
-1 invalid input, 2 verification or internal consistency failure.
+deterministic: identical invocations produce identical bytes.  Integers
+are printed in full decimal, however many digits they have.  --parallel
+is accepted for compatibility and has no effect.
+Exit codes: 0 success (tower: full fit verified), 1 invalid input, 2
+verification or internal consistency failure.
 """
 
 from __future__ import annotations
@@ -14,7 +16,8 @@ import os
 import sys
 
 from . import serre, towers, voltage, zeta
-from .polys import BudgetExceededError, format_poly, poly_to_json
+from .polys import (BudgetExceededError, format_poly, poly_to_json,
+                    unlimited_digits)
 from .serre import DisconnectedGraphError
 
 ENV_BUDGET = "GRAPH_IWASAWA_BUDGET_BITS"
@@ -92,49 +95,54 @@ def _spec(args) -> towers.TowerSpec:
 def cmd_tower(args) -> int:
     spec = _spec(args)
     report = towers.build_tower_report(spec, args.levels,
-                                       parallel=args.parallel,
                                        budget_bits=_budget(args))
-    if args.format == "json":
-        sys.stdout.write(json.dumps(towers.report_to_json(report), indent=2))
-        sys.stdout.write("\n")
-    elif args.format == "csv":
-        sys.stdout.write(towers.report_to_csv(report))
-    else:
-        inv = report.invariants
-        print(f"tower: l={spec.ell} a={','.join(map(str, spec.generators))} "
-              f"t={spec.t} q={spec.q}")
-        print(f"Q(T) = {format_poly(report.q_coeffs, 'T')}")
-        if inv.cycle_case:
-            print("cycle case: chi = 0, kappa_n = l^n exactly")
-        print(f"invariants: mu={inv.mu} lambda={inv.lam} nu={inv.nu} "
-              f"n0_certified={inv.n0_certified} n0_observed={inv.n0_observed}")
-        print(f"{'n':>3} {'ord':>6} {'v_n':>6} {'fit':>5}  kappa_n")
-        for rec in report.levels:
-            v = "-" if rec.v is None else str(rec.v)
-            fit = "yes" if rec.fit else "no"
-            print(f"{rec.n:>3} {rec.ord_kappa:>6} {v:>6} {fit:>5}  "
-                  f"{_format_kappa(rec.kappa)}")
-        print(f"consistency: {'OK' if report.consistency_ok else 'FAILED'}")
-        print(f"fit for n >= {inv.n0_observed}: "
-              f"{'OK' if report.fit_ok else 'FAILED'}")
+    with unlimited_digits():
+        if args.format == "json":
+            sys.stdout.write(json.dumps(towers.report_to_json(report),
+                                        indent=2))
+            sys.stdout.write("\n")
+        elif args.format == "csv":
+            sys.stdout.write(towers.report_to_csv(report))
+        else:
+            inv = report.invariants
+            print(f"tower: l={spec.ell} "
+                  f"a={','.join(map(str, spec.generators))} "
+                  f"t={spec.t} q={spec.q}")
+            print(f"Q(T) = {format_poly(report.q_coeffs, 'T')}")
+            if inv.cycle_case:
+                print("cycle case: chi = 0, kappa_n = l^n exactly")
+            print(f"invariants: mu={inv.mu} lambda={inv.lam} nu={inv.nu} "
+                  f"n0_certified={inv.n0_certified} "
+                  f"n0_observed={inv.n0_observed}")
+            print(f"{'n':>3} {'ord':>6} {'v_n':>6} {'fit':>5}  kappa_n")
+            for rec in report.levels:
+                v = "-" if rec.v is None else str(rec.v)
+                fit = "yes" if rec.fit else "no"
+                print(f"{rec.n:>3} {rec.ord_kappa:>6} {v:>6} {fit:>5}  "
+                      f"{_format_kappa(rec.kappa)}")
+            print("consistency: "
+                  f"{'OK' if report.consistency_ok else 'FAILED'}")
+            print(f"fit for n >= {inv.n0_observed}: "
+                  f"{'OK' if report.fit_ok else 'FAILED'}")
     return 0 if (report.consistency_ok and report.fit_ok) else 2
 
 
 def cmd_kappa(args) -> int:
     spec = _spec(args)
     kappa = towers.kappa_exact(spec, args.levels, budget_bits=_budget(args))
-    if args.format == "json":
-        sys.stdout.write(json.dumps(
-            {"prime": str(spec.ell),
-             "generators": [str(a) for a in spec.generators],
-             "n": str(args.levels), "kappa": str(kappa)}, indent=2))
-        sys.stdout.write("\n")
-    else:
-        factored = _format_kappa(kappa)
-        if factored != str(kappa):
-            print(f"kappa_{args.levels} = {kappa} = {factored}")
+    with unlimited_digits():
+        if args.format == "json":
+            sys.stdout.write(json.dumps(
+                {"prime": str(spec.ell),
+                 "generators": [str(a) for a in spec.generators],
+                 "n": str(args.levels), "kappa": str(kappa)}, indent=2))
+            sys.stdout.write("\n")
         else:
-            print(f"kappa_{args.levels} = {kappa}")
+            factored = _format_kappa(kappa)
+            if factored != str(kappa):
+                print(f"kappa_{args.levels} = {kappa} = {factored}")
+            else:
+                print(f"kappa_{args.levels} = {kappa}")
     return 0
 
 
@@ -144,15 +152,16 @@ def cmd_zeta(args) -> int:
     serre.require_valid(graph)
     exponent, h = zeta.ihara_Z(graph)
     kappa = serre.spanning_tree_count(graph, cap=args.cap_vertices)
-    if args.format == "json":
-        sys.stdout.write(json.dumps(
-            {"h": poly_to_json(h), "z_exponent": str(exponent),
-             "kappa": str(kappa)}, indent=2))
-        sys.stdout.write("\n")
-    else:
-        print(f"h(u) = {format_poly(h)}")
-        print(f"Z(u) = (1 - u^2)^{exponent} * h(u)")
-        print(f"kappa = {kappa}")
+    with unlimited_digits():
+        if args.format == "json":
+            sys.stdout.write(json.dumps(
+                {"h": poly_to_json(h), "z_exponent": str(exponent),
+                 "kappa": str(kappa)}, indent=2))
+            sys.stdout.write("\n")
+        else:
+            print(f"h(u) = {format_poly(h)}")
+            print(f"Z(u) = (1 - u^2)^{exponent} * h(u)")
+            print(f"kappa = {kappa}")
     return 0
 
 
@@ -167,31 +176,39 @@ def cmd_cover_verify(args) -> int:
     decomposition = (voltage.verify_integer_decomposition(
         vg, cap=args.cap_vertices) if chi != 0 else None)
     ok = product.ok and (decomposition is None or decomposition.ok)
-    if args.format == "json":
-        payload = {
-            "product_formula": product.ok,
-            "cover_h": poly_to_json(product.cover_h),
-            "orbit_product": poly_to_json(product.orbit_product),
-            "integer_decomposition":
-                None if decomposition is None else decomposition.ok,
-        }
-        sys.stdout.write(json.dumps(payload, indent=2))
-        sys.stdout.write("\n")
-    else:
-        print(f"product formula: {'PASS' if product.ok else 'FAIL'}")
-        if not product.ok:
-            print(f"  cover h:  {format_poly(product.cover_h)}")
-            print(f"  product:  {format_poly(product.orbit_product)}")
-        if decomposition is None:
-            print("integer decomposition: skipped (chi = 0)")
+    with unlimited_digits():
+        if args.format == "json":
+            payload = {
+                "product_formula": product.ok,
+                "cover_h": poly_to_json(product.cover_h),
+                "orbit_product": poly_to_json(product.orbit_product),
+                "integer_decomposition":
+                    None if decomposition is None else decomposition.ok,
+            }
+            sys.stdout.write(json.dumps(payload, indent=2))
+            sys.stdout.write("\n")
         else:
-            print("integer decomposition: "
-                  f"{'PASS' if decomposition.ok else 'FAIL'}")
+            print(f"product formula: {'PASS' if product.ok else 'FAIL'}")
+            if not product.ok:
+                print(f"  cover h:  {format_poly(product.cover_h)}")
+                print(f"  product:  {format_poly(product.orbit_product)}")
+            if decomposition is None:
+                print("integer decomposition: skipped (chi = 0)")
+            else:
+                print("integer decomposition: "
+                      f"{'PASS' if decomposition.ok else 'FAIL'}")
     return 0 if ok else 2
 
 
 def cmd_export_dot(args) -> int:
     spec = _spec(args)
+    size = 1
+    for _ in range(args.levels):  # stops at the cap, never builds a huge l^n
+        size *= spec.ell
+        if size > args.cap_vertices:
+            raise ValueError(
+                f"level {args.levels} cover has {spec.ell}^{args.levels} "
+                f"vertices, beyond the cap of {args.cap_vertices}")
     vg = voltage.cayley_serre(spec.ell ** args.levels, spec.generators)
     cover = voltage.derived_cover(vg)
     sys.stdout.write(serre.to_dot(cover, name=f"cover_level_{args.levels}"))
@@ -212,7 +229,8 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--cap-vertices", type=int, default=serre.DEFAULT_VERTEX_CAP)
     p.add_argument("--budget-bits", type=int,
                    default=towers.DEFAULT_BUDGET_BITS)
-    p.add_argument("--parallel", action="store_true")
+    p.add_argument("--parallel", action="store_true",
+                   help="accepted, no effect")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -7,7 +7,9 @@ empty list and its degree is the sentinel ``NEG_INF``.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import sys
 from fractions import Fraction
 
 NEG_INF = float("-inf")
@@ -333,6 +335,26 @@ def format_poly(p: list[int], var: str = "u") -> str:
         else:
             parts.append(f"+ {term}" if c > 0 else f"- {term}")
     return " ".join(parts)
+
+
+@contextlib.contextmanager
+def unlimited_digits():
+    """Convert integers of any size to and from decimal inside the block.
+
+    CPython refuses int/str conversions past 4300 digits, to bound the cost
+    of parsing untrusted text.  Exact results outgrow that at modest depth,
+    so the limit is lifted around rendering output and around re-reading
+    this package's own reports, never around parsing input files.
+    """
+    if not hasattr(sys, "set_int_max_str_digits"):  # no limit before 3.10.7
+        yield
+        return
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
 
 
 def poly_to_json(p: list[int]) -> list[str]:

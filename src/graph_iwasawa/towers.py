@@ -12,8 +12,10 @@ P_a(eps(1)) = eps(a).  This module computes everything exactly:
 
 * kappa_n from the product of per-level norms N_i (resultants of the
   cyclotomic polynomial against the jump polynomial), divided by l^n;
-* the per-level valuation v_i = ord_L(Q(eps)) inside Z[zeta], an
-  independent route to ord_l(kappa_n) = -n + sum v_i;
+* the per-level valuation v_i = ord_L(Q(eps)), read off Q's coefficients
+  as mu * phi(l^i) + lambda + 1 from the certified level on and evaluated
+  inside Z[zeta] below it: an independent route to
+  ord_l(kappa_n) = -n + sum v_i;
 * a certified stabilization level: the smallest i past which the
   ultrametric minimum is attained by a single term, so the affine formula
   provably holds for every larger level, not just the inspected ones.
@@ -21,8 +23,9 @@ P_a(eps(1)) = eps(a).  This module computes everything exactly:
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from . import cyclotomic, polys
@@ -174,6 +177,35 @@ def level_norm(spec: TowerSpec, i: int,
     return abs(res)
 
 
+# The level table: each N_i once per process, whichever function asks first.
+@functools.lru_cache(maxsize=1024)
+def _norm(spec: TowerSpec, i: int, budget_bits: int | None) -> int:
+    return level_norm(spec, i, budget_bits)
+
+
+@functools.lru_cache(maxsize=256)
+def _law(spec: TowerSpec) -> tuple[int, int, int]:
+    # (mu, lambda, n0_certified) from Q's coefficients
+    q = q_poly(spec)
+    return (*mu_lambda(q, spec.ell), stabilization_level(q, spec.ell))
+
+
+def _valuation(spec: TowerSpec, i: int, budget_bits: int | None):
+    mu, lam, istar = _law(spec)
+    if i >= istar:
+        # the j* term strictly dominates: v_i is its valuation exactly
+        return mu * cyclotomic.euler_phi_prime_power(spec.ell, i) + lam + 1
+    v = level_valuation(spec, i, budget_bits)
+    if v == INFINITY:
+        raise ArithmeticError(f"level {i} valuation is infinite")
+    return v
+
+
+def _ords(vs) -> list[int]:
+    # ords[n] = ord_l(kappa_n) = -n + v_1 + ... + v_n
+    return list(itertools.accumulate((v - 1 for v in vs), initial=0))
+
+
 def kappa_exact(spec: TowerSpec, n: int,
                 budget_bits: int | None = DEFAULT_BUDGET_BITS) -> int:
     """Spanning-tree count at level n, via the L-function decomposition."""
@@ -181,7 +213,7 @@ def kappa_exact(spec: TowerSpec, n: int,
         raise ValueError("level must be >= 0")
     prod = 1
     for i in range(1, n + 1):
-        prod *= level_norm(spec, i, budget_bits)
+        prod *= _norm(spec, i, budget_bits)
     q, r = divmod(prod, spec.ell ** n)
     if r:
         raise ArithmeticError("product of level norms not divisible by l^n")
@@ -193,13 +225,8 @@ def ord_kappa(spec: TowerSpec, n: int,
     """ord_l(kappa_n) as -n + sum of level valuations (no big kappa built)."""
     if n < 0:
         raise ValueError("level must be >= 0")
-    total = -n
-    for i in range(1, n + 1):
-        v = level_valuation(spec, i, budget_bits)
-        if v == INFINITY:
-            raise ArithmeticError(f"level {i} valuation is infinite")
-        total += v
-    return total
+    return _ords([_valuation(spec, i, budget_bits)
+                  for i in range(1, n + 1)])[n]
 
 
 @dataclass(frozen=True)
@@ -224,27 +251,17 @@ def invariants(spec: TowerSpec,
         # kappa_n = l^n exactly; chi = 0 so the generic route is off-limits
         return IwasawaInvariants(mu=0, lam=1, nu=0, n0_certified=1,
                                  n0_observed=1, cycle_case=True)
-    q = q_poly(spec)
-    mu, lam = mu_lambda(q, spec.ell)
-    istar = stabilization_level(q, spec.ell)
-    vs = [level_valuation(spec, i, budget_bits) for i in range(1, istar + 1)]
-    ords = _ords_from_vs(vs)
+    mu, lam, istar = _law(spec)
+    vs = [_valuation(spec, i, budget_bits) for i in range(1, istar + 1)]
+    ords = _ords(vs)
     nu = ords[istar] - mu * spec.ell ** istar - lam * istar
     n0_obs = istar
     for n in range(istar - 1, 0, -1):
-        if ords[n] == mu * spec.ell ** n + lam * n + nu:
-            n0_obs = n
-        else:
+        if ords[n] != mu * spec.ell ** n + lam * n + nu:
             break
+        n0_obs = n
     return IwasawaInvariants(mu=mu, lam=lam, nu=nu, n0_certified=istar,
                              n0_observed=n0_obs)
-
-
-def _ords_from_vs(vs) -> list[int]:
-    ords = [0]
-    for n, v in enumerate(vs, start=1):
-        ords.append(ords[n - 1] - 1 + v)
-    return ords
 
 
 # ---------------------------------------------------------------------------
@@ -329,52 +346,33 @@ class TowerReport:
     fit_ok: bool
 
 
-def _level_pair(args):
-    ell, gens, i, budget = args
-    spec = TowerSpec(ell, gens)
-    return i, level_norm(spec, i, budget), level_valuation(spec, i, budget)
-
-
-def build_tower_report(spec: TowerSpec, n_max: int, parallel: bool = False,
+def build_tower_report(spec: TowerSpec, n_max: int,
                        budget_bits: int | None = DEFAULT_BUDGET_BITS) -> TowerReport:
     """Per-level kappa, valuations, invariants, and fit/consistency flags.
 
-    Levels are independent, so they may be evaluated concurrently; the
-    assembled report is identical either way.
+    consistency_ok compares ord_l of the norm product with -n + sum v_i,
+    whose v_i come from Q's coefficients: two independent routes.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     inv = invariants(spec, budget_bits)
-    depth = n_max
-    tasks = [(spec.ell, spec.generators, i, budget_bits)
-             for i in range(1, depth + 1)]
-    if parallel and tasks:
-        with ProcessPoolExecutor() as pool:
-            pairs = list(pool.map(_level_pair, tasks))
-    else:
-        pairs = [_level_pair(t) for t in tasks]
-    pairs.sort()
-    norms = [n for _, n, _ in pairs]
-    vs = [v for _, _, v in pairs]
-    ords = _ords_from_vs(vs)
+    norms = [_norm(spec, i, budget_bits) for i in range(1, n_max + 1)]
+    vs = [_valuation(spec, i, budget_bits) for i in range(1, n_max + 1)]
+    ords = _ords(vs)
 
     levels = []
-    consistency_ok = True
-    fit_ok = True
-    kappa = 1
-    prod = 1
+    consistency_ok = fit_ok = True
+    kappa = prod = 1
     for n in range(n_max + 1):
         if n > 0:
             prod *= norms[n - 1]
-            q, r = divmod(prod, spec.ell ** n)
+            kappa, r = divmod(prod, spec.ell ** n)
             if r:
                 consistency_ok = False
-            kappa = q
         o = ord_int(kappa, spec.ell)
         if o != ords[n]:
             consistency_ok = False
-        expected = inv.mu * spec.ell ** n + inv.lam * n + inv.nu
-        fit = (o == expected)
+        fit = o == inv.mu * spec.ell ** n + inv.lam * n + inv.nu
         if n >= inv.n0_observed and not fit:
             fit_ok = False
         levels.append(LevelRecord(
@@ -391,6 +389,7 @@ def build_tower_report(spec: TowerSpec, n_max: int, parallel: bool = False,
 # Serialization: every integer as a decimal string
 # ---------------------------------------------------------------------------
 
+@polys.unlimited_digits()
 def report_to_json(report: TowerReport) -> dict:
     inv = report.invariants
     return {
@@ -424,6 +423,7 @@ def report_to_json(report: TowerReport) -> dict:
     }
 
 
+@polys.unlimited_digits()
 def report_from_json(data: dict) -> TowerReport:
     spec = TowerSpec(int(data["prime"]), tuple(int(a) for a in data["generators"]))
     inv = IwasawaInvariants(

@@ -1,7 +1,10 @@
 import json
+import sys
 
 from graph_iwasawa import multigraph_to_json, bouquet, cayley_serre, voltage_to_json
+from graph_iwasawa import report_from_json, report_to_json
 from graph_iwasawa.cli import main, _format_kappa, _trial_factor
+from graph_iwasawa.polys import unlimited_digits
 
 
 def run(capsys, *argv):
@@ -134,6 +137,41 @@ def test_export_dot(capsys):
     assert out.count("0 -- 1;") == 4
     _, out2, _ = run(capsys, "export-dot", "-l", "2", "-a", "1,1", "-n", "1")
     assert out == out2
+
+
+def test_export_dot_vertex_cap(capsys):
+    # refused before the 2^40-vertex cover is built
+    code, out, err = run(capsys, "export-dot", "-l", "2", "-a", "1,1",
+                         "-n", "40", "--cap-vertices", "1000")
+    assert code == 1 and out == ""
+    assert "2^40" in err and "1000" in err
+
+
+def test_integers_past_the_str_digit_limit(tmp_path, capsys):
+    # kappa_14 = 2^16397 has 4937 decimal digits; CPython refuses int/str
+    # conversions past 4300 by default
+    limit = sys.get_int_max_str_digits()
+    with unlimited_digits():
+        kappa = str(2 ** 16397)
+    code, out, err = run(capsys, "kappa", "-l", "2", "-a", "1,1", "-n", "14")
+    assert code == 0, err
+    assert out == f"kappa_14 = {kappa} = 2^16397\n"
+    code, out, err = run(capsys, "kappa", "-l", "2", "-a", "1,1", "-n", "14",
+                         "--format", "json")
+    assert code == 0, err
+    assert json.loads(out)["kappa"] == kappa
+    code, out, err = run(capsys, "tower", "-l", "2", "-a", "1,1", "-n", "14",
+                         "--format", "json")
+    assert code == 0, err
+    data = json.loads(out)
+    assert data["levels"][14]["kappa"] == kappa
+    assert report_to_json(report_from_json(data)) == data
+    # lifted only around the output: input files keep the limit
+    assert sys.get_int_max_str_digits() == limit
+    path = tmp_path / "huge.json"
+    path.write_text('{"vertices": 1' + "0" * 5000 + ', "edges": []}')
+    code, _, err = run(capsys, "zeta", str(path))
+    assert code == 1 and "Exceeds the limit" in err
 
 
 def test_budget_env_override(monkeypatch, capsys):

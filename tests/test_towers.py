@@ -29,7 +29,16 @@ from graph_iwasawa import (
 )
 from graph_iwasawa.cyclotomic import BudgetExceededError, euler_phi_prime_power
 from graph_iwasawa.towers import _jump_poly
-from graph_iwasawa import cyclotomic
+from graph_iwasawa import cli, cyclotomic, towers
+from test_acceptance import CORPUS
+
+
+@pytest.fixture
+def fresh_table():
+    # the level table outlives a test; start and leave it empty
+    towers._norm.cache_clear()
+    yield
+    towers._norm.cache_clear()
 
 
 def test_p_poly_table():
@@ -115,12 +124,13 @@ def test_level_valuation_examples():
 
 
 def test_level_valuation_affine_past_stabilization():
-    for spec in (TowerSpec(2, (1, 1)), TowerSpec(2, (3, 5)),
-                 TowerSpec(3, (1, 4, 20))):
+    # the formula the level table uses in place of level_valuation
+    for ell, gens in CORPUS + [(2, (1,)), (2, (1, 0))]:
+        spec = TowerSpec(ell, gens)
         q = q_poly(spec)
         mu, lam = mu_lambda(q, spec.ell)
         istar = stabilization_level(q, spec.ell)
-        for i in (istar, istar + 1):
+        for i in (istar, istar + 1, istar + 2):
             expected = mu * euler_phi_prime_power(spec.ell, i) + lam + 1
             assert level_valuation(spec, i) == expected
 
@@ -290,8 +300,44 @@ def test_report_and_serialization():
     assert lines[6] == "5,34,true"
 
 
-def test_report_parallel_identical():
-    spec = TowerSpec(3, (1, 4, 20))
-    seq = report_to_json(build_tower_report(spec, 3, parallel=False))
-    par = report_to_json(build_tower_report(spec, 3, parallel=True))
-    assert json.dumps(seq) == json.dumps(par)
+def _count_calls(monkeypatch, name):
+    calls = []
+    real = getattr(towers, name)
+
+    def counted(spec, i, *args):
+        calls.append(i)
+        return real(spec, i, *args)
+
+    monkeypatch.setattr(towers, name, counted)
+    return calls
+
+
+def test_one_level_table(monkeypatch, fresh_table):
+    spec = TowerSpec(2, (3, 5))
+    n = 7
+    norm_calls = _count_calls(monkeypatch, "level_norm")
+    valuation_calls = _count_calls(monkeypatch, "level_valuation")
+    for k in range(n + 1):
+        kappa_exact(spec, k)
+        ord_kappa(spec, k)
+    inv = invariants(spec)
+    verify_bounds(spec, n - 1)
+    build_tower_report(spec, n)
+    assert sorted(norm_calls) == list(range(1, n + 1))
+    assert valuation_calls
+    assert all(i < inv.n0_certified for i in valuation_calls)
+
+
+def test_consistency_ok_is_a_real_check(monkeypatch, fresh_table, capsys):
+    spec = TowerSpec(2, (3, 5))
+    istar = invariants(spec).n0_certified
+    real = towers.level_norm
+
+    def corrupted(s, i, *args):
+        return real(s, i, *args) * (s.ell if i == istar else 1)
+
+    monkeypatch.setattr(towers, "level_norm", corrupted)
+    assert not build_tower_report(spec, istar + 1).consistency_ok
+    code = cli.main(["tower", "-l", "2", "-a", "3,5", "-n", str(istar + 1)])
+    assert code == 2
+    assert "consistency: FAILED" in capsys.readouterr().out
