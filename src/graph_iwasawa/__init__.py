@@ -8,7 +8,6 @@ counts along a tower.
 
 from .cyclotomic import (
     INFINITY,
-    BudgetExceededError,
     CycElem,
     cyc_add,
     cyc_from_json,
@@ -47,7 +46,7 @@ from .serre import (
     validate_serre,
 )
 from .towers import (
-    DEFAULT_BUDGET_BITS,
+    BudgetExceededError,
     IwasawaInvariants,
     TowerReport,
     TowerSpec,
@@ -57,6 +56,7 @@ from .towers import (
     level_norm,
     level_valuation,
     mu_lambda,
+    norm_bits_bound,
     ord_kappa,
     p_poly,
     q_poly,

@@ -4,23 +4,21 @@ Subcommands: tower, kappa, zeta, cover-verify, export-dot.  All output is
 deterministic: identical invocations produce identical bytes.  Integers
 are printed in full decimal, however many digits they have.  --parallel
 is accepted for compatibility and has no effect.
-Exit codes: 0 success (tower: full fit verified), 1 invalid input, 2
-verification or internal consistency failure.
+Sizes (--budget-bits, --cap-vertices) are checked here, before any work.
+Exit codes: 0 success (tower: full fit verified), 1 invalid input, usage
+or size, 2 verification or internal consistency failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import serre, towers, voltage, zeta
-from .polys import (BudgetExceededError, format_poly, poly_to_json,
-                    unlimited_digits)
-from .serre import DisconnectedGraphError
+from .polys import format_poly, poly_to_json, unlimited_digits
 
-ENV_BUDGET = "GRAPH_IWASAWA_BUDGET_BITS"
+DEFAULT_BUDGET_BITS = 1 << 26
 
 TRIAL_DIVISION_BOUND = 10 ** 6
 
@@ -80,22 +78,33 @@ def _parse_generators(text: str) -> tuple:
         raise ValueError(f"bad generator list {text!r}") from exc
 
 
-def _budget(args) -> int:
-    budget = args.budget_bits
-    env = os.environ.get(ENV_BUDGET)
-    if env is not None:
-        budget = int(env)
-    return budget
-
-
 def _spec(args) -> towers.TowerSpec:
     return towers.TowerSpec(args.prime, _parse_generators(args.generators))
 
 
+def _budgeted_spec(args) -> towers.TowerSpec:
+    """The tower of -l/-a, refused up front if N_n may outgrow the budget."""
+    spec, n, budget = _spec(args), args.levels, args.budget
+    if n < 1:
+        return spec
+    # phi(l^n) >= 2^(n-1) and 4t >= 4 put the bound past 2^n: no l^n needed
+    deep = n >= budget.bit_length()
+    estimate = f"more than 2^{n}" if deep else towers.norm_bits_bound(spec, n)
+    if deep or estimate > budget:
+        raise towers.BudgetExceededError(
+            f"level {n} norm may have {estimate} bits, over the budget of "
+            f"{budget} bits")
+    return spec
+
+
+def _cap(what: str, n: int, cap: int) -> None:
+    if n > cap:
+        raise ValueError(f"{what} has {n} vertices, beyond the cap of {cap}")
+
+
 def cmd_tower(args) -> int:
-    spec = _spec(args)
-    report = towers.build_tower_report(spec, args.levels,
-                                       budget_bits=_budget(args))
+    spec = _budgeted_spec(args)
+    report = towers.build_tower_report(spec, args.levels)
     with unlimited_digits():
         if args.format == "json":
             sys.stdout.write(json.dumps(towers.report_to_json(report),
@@ -128,8 +137,8 @@ def cmd_tower(args) -> int:
 
 
 def cmd_kappa(args) -> int:
-    spec = _spec(args)
-    kappa = towers.kappa_exact(spec, args.levels, budget_bits=_budget(args))
+    spec = _budgeted_spec(args)
+    kappa = towers.kappa_exact(spec, args.levels)
     with unlimited_digits():
         if args.format == "json":
             sys.stdout.write(json.dumps(
@@ -149,6 +158,7 @@ def cmd_kappa(args) -> int:
 def cmd_zeta(args) -> int:
     with open(args.graph_file, encoding="utf-8") as fh:
         graph = serre.multigraph_from_json(json.load(fh))
+    _cap("graph", graph.num_vertices, args.cap_vertices)
     serre.require_valid(graph)
     exponent, h = zeta.ihara_Z(graph)
     kappa = serre.spanning_tree_count(graph, cap=args.cap_vertices)
@@ -168,6 +178,7 @@ def cmd_zeta(args) -> int:
 def cmd_cover_verify(args) -> int:
     with open(args.voltage_file, encoding="utf-8") as fh:
         vg = voltage.voltage_from_json(json.load(fh))
+    _cap("derived cover", vg.base.num_vertices * vg.modulus, args.cap_vertices)
     problems = voltage.validate_voltage(vg)
     if problems:
         raise ValueError("invalid voltage graph: " + "; ".join(problems))
@@ -227,8 +238,8 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=("text", "json", "csv"),
                    default="text")
     p.add_argument("--cap-vertices", type=int, default=serre.DEFAULT_VERTEX_CAP)
-    p.add_argument("--budget-bits", type=int,
-                   default=towers.DEFAULT_BUDGET_BITS)
+    p.add_argument("--budget-bits", type=int, dest="budget",
+                   metavar="BUDGET_BITS", default=DEFAULT_BUDGET_BITS)
     p.add_argument("--parallel", action="store_true",
                    help="accepted, no effect")
 
@@ -288,14 +299,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     if argv is None:
         argv = sys.argv[1:]
-    args = parser.parse_args(_fold_generator_flag(list(argv)))
+    try:
+        args = parser.parse_args(_fold_generator_flag(list(argv)))
+    except SystemExit as exc:  # argparse: 0 after --help, 2 on bad usage
+        return 1 if exc.code else 0
     try:
         return args.func(args)
-    except (ValueError, DisconnectedGraphError, OSError,
-            json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except BudgetExceededError as exc:
+    except (ValueError, OSError) as exc:  # JSON and graph errors included
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ArithmeticError as exc:

@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 from . import linalg, polys
-from .polys import BudgetExceededError
 
 INFINITY = math.inf
 
@@ -172,25 +171,16 @@ def _strip(r: list[int], e: int, lead: int) -> tuple[list[int], int]:
     return r, e
 
 
-def _scaled_reduce(p: list[int], e: int, f: list[int],
-                   max_bits: int | None = None) -> tuple[list[int], int]:
+def _scaled_reduce(p: list[int], e: int, f: list[int]) -> tuple[list[int], int]:
     d = len(f) - 1
     if len(p) - 1 >= d:
         t = len(p) - 1 - d + 1
         p = polys.prem(p, f)
         e += t
-    p, e = _strip(p, e, f[-1])
-    if max_bits is not None and p:
-        bits = max(abs(c).bit_length() for c in p)
-        if bits > max_bits:
-            raise BudgetExceededError(
-                f"modular reduction coefficient reached {bits} bits "
-                f"(budget {max_bits})")
-    return p, e
+    return _strip(p, e, f[-1])
 
 
-def _phi_mod_f(ell: int, i: int, f: list[int],
-               max_bits: int | None = None) -> tuple[list[int], int]:
+def _phi_mod_f(ell: int, i: int, f: list[int]) -> tuple[list[int], int]:
     """Phi_{l^i} mod f as a scaled pair (r, e) meaning r / lc(f)**e.
 
     Dense quotients use one literal pseudo-division of the sparse Phi;
@@ -203,28 +193,27 @@ def _phi_mod_f(ell: int, i: int, f: list[int],
     cost_modexp = (step.bit_length() + ell) * (d + 1) ** 2 * 4
     if cost_literal <= cost_modexp:
         phi = phi_poly(ell, i)
-        return _scaled_reduce(phi, 0, f, max_bits)
+        return _scaled_reduce(phi, 0, f)
     # y**step mod f by square-and-multiply, in scaled form
-    base, be = _scaled_reduce([0, 1], 0, f, max_bits)
+    base, be = _scaled_reduce([0, 1], 0, f)
     out, oe = [1], 0
     e = step
     while e:
         if e & 1:
-            out, oe = _scaled_reduce(polys.mul(out, base), oe + be, f, max_bits)
+            out, oe = _scaled_reduce(polys.mul(out, base), oe + be, f)
         e >>= 1
         if e:
-            base, be = _scaled_reduce(polys.mul(base, base), 2 * be, f, max_bits)
+            base, be = _scaled_reduce(polys.mul(base, base), 2 * be, f)
     # Phi mod f = sum of (y**step)**j for j < l, by Horner
     acc, ae = [1], 0
     for _ in range(ell - 1):
-        acc, ae = _scaled_reduce(polys.mul(acc, out), ae + oe, f, max_bits)
+        acc, ae = _scaled_reduce(polys.mul(acc, out), ae + oe, f)
         lead = f[-1]
         acc = polys.add(acc, [lead ** ae])
     return _strip(acc, ae, f[-1])
 
 
-def resultant_with_phi(ell: int, i: int, f: list[int],
-                       max_coeff_bits: int | None = None) -> int:
+def resultant_with_phi(ell: int, i: int, f: list[int]) -> int:
     """Res_y(Phi_{l^i}(y), f(y)) for any integer polynomial f, exact.
 
     Equals the product of f over all primitive l^i-th roots of unity, i.e.
@@ -239,12 +228,12 @@ def resultant_with_phi(ell: int, i: int, f: list[int],
     d = len(f) - 1
     if d == 0:
         return f[0] ** deg_phi
-    r, e = _phi_mod_f(ell, i, f, max_coeff_bits)
+    r, e = _phi_mod_f(ell, i, f)
     if not r:
         return 0
     lead = f[-1]
     sign = -1 if (deg_phi % 2) and (d % 2) else 1
-    res_fr = polys.resultant(f, r, max_coeff_bits=max_coeff_bits)
+    res_fr = polys.resultant(f, r)
     # Res(Phi, f) = sign * lc(f)**(deg_phi - deg r) * Res(f, Phi mod f)
     # and (Phi mod f) = r / lead**e contributes lead**(-e*d).
     exp = deg_phi - (len(r) - 1) - e * d
@@ -258,12 +247,13 @@ def resultant_with_phi(ell: int, i: int, f: list[int],
     return total
 
 
-def norm(x: CycElem, max_coeff_bits: int | None = None) -> int:
-    """Field norm to Q: the product of all Galois conjugates; norm(0) = 0."""
+def norm(x: CycElem) -> int:
+    """Field norm to Q: the product of all Galois conjugates; norm(0) = 0.
+    No size limit: callers bound the result before they ask for it."""
     f = polys.trim(list(x.coeffs))
     if not f:
         return 0
-    return resultant_with_phi(x.ell, x.level, f, max_coeff_bits=max_coeff_bits)
+    return resultant_with_phi(x.ell, x.level, f)
 
 
 def ord_int(n: int, ell: int):
@@ -273,23 +263,29 @@ def ord_int(n: int, ell: int):
     n = abs(n)
     if ell == 2:
         return (n & -n).bit_length() - 1
+    # v < 2^J for the first l^(2^J) not dividing n: read v's bits top down
+    powers = [ell]
+    while n % powers[-1] == 0:
+        powers.append(powers[-1] * powers[-1])
     v = 0
-    while n % ell == 0:
-        n //= ell
-        v += 1
+    for k in range(len(powers) - 2, -1, -1):
+        q, r = divmod(n, powers[k])
+        if not r:
+            n, v = q, v + (1 << k)
     return v
 
 
-def ord_L(x: CycElem, max_coeff_bits: int | None = None):
+def ord_L(x: CycElem):
     """Valuation at the unique (totally ramified) prime above l.
 
     Computed as ord_l(|norm(x)|): every conjugate has the same valuation,
     and the ramification index equals the field degree, so the two l-adic
-    normalizations cancel exactly.  Returns INFINITY iff x = 0.
+    normalizations cancel exactly.  Returns INFINITY iff x = 0.  Like
+    ``norm``, it has no size limit.
     """
     if x.is_zero():
         return INFINITY
-    n = norm(x, max_coeff_bits=max_coeff_bits)
+    n = norm(x)
     if n == 0:
         raise ArithmeticError("nonzero element with zero norm")
     return ord_int(n, x.ell)
@@ -306,7 +302,7 @@ def cyc_from_json(data: dict) -> CycElem:
 
 
 __all__ = [
-    "CycElem", "INFINITY", "BudgetExceededError", "phi_poly", "epsilon",
+    "CycElem", "INFINITY", "phi_poly", "epsilon",
     "cyc_from_poly", "cyc_zero", "cyc_one", "cyc_int", "zeta_gen",
     "cyc_add", "cyc_sub", "cyc_neg", "cyc_scale", "cyc_mul", "cyc_pow",
     "norm", "ord_int", "ord_L", "resultant_with_phi",

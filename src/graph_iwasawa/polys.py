@@ -17,10 +17,6 @@ NEG_INF = float("-inf")
 BigPoly = list  # list[int], ascending coefficients
 
 
-class BudgetExceededError(RuntimeError):
-    """Raised when an exact computation exceeds its coefficient-size budget."""
-
-
 def trim(p: list[int]) -> list[int]:
     n = len(p)
     while n and p[n - 1] == 0:
@@ -200,12 +196,12 @@ def prem(a: list[int], b: list[int]) -> list[int]:
     return trim(r)
 
 
-def resultant(a: list[int], b: list[int], max_coeff_bits: int | None = None) -> int:
+def resultant(a: list[int], b: list[int]) -> int:
     """Resultant of two integer polynomials via the subresultant PRS.
 
     Fraction-free (Collins/Brown); intermediate coefficient sizes stay at
-    the level of Sylvester-matrix minors.  Raises BudgetExceededError if a
-    coefficient exceeds ``max_coeff_bits`` bits.
+    the level of Sylvester-matrix minors.  No size limit is applied here:
+    callers bound the work before they start it.
     """
     a, b = trim(list(a)), trim(list(b))
     if not a or not b:
@@ -236,12 +232,6 @@ def resultant(a: list[int], b: list[int], max_coeff_bits: int | None = None) -> 
             return 0
         a = b
         b = divexact_scalar(r, g * h ** delta)
-        if max_coeff_bits is not None:
-            bits = max(abs(c).bit_length() for c in b)
-            if bits > max_coeff_bits:
-                raise BudgetExceededError(
-                    f"resultant coefficient reached {bits} bits "
-                    f"(budget {max_coeff_bits})")
         g = a[-1]
         if delta == 1:
             h = g

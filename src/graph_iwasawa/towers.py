@@ -31,8 +31,6 @@ from dataclasses import dataclass, field
 from . import cyclotomic, polys
 from .cyclotomic import INFINITY, ord_int
 
-DEFAULT_BUDGET_BITS = 1 << 26
-
 
 @dataclass(frozen=True)
 class TowerSpec:
@@ -133,9 +131,8 @@ def stabilization_level(q: list[int], ell: int) -> int:
         i += 1
 
 
-def level_valuation(spec: TowerSpec, i: int,
-                    budget_bits: int | None = DEFAULT_BUDGET_BITS):
-    """v_i = ord_L(Q(eps)) evaluated exactly inside Z[y]/Phi_{l^i}."""
+def level_valuation(spec: TowerSpec, i: int):
+    """v_i = ord_L(Q(eps)) inside Z[y]/Phi_{l^i}; its norm is +-N_i."""
     if i < 1:
         raise ValueError("level must be >= 1")
     q = q_poly(spec)
@@ -145,7 +142,7 @@ def level_valuation(spec: TowerSpec, i: int,
         acc = cyclotomic.cyc_mul(acc, eps)
         if c:
             acc = cyclotomic.cyc_add(acc, cyclotomic.cyc_int(spec.ell, i, c))
-    return cyclotomic.ord_L(acc, max_coeff_bits=budget_bits)
+    return cyclotomic.ord_L(acc)
 
 
 def _jump_poly(spec: TowerSpec) -> list[int]:
@@ -162,25 +159,37 @@ def _jump_poly(spec: TowerSpec) -> list[int]:
     return polys.trim(f)
 
 
-def level_norm(spec: TowerSpec, i: int,
-               budget_bits: int | None = DEFAULT_BUDGET_BITS) -> int:
+def level_norm(spec: TowerSpec, i: int) -> int:
     """N_i: the positive integer with l^n * kappa_n = prod_{i<=n} N_i.
 
     Computed as |Res(Phi_{l^i}, jump polynomial)|, the norm of the value of
     the faithful-character L-polynomial at u = 1.
     """
-    res = cyclotomic.resultant_with_phi(spec.ell, i, _jump_poly(spec),
-                                        max_coeff_bits=budget_bits)
+    res = cyclotomic.resultant_with_phi(spec.ell, i, _jump_poly(spec))
     if res == 0:
         raise ArithmeticError(
             f"level {i} norm vanished; tower invariants are violated")
     return abs(res)
 
 
+class BudgetExceededError(ValueError):
+    """A level whose norm_bits_bound is over a caller's budget, refused."""
+
+
+def norm_bits_bound(spec: TowerSpec, i: int) -> int:
+    """Upper bound on level_norm(spec, i).bit_length(), known before any
+    work: N_i is a product of phi(l^i) conjugates of sum_j (2 - z^b_j -
+    z^-b_j), each at most 4t in absolute value."""
+    if i < 1:
+        raise ValueError("level must be >= 1")
+    return (cyclotomic.euler_phi_prime_power(spec.ell, i)
+            * (4 * spec.t - 1).bit_length() + 1)
+
+
 # The level table: each N_i once per process, whichever function asks first.
 @functools.lru_cache(maxsize=1024)
-def _norm(spec: TowerSpec, i: int, budget_bits: int | None) -> int:
-    return level_norm(spec, i, budget_bits)
+def _norm(spec: TowerSpec, i: int) -> int:
+    return level_norm(spec, i)
 
 
 @functools.lru_cache(maxsize=256)
@@ -190,12 +199,12 @@ def _law(spec: TowerSpec) -> tuple[int, int, int]:
     return (*mu_lambda(q, spec.ell), stabilization_level(q, spec.ell))
 
 
-def _valuation(spec: TowerSpec, i: int, budget_bits: int | None):
+def _valuation(spec: TowerSpec, i: int):
     mu, lam, istar = _law(spec)
     if i >= istar:
         # the j* term strictly dominates: v_i is its valuation exactly
         return mu * cyclotomic.euler_phi_prime_power(spec.ell, i) + lam + 1
-    v = level_valuation(spec, i, budget_bits)
+    v = level_valuation(spec, i)
     if v == INFINITY:
         raise ArithmeticError(f"level {i} valuation is infinite")
     return v
@@ -206,27 +215,24 @@ def _ords(vs) -> list[int]:
     return list(itertools.accumulate((v - 1 for v in vs), initial=0))
 
 
-def kappa_exact(spec: TowerSpec, n: int,
-                budget_bits: int | None = DEFAULT_BUDGET_BITS) -> int:
+def kappa_exact(spec: TowerSpec, n: int) -> int:
     """Spanning-tree count at level n, via the L-function decomposition."""
     if n < 0:
         raise ValueError("level must be >= 0")
     prod = 1
     for i in range(1, n + 1):
-        prod *= _norm(spec, i, budget_bits)
+        prod *= _norm(spec, i)
     q, r = divmod(prod, spec.ell ** n)
     if r:
         raise ArithmeticError("product of level norms not divisible by l^n")
     return q
 
 
-def ord_kappa(spec: TowerSpec, n: int,
-              budget_bits: int | None = DEFAULT_BUDGET_BITS) -> int:
+def ord_kappa(spec: TowerSpec, n: int) -> int:
     """ord_l(kappa_n) as -n + sum of level valuations (no big kappa built)."""
     if n < 0:
         raise ValueError("level must be >= 0")
-    return _ords([_valuation(spec, i, budget_bits)
-                  for i in range(1, n + 1)])[n]
+    return _ords([_valuation(spec, i) for i in range(1, n + 1)])[n]
 
 
 @dataclass(frozen=True)
@@ -239,8 +245,7 @@ class IwasawaInvariants:
     cycle_case: bool = False
 
 
-def invariants(spec: TowerSpec,
-               budget_bits: int | None = DEFAULT_BUDGET_BITS) -> IwasawaInvariants:
+def invariants(spec: TowerSpec) -> IwasawaInvariants:
     """Exact (mu, lambda, nu) with a certified stabilization level.
 
     n0_certified comes from the strict-domination scan; nu is pinned there
@@ -252,7 +257,7 @@ def invariants(spec: TowerSpec,
         return IwasawaInvariants(mu=0, lam=1, nu=0, n0_certified=1,
                                  n0_observed=1, cycle_case=True)
     mu, lam, istar = _law(spec)
-    vs = [_valuation(spec, i, budget_bits) for i in range(1, istar + 1)]
+    vs = [_valuation(spec, i) for i in range(1, istar + 1)]
     ords = _ords(vs)
     nu = ords[istar] - mu * spec.ell ** istar - lam * istar
     n0_obs = istar
@@ -284,8 +289,7 @@ class BoundsReport:
                 and self.divisibility_ok and self.mu_bound_ok)
 
 
-def verify_bounds(spec: TowerSpec, n_max: int,
-                  budget_bits: int | None = DEFAULT_BUDGET_BITS) -> BoundsReport:
+def verify_bounds(spec: TowerSpec, n_max: int) -> BoundsReport:
     """Exact big-integer checks for n <= n_max:
 
     (a) l^n kappa_n <= (1/(4|chi|)) ((q-1)/(q+1)) (2(q+1))**(l^n), cleared
@@ -297,7 +301,7 @@ def verify_bounds(spec: TowerSpec, n_max: int,
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     ell, q, t = spec.ell, spec.q, spec.t
-    kappas = [kappa_exact(spec, n, budget_bits) for n in range(n_max + 2)]
+    kappas = [kappa_exact(spec, n) for n in range(n_max + 2)]
     rpt = BoundsReport(spec=spec, n_max=n_max, upper_bound_ok=True,
                        lower_bound_ok=True, divisibility_ok=True,
                        mu_bound_ok=True)
@@ -314,7 +318,7 @@ def verify_bounds(spec: TowerSpec, n_max: int,
         if kappas[n + 1] % kappas[n] != 0:
             rpt.divisibility_ok = False
             rpt.failures.append(f"kappa_{n} does not divide kappa_{n + 1}")
-    inv = invariants(spec, budget_bits)
+    inv = invariants(spec)
     if ell ** inv.mu > 2 * (q + 1):
         rpt.mu_bound_ok = False
         rpt.failures.append("mu exceeds log_l(2(q+1))")
@@ -346,8 +350,7 @@ class TowerReport:
     fit_ok: bool
 
 
-def build_tower_report(spec: TowerSpec, n_max: int,
-                       budget_bits: int | None = DEFAULT_BUDGET_BITS) -> TowerReport:
+def build_tower_report(spec: TowerSpec, n_max: int) -> TowerReport:
     """Per-level kappa, valuations, invariants, and fit/consistency flags.
 
     consistency_ok compares ord_l of the norm product with -n + sum v_i,
@@ -355,9 +358,9 @@ def build_tower_report(spec: TowerSpec, n_max: int,
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    inv = invariants(spec, budget_bits)
-    norms = [_norm(spec, i, budget_bits) for i in range(1, n_max + 1)]
-    vs = [_valuation(spec, i, budget_bits) for i in range(1, n_max + 1)]
+    inv = invariants(spec)
+    norms = [_norm(spec, i) for i in range(1, n_max + 1)]
+    vs = [_valuation(spec, i) for i in range(1, n_max + 1)]
     ords = _ords(vs)
 
     levels = []

@@ -1,8 +1,11 @@
 import json
 import sys
 
+import pytest
+
 from graph_iwasawa import multigraph_to_json, bouquet, cayley_serre, voltage_to_json
-from graph_iwasawa import report_from_json, report_to_json
+from graph_iwasawa import cycle_graph, report_from_json, report_to_json
+from graph_iwasawa import TowerSpec, norm_bits_bound, towers, zeta
 from graph_iwasawa.cli import main, _format_kappa, _trial_factor
 from graph_iwasawa.polys import unlimited_digits
 
@@ -174,11 +177,69 @@ def test_integers_past_the_str_digit_limit(tmp_path, capsys):
     assert code == 1 and "Exceeds the limit" in err
 
 
-def test_budget_env_override(monkeypatch, capsys):
-    monkeypatch.setenv("GRAPH_IWASAWA_BUDGET_BITS", "64")
-    code, _, err = run(capsys, "kappa", "-l", "2", "-a", "3,5", "-n", "12")
+def _forbid(monkeypatch, module, *names):
+    def boom(*args, **kwargs):
+        raise AssertionError("work started before the size check")
+    for name in names:
+        monkeypatch.setattr(module, name, boom)
+
+
+@pytest.mark.parametrize("command", ["kappa", "tower"])
+def test_budget_refused_before_any_work(monkeypatch, capsys, command):
+    # N_9 has 31 374 bits; its a-priori bound is over a 30 000-bit budget
+    _forbid(monkeypatch, towers, "level_norm", "level_valuation", "_norm")
+    estimate = norm_bits_bound(TowerSpec(3, (1, 4, 20)), 9)
+    code, out, err = run(capsys, command, "-l", "3", "-a", "1,4,20", "-n",
+                         "9", "--budget-bits", "30000")
+    assert code == 1 and out == ""
+    assert "level 9" in err and str(estimate) in err and "30000" in err
+
+
+def test_budget_refuses_a_deep_level_at_once(monkeypatch, capsys):
+    # the bound of level 10^8 is never built: 3^(10^8) alone takes minutes
+    _forbid(monkeypatch, towers, "norm_bits_bound", "_norm")
+    code, _, err = run(capsys, "kappa", "-l", "3", "-a", "1,1", "-n",
+                       "100000000")
     assert code == 1
-    assert "budget" in err.lower()
-    monkeypatch.delenv("GRAPH_IWASAWA_BUDGET_BITS")
-    code, _, _ = run(capsys, "kappa", "-l", "2", "-a", "3,5", "-n", "12")
-    assert code == 0
+    assert "level 100000000" in err and str(1 << 26) in err
+
+
+def test_budget_admits_the_level_it_bounds(capsys):
+    estimate = norm_bits_bound(TowerSpec(2, (3, 5)), 5)
+    code, out, _ = run(capsys, "kappa", "-l", "2", "-a", "3,5", "-n", "5",
+                       "--budget-bits", str(estimate))
+    assert code == 0 and "2^34 * 577^2" in out
+    code, _, err = run(capsys, "kappa", "-l", "2", "-a", "3,5", "-n", "5",
+                       "--budget-bits", str(estimate - 1))
+    assert code == 1 and "budget" in err
+
+
+def test_zeta_vertex_cap_before_any_work(monkeypatch, tmp_path, capsys):
+    _forbid(monkeypatch, zeta, "ihara_h")
+    path = tmp_path / "c40.json"
+    path.write_text(json.dumps(multigraph_to_json(cycle_graph(40))))
+    code, out, err = run(capsys, "zeta", str(path), "--cap-vertices", "8")
+    assert code == 1 and out == ""
+    assert "40 vertices" in err and "cap of 8" in err
+
+
+def test_cover_verify_caps_the_derived_cover(tmp_path, capsys):
+    # one vertex with one loop: chi = 0, so no matrix-tree count ever ran
+    payload = {"m": 40, "edges": [{"u": 0, "v": 0, "voltage": 1}]}
+    path = tmp_path / "loop40.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run(capsys, "cover-verify", str(path),
+                         "--cap-vertices", "8")
+    assert code == 1 and out == ""
+    assert "40 vertices" in err and "cap of 8" in err
+
+
+def test_usage_errors_exit_1(capsys):
+    assert main(["tower", "-l", "2"]) == 1
+    assert "required" in capsys.readouterr().err
+    assert main(["kappa", "-l", "2", "-a", "1,1", "-n", "x"]) == 1
+    assert main(["no-such-command"]) == 1
+    assert main([]) == 1
+    assert main(["--help"]) == 0
+    assert main(["kappa", "--help"]) == 0
+    assert "--budget-bits" in capsys.readouterr().out

@@ -146,6 +146,18 @@ def test_ord_int():
     assert ord_int(7, 5) == 0
 
 
+@pytest.mark.parametrize("ell", [3, 5])
+def test_ord_int_large_valuations(ell):
+    # every valuation up to 2^7 + 1, across the powers of two it is read from
+    for k in range(130):
+        for u in (1, -2, ell + 1, 2 ** 61 - 1):
+            assert ord_int(ell ** k * u, ell) == k
+    # one division per unit of valuation would take seconds here
+    for k in (99_999, 100_000, 2 ** 17):
+        for u in (1, -7):
+            assert ord_int(ell ** k * u, ell) == k
+
+
 def test_ord_L_examples():
     for ell in (2, 3, 5):
         for i in range(1, 5):

@@ -3,6 +3,7 @@ import math
 import random
 
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from graph_iwasawa import (
     TowerSpec,
@@ -16,6 +17,7 @@ from graph_iwasawa import (
     level_norm,
     level_valuation,
     mu_lambda,
+    norm_bits_bound,
     ord_int,
     ord_kappa,
     p_poly,
@@ -27,7 +29,7 @@ from graph_iwasawa import (
     stabilization_level,
     verify_bounds,
 )
-from graph_iwasawa.cyclotomic import BudgetExceededError, euler_phi_prime_power
+from graph_iwasawa.cyclotomic import euler_phi_prime_power
 from graph_iwasawa.towers import _jump_poly
 from graph_iwasawa import cli, cyclotomic, towers
 from test_acceptance import CORPUS
@@ -262,12 +264,6 @@ def test_divisibility_along_tower():
     assert kappa_exact(spec, 4) % kappa_exact(spec, 3) == 0
 
 
-def test_budget_enforced():
-    spec = TowerSpec(2, (3, 5))
-    with pytest.raises(BudgetExceededError):
-        kappa_exact(spec, 12, budget_bits=64)
-
-
 def test_level_bounds_rejected():
     spec = TowerSpec(2, (3, 5))
     with pytest.raises(ValueError):
@@ -341,3 +337,72 @@ def test_consistency_ok_is_a_real_check(monkeypatch, fresh_table, capsys):
     code = cli.main(["tower", "-l", "2", "-a", "3,5", "-n", str(istar + 1)])
     assert code == 2
     assert "consistency: FAILED" in capsys.readouterr().out
+
+
+def test_norm_bits_bound_examples():
+    # phi(3^9) = 13122 conjugates, each at most 4t = 12: 13122 * 4 + 1 bits
+    spec = TowerSpec(3, (1, 4, 20))
+    assert norm_bits_bound(spec, 9) == 52489
+    assert level_norm(spec, 5).bit_length() <= norm_bits_bound(spec, 5)
+    # kappa_n = 2^(2^n + n - 1) gives N_i = 2^(phi(2^i) + 2); the bound is
+    # 3 phi(2^i) + 1 bits, tight at i = 1
+    ones = TowerSpec(2, (1, 1))
+    for i in range(1, 8):
+        phi = euler_phi_prime_power(2, i)
+        assert level_norm(ones, i) == 2 ** (phi + 2)
+        assert norm_bits_bound(ones, i) == 3 * phi + 1
+    assert norm_bits_bound(ones, 1) == level_norm(ones, 1).bit_length()
+    with pytest.raises(ValueError):
+        norm_bits_bound(spec, 0)
+
+
+def test_tower_with_a_large_valuation():
+    # mu = 1: ord_3(kappa_n) is about 3^n, and the report reads it off
+    # every kappa_n with ord_int
+    report = build_tower_report(TowerSpec(3, (1, 1, 1)), 9)
+    assert report.consistency_ok and report.fit_ok
+
+
+# ---------------------------------------------------------------------------
+# Properties over random towers, kept to levels with phi(l^i) <= PHI_CAP so
+# that every norm takes a fraction of a second
+# ---------------------------------------------------------------------------
+
+PHI_CAP = 300
+
+
+def _shallow_levels(ell):
+    return [i for i in range(1, 10) if euler_phi_prime_power(ell, i) <= PHI_CAP]
+
+
+@st.composite
+def tower_specs(draw):
+    ell = draw(st.sampled_from((2, 3, 5, 7)))
+    coprime = draw(st.sampled_from([a for a in range(-30, 31) if a % ell]))
+    rest = draw(st.lists(st.integers(-30, 30), max_size=3))
+    return TowerSpec(ell, tuple(draw(st.permutations([coprime, *rest]))))
+
+
+@given(tower_specs())
+def test_norm_bits_bound_is_an_upper_bound(spec):
+    for i in _shallow_levels(spec.ell):
+        assert level_norm(spec, i).bit_length() <= norm_bits_bound(spec, i)
+
+
+@given(tower_specs())
+def test_kappa_divides_the_next_level(spec):
+    kappas = [kappa_exact(spec, n)
+              for n in range(_shallow_levels(spec.ell)[-1] + 1)]
+    for lower, upper in zip(kappas, kappas[1:]):
+        assert upper % lower == 0
+
+
+@given(tower_specs())
+def test_certified_formula_past_stabilization(spec):
+    q = q_poly(spec)
+    mu, lam = mu_lambda(q, spec.ell)
+    istar = stabilization_level(q, spec.ell)
+    assume(istar + 2 in _shallow_levels(spec.ell))
+    for i in (istar, istar + 1, istar + 2):
+        expected = mu * euler_phi_prime_power(spec.ell, i) + lam + 1
+        assert level_valuation(spec, i) == expected
