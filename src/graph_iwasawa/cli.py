@@ -82,11 +82,10 @@ def _spec(args) -> towers.TowerSpec:
     return towers.TowerSpec(args.prime, _parse_generators(args.generators))
 
 
-def _budgeted_spec(args) -> towers.TowerSpec:
-    """The tower of -l/-a, refused up front if N_n may outgrow the budget."""
-    spec, n, budget = _spec(args), args.levels, args.budget
+def _admit(spec: towers.TowerSpec, n: int, budget: int) -> None:
+    """Refuse up front a level n whose norm N_n may outgrow the budget."""
     if n < 1:
-        return spec
+        return
     # phi(l^n) >= 2^(n-1) and 4t >= 4 put the bound past 2^n: no l^n needed
     deep = n >= budget.bit_length()
     estimate = f"more than 2^{n}" if deep else towers.norm_bits_bound(spec, n)
@@ -94,7 +93,6 @@ def _budgeted_spec(args) -> towers.TowerSpec:
         raise towers.BudgetExceededError(
             f"level {n} norm may have {estimate} bits, over the budget of "
             f"{budget} bits")
-    return spec
 
 
 def _cap(what: str, n: int, cap: int) -> None:
@@ -103,7 +101,8 @@ def _cap(what: str, n: int, cap: int) -> None:
 
 
 def cmd_tower(args) -> int:
-    spec = _budgeted_spec(args)
+    spec = _spec(args)
+    _admit(spec, towers.deepest_level(spec, args.levels), args.budget)
     report = towers.build_tower_report(spec, args.levels)
     with unlimited_digits():
         if args.format == "json":
@@ -137,7 +136,8 @@ def cmd_tower(args) -> int:
 
 
 def cmd_kappa(args) -> int:
-    spec = _budgeted_spec(args)
+    spec = _spec(args)
+    _admit(spec, args.levels, args.budget)
     kappa = towers.kappa_exact(spec, args.levels)
     with unlimited_digits():
         if args.format == "json":

@@ -7,9 +7,15 @@ Two determinant engines:
   big-integer cost limits it to a few hundred rows.
 * ``det_crt``: rigorous multi-modular determinant.  The result is
   reconstructed by CRT from word-size primes whose product exceeds an
-  integer Hadamard bound, so it is exact, not probabilistic.  Elimination
-  mod p only touches rows/columns with nonzero support, which makes banded
-  matrices (reduced Laplacians of circulant covers) cheap.
+  integer Hadamard bound, so it is exact, not probabilistic.  The primes
+  are lanes, the last axis of one array of residues: the matrix is
+  reordered by Cuthill-McKee, which narrows the band of a circulant
+  cover's reduced Laplacian, and eliminated inside that band without row
+  swaps, one vectorized block update per pivot for every prime at once,
+  in chunks of lanes whose band stays under ``BAND_BYTES_CAP``.  A prime
+  whose pivot vanishes falls back to ``_det_mod_p``, a per-prime
+  elimination with row swaps, so singular matrices and zero leading minors
+  stay exact.
 """
 
 from __future__ import annotations
@@ -19,6 +25,10 @@ import numpy as np
 # Largest matrix handled by the pure Bareiss path inside spanning-tree
 # counting; beyond this the CRT engine takes over.
 BAREISS_DEFAULT_MAX = 192
+
+# Byte cap on the band array of one chunk of prime lanes in det_crt (a
+# chunk has at least one lane, whatever the cap).
+BAND_BYTES_CAP = 8 << 20
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -121,6 +131,102 @@ def _det_mod_p(master: np.ndarray, p: int) -> int:
     return det
 
 
+def _cuthill_mckee(rows: np.ndarray, cols: np.ndarray, n: int) -> list[int]:
+    """Cuthill-McKee order of the symmetrized pattern of nonzeros (rows[k],
+    cols[k]): breadth first from a vertex of least degree, neighbours by
+    increasing degree, ties by index; one restart per component."""
+    off = rows != cols
+    pairs = np.unique(np.concatenate([rows[off] * n + cols[off],
+                                      cols[off] * n + rows[off]]))
+    src, dst = np.divmod(pairs, n)
+    deg = np.bincount(src, minlength=n)
+    dst = dst[np.lexsort((dst, deg[dst], src))].tolist()
+    ends = np.cumsum(deg).tolist()
+    starts = np.argsort(deg, kind="stable").tolist()
+    deg = deg.tolist()
+    seen = [False] * n
+    order: list[int] = []
+    for start in starts:
+        if seen[start]:
+            continue
+        seen[start] = True
+        order.append(start)
+        head = len(order) - 1
+        while head < len(order):
+            v = order[head]
+            head += 1
+            for u in dst[ends[v] - deg[v]:ends[v]]:
+                if not seen[u]:
+                    seen[u] = True
+                    order.append(u)
+    return order
+
+
+def _det_mod_primes(matrix: np.ndarray, primes: list[int]) -> list[int]:
+    """Determinant mod each prime: banded lanes, pivoting fallback."""
+    n = matrix.shape[0]
+    rows, cols = np.nonzero(matrix)
+    vals = matrix[rows, cols]
+    # a symmetric permutation leaves the determinant unchanged
+    pos = np.empty(n, dtype=np.int64)
+    pos[_cuthill_mckee(rows, cols, n)] = np.arange(n)
+    rows, cols = pos[rows], pos[cols]
+    w = int(np.abs(rows - cols).max())
+    # Elimination without swaps keeps the envelope of the symmetrized
+    # pattern (George & Liu, 1981): the nonzeros of column k below the
+    # diagonal, and of row k right of it, stay within k + 1..reach[k].
+    first = np.arange(n)
+    np.minimum.at(first, rows, cols)
+    np.minimum.at(first, cols, rows)
+    reach = np.arange(n)
+    np.maximum.at(reach, first, np.arange(n))
+    reach = np.maximum.accumulate(reach).tolist()
+    lane_bytes = (n + w) * (2 * w + 1) * 4  # one lane of the int32 band
+    chunks = -(-len(primes) // max(1, BAND_BYTES_CAP // lane_bytes))
+    chunk = -(-len(primes) // chunks)
+    out = []
+    for s in range(0, len(primes), chunk):
+        lanes = primes[s:s + chunk]
+        for p, rp in zip(lanes, _det_band(w, reach, rows, cols, vals, lanes)):
+            out.append(_det_mod_p(matrix, p) if rp is None else rp)
+    return out
+
+
+def _det_band(w: int, reach: list[int], rows: np.ndarray, cols: np.ndarray,
+              vals: np.ndarray, primes: list[int]) -> list:
+    """Determinant mod each prime of the matrix with entries vals at (rows,
+    cols), all within w of the diagonal, by elimination without row swaps;
+    pivot k updates rows and columns k + 1..reach[k] <= k + w.  None for a
+    prime whose pivot vanished before the last row."""
+    n = len(reach)
+    ps = np.array(primes, dtype=np.int64)
+    # band[i, j - i + w] = A[i, j] mod p, below 2^31; products are formed in
+    # int64.  w rows of padding keep `window` in bounds.
+    band = np.zeros((n + w, 2 * w + 1, ps.size), dtype=np.int32)
+    band[rows, cols - rows + w] = vals[:, None] % ps
+    s0, s1, s2 = band.strides
+    # window[k, r, c] = A[k + r, k + c]: the block that pivot k updates
+    window = np.lib.stride_tricks.as_strided(
+        band[:, w:], shape=(n, w + 1, w + 1, ps.size),
+        strides=(s0, s0 - s1, s1, s2))
+    det = np.ones_like(ps)
+    failed = np.zeros(ps.size, dtype=bool)
+    for k in range(n):
+        m = reach[k] - k
+        block = window[k, :m + 1, :m + 1]
+        piv = block[0, 0]
+        det = det * piv % ps
+        if m == 0:
+            continue
+        failed |= piv == 0
+        inv = np.array([pow(x, -1, p) if x else 0
+                        for x, p in zip(piv.tolist(), primes)], dtype=np.int64)
+        f = block[1:, 0] * inv % ps
+        rest = block[1:, 1:]
+        rest[...] = (rest - f[:, None] * block[0, 1:]) % ps
+    return [None if bad else d for bad, d in zip(failed.tolist(), det.tolist())]
+
+
 def hadamard_bound(matrix: np.ndarray) -> int:
     """Integer B with |det| <= B (row-norm Hadamard bound)."""
     prod = 1
@@ -161,8 +267,7 @@ def det_crt(matrix: np.ndarray, nonnegative: bool = False) -> int:
     primes = primes[:idx]
     residue = 0
     modulus = 1
-    for p in primes:
-        rp = _det_mod_p(matrix, p)
+    for p, rp in zip(primes, _det_mod_primes(matrix, primes)):
         # incremental CRT
         delta = (rp - residue) % p
         residue = residue + modulus * (delta * pow(modulus % p, -1, p) % p)

@@ -206,14 +206,16 @@ def betti1(x: Multigraph) -> int:
 
 
 def _laplacian_reduced_np(x: Multigraph, delete_index: int) -> np.ndarray:
-    n = x.num_vertices
-    lap = np.zeros((n, n), dtype=np.int64)
-    for e in range(len(x.origin)):
-        o, t = x.origin[e], x.terminus[e]
-        lap[o, t] -= 1
-        lap[o, o] += 1
-    keep = [i for i in range(n) if i != delete_index]
-    return lap[np.ix_(keep, keep)]
+    # vertex v is row v, or row v - 1 past the deleted vertex
+    lap = np.zeros((x.num_vertices - 1,) * 2, dtype=np.int64)
+    for o, t in zip(x.origin, x.terminus):
+        if o == delete_index:
+            continue
+        i = o - (o > delete_index)
+        lap[i, i] += 1
+        if t != delete_index:
+            lap[i, t - (t > delete_index)] -= 1
+    return lap
 
 
 def spanning_tree_count(x: Multigraph, delete_index: int = 0,

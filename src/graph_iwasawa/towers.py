@@ -72,20 +72,20 @@ class TowerSpec:
 
 
 def p_poly(a: int) -> list[int]:
-    """P_0 = 0, P_1 = T, P_a = T*(a^2 - sum_{k<a} (a-k) P_k).
+    """P_0 = 0, P_1 = T, P_{k+1} = (2 - T)*P_k - P_{k-1} + 2T.
 
-    Degree a, zero constant term, linear coefficient a^2, leading
-    coefficient (-1)**(a+1); P_a evaluated at eps(1) gives eps(a).
+    eps(a) = 2 - c_a with c_a = z^a + z^-a, and c_{k+1} = (2 - T)*c_k -
+    c_{k-1} for T = eps(1).  Degree a, zero constant term, linear
+    coefficient a^2, leading coefficient (-1)**(a+1); P_a evaluated at
+    eps(1) gives eps(a).
     """
     if a < 0:
         raise ValueError("a must be nonnegative")
-    table = [[], [0, 1]]
-    for k in range(2, a + 1):
-        acc = [k * k]
-        for j in range(1, k):
-            acc = polys.sub(acc, polys.scale(table[j], k - j))
-        table.append(polys.shift(acc, 1))
-    return table[a] if a else []
+    prev, cur = [], [0, 1]
+    for _ in range(a - 1):
+        prev, cur = cur, polys.add(polys.sub(polys.mul([2, -1], cur), prev),
+                                   [0, 2])
+    return cur if a else []
 
 
 def q_poly(spec: TowerSpec) -> list[int]:
@@ -186,7 +186,8 @@ def norm_bits_bound(spec: TowerSpec, i: int) -> int:
             * (4 * spec.t - 1).bit_length() + 1)
 
 
-# The level table: each N_i once per process, whichever function asks first.
+# The level table: each N_i and v_i once per process, whichever function
+# asks first.
 @functools.lru_cache(maxsize=1024)
 def _norm(spec: TowerSpec, i: int) -> int:
     return level_norm(spec, i)
@@ -199,6 +200,7 @@ def _law(spec: TowerSpec) -> tuple[int, int, int]:
     return (*mu_lambda(q, spec.ell), stabilization_level(q, spec.ell))
 
 
+@functools.lru_cache(maxsize=1024)
 def _valuation(spec: TowerSpec, i: int):
     mu, lam, istar = _law(spec)
     if i >= istar:
@@ -208,6 +210,14 @@ def _valuation(spec: TowerSpec, i: int):
     if v == INFINITY:
         raise ArithmeticError(f"level {i} valuation is infinite")
     return v
+
+
+def deepest_level(spec: TowerSpec, n_max: int) -> int:
+    """Deepest level whose norm build_tower_report(spec, n_max) may take:
+    invariants() evaluates the valuations below n0_certified too."""
+    if spec.is_cycle_tower:
+        return n_max
+    return max(n_max, _law(spec)[2] - 1)
 
 
 def _ords(vs) -> list[int]:

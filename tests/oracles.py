@@ -1,9 +1,9 @@
 """Independent oracles used by the test suite.
 
 Everything here is deliberately naive: Leibniz determinants, brute-force
-spanning-tree enumeration, Sylvester-matrix resultants over Fractions, and
-in-ring Galois-conjugate products.  None of it shares code paths with the
-library implementations it checks.
+spanning-tree enumeration, the table definition of P_a, Sylvester-matrix
+resultants over Fractions, and in-ring Galois-conjugate products.  None of
+it shares code paths with the library implementations it checks.
 """
 
 from __future__ import annotations
@@ -87,6 +87,19 @@ def spanning_trees_brute(x: Multigraph) -> int:
         if ok:
             count += 1
     return count
+
+
+def p_poly_table(a: int) -> list[int]:
+    """P_a by its table definition, P_0 = 0, P_1 = T and
+    P_k = T*(k^2 - sum_{j<k} (k-j) P_j), in plain coefficient lists."""
+    table = [[], [0, 1]]
+    for k in range(2, a + 1):
+        acc = [k * k] + [0] * (k - 1)
+        for j in range(1, k):
+            for d, c in enumerate(table[j]):
+                acc[d] -= (k - j) * c
+        table.append([0] + acc)
+    return table[a]
 
 
 def sylvester_resultant(f: list[int], g: list[int]) -> int:

@@ -204,6 +204,16 @@ def test_budget_refuses_a_deep_level_at_once(monkeypatch, capsys):
     assert "level 100000000" in err and str(1 << 26) in err
 
 
+def test_tower_budget_covers_levels_below_n0(monkeypatch, capsys):
+    # tower -n 1 still evaluates v_1..v_4 below n0_certified = 5, and the
+    # level-4 norm may have 25 bits: refused before any of them is taken
+    _forbid(monkeypatch, towers, "level_norm", "level_valuation", "_norm")
+    code, out, err = run(capsys, "tower", "-l", "2", "-a", "3,5", "-n", "1",
+                         "--budget-bits", "5")
+    assert code == 1 and out == ""
+    assert "level 4" in err and "budget of 5 bits" in err
+
+
 def test_budget_admits_the_level_it_bounds(capsys):
     estimate = norm_bits_bound(TowerSpec(2, (3, 5)), 5)
     code, out, _ = run(capsys, "kappa", "-l", "2", "-a", "3,5", "-n", "5",

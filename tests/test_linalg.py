@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from graph_iwasawa import linalg
+from graph_iwasawa import (TowerSpec, cayley_serre, derived_cover,
+                           kappa_exact, linalg, spanning_tree_count)
 from oracles import det_leibniz
 
 matrices = st.integers(1, 5).flatmap(
@@ -70,6 +71,62 @@ def test_det_crt_large_banded():
         if i:
             m[i, i - 1] = m[i - 1, i] = -1
     assert linalg.det_crt(m, nonnegative=True) == n + 1
+
+
+def _spy_det_mod_p(monkeypatch):
+    seen = []
+    real = linalg._det_mod_p
+
+    def spy(matrix, p):
+        seen.append(p)
+        return real(matrix, p)
+
+    monkeypatch.setattr(linalg, "_det_mod_p", spy)
+    return seen
+
+
+def test_det_crt_permuted_band_with_corner():
+    # a band of half-width 3 plus the wrap-around corner of a circulant,
+    # hidden by a random symmetric permutation
+    rng = random.Random(11)
+    for trial in range(3):
+        n, b = rng.randint(200, 300), 3
+        m = np.zeros((n, n), dtype=np.int64)
+        for i in range(n):
+            for j in range(max(0, i - b), min(n, i + b + 1)):
+                m[i, j] = rng.randint(-3, 3)
+            m[i, i] = rng.randint(5, 9)
+        for c in range(b):
+            m[c, n - 1 - c] = rng.randint(-3, 3)
+            m[n - 1 - c, c] = rng.randint(-3, 3)
+        perm = list(range(n))
+        rng.shuffle(perm)
+        m = m[np.ix_(perm, perm)]
+        assert linalg.det_crt(m) == linalg.det_bareiss(m.tolist()), trial
+
+
+def test_det_crt_zero_pivot_falls_back_for_that_prime(monkeypatch):
+    # Cuthill-McKee starts at row 0 (least degree, lowest index), whose
+    # pivot vanishes mod the first CRT prime only
+    p0 = linalg.crt_primes(1)[0]
+    n = 50
+    m = np.zeros((n, n), dtype=np.int64)
+    for i in range(n):
+        m[i, i] = 3
+        if i:
+            m[i, i - 1] = m[i - 1, i] = -1
+    m[0, 0] = p0
+    seen = _spy_det_mod_p(monkeypatch)
+    assert linalg.det_crt(m) == linalg.det_bareiss(m.tolist())
+    assert seen == [p0]
+
+
+def test_corpus_cover_needs_no_fallback(monkeypatch):
+    spec, n = TowerSpec(2, (3, 5)), 8
+    cover = derived_cover(cayley_serre(2 ** n, spec.generators))
+    seen = _spy_det_mod_p(monkeypatch)
+    assert spanning_tree_count(cover) == kappa_exact(spec, n)
+    assert seen == []
 
 
 def test_hadamard_bound_dominates():

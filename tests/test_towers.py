@@ -32,6 +32,7 @@ from graph_iwasawa import (
 from graph_iwasawa.cyclotomic import euler_phi_prime_power
 from graph_iwasawa.towers import _jump_poly
 from graph_iwasawa import cli, cyclotomic, towers
+from oracles import p_poly_table
 from test_acceptance import CORPUS
 
 
@@ -39,8 +40,10 @@ from test_acceptance import CORPUS
 def fresh_table():
     # the level table outlives a test; start and leave it empty
     towers._norm.cache_clear()
+    towers._valuation.cache_clear()
     yield
     towers._norm.cache_clear()
+    towers._valuation.cache_clear()
 
 
 def test_p_poly_table():
@@ -50,6 +53,11 @@ def test_p_poly_table():
     assert p_poly(3) == [0, 9, -6, 1]
     assert p_poly(4) == [0, 16, -20, 8, -1]
     assert p_poly(5) == [0, 25, -50, 35, -10, 1]
+
+
+def test_p_poly_recurrence_matches_table():
+    for a in range(81):
+        assert p_poly(a) == p_poly_table(a), a
 
 
 @pytest.mark.parametrize("a", range(1, 13))
@@ -322,6 +330,14 @@ def test_one_level_table(monkeypatch, fresh_table):
     assert sorted(norm_calls) == list(range(1, n + 1))
     assert valuation_calls
     assert all(i < inv.n0_certified for i in valuation_calls)
+
+
+def test_each_level_valuation_once(monkeypatch, fresh_table, capsys):
+    # invariants() and the report both read v_1..v_4 (n0_certified = 5)
+    valuation_calls = _count_calls(monkeypatch, "level_valuation")
+    assert cli.main(["tower", "-l", "2", "-a", "3,5", "-n", "1"]) == 0
+    capsys.readouterr()
+    assert valuation_calls == [1, 2, 3, 4]
 
 
 def test_consistency_ok_is_a_real_check(monkeypatch, fresh_table, capsys):
