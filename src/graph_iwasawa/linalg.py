@@ -1,30 +1,27 @@
 """Exact integer linear algebra.
 
-Two determinant engines:
+One determinant engine, ``det_crt``: a rigorous multi-modular determinant.
+The result is reconstructed by CRT from word-size primes whose product
+exceeds an integer Hadamard bound, so it is exact, not probabilistic.  The
+primes are lanes, the last axis of one array of residues: the matrix is
+reordered by Cuthill-McKee, which narrows the band of a circulant cover's
+reduced Laplacian, and eliminated inside that band without row swaps, one
+vectorized block update per pivot for every lane at once, in chunks of
+lanes whose band stays under ``BAND_BYTES_CAP``.  A lane whose pivot
+vanishes falls back to ``_det_mod_p``, a per-prime elimination with row
+swaps, so singular matrices and zero leading minors stay exact.
 
-* ``det_bareiss``: fraction-free Gaussian elimination over Z.  Intermediate
-  entries are minors of the input, so growth is polynomial, but the cubic
-  big-integer cost limits it to a few hundred rows.
-* ``det_crt``: rigorous multi-modular determinant.  The result is
-  reconstructed by CRT from word-size primes whose product exceeds an
-  integer Hadamard bound, so it is exact, not probabilistic.  The primes
-  are lanes, the last axis of one array of residues: the matrix is
-  reordered by Cuthill-McKee, which narrows the band of a circulant
-  cover's reduced Laplacian, and eliminated inside that band without row
-  swaps, one vectorized block update per pivot for every prime at once,
-  in chunks of lanes whose band stays under ``BAND_BYTES_CAP``.  A prime
-  whose pivot vanishes falls back to ``_det_mod_p``, a per-prime
-  elimination with row swaps, so singular matrices and zero leading minors
-  stay exact.
+``_det_stack`` runs the same kernel on a stack of matrices at once (the
+evaluation nodes of a polynomial matrix): one order and one band over the
+union of their patterns, a lane per (matrix, prime) pair, and only the
+primes each matrix's own Hadamard bound needs.
 """
 
 from __future__ import annotations
 
-import numpy as np
+import math
 
-# Largest matrix handled by the pure Bareiss path inside spanning-tree
-# counting; beyond this the CRT engine takes over.
-BAREISS_DEFAULT_MAX = 192
+import numpy as np
 
 # Byte cap on the band array of one chunk of prime lanes in det_crt (a
 # chunk has at least one lane, whatever the cap).
@@ -67,41 +64,6 @@ def crt_primes(count: int) -> list[int]:
             _PRIME_CACHE.append(cand)
         cand -= 2
     return _PRIME_CACHE[:count]
-
-
-def det_bareiss(matrix: list[list[int]]) -> int:
-    """Exact determinant by fraction-free elimination.  Non-destructive."""
-    n = len(matrix)
-    if n == 0:
-        return 1
-    m = [list(row) for row in matrix]
-    if any(len(row) != n for row in m):
-        raise ValueError("matrix must be square")
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pk = m[k][k]
-        for i in range(k + 1, n):
-            mik = m[i][k]
-            row_i = m[i]
-            row_k = m[k]
-            if mik == 0:
-                for j in range(k + 1, n):
-                    row_i[j] = (pk * row_i[j]) // prev
-            else:
-                for j in range(k + 1, n):
-                    row_i[j] = (pk * row_i[j] - mik * row_k[j]) // prev
-            row_i[k] = 0
-        prev = pk
-    return sign * m[n - 1][n - 1]
 
 
 def _det_mod_p(master: np.ndarray, p: int) -> int:
@@ -162,11 +124,13 @@ def _cuthill_mckee(rows: np.ndarray, cols: np.ndarray, n: int) -> list[int]:
     return order
 
 
-def _det_mod_primes(matrix: np.ndarray, primes: list[int]) -> list[int]:
-    """Determinant mod each prime: banded lanes, pivoting fallback."""
-    n = matrix.shape[0]
-    rows, cols = np.nonzero(matrix)
-    vals = matrix[rows, cols]
+def _det_mod_lanes(stack: np.ndarray,
+                   lanes: list[tuple[int, int]]) -> list[int]:
+    """Determinant of stack[j] mod p for each lane (j, p): banded lanes over
+    the union of the stack's patterns, pivoting fallback."""
+    n = stack.shape[1]
+    rows, cols = np.nonzero(stack.any(axis=0))
+    vals = stack[:, rows, cols]
     # a symmetric permutation leaves the determinant unchanged
     pos = np.empty(n, dtype=np.int64)
     pos[_cuthill_mckee(rows, cols, n)] = np.arange(n)
@@ -182,28 +146,32 @@ def _det_mod_primes(matrix: np.ndarray, primes: list[int]) -> list[int]:
     np.maximum.at(reach, first, np.arange(n))
     reach = np.maximum.accumulate(reach).tolist()
     lane_bytes = (n + w) * (2 * w + 1) * 4  # one lane of the int32 band
-    chunks = -(-len(primes) // max(1, BAND_BYTES_CAP // lane_bytes))
-    chunk = -(-len(primes) // chunks)
+    chunks = -(-len(lanes) // max(1, BAND_BYTES_CAP // lane_bytes))
+    chunk = -(-len(lanes) // chunks)
     out = []
-    for s in range(0, len(primes), chunk):
-        lanes = primes[s:s + chunk]
-        for p, rp in zip(lanes, _det_band(w, reach, rows, cols, vals, lanes)):
-            out.append(_det_mod_p(matrix, p) if rp is None else rp)
+    for s in range(0, len(lanes), chunk):
+        part = lanes[s:s + chunk]
+        js = [j for j, _ in part]
+        primes = [p for _, p in part]
+        for j, p, rp in zip(js, primes,
+                            _det_band(w, reach, rows, cols, vals[js].T, primes)):
+            out.append(_det_mod_p(stack[j], p) if rp is None else rp)
     return out
 
 
 def _det_band(w: int, reach: list[int], rows: np.ndarray, cols: np.ndarray,
               vals: np.ndarray, primes: list[int]) -> list:
-    """Determinant mod each prime of the matrix with entries vals at (rows,
-    cols), all within w of the diagonal, by elimination without row swaps;
-    pivot k updates rows and columns k + 1..reach[k] <= k + w.  None for a
-    prime whose pivot vanished before the last row."""
+    """Determinant mod primes[q] of the matrix with entries vals[:, q] at
+    (rows, cols), all within w of the diagonal, for every lane q, by
+    elimination without row swaps; pivot k updates rows and columns
+    k + 1..reach[k] <= k + w.  None for a lane whose pivot vanished before
+    the last row."""
     n = len(reach)
     ps = np.array(primes, dtype=np.int64)
     # band[i, j - i + w] = A[i, j] mod p, below 2^31; products are formed in
     # int64.  w rows of padding keep `window` in bounds.
     band = np.zeros((n + w, 2 * w + 1, ps.size), dtype=np.int32)
-    band[rows, cols - rows + w] = vals[:, None] % ps
+    band[rows, cols - rows + w] = vals % ps
     s0, s1, s2 = band.strides
     # window[k, r, c] = A[k + r, k + c]: the block that pivot k updates
     window = np.lib.stride_tricks.as_strided(
@@ -231,7 +199,8 @@ def hadamard_bound(matrix: np.ndarray) -> int:
     """Integer B with |det| <= B (row-norm Hadamard bound)."""
     prod = 1
     for row in matrix:
-        s = int(np.dot(row.astype(object), row.astype(object)))
+        # Python ints: an int64 square can overflow
+        s = sum(x * x for x in row[row != 0].tolist())
         if s == 0:
             return 0
         prod *= s
@@ -239,9 +208,49 @@ def hadamard_bound(matrix: np.ndarray) -> int:
 
 
 def _isqrt_ceil(n: int) -> int:
-    import math
     r = math.isqrt(n)
     return r if r * r == n else r + 1
+
+
+def _primes_above(target: int) -> list[int]:
+    """The fewest leading CRT primes whose product exceeds target."""
+    count, modulus = 0, 1
+    while modulus <= target:
+        count += 1
+        modulus *= crt_primes(count)[-1]
+    return crt_primes(count)
+
+
+def _det_stack(stack: np.ndarray, nonnegative: bool = False) -> list[int]:
+    """Exact determinant of each matrix of a (k, n, n) int64 stack.
+
+    One kernel run for the whole stack; it is cheapest when the matrices
+    share one nonzero pattern.  ``nonnegative=True`` asserts det >= 0 for
+    every matrix, which halves the required modulus range.
+    """
+    k, n = stack.shape[0], stack.shape[1]
+    if n == 0:
+        return [1] * k
+    bounds = [hadamard_bound(m) for m in stack]
+    primes = [_primes_above(b + 1 if nonnegative else 2 * b + 1) if b else []
+              for b in bounds]
+    lanes = [(j, p) for j, ps in enumerate(primes) for p in ps]
+    residues = iter(_det_mod_lanes(stack, lanes) if lanes else [])
+    out = []
+    for bound, ps in zip(bounds, primes):
+        residue = 0
+        modulus = 1
+        for p in ps:
+            # incremental CRT
+            delta = (next(residues) - residue) % p
+            residue = residue + modulus * (delta * pow(modulus % p, -1, p) % p)
+            modulus *= p
+        if not nonnegative and residue > modulus // 2:
+            residue -= modulus
+        if abs(residue) > bound:
+            raise ArithmeticError("CRT determinant exceeded its Hadamard bound")
+        out.append(residue)
+    return out
 
 
 def det_crt(matrix: np.ndarray, nonnegative: bool = False) -> int:
@@ -250,30 +259,4 @@ def det_crt(matrix: np.ndarray, nonnegative: bool = False) -> int:
     ``nonnegative=True`` asserts det >= 0 (e.g. reduced Laplacians), which
     halves the required modulus range.
     """
-    n = matrix.shape[0]
-    if n == 0:
-        return 1
-    bound = hadamard_bound(matrix)
-    if bound == 0:
-        return 0
-    target = bound + 1 if nonnegative else 2 * bound + 1
-    primes = []
-    modulus = 1
-    idx = 0
-    while modulus <= target:
-        primes = crt_primes(idx + 1)
-        modulus *= primes[idx]
-        idx += 1
-    primes = primes[:idx]
-    residue = 0
-    modulus = 1
-    for p, rp in zip(primes, _det_mod_primes(matrix, primes)):
-        # incremental CRT
-        delta = (rp - residue) % p
-        residue = residue + modulus * (delta * pow(modulus % p, -1, p) % p)
-        modulus *= p
-    if not nonnegative and residue > modulus // 2:
-        residue -= modulus
-    if abs(residue) > bound:
-        raise ArithmeticError("CRT determinant exceeded its Hadamard bound")
-    return residue
+    return _det_stack(matrix[None], nonnegative)[0]

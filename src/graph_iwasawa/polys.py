@@ -2,7 +2,9 @@
 
 Polynomials are plain lists of int coefficients in ascending degree,
 always kept trimmed (no trailing zeros).  The zero polynomial is the
-empty list and its degree is the sentinel ``NEG_INF``.
+empty list and its degree is the sentinel ``NEG_INF``.  Every operation,
+interpolation included, stays in the integers: a division that is not
+exact raises instead of leaving Z.
 """
 
 from __future__ import annotations
@@ -10,7 +12,6 @@ from __future__ import annotations
 import contextlib
 import math
 import sys
-from fractions import Fraction
 
 NEG_INF = float("-inf")
 
@@ -253,41 +254,32 @@ def resultant(a: list[int], b: list[int]) -> int:
 
 
 def interpolate(points: list[tuple[int, int]]) -> list[int]:
-    """Lagrange interpolation through integer points, asserting an integer
-    polynomial results."""
-    k = len(points)
+    """Interpolation through integer points by Newton divided differences,
+    asserting an integer polynomial results.
+
+    The divided differences of an integer polynomial at integer nodes are
+    integers, so every division is exact exactly when the interpolant has
+    integer coefficients.
+    """
     xs = [x for x, _ in points]
-    if len(set(xs)) != k:
+    if len(set(xs)) != len(xs):
         raise ValueError("interpolation nodes must be distinct")
-    # master product W(y) = prod (y - xj), then peel one root per node
-    master = [1]
-    for xj in xs:
-        nxt = [0] * (len(master) + 1)
-        for i, a in enumerate(master):
-            nxt[i] -= a * xj
-            nxt[i + 1] += a
-        master = nxt
-    coeffs = [Fraction(0)] * k
-    for xi, yi in points:
-        if yi == 0:
-            continue
-        # synthetic division of master by (y - xi): quotient has degree k-1
-        quot = [0] * k
-        carry = master[k]
-        for j in range(k - 1, -1, -1):
-            quot[j] = carry
-            carry = master[j] + xi * carry
-        denom = evaluate(quot, xi)  # prod_{j != i} (xi - xj)
-        w = Fraction(yi, denom)
-        for i, c in enumerate(quot):
-            if c:
-                coeffs[i] += w * c
-    out = []
-    for c in coeffs:
-        if c.denominator != 1:
-            raise ArithmeticError("interpolation produced a non-integer "
-                                  "coefficient; degree bound too small?")
-        out.append(int(c))
+    c = [y for _, y in points]
+    for j in range(1, len(c)):
+        for i in range(len(c) - 1, j - 1, -1):
+            q, r = divmod(c[i] - c[i - 1], xs[i] - xs[i - j])
+            if r:
+                raise ArithmeticError("interpolation produced a non-integer "
+                                      "coefficient; degree bound too small?")
+            c[i] = q
+    # Newton form to coefficients: p = c[i] + (y - x_i) * p, innermost last
+    out: list[int] = []
+    for i in range(len(c) - 1, -1, -1):
+        shifted = [0] + out
+        for d, a in enumerate(out):
+            shifted[d] -= xs[i] * a
+        shifted[0] += c[i]
+        out = shifted
     return trim(out)
 
 

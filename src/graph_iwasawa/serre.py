@@ -7,8 +7,8 @@ graphs handled here are expected to be finite, connected, and free of
 degree-one vertices; ``validate_serre`` reports every violation.
 
 Spanning trees are counted exactly through the matrix-tree theorem: the
-determinant of the reduced Laplacian, computed fraction-free for small
-graphs and by a rigorous multi-modular CRT determinant for large ones.
+determinant of the reduced Laplacian, by the rigorous multi-modular CRT
+determinant of ``linalg``.
 """
 
 from __future__ import annotations
@@ -219,8 +219,7 @@ def _laplacian_reduced_np(x: Multigraph, delete_index: int) -> np.ndarray:
 
 
 def spanning_tree_count(x: Multigraph, delete_index: int = 0,
-                        cap: int = DEFAULT_VERTEX_CAP,
-                        bareiss_max: int = linalg.BAREISS_DEFAULT_MAX) -> int:
+                        cap: int = DEFAULT_VERTEX_CAP) -> int:
     """Number of spanning trees (matrix-tree theorem), exact.
 
     ``delete_index`` selects the row/column removed from the Laplacian; the
@@ -235,14 +234,8 @@ def spanning_tree_count(x: Multigraph, delete_index: int = 0,
         raise ValueError("delete_index out of range")
     if n == 1:
         return 1
-    if n - 1 <= bareiss_max:
-        lap = laplacian(x)
-        keep = [i for i in range(n) if i != delete_index]
-        reduced = [[lap[i][j] for j in keep] for i in keep]
-        det = linalg.det_bareiss(reduced)
-    else:
-        det = linalg.det_crt(_laplacian_reduced_np(x, delete_index),
-                             nonnegative=True)
+    det = linalg.det_crt(_laplacian_reduced_np(x, delete_index),
+                         nonnegative=True)
     if det <= 0:
         raise DisconnectedGraphError("reduced Laplacian is singular")
     return det
@@ -273,10 +266,10 @@ def multigraph_to_json(x: Multigraph) -> dict:
 def multigraph_from_json(data: dict) -> Multigraph:
     try:
         n = int(data["vertices"])
-        edges = data["edges"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"malformed multigraph JSON: {exc}") from exc
+        pairs = [(int(rec["u"]), int(rec["v"])) for rec in data["edges"]]
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"malformed multigraph JSON: {exc!r}") from exc
     g = Multigraph(n)
-    for rec in edges:
-        g.add_edge(int(rec["u"]), int(rec["v"]))
+    for u, v in pairs:
+        g.add_edge(u, v)
     return g

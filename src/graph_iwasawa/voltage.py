@@ -267,16 +267,15 @@ def voltage_to_json(vg: VoltageGraph) -> dict:
 def voltage_from_json(data: dict) -> VoltageGraph:
     try:
         m = int(data["m"])
-        edges = data["edges"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"malformed voltage JSON: {exc}") from exc
-    verts = 0
-    for rec in edges:
-        verts = max(verts, int(rec["u"]) + 1, int(rec["v"]) + 1)
-    base = Multigraph(verts)
+        recs = [(int(rec["u"]), int(rec["v"]), int(rec["voltage"]))
+                for rec in data["edges"]]
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"malformed voltage JSON: {exc!r}") from exc
+    if m < 1:
+        raise ValueError(f"malformed voltage JSON: modulus {m} < 1")
+    base = Multigraph(max((max(u, v) + 1 for u, v, _ in recs), default=0))
     volt = []
-    for rec in edges:
-        base.add_edge(int(rec["u"]), int(rec["v"]))
-        s = int(rec["voltage"]) % m
-        volt += [s, (-s) % m]
+    for u, v, s in recs:
+        base.add_edge(u, v)
+        volt += [s % m, (-s) % m]
     return VoltageGraph(base, m, volt)

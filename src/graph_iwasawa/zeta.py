@@ -3,8 +3,10 @@
 The reciprocal zeta of a multigraph X factors as
 (1 - u^2)^(-chi(X)) * h_X(u) with h_X(u) = det(I - Au + (D - I)u^2).
 The polynomial determinant is computed exactly by evaluating the matrix at
-enough integer points, taking fraction-free integer determinants, and
-interpolating; integrality of the result is asserted rather than assumed.
+enough integer points, taking the integer determinants of all of them in
+one run of ``linalg``'s multi-modular engine, and interpolating by integer
+divided differences; integrality of the result is asserted rather than
+assumed.
 
 At u = 1 the determinant vanishes (singular Laplacian) and, away from the
 cycle-graph case chi(X) = 0, h_X'(1) = -2 chi(X) kappa_X recovers the
@@ -15,6 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import linalg, polys, serre
 from .serre import Multigraph
 
@@ -22,18 +26,23 @@ from .serre import Multigraph
 def det_poly_matrix(m: list[list[list[int]]], deg_bound: int) -> list[int]:
     """Determinant of a matrix with integer-polynomial entries.
 
-    Evaluation at deg_bound+1 integer nodes, Bareiss per node, exact
-    interpolation.  ``deg_bound`` must dominate the true degree.
+    Evaluation at deg_bound+1 integer nodes, one exact stacked determinant
+    of all node matrices, exact interpolation.  ``deg_bound`` must dominate
+    the true degree.
     """
     n = len(m)
     if n == 0:
         return [1]
     pts = _nodes(deg_bound + 1)
-    samples = []
-    for x in pts:
-        mx = [[polys.evaluate(m[i][j], x) for j in range(n)] for i in range(n)]
-        samples.append((x, linalg.det_bareiss(mx)))
-    return polys.interpolate(samples)
+    entries = [(i, j, p) for i, row in enumerate(m)
+               for j, p in enumerate(row) if p]
+    stack = np.zeros((len(pts), n, n), dtype=np.int64)
+    if entries:
+        rows, cols, ps = zip(*entries)
+        # Python ints past int64 raise here rather than wrap
+        stack[:, list(rows), list(cols)] = np.array(
+            [[polys.evaluate(p, x) for p in ps] for x in pts], dtype=np.int64)
+    return polys.interpolate(list(zip(pts, linalg._det_stack(stack))))
 
 
 def _nodes(k: int) -> list[int]:

@@ -1,9 +1,11 @@
 """Independent oracles used by the test suite.
 
-Everything here is deliberately naive: Leibniz determinants, brute-force
-spanning-tree enumeration, the table definition of P_a, Sylvester-matrix
-resultants over Fractions, and in-ring Galois-conjugate products.  None of
-it shares code paths with the library implementations it checks.
+Everything here is deliberately naive: Leibniz determinants, fraction-free
+Bareiss determinants over Z (the reference for the library's multi-modular
+engine), brute-force spanning-tree enumeration, the table definition of
+P_a, Sylvester-matrix resultants over Fractions, and in-ring
+Galois-conjugate products.  None of it shares code paths with the library
+implementations it checks.
 """
 
 from __future__ import annotations
@@ -32,6 +34,41 @@ def det_leibniz(m) -> int:
             prod *= m[i][perm[i]]
         total += sign * prod
     return total
+
+
+def det_bareiss(matrix: list[list[int]]) -> int:
+    """Exact determinant by fraction-free elimination.  Non-destructive."""
+    n = len(matrix)
+    if n == 0:
+        return 1
+    m = [list(row) for row in matrix]
+    if any(len(row) != n for row in m):
+        raise ValueError("matrix must be square")
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            for i in range(k + 1, n):
+                if m[i][k] != 0:
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        pk = m[k][k]
+        for i in range(k + 1, n):
+            mik = m[i][k]
+            row_i = m[i]
+            row_k = m[k]
+            if mik == 0:
+                for j in range(k + 1, n):
+                    row_i[j] = (pk * row_i[j]) // prev
+            else:
+                for j in range(k + 1, n):
+                    row_i[j] = (pk * row_i[j] - mik * row_k[j]) // prev
+            row_i[k] = 0
+        prev = pk
+    return sign * m[n - 1][n - 1]
 
 
 def det_fraction_gauss(m) -> int:

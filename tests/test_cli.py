@@ -2,8 +2,11 @@ import json
 import sys
 
 import pytest
+from hypothesis import given, strategies as st
 
 from graph_iwasawa import multigraph_to_json, bouquet, cayley_serre, voltage_to_json
+from graph_iwasawa import (Multigraph, VoltageGraph, multigraph_from_json,
+                           voltage_from_json)
 from graph_iwasawa import cycle_graph, report_from_json, report_to_json
 from graph_iwasawa import TowerSpec, norm_bits_bound, towers, zeta
 from graph_iwasawa.cli import main, _format_kappa, _trial_factor
@@ -107,6 +110,47 @@ def test_zeta_malformed_file(tmp_path, capsys):
     missing = tmp_path / "missing.json"
     code, _, err = run(capsys, "zeta", str(missing))
     assert code == 1
+
+
+@pytest.mark.parametrize("command,payload", [
+    ("zeta", {"vertices": 2, "edges": [{"u": 0}]}),
+    ("zeta", {"vertices": 2, "edges": [[0, 1]]}),
+    ("cover-verify", {"m": 2, "edges": [{"u": 0, "voltage": 1}]}),
+    ("cover-verify", {"m": 2, "edges": [[0, 0, 1]]}),
+    ("cover-verify", {"m": 0, "edges": [{"u": 0, "v": 0, "voltage": 1}]}),
+])
+def test_malformed_records_exit_1(tmp_path, capsys, command, payload):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run(capsys, command, str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("error: malformed")
+
+
+_json_scalars = (st.none() | st.booleans() | st.integers(-2, 4)
+                 | st.integers() | st.floats() | st.text(max_size=3))
+_json_values = st.recursive(
+    _json_scalars,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=2), inner, max_size=4),
+    max_leaves=24)
+# documents shaped like the loaders' input, with keys and records missing
+_fields = st.integers(0, 3) | _json_scalars
+_records = st.dictionaries(st.sampled_from(("u", "v", "voltage")), _fields,
+                           max_size=3)
+_documents = st.fixed_dictionaries({}, optional={
+    "vertices": _fields, "m": _fields,
+    "edges": st.lists(_records | _json_values, max_size=4) | _json_values})
+
+
+@pytest.mark.parametrize("loader,result", [
+    (multigraph_from_json, Multigraph), (voltage_from_json, VoltageGraph)])
+@given(data=_documents | _json_values)
+def test_loaders_return_a_graph_or_raise_value_error(loader, result, data):
+    try:
+        assert isinstance(loader(data), result)
+    except ValueError:
+        pass
 
 
 def test_cover_verify(tmp_path, capsys):

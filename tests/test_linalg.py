@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from graph_iwasawa import (TowerSpec, cayley_serre, derived_cover,
                            kappa_exact, linalg, spanning_tree_count)
-from oracles import det_leibniz
+from graph_iwasawa.serre import adjacency_matrix
+from oracles import det_bareiss, det_leibniz
 
 matrices = st.integers(1, 5).flatmap(
     lambda n: st.lists(
@@ -17,21 +18,21 @@ matrices = st.integers(1, 5).flatmap(
 @given(matrices)
 @settings(max_examples=150)
 def test_bareiss_matches_leibniz(m):
-    assert linalg.det_bareiss(m) == det_leibniz(m)
+    assert det_bareiss(m) == det_leibniz(m)
 
 
 def test_bareiss_edges():
-    assert linalg.det_bareiss([]) == 1
-    assert linalg.det_bareiss([[7]]) == 7
-    assert linalg.det_bareiss([[0, 1], [1, 0]]) == -1  # needs a pivot swap
-    assert linalg.det_bareiss([[1, 2], [2, 4]]) == 0
+    assert det_bareiss([]) == 1
+    assert det_bareiss([[7]]) == 7
+    assert det_bareiss([[0, 1], [1, 0]]) == -1  # needs a pivot swap
+    assert det_bareiss([[1, 2], [2, 4]]) == 0
     with pytest.raises(ValueError):
-        linalg.det_bareiss([[1, 2], [3]])
+        det_bareiss([[1, 2], [3]])
 
 
 def test_bareiss_nondestructive():
     m = [[2, 1], [1, 2]]
-    linalg.det_bareiss(m)
+    det_bareiss(m)
     assert m == [[2, 1], [1, 2]]
 
 
@@ -49,7 +50,7 @@ def test_det_crt_matches_bareiss():
     for trial in range(20):
         n = rng.randint(1, 30)
         m = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
-        expected = linalg.det_bareiss(m)
+        expected = det_bareiss(m)
         got = linalg.det_crt(np.array(m, dtype=np.int64))
         assert got == expected, trial
 
@@ -57,7 +58,7 @@ def test_det_crt_matches_bareiss():
 def test_det_crt_nonnegative_mode():
     # SPD-style matrix, det known positive
     m = np.array([[4, -1, 0], [-1, 4, -1], [0, -1, 4]], dtype=np.int64)
-    expected = linalg.det_bareiss(m.tolist())
+    expected = det_bareiss(m.tolist())
     assert expected > 0
     assert linalg.det_crt(m, nonnegative=True) == expected
 
@@ -73,16 +74,31 @@ def test_det_crt_large_banded():
     assert linalg.det_crt(m, nonnegative=True) == n + 1
 
 
-def _spy_det_mod_p(monkeypatch):
+def _spy_det_mod_p(monkeypatch, stack=None):
+    """Record the prime of every fallback call, or (index in stack, prime)
+    when a stack is given."""
     seen = []
     real = linalg._det_mod_p
 
     def spy(matrix, p):
-        seen.append(p)
+        if stack is None:
+            seen.append(p)
+        else:
+            seen.append(([np.array_equal(matrix, m) for m in stack].index(True),
+                         p))
         return real(matrix, p)
 
     monkeypatch.setattr(linalg, "_det_mod_p", spy)
     return seen
+
+
+def _path_laplacian_like(n, diag):
+    m = np.zeros((n, n), dtype=np.int64)
+    for i in range(n):
+        m[i, i] = diag
+        if i:
+            m[i, i - 1] = m[i - 1, i] = -1
+    return m
 
 
 def test_det_crt_permuted_band_with_corner():
@@ -102,22 +118,17 @@ def test_det_crt_permuted_band_with_corner():
         perm = list(range(n))
         rng.shuffle(perm)
         m = m[np.ix_(perm, perm)]
-        assert linalg.det_crt(m) == linalg.det_bareiss(m.tolist()), trial
+        assert linalg.det_crt(m) == det_bareiss(m.tolist()), trial
 
 
 def test_det_crt_zero_pivot_falls_back_for_that_prime(monkeypatch):
     # Cuthill-McKee starts at row 0 (least degree, lowest index), whose
     # pivot vanishes mod the first CRT prime only
     p0 = linalg.crt_primes(1)[0]
-    n = 50
-    m = np.zeros((n, n), dtype=np.int64)
-    for i in range(n):
-        m[i, i] = 3
-        if i:
-            m[i, i - 1] = m[i - 1, i] = -1
+    m = _path_laplacian_like(50, 3)
     m[0, 0] = p0
     seen = _spy_det_mod_p(monkeypatch)
-    assert linalg.det_crt(m) == linalg.det_bareiss(m.tolist())
+    assert linalg.det_crt(m) == det_bareiss(m.tolist())
     assert seen == [p0]
 
 
@@ -136,3 +147,73 @@ def test_hadamard_bound_dominates():
         m = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
         bound = linalg.hadamard_bound(np.array(m, dtype=np.int64))
         assert abs(det_leibniz(m)) <= bound or bound == 0
+
+
+def test_hadamard_bound_past_int64_squares():
+    # entries near 2^40: a row's squared norm is near 2^80
+    rng = random.Random(5)
+    for _ in range(5):
+        n = rng.randint(1, 8)
+        m = [[rng.choice((-1, 1)) * ((1 << 40) - rng.randint(0, 99))
+              for _ in range(n)] for _ in range(n)]
+        arr = np.array(m, dtype=np.int64)
+        det = det_bareiss(m)
+        assert abs(det) <= linalg.hadamard_bound(arr)
+        assert linalg.det_crt(arr) == det
+
+
+def _stack_on_pattern(rng, k, n, density):
+    pattern = [(i, j) for i in range(n) for j in range(n)
+               if i == j or rng.random() < density]
+    stack = np.zeros((k, n, n), dtype=np.int64)
+    for mat in stack:
+        for i, j in pattern:
+            mat[i, j] = rng.randint(-6, 6)
+    return stack
+
+
+def test_det_stack_matches_bareiss():
+    rng = random.Random(13)
+    for trial in range(12):
+        k, n = rng.randint(1, 6), rng.randint(1, 25)
+        stack = _stack_on_pattern(rng, k, n, rng.choice((0.1, 0.3, 0.8)))
+        expected = [det_bareiss(m.tolist()) for m in stack]
+        assert linalg._det_stack(stack) == expected, trial
+        if min(expected) >= 0:
+            assert linalg._det_stack(stack, nonnegative=True) == expected
+
+
+def test_det_stack_falls_back_for_one_matrix_and_prime(monkeypatch):
+    # as in test_det_crt_zero_pivot_falls_back_for_that_prime, but only
+    # matrix 1 of the stack has the pivot that vanishes mod the first prime
+    p0 = linalg.crt_primes(1)[0]
+    stack = np.stack([_path_laplacian_like(50, d) for d in (3, 3, 4)])
+    stack[1, 0, 0] = p0
+    seen = _spy_det_mod_p(monkeypatch, stack)
+    assert linalg._det_stack(stack) == [det_bareiss(m.tolist())
+                                        for m in stack]
+    assert seen == [(1, p0)]
+
+
+def test_det_stack_with_zero_matrices():
+    a = _path_laplacian_like(30, 3)
+    zero = np.zeros_like(a)
+    assert linalg._det_stack(np.stack([a, zero, 2 * a])) == [
+        det_bareiss(a.tolist()), 0, 2 ** 30 * det_bareiss(a.tolist())]
+    assert linalg._det_stack(np.stack([zero, zero])) == [0, 0]
+    assert linalg._det_stack(np.zeros((2, 0, 0), dtype=np.int64)) == [1, 1]
+
+
+def test_det_stack_singular_node_at_u_equal_1():
+    # the h(u) node matrices I - A u + (D - I) u^2 of a cover; at u = 1
+    # the matrix is the Laplacian, singular
+    cover = derived_cover(cayley_serre(2 ** 4, (3, 5)))
+    n = cover.num_vertices
+    a = np.array(adjacency_matrix(cover), dtype=np.int64)
+    d = np.diag(cover.valencies()).astype(np.int64)
+    ident = np.eye(n, dtype=np.int64)
+    us = (0, 1, -1, 2, -2)
+    stack = np.stack([ident - a * u + (d - ident) * u * u for u in us])
+    dets = linalg._det_stack(stack)
+    assert dets[1] == 0 and dets[0] == 1
+    assert dets == [det_bareiss(m.tolist()) for m in stack]

@@ -96,6 +96,13 @@ def test_interpolate_rejects_duplicates():
         polys.interpolate([(1, 1), (1, 2)])
 
 
+@pytest.mark.parametrize("xs", [[0, 1, -1, 2, -2], [-3, 5, 0], [2, 1, 0]])
+def test_interpolate_rejects_non_integer_interpolant(xs):
+    # y(y - 1)/2 takes integer values at integers but is not in Z[y]
+    with pytest.raises(ArithmeticError, match="non-integer"):
+        polys.interpolate([(x, x * (x - 1) // 2) for x in xs])
+
+
 @pytest.mark.parametrize("n,expected", [
     (1, [-1, 1]),
     (2, [1, 1]),

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import random
@@ -422,3 +424,32 @@ def test_certified_formula_past_stabilization(spec):
     for i in (istar, istar + 1, istar + 2):
         expected = mu * euler_phi_prime_power(spec.ell, i) + lam + 1
         assert level_valuation(spec, i) == expected
+
+
+@given(tower_specs(), st.data())
+def test_report_json_round_trip(spec, data):
+    n = data.draw(st.sampled_from(_shallow_levels(spec.ell)))
+    assume(towers.deepest_level(spec, n) in _shallow_levels(spec.ell))
+    report = build_tower_report(spec, n)
+    again = report_from_json(json.loads(json.dumps(report_to_json(report))))
+    assert again == report
+
+
+@given(tower_specs(), st.data())
+def test_repeated_tower_runs_print_the_same_bytes(spec, data):
+    n = data.draw(st.sampled_from(_shallow_levels(spec.ell)))
+    assume(towers.deepest_level(spec, n) in _shallow_levels(spec.ell))
+    fmt = data.draw(st.sampled_from(("text", "json", "csv")))
+    argv = ["tower", "-l", str(spec.ell),
+            f"--generators={','.join(map(str, spec.generators))}",
+            "-n", str(n), "--format", fmt]
+    outs = []
+    for _ in range(2):
+        # the second run recomputes every level rather than reading the first
+        towers._norm.cache_clear()
+        towers._valuation.cache_clear()
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            assert cli.main(argv) == 0
+        outs.append(buf.getvalue())
+    assert outs[0] == outs[1] and outs[0]
