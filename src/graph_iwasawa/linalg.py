@@ -11,10 +11,13 @@ lanes whose band stays under ``BAND_BYTES_CAP``.  A lane whose pivot
 vanishes falls back to ``_det_mod_p``, a per-prime elimination with row
 swaps, so singular matrices and zero leading minors stay exact.
 
-``_det_stack`` runs the same kernel on a stack of matrices at once (the
-evaluation nodes of a polynomial matrix): one order and one band over the
-union of their patterns, a lane per (matrix, prime) pair, and only the
-primes each matrix's own Hadamard bound needs.
+``_det_stack`` is the engine itself.  It takes k matrices that share one
+pattern of n x n positions (rows, cols) as a k x nnz table of their values
+there (the nodes of ``zeta.pencil_det``; ``det_crt`` is the case k = 1),
+never as a dense stack: one order and one band over the pattern, a lane
+per (matrix, prime) pair, and only the primes each matrix's own Hadamard
+bound, taken from its values, needs.  A fallback lane densifies only its
+own matrix.
 """
 
 from __future__ import annotations
@@ -124,24 +127,21 @@ def _cuthill_mckee(rows: np.ndarray, cols: np.ndarray, n: int) -> list[int]:
     return order
 
 
-def _det_mod_lanes(stack: np.ndarray,
-                   lanes: list[tuple[int, int]]) -> list[int]:
-    """Determinant of stack[j] mod p for each lane (j, p): banded lanes over
-    the union of the stack's patterns, pivoting fallback."""
-    n = stack.shape[1]
-    rows, cols = np.nonzero(stack.any(axis=0))
-    vals = stack[:, rows, cols]
+def _det_mod_lanes(n: int, rows: np.ndarray, cols: np.ndarray,
+                   vals: np.ndarray, lanes: list[tuple[int, int]]) -> list[int]:
+    """Determinant mod p of matrix j (entries vals[j] at (rows, cols)) for
+    each lane (j, p): banded lanes, pivoting fallback."""
     # a symmetric permutation leaves the determinant unchanged
     pos = np.empty(n, dtype=np.int64)
     pos[_cuthill_mckee(rows, cols, n)] = np.arange(n)
-    rows, cols = pos[rows], pos[cols]
-    w = int(np.abs(rows - cols).max())
+    prows, pcols = pos[rows], pos[cols]
+    w = int(np.abs(prows - pcols).max())
     # Elimination without swaps keeps the envelope of the symmetrized
     # pattern (George & Liu, 1981): the nonzeros of column k below the
     # diagonal, and of row k right of it, stay within k + 1..reach[k].
     first = np.arange(n)
-    np.minimum.at(first, rows, cols)
-    np.minimum.at(first, cols, rows)
+    np.minimum.at(first, prows, pcols)
+    np.minimum.at(first, pcols, prows)
     reach = np.arange(n)
     np.maximum.at(reach, first, np.arange(n))
     reach = np.maximum.accumulate(reach).tolist()
@@ -153,9 +153,14 @@ def _det_mod_lanes(stack: np.ndarray,
         part = lanes[s:s + chunk]
         js = [j for j, _ in part]
         primes = [p for _, p in part]
-        for j, p, rp in zip(js, primes,
-                            _det_band(w, reach, rows, cols, vals[js].T, primes)):
-            out.append(_det_mod_p(stack[j], p) if rp is None else rp)
+        for j, p, rp in zip(js, primes, _det_band(w, reach, prows, pcols,
+                                                  vals[js].T, primes)):
+            if rp is None:
+                # only the matrix whose lane failed is densified
+                dense = np.zeros((n, n), dtype=np.int64)
+                dense[rows, cols] = vals[j]
+                rp = _det_mod_p(dense, p)
+            out.append(rp)
     return out
 
 
@@ -165,13 +170,14 @@ def _det_band(w: int, reach: list[int], rows: np.ndarray, cols: np.ndarray,
     (rows, cols), all within w of the diagonal, for every lane q, by
     elimination without row swaps; pivot k updates rows and columns
     k + 1..reach[k] <= k + w.  None for a lane whose pivot vanished before
-    the last row."""
+    the last row.  vals is the caller's scratch copy: it is reduced in
+    place."""
     n = len(reach)
     ps = np.array(primes, dtype=np.int64)
     # band[i, j - i + w] = A[i, j] mod p, below 2^31; products are formed in
     # int64.  w rows of padding keep `window` in bounds.
     band = np.zeros((n + w, 2 * w + 1, ps.size), dtype=np.int32)
-    band[rows, cols - rows + w] = vals % ps
+    band[rows, cols - rows + w] = np.remainder(vals, ps, out=vals)
     s0, s1, s2 = band.strides
     # window[k, r, c] = A[k + r, k + c]: the block that pivot k updates
     window = np.lib.stride_tricks.as_strided(
@@ -197,14 +203,24 @@ def _det_band(w: int, reach: list[int], rows: np.ndarray, cols: np.ndarray,
 
 def hadamard_bound(matrix: np.ndarray) -> int:
     """Integer B with |det| <= B (row-norm Hadamard bound)."""
-    prod = 1
-    for row in matrix:
-        # Python ints: an int64 square can overflow
-        s = sum(x * x for x in row[row != 0].tolist())
-        if s == 0:
-            return 0
-        prod *= s
-    return _isqrt_ceil(prod)
+    rows, cols = np.nonzero(matrix)
+    return _hadamard_bounds(matrix.shape[0], rows, matrix[rows, cols][None])[0]
+
+
+def _hadamard_bounds(n: int, rows: np.ndarray, vals: np.ndarray) -> list[int]:
+    """Row-norm Hadamard bound of each matrix j whose entries in row rows[e]
+    are vals[j, e]; 0 for a matrix with a zero row."""
+    if n == 0:
+        return [1] * len(vals)
+    counts = np.bincount(rows, minlength=n)
+    if counts.min() == 0:
+        return [0] * len(vals)
+    sq = vals[:, np.argsort(rows, kind="stable")]
+    top = max(int(vals.max()), -int(vals.min()))
+    if top * top * int(counts.max()) >= 1 << 63:
+        sq = sq.astype(object)  # Python ints: an int64 row norm could overflow
+    norms = np.add.reduceat(sq * sq, np.cumsum(counts) - counts, axis=1)
+    return [_isqrt_ceil(math.prod(row)) for row in norms.tolist()]
 
 
 def _isqrt_ceil(n: int) -> int:
@@ -221,21 +237,24 @@ def _primes_above(target: int) -> list[int]:
     return crt_primes(count)
 
 
-def _det_stack(stack: np.ndarray, nonnegative: bool = False) -> list[int]:
-    """Exact determinant of each matrix of a (k, n, n) int64 stack.
+def _det_stack(n: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
+               nonnegative: bool = False) -> list[int]:
+    """Exact determinant of each n x n matrix j whose nonzeros lie among the
+    distinct positions (rows[e], cols[e]), with int64 values vals[j, e].
 
-    One kernel run for the whole stack; it is cheapest when the matrices
-    share one nonzero pattern.  ``nonnegative=True`` asserts det >= 0 for
-    every matrix, which halves the required modulus range.
+    One kernel run for all k = len(vals) matrices over their shared
+    pattern; only the k x nnz values are stored.  ``nonnegative=True``
+    asserts det >= 0 for every matrix, which halves the required modulus
+    range.
     """
-    k, n = stack.shape[0], stack.shape[1]
     if n == 0:
-        return [1] * k
-    bounds = [hadamard_bound(m) for m in stack]
+        return [1] * len(vals)
+    bounds = _hadamard_bounds(n, rows, vals)
     primes = [_primes_above(b + 1 if nonnegative else 2 * b + 1) if b else []
               for b in bounds]
     lanes = [(j, p) for j, ps in enumerate(primes) for p in ps]
-    residues = iter(_det_mod_lanes(stack, lanes) if lanes else [])
+    residues = iter(_det_mod_lanes(n, rows, cols, vals, lanes) if lanes
+                    else [])
     out = []
     for bound, ps in zip(bounds, primes):
         residue = 0
@@ -259,4 +278,6 @@ def det_crt(matrix: np.ndarray, nonnegative: bool = False) -> int:
     ``nonnegative=True`` asserts det >= 0 (e.g. reduced Laplacians), which
     halves the required modulus range.
     """
-    return _det_stack(matrix[None], nonnegative)[0]
+    rows, cols = np.nonzero(matrix)
+    return _det_stack(matrix.shape[0], rows, cols, matrix[rows, cols][None],
+                      nonnegative)[0]

@@ -15,8 +15,6 @@ import sys
 
 NEG_INF = float("-inf")
 
-BigPoly = list  # list[int], ascending coefficients
-
 
 def trim(p: list[int]) -> list[int]:
     n = len(p)

@@ -43,15 +43,6 @@ class Multigraph:
         self.terminus: list[int] = []
         self.inverse: list[int] = []
 
-    @classmethod
-    def from_arrays(cls, num_vertices: int, origin, terminus, inverse) -> "Multigraph":
-        """Raw constructor; no axioms enforced (see validate_serre)."""
-        g = cls(num_vertices)
-        g.origin = list(origin)
-        g.terminus = list(terminus)
-        g.inverse = list(inverse)
-        return g
-
     def add_edge(self, u: int, v: int) -> tuple[int, int]:
         """Add an undirected edge between u and v; returns the directed pair."""
         if not (0 <= u < self.num_vertices and 0 <= v < self.num_vertices):

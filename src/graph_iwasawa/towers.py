@@ -72,20 +72,21 @@ class TowerSpec:
 
 
 def p_poly(a: int) -> list[int]:
-    """P_0 = 0, P_1 = T, P_{k+1} = (2 - T)*P_k - P_{k-1} + 2T.
+    """P_a with P_a(eps(1)) = eps(a): P_a(T) = 2 - 2*T_a(1 - T/2).
 
-    eps(a) = 2 - c_a with c_a = z^a + z^-a, and c_{k+1} = (2 - T)*c_k -
-    c_{k-1} for T = eps(1).  Degree a, zero constant term, linear
-    coefficient a^2, leading coefficient (-1)**(a+1); P_a evaluated at
-    eps(1) gives eps(a).
+    eps(a) = 2 - c_a with c_a = z^a + z^-a = 2*T_a(c_1/2), T_a the
+    Chebyshev polynomial.  The coefficient b_k of T^k has b_1 = a^2 and
+    b_(k+1) = -b_k*(a + k)*(a - k) / ((2k + 1)(2k + 2)), each division
+    exact; degree a, zero constant term, leading coefficient (-1)**(a+1).
     """
     if a < 0:
         raise ValueError("a must be nonnegative")
-    prev, cur = [], [0, 1]
-    for _ in range(a - 1):
-        prev, cur = cur, polys.add(polys.sub(polys.mul([2, -1], cur), prev),
-                                   [0, 2])
-    return cur if a else []
+    if a == 0:
+        return []
+    out = [0, a * a]
+    for k in range(1, a):
+        out.append(-out[-1] * (a + k) * (a - k) // ((2 * k + 1) * (2 * k + 2)))
+    return out
 
 
 def q_poly(spec: TowerSpec) -> list[int]:

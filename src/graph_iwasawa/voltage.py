@@ -9,16 +9,20 @@ the derived covers of bouquets.
 Character-twisted adjacency data is kept exact: characters are never
 evaluated numerically.  The orbit L-polynomial for the characters of
 order d is the resultant of the d-th cyclotomic polynomial against the
-voltage-weighted determinant, realized as an integer-polynomial
-determinant by substituting the companion matrix of the cyclotomic
-polynomial for the voltage variable.
+voltage-weighted determinant.  Substituting the companion matrix C of
+the cyclotomic polynomial for the voltage variable makes it one integer
+pencil, det(I - A u + diag(delta) u^2) with A = sum_sigma A(sigma) (x)
+C^sigma and delta = (D - I) (x) 1, which ``zeta.pencil_det`` evaluates;
+at u = 1 it is the single determinant det(D (x) 1 - A).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import polys, serre, zeta
+import numpy as np
+
+from . import linalg, polys, serre, zeta
 from .serre import DisconnectedGraphError, Multigraph
 
 
@@ -114,30 +118,23 @@ def artin_A_sigma(vg: VoltageGraph, sigma: int) -> list[list[int]]:
     return a
 
 
-def _companion(poly: list[int]) -> list[list[int]]:
-    # companion matrix of a monic polynomial
-    n = len(poly) - 1
-    c = [[0] * n for _ in range(n)]
-    for r in range(1, n):
-        c[r][r - 1] = 1
-    for r in range(n):
-        c[r][n - 1] = -poly[r]
-    return c
-
-
-def _mat_mul(a, b):
-    n, k, m = len(a), len(b), len(b[0])
-    out = [[0] * m for _ in range(n)]
-    for i in range(n):
-        ai = a[i]
-        oi = out[i]
-        for p in range(k):
-            v = ai[p]
-            if v:
-                bp = b[p]
-                for j in range(m):
-                    oi[j] += v * bp[j]
-    return out
+def _orbit_pencil(vg: VoltageGraph, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """(A, delta) with h(u, Psi_d) = det(I - A u + diag(delta) u^2), for a
+    divisor d > 1 of the modulus: A = sum_sigma A(sigma) (x) C**sigma with C
+    the companion matrix of Phi_d, and delta = (D - I) (x) 1."""
+    phi_d = polys.cyclotomic_polynomial(d)
+    k = len(phi_d) - 1
+    # C acts as multiplication by y on Z[y]/(Phi_d) in the basis 1..y^(k-1);
+    # C**d = I, so its powers cycle and their entries stay small
+    comp = np.eye(k, k, -1, dtype=np.int64)
+    comp[:, -1] = [-c for c in phi_d[:-1]]
+    g = vg.base.num_vertices
+    a = np.zeros((g * k, g * k), dtype=np.int64)
+    power = np.eye(k, dtype=np.int64)
+    for sigma in range(vg.modulus):
+        a += np.kron(np.array(artin_A_sigma(vg, sigma), dtype=np.int64), power)
+        power = power @ comp
+    return a, np.repeat(np.array(vg.base.valencies(), dtype=np.int64) - 1, k)
 
 
 def orbit_h_poly(vg: VoltageGraph, d: int) -> list[int]:
@@ -153,42 +150,7 @@ def orbit_h_poly(vg: VoltageGraph, d: int) -> list[int]:
         raise ValueError("d must divide the modulus")
     if d == 1:
         return zeta.ihara_h(vg.base)
-    g = vg.base.num_vertices
-    phi_d = polys.cyclotomic_polynomial(d)
-    k = len(phi_d) - 1
-    comp = _companion(phi_d)
-    powers = [[[1 if r == c else 0 for c in range(k)] for r in range(k)]]
-    for _ in range(1, m):
-        powers.append(_mat_mul(powers[-1], comp))
-    # big = sum_sigma A(sigma) (x) comp**sigma
-    big = [[0] * (g * k) for _ in range(g * k)]
-    for sigma in range(m):
-        a_sigma = artin_A_sigma(vg, sigma)
-        pw = powers[sigma]
-        for i in range(g):
-            for j in range(g):
-                w = a_sigma[i][j]
-                if w:
-                    for r in range(k):
-                        row = big[i * k + r]
-                        pwr = pw[r]
-                        for c in range(k):
-                            row[j * k + c] += w * pwr[c]
-    vals = vg.base.valencies()
-    n = g * k
-    mat = [[None] * n for _ in range(n)]
-    for i in range(g):
-        for r in range(k):
-            for j in range(g):
-                for c in range(k):
-                    a_uc = -big[i * k + r][j * k + c]
-                    diag = (i == j and r == c)
-                    mat[i * k + r][j * k + c] = polys.trim(
-                        [1 if diag else 0, a_uc, (vals[i] - 1) if diag else 0])
-    h = zeta.det_poly_matrix(mat, 2 * n)
-    if not h or h[0] != 1:
-        raise ArithmeticError("orbit polynomial must have constant term 1")
-    return h
+    return zeta.pencil_det(*_orbit_pencil(vg, d))
 
 
 @dataclass
@@ -240,7 +202,9 @@ def verify_integer_decomposition(
     for d in sorted(_divisors(vg.modulus)):
         if d == 1:
             continue
-        val = sum(orbit_h_poly(vg, d))
+        # h(1, Psi_d) = det(I - A + diag(delta)), the pencil at u = 1
+        a, delta = _orbit_pencil(vg, d)
+        val = linalg.det_crt(np.diag(delta + 1) - a)
         if val == 0:
             raise ArithmeticError(
                 f"h(1, Psi_{d}) vanished for a nontrivial orbit")

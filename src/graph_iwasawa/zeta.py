@@ -2,11 +2,15 @@
 
 The reciprocal zeta of a multigraph X factors as
 (1 - u^2)^(-chi(X)) * h_X(u) with h_X(u) = det(I - Au + (D - I)u^2).
-The polynomial determinant is computed exactly by evaluating the matrix at
-enough integer points, taking the integer determinants of all of them in
-one run of ``linalg``'s multi-modular engine, and interpolating by integer
-divided differences; integrality of the result is asserted rather than
-assumed.
+Every h this package computes, of a graph or of a character orbit of a
+cover (``voltage.orbit_h_poly``), is such a quadratic pencil
+det(I - A u + diag(delta) u^2) of an integer matrix A and an integer
+vector delta, and ``pencil_det`` is the one place that evaluates it: only
+the pattern (the nonzeros of A and the diagonal) is evaluated at enough
+integer nodes, the determinants of all node matrices are taken in one run
+of ``linalg``'s multi-modular engine, and the polynomial is rebuilt by
+integer divided differences; integrality of the result is asserted rather
+than assumed.
 
 At u = 1 the determinant vanishes (singular Laplacian) and, away from the
 cycle-graph case chi(X) = 0, h_X'(1) = -2 chi(X) kappa_X recovers the
@@ -23,26 +27,35 @@ from . import linalg, polys, serre
 from .serre import Multigraph
 
 
-def det_poly_matrix(m: list[list[list[int]]], deg_bound: int) -> list[int]:
-    """Determinant of a matrix with integer-polynomial entries.
+def pencil_det(a: np.ndarray, delta: np.ndarray) -> list[int]:
+    """det(I - A u + diag(delta) u^2) for an n x n int64 matrix A and an
+    int64 vector delta of length n: an integer polynomial of degree <= 2n
+    and constant term 1.
 
-    Evaluation at deg_bound+1 integer nodes, one exact stacked determinant
-    of all node matrices, exact interpolation.  ``deg_bound`` must dominate
-    the true degree.
+    The pattern's values at the 2n + 1 nodes 0, 1, -1, ..., n, -n are
+    formed in int64; a node value that could pass int64 raises
+    OverflowError instead of wrapping.
     """
-    n = len(m)
+    n = len(delta)
     if n == 0:
         return [1]
-    pts = _nodes(deg_bound + 1)
-    entries = [(i, j, p) for i, row in enumerate(m)
-               for j, p in enumerate(row) if p]
-    stack = np.zeros((len(pts), n, n), dtype=np.int64)
-    if entries:
-        rows, cols, ps = zip(*entries)
-        # Python ints past int64 raise here rather than wrap
-        stack[:, list(rows), list(cols)] = np.array(
-            [[polys.evaluate(p, x) for p in ps] for x in pts], dtype=np.int64)
-    return polys.interpolate(list(zip(pts, linalg._det_stack(stack))))
+    size_a = max(int(a.max()), -int(a.min()))
+    size_d = max(int(delta.max()), -int(delta.min()))
+    # |1 - a u + d u^2| <= 1 + n|a| + n^2|d| at every node |u| <= n
+    if 1 + n * size_a + n * n * size_d >= 1 << 63:
+        raise OverflowError("h(u) node values would pass int64")
+    mask = a != 0
+    np.fill_diagonal(mask, True)
+    rows, cols = np.nonzero(mask)
+    nodes = _nodes(2 * n + 1)
+    u = np.array(nodes, dtype=np.int64)[:, None]
+    vals = (np.where(rows == cols, 1 + u * u * delta[rows], 0)
+            - u * a[rows, cols])
+    h = polys.interpolate(list(zip(nodes,
+                                   linalg._det_stack(n, rows, cols, vals))))
+    if not h or h[0] != 1:
+        raise ArithmeticError("h(0) must be 1")
+    return h
 
 
 def _nodes(k: int) -> list[int]:
@@ -59,21 +72,10 @@ def _nodes(k: int) -> list[int]:
 def ihara_h(x: Multigraph) -> list[int]:
     """h_X(u) = det(I - Au + (D - I)u^2), an integer polynomial of degree 2g."""
     serre.require_valid(x)
-    a = serre.adjacency_matrix(x)
-    vals = x.valencies()
     n = x.num_vertices
-    m = [[_entry(a[i][j], vals[i], i == j) for j in range(n)] for i in range(n)]
-    h = det_poly_matrix(m, 2 * n)
-    if not h or h[0] != 1:
-        raise ArithmeticError("h_X(0) must be 1")
-    return h
-
-
-def _entry(aij: int, val_i: int, diag: bool) -> list[int]:
-    # (I)_ij - a_ij u + (D - I)_ij u^2
-    if diag:
-        return polys.trim([1, -aij, val_i - 1])
-    return polys.trim([0, -aij, 0])
+    a = np.zeros((n, n), dtype=np.int64)
+    np.add.at(a, (x.origin, x.terminus), 1)
+    return pencil_det(a, np.bincount(x.origin, minlength=n) - 1)
 
 
 def ihara_Z(x: Multigraph) -> tuple[int, list[int]]:

@@ -2,10 +2,11 @@
 
 Everything here is deliberately naive: Leibniz determinants, fraction-free
 Bareiss determinants over Z (the reference for the library's multi-modular
-engine), brute-force spanning-tree enumeration, the table definition of
-P_a, Sylvester-matrix resultants over Fractions, and in-ring
-Galois-conjugate products.  None of it shares code paths with the library
-implementations it checks.
+engine), determinants of polynomial matrices by Bareiss at integer points
+and Lagrange interpolation over Fractions, brute-force spanning-tree
+enumeration, the table definition of P_a, Sylvester-matrix resultants over
+Fractions, and in-ring Galois-conjugate products.  None of it shares code
+paths with the library implementations it checks.
 """
 
 from __future__ import annotations
@@ -69,6 +70,29 @@ def det_bareiss(matrix: list[list[int]]) -> int:
             row_i[k] = 0
         prev = pk
     return sign * m[n - 1][n - 1]
+
+
+def det_poly_matrix(m, deg_bound: int) -> list[int]:
+    """Determinant of a matrix of integer polynomials (ascending coefficient
+    lists) of degree <= deg_bound: det_bareiss at the points 0..deg_bound,
+    then Lagrange interpolation over Fractions."""
+    xs = range(deg_bound + 1)
+    ys = [det_bareiss([[sum(c * x ** i for i, c in enumerate(p)) for p in row]
+                       for row in m]) for x in xs]
+    coeffs = [Fraction(0)] * len(xs)
+    for xi, yi in zip(xs, ys):
+        # prod over xj != xi of (y - xj) / (xi - xj)
+        basis = [Fraction(1)]
+        for xj in xs:
+            if xj != xi:
+                basis = [(lo - xj * hi) / (xi - xj)
+                         for lo, hi in zip([0] + basis, basis + [0])]
+        coeffs = [c + yi * b for c, b in zip(coeffs, basis)]
+    assert all(c.denominator == 1 for c in coeffs)
+    out = [int(c) for c in coeffs]
+    while out and out[-1] == 0:
+        out.pop()
+    return out
 
 
 def det_fraction_gauss(m) -> int:

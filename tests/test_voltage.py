@@ -179,7 +179,12 @@ def test_randomized_identities():
         vg = random_voltage_graph(rng, max_vertices=3, max_modulus=8,
                                   max_edges=7)
         assert verify_product_formula(vg).ok
-        assert verify_integer_decomposition(vg).ok
+        rpt = verify_integer_decomposition(vg)
+        assert rpt.ok
+        # h(1, Psi_d) taken at u = 1 is the coefficient sum of h(u, Psi_d)
+        assert rpt.orbit_values == {d: sum(orbit_h_poly(vg, d))
+                                    for d in range(2, vg.modulus + 1)
+                                    if vg.modulus % d == 0}
 
 
 def test_kappa_divides_cover_kappa():

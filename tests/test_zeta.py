@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from graph_iwasawa import (
@@ -13,9 +14,9 @@ from graph_iwasawa import (
     spanning_tree_count,
     special_values,
 )
-from graph_iwasawa import polys
-from graph_iwasawa.zeta import det_poly_matrix
-from oracles import random_base_multigraph
+from graph_iwasawa import linalg, polys
+from graph_iwasawa.zeta import pencil_det
+from oracles import det_poly_matrix, random_base_multigraph
 
 
 def four_edge_join():
@@ -166,6 +167,34 @@ def test_interpolation_agrees_with_polynomial_bareiss():
                           (vals[i] - 1) if i == j else 0])
               for j in range(n)] for i in range(n)]
         assert ihara_h(g) == _det_bareiss_poly(m)
+
+
+def test_pencil_det_refuses_node_values_past_int64():
+    big = 1 << 62
+    # the nodes of a 1 x 1 pencil are 0, 1, -1: 1 -+ 2^62 fits, exactly
+    assert pencil_det(np.array([[big]]), np.array([0])) == [1, -big]
+    # a 2 x 2 pencil has the node u = -2, where 1 + 2 * 2^62 passes int64
+    with pytest.raises(OverflowError):
+        pencil_det(np.array([[0, big], [big, 0]]), np.array([0, 0]))
+
+
+def test_ihara_h_stores_only_the_pattern_values(monkeypatch):
+    cover = derived_cover(cayley_serre(32, (3, 5)))
+    n = cover.num_vertices
+    shapes = []
+    real = linalg._det_stack
+
+    def spy(*args, **kwargs):
+        shapes.append([a.shape for a in args if isinstance(a, np.ndarray)])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(linalg, "_det_stack", spy)
+    h = ihara_h(cover)
+    assert len(h) - 1 == 2 * n
+    # one call: each row holds its four neighbours (jumps +-3, +-5) and the
+    # diagonal, so the values are a (2n + 1) x 5n table
+    nnz = 5 * n
+    assert shapes == [[(nnz,), (nnz,), (2 * n + 1, nnz)]]
 
 
 def test_special_values_signals_inexact_division():
