@@ -59,6 +59,7 @@ from .towers import (
     norm_bits_bound,
     ord_kappa,
     p_poly,
+    q_bits_bound,
     q_poly,
     report_from_json,
     report_to_csv,

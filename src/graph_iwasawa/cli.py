@@ -63,12 +63,30 @@ def _small_primes() -> list[int]:
 
 
 def _format_kappa(n: int) -> str:
-    fac = _trial_factor(n)
+    return _render_factors(n, _trial_factor(n))
+
+
+def _render_factors(n: int, fac: list[tuple[int, int]] | None) -> str:
     if fac is None:
         return str(n)
     if not fac:
         return "1"
     return " * ".join(f"{p}^{e}" if e > 1 else str(p) for p, e in fac)
+
+
+def _format_kappas(kappas):
+    """_format_kappa of each kappa_n in turn, without the trial division
+    that cannot succeed: once kappa_m is left unfactored its 10^6-rough
+    part is at least 10^12, and so is that of every multiple of it."""
+    unfactored = None
+    for n in kappas:
+        if unfactored is not None and n % unfactored == 0:
+            yield str(n)
+            continue
+        fac = _trial_factor(n)
+        if fac is None:
+            unfactored = n
+        yield _render_factors(n, fac)
 
 
 def _parse_generators(text: str) -> tuple:
@@ -100,9 +118,19 @@ def _cap(what: str, n: int, cap: int) -> None:
         raise ValueError(f"{what} has {n} vertices, beyond the cap of {cap}")
 
 
+def _admit_q(spec: towers.TowerSpec, budget: int) -> None:
+    """Refuse up front a Q(T) whose coefficients may outgrow the budget."""
+    estimate = towers.q_bits_bound(spec)
+    if estimate > budget:
+        raise towers.BudgetExceededError(
+            f"Q(T) may have {estimate} bits of coefficients, over the budget "
+            f"of {budget} bits")
+
+
 def cmd_tower(args) -> int:
     spec = _spec(args)
     _admit(spec, towers.deepest_level(spec, args.levels), args.budget)
+    _admit_q(spec, args.budget)
     report = towers.build_tower_report(spec, args.levels)
     with unlimited_digits():
         if args.format == "json":
@@ -123,11 +151,12 @@ def cmd_tower(args) -> int:
                   f"n0_certified={inv.n0_certified} "
                   f"n0_observed={inv.n0_observed}")
             print(f"{'n':>3} {'ord':>6} {'v_n':>6} {'fit':>5}  kappa_n")
-            for rec in report.levels:
+            kappas = _format_kappas(rec.kappa for rec in report.levels)
+            for rec, kappa in zip(report.levels, kappas):
                 v = "-" if rec.v is None else str(rec.v)
                 fit = "yes" if rec.fit else "no"
                 print(f"{rec.n:>3} {rec.ord_kappa:>6} {v:>6} {fit:>5}  "
-                      f"{_format_kappa(rec.kappa)}")
+                      f"{kappa}")
             print("consistency: "
                   f"{'OK' if report.consistency_ok else 'FAILED'}")
             print(f"fit for n >= {inv.n0_observed}: "

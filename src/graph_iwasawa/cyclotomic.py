@@ -8,6 +8,8 @@ equals ord_l(|norm(x)|), which is how ``ord_L`` computes it.
 
 The building blocks eps(a) = (1 - zeta^a)(1 - zeta^(-a)) drive the tower
 analysis in the towers module; ``epsilon`` constructs them canonically.
+The resultant here, a subresultant PRS, serves ``norm`` and ``ord_L``
+only: the towers module reads its level norms off a Graeffe chain.
 """
 
 from __future__ import annotations

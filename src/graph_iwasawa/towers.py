@@ -10,8 +10,14 @@ and (mu, lambda) can be read off the coefficients of the polynomial
 Q(T) = sum_j P_{|a_j|}(T), where the P_a are the integer recursion with
 P_a(eps(1)) = eps(a).  This module computes everything exactly:
 
-* kappa_n from the product of per-level norms N_i (resultants of the
-  cyclotomic polynomial against the jump polynomial), divided by l^n;
+* kappa_n and the per-level norms N_i from one l-Graeffe chain per spec.
+  With f the jump polynomial and f = (y - 1)^2 f~, each step takes G~ to
+  the polynomial whose roots are the l-th powers of G~'s, so
+  g_k = G~^k(1) is the product of f~ over the l^k-th roots of unity, and
+  N_i = l^2 |g_i / g_(i-1)|, kappa_n = l^n |g_n / g_0| (Bostan, Flajolet,
+  Salvy and Schost, "Fast computation of special resultants", 2006).
+  A step is one l x l fraction-free determinant; the deepest level asked
+  for is the same determinant at z = 1, an integer circulant.
 * the per-level valuation v_i = ord_L(Q(eps)), read off Q's coefficients
   as mu * phi(l^i) + lambda + 1 from the certified level on and evaluated
   inside Z[zeta] below it: an independent route to
@@ -26,6 +32,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 
 from . import cyclotomic, polys
@@ -89,6 +96,21 @@ def p_poly(a: int) -> list[int]:
     return out
 
 
+def q_bits_bound(spec: TowerSpec) -> int:
+    """Upper bound on the bits of Q's coefficients, sum_j of
+    |c_j|.bit_length(), known before any work.
+
+    |coefficient k of P_a| = 2a*C(a+k, 2k)/(a+k) < 2 C(n, n/2) with
+    n = a + k, and C(n, n/2) <= 2^n sqrt(2/(pi n)); so for n >= 3 it is
+    below 2^(a+k), as it is for a = k = 1, and P_a has at most
+    sum_(k<=a) (a + k) = (3a^2 + a)/2 bits.  Adding the t terms carries at
+    most ceil(log2 t) more bits into each of Q's max|a| coefficients.
+    """
+    mags = spec.magnitudes
+    return (sum((3 * b * b + b) // 2 for b in mags)
+            + max(mags) * (spec.t - 1).bit_length())
+
+
 def q_poly(spec: TowerSpec) -> list[int]:
     """Q = sum of P over generator magnitudes; coefficient j is c_j."""
     out: list[int] = []
@@ -136,7 +158,7 @@ def level_valuation(spec: TowerSpec, i: int):
     """v_i = ord_L(Q(eps)) inside Z[y]/Phi_{l^i}; its norm is +-N_i."""
     if i < 1:
         raise ValueError("level must be >= 1")
-    q = q_poly(spec)
+    q = _law(spec)[0]
     eps = cyclotomic.epsilon(spec.ell, i, 1)
     acc = cyclotomic.cyc_zero(spec.ell, i)
     for c in reversed(q):
@@ -160,21 +182,186 @@ def _jump_poly(spec: TowerSpec) -> list[int]:
     return polys.trim(f)
 
 
+def _reduced_jump_poly(spec: TowerSpec) -> list[int]:
+    # f~ = f / (y - 1)^2: every term 2 - y^b - y^-b vanishes to order 2 at 1
+    q, r = polys.divmod_exact(_jump_poly(spec), [1, -2, 1])
+    if r:
+        raise ArithmeticError("jump polynomial has no double root at 1")
+    return q
+
+
+def _det(m: list, mul, sub, divexact):
+    """(sign, d) with det m = sign * d, for a square matrix over an integral
+    domain given by its mul, sub and exact division: fraction-free
+    (Bareiss) elimination, swapping rows past a zero pivot."""
+    n = len(m)
+    sign, prev = 1, None
+    for k in range(n - 1):
+        if not m[k][k]:
+            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
+            if swap is None:  # a zero column: det m is m[k][k], zero
+                return 1, m[k][k]
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        pivot, pivot_row = m[k][k], m[k]
+        for row in m[k + 1:]:
+            lead = row[k]
+            for j in range(k + 1, n):
+                x = mul(pivot, row[j])
+                if lead:
+                    x = sub(x, mul(lead, pivot_row[j]))
+                row[j] = x if prev is None else divexact(x, prev)
+        prev = pivot
+    return sign, m[-1][-1]
+
+
+def _divexact_int(x: int, d: int) -> int:
+    q, r = divmod(x, d)
+    if r:
+        raise ArithmeticError("inexact division in fraction-free elimination")
+    return q
+
+
+def _divexact_poly(p: list[int], d: list[int]) -> list[int]:
+    q, r = polys.divmod_exact(p, d)
+    if r:
+        raise ArithmeticError("inexact division in fraction-free elimination")
+    return q
+
+
+def _multiplication_matrix(sections: list, z) -> list[list]:
+    # multiplication by p on Z[z][y]/(y^l - z) in the basis 1, y, ...,
+    # y^(l-1): entry (i, j) is F_(i-j) for i >= j and z*F_(i-j+l) above the
+    # diagonal, where F_r(z) = sum_m p_(m*l+r) z^m; z times an entry is
+    # given by the function z
+    ell = len(sections)
+    return [[sections[i - j] if i >= j else z(sections[i - j + ell])
+             for j in range(ell)] for i in range(ell)]
+
+
+# Slot width, in bits, up to which a Graeffe step eliminates once over Z at
+# z = 2^b; past it, over Z[z], whose long division takes deg q big
+# divisions where the packed route takes one of the whole packed size.
+KRONECKER_MAX_BITS = 1024
+
+
+def _graeffe_step(p: list[int], ell: int, measure_sq_bits: int) -> list[int]:
+    """G(z) = prod over y^l = z of p(y), of the same degree as p: the
+    determinant of multiplication by p on Z[z][y]/(y^l - z).  For l = 2
+    it is F_0^2 - z*F_1^2 = p(y)*p(-y).
+
+    With small coefficients the determinant is taken at the one point
+    z = 2^b (Kronecker substitution) and read back b bits at a time, so b
+    must pass every coefficient of G.  Two bounds hold: on |z| = 1 each of
+    the l factors is at most ||p||_1, so |G_m| <= ||p||_1^l; and
+    |G_m| <= C(d, m) M(G) with the Mahler measure M(G) = M(p)^l, where
+    M(p)^2 < 2^measure_sq_bits.
+    """
+    d = len(p) - 1
+    b = 2 + min(ell * sum(map(abs, p)).bit_length(),
+                d + (ell * measure_sq_bits + 1) // 2)
+    b = -(-b // 8) * 8
+    if b <= KRONECKER_MAX_BITS:
+        sections = [polys.kronecker_pack(p[r::ell], b) for r in range(ell)]
+        sign, det = _det(
+            _multiplication_matrix(sections, lambda x: x << b),
+            operator.mul, operator.sub, _divexact_int)
+        return polys.kronecker_unpack(sign * det, b, d + 1)
+    sections = [polys.trim(p[r::ell]) for r in range(ell)]
+    sign, det = _det(
+        _multiplication_matrix(sections, lambda x: polys.shift(x, 1)),
+        polys.mul, polys.sub, _divexact_poly)
+    return polys.scale(det, sign)
+
+
+def _graeffe_at_one(p: list[int], ell: int) -> int:
+    """G(1) = prod over y^l = 1 of p(y), without the step: the same matrix
+    at z = 1, an l x l integer circulant."""
+    sections = [sum(p[r::ell]) for r in range(ell)]
+    sign, det = _det(_multiplication_matrix(sections, lambda x: x),
+                     operator.mul, operator.sub, _divexact_int)
+    return sign * det
+
+
+class _GraeffeChain:
+    """g_k = G~^k(1) = prod over the l^k-th roots of unity w of f~(w), for
+    G~^0 = f~ and G~^k = Graeffe_l(G~^(k-1)): the l-th roots of the
+    l^(k-1)-th roots of unity are the l^k-th ones.  Grown on demand; the
+    deepest g_k asked for is read at z = 1 without its step, and only the
+    deepest polynomial is kept."""
+
+    def __init__(self, spec: TowerSpec):
+        self.ell = spec.ell
+        self.poly = _reduced_jump_poly(spec)  # G~^depth
+        self.depth = 0
+        # M(f~) = M(f) <= ||f||_2, and M(G~^k) = M(f~)^(l^k) <= ||G~^k||_2
+        f = _jump_poly(spec)
+        self.measure_sq_bits = sum(c * c for c in f).bit_length()
+        self.values = [sum(self.poly)]
+
+    def value(self, k: int) -> int:
+        while len(self.values) <= k:
+            level = len(self.values)
+            while self.depth < level - 1:
+                self.poly = _graeffe_step(self.poly, self.ell,
+                                          self.measure_sq_bits)
+                self.depth += 1
+                self.measure_sq_bits = min(
+                    self.ell * self.measure_sq_bits,
+                    sum(c * c for c in self.poly).bit_length())
+                # two routes to g_depth: the step's G~(1), the z = 1 rule
+                if sum(self.poly) != self.values[self.depth]:
+                    raise ArithmeticError(
+                        f"level {self.depth}: the Graeffe step and its "
+                        "value at z = 1 disagree")
+            g = _graeffe_at_one(self.poly, self.ell)
+            if g == 0:
+                raise ArithmeticError(
+                    f"level {level} norm vanished; tower invariants are "
+                    "violated")
+            self.values.append(g)
+        return self.values[k]
+
+    def quotient(self, k: int, j: int) -> int:
+        """|g_k / g_j|, an integer for j <= k; raises if it is not."""
+        q, r = divmod(self.value(k), self.value(j))
+        if r:
+            raise ArithmeticError(
+                f"level {k}: g_{k} / g_{j} of the Graeffe chain is inexact")
+        return abs(q)
+
+    def norm(self, i: int) -> int:
+        # conjugates of f over the primitive l^i-th roots: (w - 1)^2 gives
+        # l^2 from the level, f~ gives g_i / g_(i-1)
+        return self.ell ** 2 * self.quotient(i, i - 1)
+
+    def kappa(self, n: int) -> int:
+        # l^n kappa_n = prod_(i<=n) N_i = l^(2n) |g_n / g_0|
+        return self.ell ** n * self.quotient(n, 0)
+
+
+# The level table: one Graeffe chain per spec, whichever function asks
+# first, and Q with its law.
+@functools.lru_cache(maxsize=256)
+def _chain(spec: TowerSpec) -> _GraeffeChain:
+    return _GraeffeChain(spec)
+
+
 def level_norm(spec: TowerSpec, i: int) -> int:
     """N_i: the positive integer with l^n * kappa_n = prod_{i<=n} N_i.
 
-    Computed as |Res(Phi_{l^i}, jump polynomial)|, the norm of the value of
-    the faithful-character L-polynomial at u = 1.
+    The norm of the jump polynomial over the primitive l^i-th roots of
+    unity, |Res(Phi_{l^i}, f)|, read off the Graeffe chain as
+    l^2 * |g_i / g_(i-1)|.
     """
-    res = cyclotomic.resultant_with_phi(spec.ell, i, _jump_poly(spec))
-    if res == 0:
-        raise ArithmeticError(
-            f"level {i} norm vanished; tower invariants are violated")
-    return abs(res)
+    if i < 1:
+        raise ValueError("level must be >= 1")
+    return _chain(spec).norm(i)
 
 
 class BudgetExceededError(ValueError):
-    """A level whose norm_bits_bound is over a caller's budget, refused."""
+    """A level (norm_bits_bound) or a Q(T) (q_bits_bound) whose a-priori
+    size is over a caller's budget, refused."""
 
 
 def norm_bits_bound(spec: TowerSpec, i: int) -> int:
@@ -187,23 +374,17 @@ def norm_bits_bound(spec: TowerSpec, i: int) -> int:
             * (4 * spec.t - 1).bit_length() + 1)
 
 
-# The level table: each N_i and v_i once per process, whichever function
-# asks first.
-@functools.lru_cache(maxsize=1024)
-def _norm(spec: TowerSpec, i: int) -> int:
-    return level_norm(spec, i)
-
-
 @functools.lru_cache(maxsize=256)
-def _law(spec: TowerSpec) -> tuple[int, int, int]:
-    # (mu, lambda, n0_certified) from Q's coefficients
+def _law(spec: TowerSpec) -> tuple[tuple, int, int, int]:
+    # (Q, mu, lambda, n0_certified): Q and what its coefficients give
     q = q_poly(spec)
-    return (*mu_lambda(q, spec.ell), stabilization_level(q, spec.ell))
+    return (tuple(q), *mu_lambda(q, spec.ell),
+            stabilization_level(q, spec.ell))
 
 
 @functools.lru_cache(maxsize=1024)
 def _valuation(spec: TowerSpec, i: int):
-    mu, lam, istar = _law(spec)
+    _, mu, lam, istar = _law(spec)
     if i >= istar:
         # the j* term strictly dominates: v_i is its valuation exactly
         return mu * cyclotomic.euler_phi_prime_power(spec.ell, i) + lam + 1
@@ -214,11 +395,19 @@ def _valuation(spec: TowerSpec, i: int):
 
 
 def deepest_level(spec: TowerSpec, n_max: int) -> int:
-    """Deepest level whose norm build_tower_report(spec, n_max) may take:
-    invariants() evaluates the valuations below n0_certified too."""
+    """Deepest level whose norm build_tower_report(spec, n_max) may take,
+    known before any work: invariants() evaluates the valuations below
+    n0_certified too, and n0_certified is at most the first i with
+    phi(l^i) >= 2 max|a| - 1.  There every term j < j* of Q(eps), whose
+    coefficient has a larger valuation than mu, is dominated, since
+    j* <= deg Q = max|a|."""
     if spec.is_cycle_tower:
         return n_max
-    return max(n_max, _law(spec)[2] - 1)
+    i = 1
+    while (cyclotomic.euler_phi_prime_power(spec.ell, i)
+           < 2 * max(spec.magnitudes) - 1):
+        i += 1
+    return max(n_max, i - 1)
 
 
 def _ords(vs) -> list[int]:
@@ -227,16 +416,11 @@ def _ords(vs) -> list[int]:
 
 
 def kappa_exact(spec: TowerSpec, n: int) -> int:
-    """Spanning-tree count at level n, via the L-function decomposition."""
+    """Spanning-tree count at level n, via the L-function decomposition:
+    l^n |g_n / g_0| off the Graeffe chain."""
     if n < 0:
         raise ValueError("level must be >= 0")
-    prod = 1
-    for i in range(1, n + 1):
-        prod *= _norm(spec, i)
-    q, r = divmod(prod, spec.ell ** n)
-    if r:
-        raise ArithmeticError("product of level norms not divisible by l^n")
-    return q
+    return _chain(spec).kappa(n)
 
 
 def ord_kappa(spec: TowerSpec, n: int) -> int:
@@ -267,7 +451,7 @@ def invariants(spec: TowerSpec) -> IwasawaInvariants:
         # kappa_n = l^n exactly; chi = 0 so the generic route is off-limits
         return IwasawaInvariants(mu=0, lam=1, nu=0, n0_certified=1,
                                  n0_observed=1, cycle_case=True)
-    mu, lam, istar = _law(spec)
+    _, mu, lam, istar = _law(spec)
     vs = [_valuation(spec, i) for i in range(1, istar + 1)]
     ords = _ords(vs)
     nu = ords[istar] - mu * spec.ell ** istar - lam * istar
@@ -364,25 +548,21 @@ class TowerReport:
 def build_tower_report(spec: TowerSpec, n_max: int) -> TowerReport:
     """Per-level kappa, valuations, invariants, and fit/consistency flags.
 
-    consistency_ok compares ord_l of the norm product with -n + sum v_i,
-    whose v_i come from Q's coefficients: two independent routes.
+    consistency_ok compares ord_l of kappa_n, read off the Graeffe chain,
+    with -n + sum v_i, whose v_i come from Q's coefficients and, below
+    n0_certified, from ord_L in Z[zeta]: two unrelated algorithms.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     inv = invariants(spec)
-    norms = [_norm(spec, i) for i in range(1, n_max + 1)]
+    chain = _chain(spec)
     vs = [_valuation(spec, i) for i in range(1, n_max + 1)]
     ords = _ords(vs)
 
     levels = []
     consistency_ok = fit_ok = True
-    kappa = prod = 1
     for n in range(n_max + 1):
-        if n > 0:
-            prod *= norms[n - 1]
-            kappa, r = divmod(prod, spec.ell ** n)
-            if r:
-                consistency_ok = False
+        kappa = chain.kappa(n)
         o = ord_int(kappa, spec.ell)
         if o != ords[n]:
             consistency_ok = False
@@ -392,9 +572,9 @@ def build_tower_report(spec: TowerSpec, n_max: int) -> TowerReport:
         levels.append(LevelRecord(
             n=n, kappa=kappa, ord_kappa=o,
             v=vs[n - 1] if n > 0 else None,
-            norm=norms[n - 1] if n > 0 else None,
+            norm=chain.norm(n) if n > 0 else None,
             fit=fit))
-    return TowerReport(spec=spec, n_max=n_max, q_coeffs=q_poly(spec),
+    return TowerReport(spec=spec, n_max=n_max, q_coeffs=list(_law(spec)[0]),
                        invariants=inv, levels=levels,
                        consistency_ok=consistency_ok, fit_ok=fit_ok)
 

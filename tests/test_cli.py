@@ -8,7 +8,7 @@ from graph_iwasawa import multigraph_to_json, bouquet, cayley_serre, voltage_to_
 from graph_iwasawa import (Multigraph, VoltageGraph, multigraph_from_json,
                            voltage_from_json)
 from graph_iwasawa import cycle_graph, report_from_json, report_to_json
-from graph_iwasawa import TowerSpec, norm_bits_bound, towers, zeta
+from graph_iwasawa import TowerSpec, cli, norm_bits_bound, towers, zeta
 from graph_iwasawa.cli import main, _format_kappa, _trial_factor
 from graph_iwasawa.polys import unlimited_digits
 
@@ -221,6 +221,10 @@ def test_integers_past_the_str_digit_limit(tmp_path, capsys):
     assert code == 1 and "Exceeds the limit" in err
 
 
+# the entry points of the level table's Graeffe chain
+CHAIN = ("_chain", "_graeffe_step", "_graeffe_at_one")
+
+
 def _forbid(monkeypatch, module, *names):
     def boom(*args, **kwargs):
         raise AssertionError("work started before the size check")
@@ -231,7 +235,7 @@ def _forbid(monkeypatch, module, *names):
 @pytest.mark.parametrize("command", ["kappa", "tower"])
 def test_budget_refused_before_any_work(monkeypatch, capsys, command):
     # N_9 has 31 374 bits; its a-priori bound is over a 30 000-bit budget
-    _forbid(monkeypatch, towers, "level_norm", "level_valuation", "_norm")
+    _forbid(monkeypatch, towers, "level_norm", "level_valuation", *CHAIN)
     estimate = norm_bits_bound(TowerSpec(3, (1, 4, 20)), 9)
     code, out, err = run(capsys, command, "-l", "3", "-a", "1,4,20", "-n",
                          "9", "--budget-bits", "30000")
@@ -241,7 +245,7 @@ def test_budget_refused_before_any_work(monkeypatch, capsys, command):
 
 def test_budget_refuses_a_deep_level_at_once(monkeypatch, capsys):
     # the bound of level 10^8 is never built: 3^(10^8) alone takes minutes
-    _forbid(monkeypatch, towers, "norm_bits_bound", "_norm")
+    _forbid(monkeypatch, towers, "norm_bits_bound", *CHAIN)
     code, _, err = run(capsys, "kappa", "-l", "3", "-a", "1,1", "-n",
                        "100000000")
     assert code == 1
@@ -251,11 +255,54 @@ def test_budget_refuses_a_deep_level_at_once(monkeypatch, capsys):
 def test_tower_budget_covers_levels_below_n0(monkeypatch, capsys):
     # tower -n 1 still evaluates v_1..v_4 below n0_certified = 5, and the
     # level-4 norm may have 25 bits: refused before any of them is taken
-    _forbid(monkeypatch, towers, "level_norm", "level_valuation", "_norm")
+    _forbid(monkeypatch, towers, "level_norm", "level_valuation", *CHAIN)
     code, out, err = run(capsys, "tower", "-l", "2", "-a", "3,5", "-n", "1",
                          "--budget-bits", "5")
     assert code == 1 and out == ""
     assert "level 4" in err and "budget of 5 bits" in err
+
+
+def test_tower_refuses_a_big_q_before_building_it(monkeypatch, capsys):
+    # Q(T) of a = (1, 100000) has some 1.5e10 bits by q_bits_bound: refused
+    # before P_100000 or any level is built
+    _forbid(monkeypatch, towers, "p_poly", "q_poly", "_law", *CHAIN)
+    estimate = towers.q_bits_bound(TowerSpec(2, (1, 100000)))
+    code, out, err = run(capsys, "tower", "-l", "2", "-a", "1,100000",
+                         "-n", "1")
+    assert code == 1 and out == ""
+    assert "Q(T)" in err and str(estimate) in err and str(1 << 26) in err
+
+
+def test_budget_admits_the_q_it_bounds(capsys):
+    estimate = towers.q_bits_bound(TowerSpec(2, (3, 5)))
+    code, _, _ = run(capsys, "tower", "-l", "2", "-a", "3,5", "-n", "1",
+                     "--budget-bits", str(estimate))
+    assert code == 0
+    code, _, err = run(capsys, "tower", "-l", "2", "-a", "3,5", "-n", "1",
+                       "--budget-bits", str(estimate - 1))
+    assert code == 1 and "Q(T)" in err
+
+
+def test_text_stops_trial_division_past_the_first_unfactored_kappa(
+        monkeypatch, capsys):
+    calls = []
+    real = cli._trial_factor
+
+    def spy(n):
+        calls.append(n)
+        return real(n)
+
+    monkeypatch.setattr(cli, "_trial_factor", spy)
+    code, out, _ = run(capsys, "tower", "-l", "2", "-a", "3,5", "-n", "9")
+    assert code == 0
+    report = towers.build_tower_report(TowerSpec(2, (3, 5)), 9)
+    kappas = [rec.kappa for rec in report.levels]
+    first = next(n for n, k in enumerate(kappas) if real(k) is None)
+    assert first < 9
+    assert calls == kappas[:first + 1]
+    # the skipped levels print raw, as trial division would have left them
+    for k in kappas[first:]:
+        assert f"  {k}\n" in out
 
 
 def test_budget_admits_the_level_it_bounds(capsys):

@@ -33,18 +33,18 @@ from graph_iwasawa import (
 )
 from graph_iwasawa.cyclotomic import euler_phi_prime_power
 from graph_iwasawa.towers import _jump_poly
-from graph_iwasawa import cli, cyclotomic, towers
-from oracles import p_poly_table
-from test_acceptance import CORPUS
+from graph_iwasawa import cli, cyclotomic, polys, towers
+from oracles import p_poly_table, sylvester_resultant
+from test_acceptance import CORPUS, corpus_depth
 
 
 @pytest.fixture
 def fresh_table():
     # the level table outlives a test; start and leave it empty
-    towers._norm.cache_clear()
+    towers._chain.cache_clear()
     towers._valuation.cache_clear()
     yield
-    towers._norm.cache_clear()
+    towers._chain.cache_clear()
     towers._valuation.cache_clear()
 
 
@@ -318,10 +318,23 @@ def _count_calls(monkeypatch, name):
     return calls
 
 
+def _spy(monkeypatch, name):
+    calls = []
+    real = getattr(towers, name)
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(towers, name, spy)
+    return calls
+
+
 def test_one_level_table(monkeypatch, fresh_table):
     spec = TowerSpec(2, (3, 5))
     n = 7
-    norm_calls = _count_calls(monkeypatch, "level_norm")
+    steps = _spy(monkeypatch, "_graeffe_step")
+    at_one = _spy(monkeypatch, "_graeffe_at_one")
     valuation_calls = _count_calls(monkeypatch, "level_valuation")
     for k in range(n + 1):
         kappa_exact(spec, k)
@@ -329,7 +342,12 @@ def test_one_level_table(monkeypatch, fresh_table):
     inv = invariants(spec)
     verify_bounds(spec, n - 1)
     build_tower_report(spec, n)
-    assert sorted(norm_calls) == list(range(1, n + 1))
+    for i in range(1, n + 1):
+        level_norm(spec, i)
+    # one chain for the spec: G~^1..G~^(n-1) stepped once each, and
+    # g_1..g_n each read at z = 1 once
+    assert len(steps) == n - 1
+    assert len(at_one) == n
     assert valuation_calls
     assert all(i < inv.n0_certified for i in valuation_calls)
 
@@ -342,19 +360,100 @@ def test_each_level_valuation_once(monkeypatch, fresh_table, capsys):
     assert valuation_calls == [1, 2, 3, 4]
 
 
+def test_q_built_once_per_spec(monkeypatch, capsys):
+    towers._law.cache_clear()
+    built = _spy(monkeypatch, "p_poly")
+    assert cli.main(["tower", "-l", "2", "-a", "3,5", "-n", "6"]) == 0
+    capsys.readouterr()
+    assert sorted(built) == [(3,), (5,)]
+
+
 def test_consistency_ok_is_a_real_check(monkeypatch, fresh_table, capsys):
     spec = TowerSpec(2, (3, 5))
     istar = invariants(spec).n0_certified
-    real = towers.level_norm
+    real = towers._GraeffeChain.value
 
-    def corrupted(s, i, *args):
-        return real(s, i, *args) * (s.ell if i == istar else 1)
+    def corrupted(chain, k):
+        return real(chain, k) * (chain.ell if k == istar else 1)
 
-    monkeypatch.setattr(towers, "level_norm", corrupted)
+    # g_istar gains a factor l: so do N_istar and kappa_istar, but not the
+    # valuations, which never read the chain
+    monkeypatch.setattr(towers._GraeffeChain, "value", corrupted)
     assert not build_tower_report(spec, istar + 1).consistency_ok
     code = cli.main(["tower", "-l", "2", "-a", "3,5", "-n", str(istar + 1)])
     assert code == 2
     assert "consistency: FAILED" in capsys.readouterr().out
+
+
+def test_chain_raises_on_a_bad_step(monkeypatch, fresh_table):
+    # a step whose G~(1) disagrees with the z = 1 rule names its level
+    real = towers._graeffe_step
+
+    def off_by_one(p, ell, bits):
+        g = real(p, ell, bits)
+        return [g[0] + 1] + g[1:]
+
+    monkeypatch.setattr(towers, "_graeffe_step", off_by_one)
+    with pytest.raises(ArithmeticError, match="level 1"):
+        kappa_exact(TowerSpec(3, (1, 4, 20)), 3)
+
+
+def _prs_norm(spec, i):
+    return abs(cyclotomic.resultant_with_phi(spec.ell, i, _jump_poly(spec)))
+
+
+def test_chain_norms_match_the_prs_on_the_corpus():
+    for ell, gens in CORPUS:
+        spec = TowerSpec(ell, gens)
+        for i in range(1, corpus_depth(ell) + 1):
+            assert level_norm(spec, i) == _prs_norm(spec, i), (ell, gens, i)
+
+
+@pytest.mark.parametrize("ell", [11, 13, 31])
+@pytest.mark.parametrize("gens", [(3, 5), (1, 4, 20)])
+def test_chain_norms_match_the_prs_at_large_primes(ell, gens):
+    spec = TowerSpec(ell, gens)
+    for i in (1, 2):
+        assert level_norm(spec, i) == _prs_norm(spec, i)
+
+
+@pytest.mark.parametrize("max_bits", [0, towers.KRONECKER_MAX_BITS])
+@pytest.mark.parametrize("ell,gens", [(2, (3, 5)), (3, (1, 4, 20)),
+                                      (5, (2, -25)), (7, (3, 5))])
+def test_graeffe_step_is_a_resultant(monkeypatch, max_bits, ell, gens):
+    # G(z0) = Res_x(x^l - z0, p) for the step over Z[z] and at z = 2^b
+    monkeypatch.setattr(towers, "KRONECKER_MAX_BITS", max_bits)
+    p = towers._reduced_jump_poly(TowerSpec(ell, gens))
+    for _ in range(2):
+        bits = sum(c * c for c in p).bit_length()
+        g = towers._graeffe_step(p, ell, bits)
+        assert len(g) == len(p)
+        for z0 in (-3, -1, 1, 2, 5):
+            x = [-z0] + [0] * (ell - 1) + [1]
+            assert polys.evaluate(g, z0) == sylvester_resultant(x, p), z0
+        assert polys.evaluate(g, 1) == towers._graeffe_at_one(p, ell)
+        p = g
+
+
+def test_deepest_level_covers_n0_certified():
+    for ell, gens in CORPUS + [(2, (1, 400)), (3, (1, 1, 1)), (7, (2, 9))]:
+        spec = TowerSpec(ell, gens)
+        n0 = invariants(spec).n0_certified
+        assert towers.deepest_level(spec, 1) >= n0 - 1
+        assert towers.deepest_level(spec, 20) == 20
+
+
+def test_q_bits_bound():
+    # |coefficient k of P_a| = 2a*C(a+k, 2k)/(a+k) < 2^(a+k)
+    for a in [*range(150), 500, 1000]:
+        p = p_poly(a)
+        for k in range(1, a + 1):
+            assert abs(p[k]) * (a + k) == 2 * a * math.comb(a + k, 2 * k)
+            assert abs(p[k]).bit_length() <= a + k
+    for gens in ((1, 1, 1, 1, 1), (1, 4, 20), (7, 7, 7), (-3, 5), (1, 400)):
+        spec = TowerSpec(2, gens)
+        bits = sum(abs(c).bit_length() for c in q_poly(spec))
+        assert bits <= towers.q_bits_bound(spec)
 
 
 def test_norm_bits_bound_examples():
@@ -405,6 +504,7 @@ def tower_specs(draw):
 def test_norm_bits_bound_is_an_upper_bound(spec):
     for i in _shallow_levels(spec.ell):
         assert level_norm(spec, i).bit_length() <= norm_bits_bound(spec, i)
+        assert level_norm(spec, i) == _prs_norm(spec, i)
 
 
 @given(tower_specs())
@@ -446,7 +546,7 @@ def test_repeated_tower_runs_print_the_same_bytes(spec, data):
     outs = []
     for _ in range(2):
         # the second run recomputes every level rather than reading the first
-        towers._norm.cache_clear()
+        towers._chain.cache_clear()
         towers._valuation.cache_clear()
         buf = io.StringIO()
         with contextlib.redirect_stdout(buf):
