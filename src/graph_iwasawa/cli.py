@@ -127,10 +127,22 @@ def _admit_q(spec: towers.TowerSpec, budget: int) -> None:
             f"of {budget} bits")
 
 
+def _admit_tower(spec: towers.TowerSpec, n: int, budget: int) -> None:
+    """Refuse up front a tower report whose norms or Q(T) may outgrow the
+    budget.  The deepest level is first bounded without Q; only if that
+    bound is refused, and Q is not, is Q built for the exact level."""
+    try:
+        _admit(spec, towers.deepest_level_bound(spec, n), budget)
+    except towers.BudgetExceededError:
+        if towers.q_bits_bound(spec) > budget:
+            raise
+        _admit(spec, towers.deepest_level(spec, n), budget)
+    _admit_q(spec, budget)
+
+
 def cmd_tower(args) -> int:
     spec = _spec(args)
-    _admit(spec, towers.deepest_level(spec, args.levels), args.budget)
-    _admit_q(spec, args.budget)
+    _admit_tower(spec, args.levels, args.budget)
     report = towers.build_tower_report(spec, args.levels)
     with unlimited_digits():
         if args.format == "json":

@@ -85,36 +85,29 @@ def _mul_school(p, q):
 
 
 def _mul_kronecker(p, q):
-    # One product of the values at 2**b, for b past every output coefficient.
+    # Pack coefficients into one big integer (evaluation at 2**b), multiply,
+    # unpack with an offset so no borrow propagation is needed.
     mp = max(abs(c) for c in p)
     mq = max(abs(c) for c in q)
     b = (mp.bit_length() + mq.bit_length()
          + min(len(p), len(q)).bit_length() + 2)
-    b = -(-b // 8) * 8
-    return kronecker_unpack(kronecker_pack(p, b) * kronecker_pack(q, b), b,
-                            len(p) + len(q) - 1)
+    b = ((b + 7) // 8) * 8
+    prod = _pack(p, b) * _pack(q, b)
+    nout = len(p) + len(q) - 1
+    half = 1 << (b - 1)
+    ones = ((1 << (b * nout)) - 1) // ((1 << b) - 1)
+    prod += half * ones
+    raw = prod.to_bytes(nout * (b // 8) + 16, "little")
+    w = b // 8
+    out = [int.from_bytes(raw[i * w:(i + 1) * w], "little") - half
+           for i in range(nout)]
+    return trim(out)
 
 
-def kronecker_pack(p: list[int], b: int) -> int:
-    """p(2**b): the coefficients side by side, b bits apart."""
+def _pack(p, b):
     pos = sum(c << (b * i) for i, c in enumerate(p) if c > 0)
     negv = sum((-c) << (b * i) for i, c in enumerate(p) if c < 0)
     return pos - negv
-
-
-def kronecker_unpack(v: int, b: int, n: int) -> list[int]:
-    """The polynomial p of degree < n with v = p(2**b), given that b is a
-    multiple of 8 and every coefficient of p is below 2**(b-1) in
-    absolute value."""
-    if b <= 0 or b % 8:
-        raise ValueError("slot width must be a positive multiple of 8")
-    w = b // 8
-    half = 1 << (b - 1)
-    # adding half to every digit makes them all nonnegative: no borrows
-    raw = (v + int.from_bytes(half.to_bytes(w, "little") * n, "little")
-           ).to_bytes(n * w, "little")
-    return trim([int.from_bytes(raw[i * w:(i + 1) * w], "little") - half
-                 for i in range(n)])
 
 
 def pow_(p: list[int], e: int) -> list[int]:

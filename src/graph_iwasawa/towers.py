@@ -239,34 +239,11 @@ def _multiplication_matrix(sections: list, z) -> list[list]:
              for j in range(ell)] for i in range(ell)]
 
 
-# Slot width, in bits, up to which a Graeffe step eliminates once over Z at
-# z = 2^b; past it, over Z[z], whose long division takes deg q big
-# divisions where the packed route takes one of the whole packed size.
-KRONECKER_MAX_BITS = 1024
-
-
-def _graeffe_step(p: list[int], ell: int, measure_sq_bits: int) -> list[int]:
+def _graeffe_step(p: list[int], ell: int) -> list[int]:
     """G(z) = prod over y^l = z of p(y), of the same degree as p: the
-    determinant of multiplication by p on Z[z][y]/(y^l - z).  For l = 2
-    it is F_0^2 - z*F_1^2 = p(y)*p(-y).
-
-    With small coefficients the determinant is taken at the one point
-    z = 2^b (Kronecker substitution) and read back b bits at a time, so b
-    must pass every coefficient of G.  Two bounds hold: on |z| = 1 each of
-    the l factors is at most ||p||_1, so |G_m| <= ||p||_1^l; and
-    |G_m| <= C(d, m) M(G) with the Mahler measure M(G) = M(p)^l, where
-    M(p)^2 < 2^measure_sq_bits.
-    """
-    d = len(p) - 1
-    b = 2 + min(ell * sum(map(abs, p)).bit_length(),
-                d + (ell * measure_sq_bits + 1) // 2)
-    b = -(-b // 8) * 8
-    if b <= KRONECKER_MAX_BITS:
-        sections = [polys.kronecker_pack(p[r::ell], b) for r in range(ell)]
-        sign, det = _det(
-            _multiplication_matrix(sections, lambda x: x << b),
-            operator.mul, operator.sub, _divexact_int)
-        return polys.kronecker_unpack(sign * det, b, d + 1)
+    determinant of multiplication by p on Z[z][y]/(y^l - z), by
+    fraction-free elimination over Z[z].  For l = 2 it is
+    F_0^2 - z*F_1^2 = p(y)*p(-y)."""
     sections = [polys.trim(p[r::ell]) for r in range(ell)]
     sign, det = _det(
         _multiplication_matrix(sections, lambda x: polys.shift(x, 1)),
@@ -294,26 +271,21 @@ class _GraeffeChain:
         self.ell = spec.ell
         self.poly = _reduced_jump_poly(spec)  # G~^depth
         self.depth = 0
-        # M(f~) = M(f) <= ||f||_2, and M(G~^k) = M(f~)^(l^k) <= ||G~^k||_2
-        f = _jump_poly(spec)
-        self.measure_sq_bits = sum(c * c for c in f).bit_length()
         self.values = [sum(self.poly)]
 
     def value(self, k: int) -> int:
         while len(self.values) <= k:
             level = len(self.values)
             while self.depth < level - 1:
-                self.poly = _graeffe_step(self.poly, self.ell,
-                                          self.measure_sq_bits)
-                self.depth += 1
-                self.measure_sq_bits = min(
-                    self.ell * self.measure_sq_bits,
-                    sum(c * c for c in self.poly).bit_length())
-                # two routes to g_depth: the step's G~(1), the z = 1 rule
-                if sum(self.poly) != self.values[self.depth]:
+                step = _graeffe_step(self.poly, self.ell)
+                # two routes to g_(depth+1): the step's G~(1), the z = 1
+                # rule; a step that fails is never kept
+                if sum(step) != self.values[self.depth + 1]:
                     raise ArithmeticError(
-                        f"level {self.depth}: the Graeffe step and its "
+                        f"level {self.depth + 1}: the Graeffe step and its "
                         "value at z = 1 disagree")
+                self.poly = step
+                self.depth += 1
             g = _graeffe_at_one(self.poly, self.ell)
             if g == 0:
                 raise ArithmeticError(
@@ -395,12 +367,18 @@ def _valuation(spec: TowerSpec, i: int):
 
 
 def deepest_level(spec: TowerSpec, n_max: int) -> int:
-    """Deepest level whose norm build_tower_report(spec, n_max) may take,
-    known before any work: invariants() evaluates the valuations below
-    n0_certified too, and n0_certified is at most the first i with
-    phi(l^i) >= 2 max|a| - 1.  There every term j < j* of Q(eps), whose
-    coefficient has a larger valuation than mu, is dominated, since
-    j* <= deg Q = max|a|."""
+    """Deepest level whose norm build_tower_report(spec, n_max) may take:
+    invariants() evaluates the valuations below n0_certified too."""
+    if spec.is_cycle_tower:
+        return n_max
+    return max(n_max, _law(spec)[3] - 1)
+
+
+def deepest_level_bound(spec: TowerSpec, n_max: int) -> int:
+    """An upper bound on deepest_level(spec, n_max) that builds no Q:
+    n0_certified is at most the first i with phi(l^i) >= 2 max|a| - 1.
+    There every term j < j* of Q(eps), whose coefficient has a larger
+    valuation than mu, is dominated, since j* <= deg Q = max|a|."""
     if spec.is_cycle_tower:
         return n_max
     i = 1

@@ -273,6 +273,22 @@ def test_tower_refuses_a_big_q_before_building_it(monkeypatch, capsys):
     assert "Q(T)" in err and str(estimate) in err and str(1 << 26) in err
 
 
+def test_tower_builds_q_for_the_exact_level_when_the_bound_is_refused(
+        capsys):
+    # a = (0 x100, 3): the a-priori deepest level 3 may have 37 bits, but
+    # Q(T) fits in 36, and with Q n0_certified = 1: nothing past level 1
+    spec = TowerSpec(2, (0,) * 100 + (3,))
+    assert towers.deepest_level_bound(spec, 1) == 3
+    assert norm_bits_bound(spec, 3) == 37 and towers.q_bits_bound(spec) == 36
+    gens = ",".join(map(str, spec.generators))
+    code, out, _ = run(capsys, "tower", "-l", "2", "-a", gens, "-n", "1",
+                       "--budget-bits", "36", "--format", "csv")
+    assert code == 0 and out.startswith("n,ord_kappa,fit")
+    code, _, err = run(capsys, "tower", "-l", "2", "-a", gens, "-n", "1",
+                       "--budget-bits", "35")
+    assert code == 1 and "level 3" in err
+
+
 def test_budget_admits_the_q_it_bounds(capsys):
     estimate = towers.q_bits_bound(TowerSpec(2, (3, 5)))
     code, _, _ = run(capsys, "tower", "-l", "2", "-a", "3,5", "-n", "1",
