@@ -2,10 +2,11 @@
 """Exact arithmetic with prime-power roots of unity.
 
 The elements eps(a) = (1 - zeta^a)(1 - zeta^(-a)) live in Z[zeta] for
-zeta a primitive l^i-th root of unity.  Their norms are resultants with
-the cyclotomic polynomial, and their valuation at the unique prime above
-l follows a crisp pattern: 2 when a is coprime to l, 2 l^s when l^s
-exactly divides a, infinite when zeta^a = 1.
+zeta a primitive l^i-th root of unity.  Their norms are products of
+conjugates, taken one level of the tower at a time by l-Graeffe steps,
+and their valuation at the unique prime 1 - zeta above l, found by
+dividing by l and then by 1 - zeta, follows a crisp pattern: 2 when a is
+coprime to l, 2 l^s when l^s exactly divides a, infinite when zeta^a = 1.
 """
 
 import math

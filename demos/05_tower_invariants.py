@@ -43,7 +43,7 @@ show(2, (1, 1), 8)
 show(2, (3, 5), 8)
 show(3, (1, 4, 20), 5)
 
-print("== the two routes to kappa agree (resultants vs matrix-tree) ==")
+print("== the two routes to kappa agree (Graeffe chain vs matrix-tree) ==")
 spec = TowerSpec(2, (3, 5))
 for n in range(0, 6):
     direct = spanning_tree_count(derived_cover(cayley_serre(2 ** n, (3, 5))))

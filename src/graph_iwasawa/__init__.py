@@ -1,9 +1,9 @@
 """Exact arithmetic for abelian l-towers of multigraphs.
 
 Build cyclic covers of Serre multigraphs, count spanning trees two
-independent ways (matrix-tree determinants and cyclotomic resultants), and
-extract the Iwasawa-type invariants governing the l-adic growth of the
-counts along a tower.
+independent ways (matrix-tree determinants and cyclotomic norms of the
+jump polynomial, taken by l-Graeffe steps), and extract the Iwasawa-type
+invariants governing the l-adic growth of the counts along a tower.
 """
 
 from .cyclotomic import (
@@ -26,7 +26,6 @@ from .cyclotomic import (
     ord_L,
     ord_int,
     phi_poly,
-    resultant_with_phi,
     zeta_gen,
 )
 from .serre import (

@@ -1,15 +1,16 @@
 """Exact arithmetic in Z[zeta] for prime-power roots of unity.
 
 Elements of Z[y]/Phi(y), with Phi the (l^i)-th cyclotomic polynomial, are
-stored as canonical coefficient vectors of length phi(l^i).  The field
-norm down to Q is a resultant with Phi; because the prime above l is
-unique and totally ramified, the valuation at that prime of any element x
-equals ord_l(|norm(x)|), which is how ``ord_L`` computes it.
+stored as canonical coefficient vectors of length phi(l^i).
+
+``norm`` descends the field norm to Q one level at a time, by the same
+l-Graeffe step (``polys.graeffe``) that the towers module chains for its
+level norms.  ``ord_L`` takes no norm: the prime above l is pi = 1 - zeta,
+unique and totally ramified, and the valuation there is read off by
+dividing out l and then pi, with pi | y exactly when l | y(1).
 
 The building blocks eps(a) = (1 - zeta^a)(1 - zeta^(-a)) drive the tower
 analysis in the towers module; ``epsilon`` constructs them canonically.
-The resultant here, a subresultant PRS, serves ``norm`` and ``ord_L``
-only: the towers module reads its level norms off a Graeffe chain.
 """
 
 from __future__ import annotations
@@ -158,104 +159,31 @@ def cyc_pow(x: CycElem, e: int) -> CycElem:
 
 
 # ---------------------------------------------------------------------------
-# Norms via resultants with the sparse modulus
+# Norms by Graeffe descent, valuations by division by 1 - zeta
 # ---------------------------------------------------------------------------
-
-def _strip(r: list[int], e: int, lead: int) -> tuple[list[int], int]:
-    # value r / lead**e; peel exact factors of lead to keep sizes down
-    if abs(lead) == 1:
-        if lead == -1 and e % 2:
-            r = [-c for c in r]
-        return r, 0
-    while e > 0 and r and all(c % lead == 0 for c in r):
-        r = [c // lead for c in r]
-        e -= 1
-    return r, e
-
-
-def _scaled_reduce(p: list[int], e: int, f: list[int]) -> tuple[list[int], int]:
-    d = len(f) - 1
-    if len(p) - 1 >= d:
-        t = len(p) - 1 - d + 1
-        p = polys.prem(p, f)
-        e += t
-    return _strip(p, e, f[-1])
-
-
-def _phi_mod_f(ell: int, i: int, f: list[int]) -> tuple[list[int], int]:
-    """Phi_{l^i} mod f as a scaled pair (r, e) meaning r / lc(f)**e.
-
-    Dense quotients use one literal pseudo-division of the sparse Phi;
-    low-degree f goes through modular exponentiation of y instead.
-    """
-    step = ell ** (i - 1)
-    deg_phi = (ell - 1) * step
-    d = len(f) - 1
-    cost_literal = (deg_phi - d + 1) * (d + 1)
-    cost_modexp = (step.bit_length() + ell) * (d + 1) ** 2 * 4
-    if cost_literal <= cost_modexp:
-        phi = phi_poly(ell, i)
-        return _scaled_reduce(phi, 0, f)
-    # y**step mod f by square-and-multiply, in scaled form
-    base, be = _scaled_reduce([0, 1], 0, f)
-    out, oe = [1], 0
-    e = step
-    while e:
-        if e & 1:
-            out, oe = _scaled_reduce(polys.mul(out, base), oe + be, f)
-        e >>= 1
-        if e:
-            base, be = _scaled_reduce(polys.mul(base, base), 2 * be, f)
-    # Phi mod f = sum of (y**step)**j for j < l, by Horner
-    acc, ae = [1], 0
-    for _ in range(ell - 1):
-        acc, ae = _scaled_reduce(polys.mul(acc, out), ae + oe, f)
-        lead = f[-1]
-        acc = polys.add(acc, [lead ** ae])
-    return _strip(acc, ae, f[-1])
-
-
-def resultant_with_phi(ell: int, i: int, f: list[int]) -> int:
-    """Res_y(Phi_{l^i}(y), f(y)) for any integer polynomial f, exact.
-
-    Equals the product of f over all primitive l^i-th roots of unity, i.e.
-    the norm of f(zeta) from Q(zeta) down to Q.
-    """
-    if not is_prime(ell) or i < 1:
-        raise ValueError("need a prime and level >= 1")
-    f = polys.trim(list(f))
-    deg_phi = euler_phi_prime_power(ell, i)
-    if not f:
-        return 0
-    d = len(f) - 1
-    if d == 0:
-        return f[0] ** deg_phi
-    r, e = _phi_mod_f(ell, i, f)
-    if not r:
-        return 0
-    lead = f[-1]
-    sign = -1 if (deg_phi % 2) and (d % 2) else 1
-    res_fr = polys.resultant(f, r)
-    # Res(Phi, f) = sign * lc(f)**(deg_phi - deg r) * Res(f, Phi mod f)
-    # and (Phi mod f) = r / lead**e contributes lead**(-e*d).
-    exp = deg_phi - (len(r) - 1) - e * d
-    if exp >= 0:
-        total = sign * lead ** exp * res_fr
-    else:
-        q, rem = divmod(sign * res_fr, lead ** (-exp))
-        if rem:
-            raise ArithmeticError("resultant scaling was not exact")
-        total = q
-    return total
-
 
 def norm(x: CycElem) -> int:
     """Field norm to Q: the product of all Galois conjugates; norm(0) = 0.
-    No size limit: callers bound the result before they ask for it."""
-    f = polys.trim(list(x.coeffs))
-    if not f:
+
+    Taken down the tower one level at a time: a Graeffe step G(z) =
+    prod over y^l = z of p(y), reduced mod Phi_{l^(k-1)}, is the relative
+    norm from level k to level k - 1, since the l-th roots of a primitive
+    l^(k-1)-th root of unity are primitive l^k-th roots for k >= 2.  At
+    level 1 the l-th roots of unity are the conjugates and 1, so the norm
+    is G(1) / p(1), after adding Phi_l to p when p(1) = 0.  No size limit:
+    callers bound the result before they ask for it.
+    """
+    ell, p = x.ell, polys.trim(list(x.coeffs))
+    if not p:
         return 0
-    return resultant_with_phi(x.ell, x.level, f)
+    for k in range(x.level, 1, -1):
+        p = polys.trim(list(_reduce(ell, k - 1, polys.graeffe(p, ell))))
+    if not sum(p):
+        p = polys.add(p, [1] * ell)
+    q, r = divmod(polys.graeffe_at_one(p, ell), sum(p))
+    if r:
+        raise ArithmeticError("level-1 norm is not an exact quotient")
+    return q
 
 
 def ord_int(n: int, ell: int):
@@ -278,19 +206,41 @@ def ord_int(n: int, ell: int):
 
 
 def ord_L(x: CycElem):
-    """Valuation at the unique (totally ramified) prime above l.
+    """Valuation at the unique prime pi = 1 - zeta above l; INFINITY iff
+    x = 0.
 
-    Computed as ord_l(|norm(x)|): every conjugate has the same valuation,
-    and the ramification index equals the field degree, so the two l-adic
-    normalizations cancel exactly.  Returns INFINITY iff x = 0.  Like
-    ``norm``, it has no size limit.
+    (l) = (pi)^phi, and x lies in l Z[zeta] exactly when l divides every
+    power-basis coefficient, so x = l^c * y with y outside l Z[zeta] and
+    v(x) = phi * c + v(y), where v(y) < phi.  pi divides y exactly when l
+    divides y(1), the sum of y's coefficients; then y - (y(1)/l) * Phi is
+    the same element and vanishes at 1, and its quotient by y - 1, negated,
+    is y / pi.  No norm is taken.
     """
     if x.is_zero():
         return INFINITY
-    n = norm(x)
-    if n == 0:
-        raise ArithmeticError("nonzero element with zero norm")
-    return ord_int(n, x.ell)
+    ell = x.ell
+    phi = euler_phi_prime_power(ell, x.level)
+    c = ord_int(math.gcd(*x.coeffs), ell)
+    power = ell ** c
+    y = [a // power for a in x.coeffs]
+    step = ell ** (x.level - 1)
+    r = 0
+    while True:
+        s, rem = divmod(sum(y), ell)
+        if rem:
+            return phi * c + r
+        if r == phi - 1:
+            raise ArithmeticError("content-free element divisible by l")
+        # q = y - s * Phi, Phi = sum of y^(j*step) for j < l; the top term
+        # -s * y^phi is not needed: coefficient k of -q / (y - 1) is the
+        # sum of q's coefficients up to k
+        for j in range(ell - 1):
+            y[j * step] -= s
+        acc = 0
+        for k in range(phi):
+            acc += y[k]
+            y[k] = acc
+        r += 1
 
 
 def cyc_to_json(x: CycElem) -> dict:
@@ -307,6 +257,6 @@ __all__ = [
     "CycElem", "INFINITY", "phi_poly", "epsilon",
     "cyc_from_poly", "cyc_zero", "cyc_one", "cyc_int", "zeta_gen",
     "cyc_add", "cyc_sub", "cyc_neg", "cyc_scale", "cyc_mul", "cyc_pow",
-    "norm", "ord_int", "ord_L", "resultant_with_phi",
+    "norm", "ord_int", "ord_L",
     "cyc_to_json", "cyc_from_json", "euler_phi_prime_power", "is_prime",
 ]

@@ -1,37 +1,28 @@
 """Dense univariate polynomials over arbitrary-precision integers.
 
 Polynomials are plain lists of int coefficients in ascending degree,
-always kept trimmed (no trailing zeros).  The zero polynomial is the
-empty list and its degree is the sentinel ``NEG_INF``.  Every operation,
-interpolation included, stays in the integers: a division that is not
-exact raises instead of leaving Z.
+always kept trimmed (no trailing zeros); the zero polynomial is the empty
+list.  Every operation, interpolation included, stays in the integers: a
+division that is not exact raises instead of leaving Z.
+
+``graeffe`` and ``graeffe_at_one`` are the one norm kernel of the package:
+the l-Graeffe step G(z) = prod over y^l = z of p(y), and its value at
+z = 1, each an l x l fraction-free determinant.  The towers module runs a
+chain of them per tower; the cyclotomic module descends the field norm
+with them one level at a time.
 """
 
 from __future__ import annotations
 
 import contextlib
-import math
+import operator
 import sys
-
-NEG_INF = float("-inf")
-
 
 def trim(p: list[int]) -> list[int]:
     n = len(p)
     while n and p[n - 1] == 0:
         n -= 1
     return p[:n]
-
-
-def degree(p: list[int]):
-    """Degree of ``p``; NEG_INF for the zero polynomial."""
-    return len(p) - 1 if p else NEG_INF
-
-
-def leading(p: list[int]) -> int:
-    if not p:
-        raise ValueError("zero polynomial has no leading coefficient")
-    return p[-1]
 
 
 def add(p: list[int], q: list[int]) -> list[int]:
@@ -131,27 +122,6 @@ def evaluate(p: list[int], x: int) -> int:
     return acc
 
 
-def derivative(p: list[int]) -> list[int]:
-    return trim([i * c for i, c in enumerate(p)][1:])
-
-
-def content(p: list[int]) -> int:
-    g = 0
-    for c in p:
-        g = math.gcd(g, c)
-    return g
-
-
-def divexact_scalar(p: list[int], c: int) -> list[int]:
-    out = []
-    for a in p:
-        q, r = divmod(a, c)
-        if r:
-            raise ArithmeticError("inexact scalar division of polynomial")
-        out.append(q)
-    return out
-
-
 def divmod_exact(p: list[int], d: list[int]) -> tuple[list[int], list[int]]:
     """Quotient and remainder of p by d where every division by lc(d) is exact.
 
@@ -177,78 +147,73 @@ def divmod_exact(p: list[int], d: list[int]) -> tuple[list[int], list[int]]:
     return trim(q), trim(r)
 
 
-def prem(a: list[int], b: list[int]) -> list[int]:
-    """Pseudo-remainder: lc(b)**(deg a - deg b + 1) * a mod b."""
-    da, db = len(a) - 1, len(b) - 1
-    if da < db:
-        raise ValueError("prem requires deg a >= deg b")
-    lc = b[-1]
-    r = list(a)
-    for k in range(da - db, -1, -1):
-        top = r[db + k]
-        for i in range(len(r)):
-            r[i] *= lc
-        if top:
-            for i, bc in enumerate(b):
-                r[k + i] -= top * bc
-        r[db + k] = 0
-    return trim(r)
-
-
-def resultant(a: list[int], b: list[int]) -> int:
-    """Resultant of two integer polynomials via the subresultant PRS.
-
-    Fraction-free (Collins/Brown); intermediate coefficient sizes stay at
-    the level of Sylvester-matrix minors.  No size limit is applied here:
-    callers bound the work before they start it.
-    """
-    a, b = trim(list(a)), trim(list(b))
-    if not a or not b:
-        return 0
-    da, db = len(a) - 1, len(b) - 1
-    if da == 0 and db == 0:
-        return 1
-    sign = 1
-    if da < db:
-        a, b = b, a
-        if (da * db) % 2:
+def _det(m: list, mul, sub, divexact):
+    """(sign, d) with det m = sign * d, for a square matrix over an integral
+    domain given by its mul, sub and exact division: fraction-free
+    (Bareiss) elimination, swapping rows past a zero pivot."""
+    n = len(m)
+    sign, prev = 1, None
+    for k in range(n - 1):
+        if not m[k][k]:
+            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
+            if swap is None:  # a zero column: det m is m[k][k], zero
+                return 1, m[k][k]
+            m[k], m[swap] = m[swap], m[k]
             sign = -sign
-        da, db = db, da
-    if db == 0:
-        return sign * b[0] ** da
-    ca, cb = content(a), content(b)
-    a = divexact_scalar(a, ca)
-    b = divexact_scalar(b, cb)
-    acc = sign * ca ** db * cb ** da
-    g = h = 1
-    while True:
-        da, db = len(a) - 1, len(b) - 1
-        delta = da - db
-        if (da % 2) and (db % 2):
-            acc = -acc
-        r = prem(a, b)
-        if not r:
-            return 0
-        a = b
-        b = divexact_scalar(r, g * h ** delta)
-        g = a[-1]
-        if delta == 1:
-            h = g
-        elif delta > 1:
-            hq, hr = divmod(g ** delta, h ** (delta - 1))
-            if hr:
-                raise ArithmeticError("subresultant PRS bookkeeping failed")
-            h = hq
-        if len(b) - 1 == 0:
-            break
-    da = len(a) - 1
-    num = b[0] ** da
-    if da >= 1:
-        q, rem = divmod(num, h ** (da - 1))
-        if rem:
-            raise ArithmeticError("subresultant PRS bookkeeping failed")
-        num = q
-    return acc * num
+        pivot, pivot_row = m[k][k], m[k]
+        for row in m[k + 1:]:
+            lead = row[k]
+            for j in range(k + 1, n):
+                x = mul(pivot, row[j])
+                if lead:
+                    x = sub(x, mul(lead, pivot_row[j]))
+                row[j] = x if prev is None else divexact(x, prev)
+        prev = pivot
+    return sign, m[-1][-1]
+
+
+def _divexact_int(x: int, d: int) -> int:
+    q, r = divmod(x, d)
+    if r:
+        raise ArithmeticError("inexact division in fraction-free elimination")
+    return q
+
+
+def _divexact_poly(p: list[int], d: list[int]) -> list[int]:
+    q, r = divmod_exact(p, d)
+    if r:
+        raise ArithmeticError("inexact division in fraction-free elimination")
+    return q
+
+
+def _multiplication_matrix(sections: list, z) -> list[list]:
+    # multiplication by p on Z[z][y]/(y^l - z) in the basis 1, y, ...,
+    # y^(l-1): entry (i, j) is F_(i-j) for i >= j and z*F_(i-j+l) above the
+    # diagonal, where F_r(z) = sum_m p_(m*l+r) z^m; z times an entry is
+    # given by the function z
+    ell = len(sections)
+    return [[sections[i - j] if i >= j else z(sections[i - j + ell])
+             for j in range(ell)] for i in range(ell)]
+
+
+def graeffe(p: list[int], ell: int) -> list[int]:
+    """G(z) = prod over y^l = z of p(y), of the same degree as p: the
+    determinant of multiplication by p on Z[z][y]/(y^l - z), by
+    fraction-free elimination over Z[z].  For l = 2 it is
+    F_0^2 - z*F_1^2 = p(y)*p(-y)."""
+    sections = [trim(p[r::ell]) for r in range(ell)]
+    sign, det = _det(_multiplication_matrix(sections, lambda x: shift(x, 1)),
+                     mul, sub, _divexact_poly)
+    return scale(det, sign)
+
+
+def graeffe_at_one(p: list[int], ell: int) -> int:
+    """G(1) = prod over y^l = 1 of p(y), without the step: the same matrix
+    at z = 1, an l x l integer circulant."""
+    sections = [sum(p[r::ell]) for r in range(ell)]
+    sign, det = _det(_multiplication_matrix(sections, lambda x: x),
+                     operator.mul, operator.sub, _divexact_int)
+    return sign * det
 
 
 def interpolate(points: list[tuple[int, int]]) -> list[int]:

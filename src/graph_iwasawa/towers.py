@@ -16,12 +16,13 @@ P_a(eps(1)) = eps(a).  This module computes everything exactly:
   g_k = G~^k(1) is the product of f~ over the l^k-th roots of unity, and
   N_i = l^2 |g_i / g_(i-1)|, kappa_n = l^n |g_n / g_0| (Bostan, Flajolet,
   Salvy and Schost, "Fast computation of special resultants", 2006).
-  A step is one l x l fraction-free determinant; the deepest level asked
-  for is the same determinant at z = 1, an integer circulant.
+  A step is one l x l fraction-free determinant (``polys.graeffe``); the
+  deepest level asked for is the same determinant at z = 1, an integer
+  circulant (``polys.graeffe_at_one``).
 * the per-level valuation v_i = ord_L(Q(eps)), read off Q's coefficients
   as mu * phi(l^i) + lambda + 1 from the certified level on and evaluated
-  inside Z[zeta] below it: an independent route to
-  ord_l(kappa_n) = -n + sum v_i;
+  inside Z[zeta] below it by division by 1 - zeta, with no norm: an
+  independent route to ord_l(kappa_n) = -n + sum v_i;
 * a certified stabilization level: the smallest i past which the
   ultrametric minimum is attained by a single term, so the affine formula
   provably holds for every larger level, not just the inspected ones.
@@ -32,7 +33,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import operator
 from dataclasses import dataclass, field
 
 from . import cyclotomic, polys
@@ -190,76 +190,6 @@ def _reduced_jump_poly(spec: TowerSpec) -> list[int]:
     return q
 
 
-def _det(m: list, mul, sub, divexact):
-    """(sign, d) with det m = sign * d, for a square matrix over an integral
-    domain given by its mul, sub and exact division: fraction-free
-    (Bareiss) elimination, swapping rows past a zero pivot."""
-    n = len(m)
-    sign, prev = 1, None
-    for k in range(n - 1):
-        if not m[k][k]:
-            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
-            if swap is None:  # a zero column: det m is m[k][k], zero
-                return 1, m[k][k]
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        pivot, pivot_row = m[k][k], m[k]
-        for row in m[k + 1:]:
-            lead = row[k]
-            for j in range(k + 1, n):
-                x = mul(pivot, row[j])
-                if lead:
-                    x = sub(x, mul(lead, pivot_row[j]))
-                row[j] = x if prev is None else divexact(x, prev)
-        prev = pivot
-    return sign, m[-1][-1]
-
-
-def _divexact_int(x: int, d: int) -> int:
-    q, r = divmod(x, d)
-    if r:
-        raise ArithmeticError("inexact division in fraction-free elimination")
-    return q
-
-
-def _divexact_poly(p: list[int], d: list[int]) -> list[int]:
-    q, r = polys.divmod_exact(p, d)
-    if r:
-        raise ArithmeticError("inexact division in fraction-free elimination")
-    return q
-
-
-def _multiplication_matrix(sections: list, z) -> list[list]:
-    # multiplication by p on Z[z][y]/(y^l - z) in the basis 1, y, ...,
-    # y^(l-1): entry (i, j) is F_(i-j) for i >= j and z*F_(i-j+l) above the
-    # diagonal, where F_r(z) = sum_m p_(m*l+r) z^m; z times an entry is
-    # given by the function z
-    ell = len(sections)
-    return [[sections[i - j] if i >= j else z(sections[i - j + ell])
-             for j in range(ell)] for i in range(ell)]
-
-
-def _graeffe_step(p: list[int], ell: int) -> list[int]:
-    """G(z) = prod over y^l = z of p(y), of the same degree as p: the
-    determinant of multiplication by p on Z[z][y]/(y^l - z), by
-    fraction-free elimination over Z[z].  For l = 2 it is
-    F_0^2 - z*F_1^2 = p(y)*p(-y)."""
-    sections = [polys.trim(p[r::ell]) for r in range(ell)]
-    sign, det = _det(
-        _multiplication_matrix(sections, lambda x: polys.shift(x, 1)),
-        polys.mul, polys.sub, _divexact_poly)
-    return polys.scale(det, sign)
-
-
-def _graeffe_at_one(p: list[int], ell: int) -> int:
-    """G(1) = prod over y^l = 1 of p(y), without the step: the same matrix
-    at z = 1, an l x l integer circulant."""
-    sections = [sum(p[r::ell]) for r in range(ell)]
-    sign, det = _det(_multiplication_matrix(sections, lambda x: x),
-                     operator.mul, operator.sub, _divexact_int)
-    return sign * det
-
-
 class _GraeffeChain:
     """g_k = G~^k(1) = prod over the l^k-th roots of unity w of f~(w), for
     G~^0 = f~ and G~^k = Graeffe_l(G~^(k-1)): the l-th roots of the
@@ -277,7 +207,7 @@ class _GraeffeChain:
         while len(self.values) <= k:
             level = len(self.values)
             while self.depth < level - 1:
-                step = _graeffe_step(self.poly, self.ell)
+                step = polys.graeffe(self.poly, self.ell)
                 # two routes to g_(depth+1): the step's G~(1), the z = 1
                 # rule; a step that fails is never kept
                 if sum(step) != self.values[self.depth + 1]:
@@ -286,7 +216,7 @@ class _GraeffeChain:
                         "value at z = 1 disagree")
                 self.poly = step
                 self.depth += 1
-            g = _graeffe_at_one(self.poly, self.ell)
+            g = polys.graeffe_at_one(self.poly, self.ell)
             if g == 0:
                 raise ArithmeticError(
                     f"level {level} norm vanished; tower invariants are "

@@ -5,8 +5,10 @@ Bareiss determinants over Z (the reference for the library's multi-modular
 engine), determinants of polynomial matrices by Bareiss at integer points
 and Lagrange interpolation over Fractions, brute-force spanning-tree
 enumeration, the table definition of P_a, Sylvester-matrix resultants over
-Fractions, and in-ring Galois-conjugate products.  None of it shares code
-paths with the library implementations it checks.
+Fractions, in-ring Galois-conjugate products, and the subresultant PRS
+with its Res(Phi_{l^i}, f), the reference for the library's Graeffe norms
+and its division-by-(1 - zeta) valuations.  None of it shares code paths
+with the library implementations it checks.
 """
 
 from __future__ import annotations
@@ -179,6 +181,194 @@ def sylvester_resultant(f: list[int], g: list[int]) -> int:
     for i in range(m):
         rows.append([0] * i + grev + [0] * (size - i - n - 1))
     return det_fraction_gauss(rows)
+
+
+def _mul(p: list[int], q: list[int]) -> list[int]:
+    # schoolbook, so the PRS shares no product with the library
+    out = [0] * (len(p) + len(q) - 1) if p and q else []
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return _trim(out)
+
+
+def _trim(p: list[int]) -> list[int]:
+    n = len(p)
+    while n and p[n - 1] == 0:
+        n -= 1
+    return p[:n]
+
+
+def content(p: list[int]) -> int:
+    g = 0
+    for c in p:
+        g = math.gcd(g, c)
+    return g
+
+
+def divexact_scalar(p: list[int], c: int) -> list[int]:
+    out = []
+    for a in p:
+        q, r = divmod(a, c)
+        if r:
+            raise ArithmeticError("inexact scalar division of polynomial")
+        out.append(q)
+    return out
+
+
+def prem(a: list[int], b: list[int]) -> list[int]:
+    """Pseudo-remainder: lc(b)**(deg a - deg b + 1) * a mod b."""
+    da, db = len(a) - 1, len(b) - 1
+    if da < db:
+        raise ValueError("prem requires deg a >= deg b")
+    lc = b[-1]
+    r = list(a)
+    for k in range(da - db, -1, -1):
+        top = r[db + k]
+        for i in range(len(r)):
+            r[i] *= lc
+        if top:
+            for i, bc in enumerate(b):
+                r[k + i] -= top * bc
+        r[db + k] = 0
+    return _trim(r)
+
+
+def resultant(a: list[int], b: list[int]) -> int:
+    """Resultant of two integer polynomials via the subresultant PRS
+    (fraction-free, Collins/Brown)."""
+    a, b = _trim(list(a)), _trim(list(b))
+    if not a or not b:
+        return 0
+    da, db = len(a) - 1, len(b) - 1
+    if da == 0 and db == 0:
+        return 1
+    sign = 1
+    if da < db:
+        a, b = b, a
+        if (da * db) % 2:
+            sign = -sign
+        da, db = db, da
+    if db == 0:
+        return sign * b[0] ** da
+    ca, cb = content(a), content(b)
+    a = divexact_scalar(a, ca)
+    b = divexact_scalar(b, cb)
+    acc = sign * ca ** db * cb ** da
+    g = h = 1
+    while True:
+        da, db = len(a) - 1, len(b) - 1
+        delta = da - db
+        if (da % 2) and (db % 2):
+            acc = -acc
+        r = prem(a, b)
+        if not r:
+            return 0
+        a = b
+        b = divexact_scalar(r, g * h ** delta)
+        g = a[-1]
+        if delta == 1:
+            h = g
+        elif delta > 1:
+            hq, hr = divmod(g ** delta, h ** (delta - 1))
+            if hr:
+                raise ArithmeticError("subresultant PRS bookkeeping failed")
+            h = hq
+        if len(b) - 1 == 0:
+            break
+    da = len(a) - 1
+    num = b[0] ** da
+    if da >= 1:
+        q, rem = divmod(num, h ** (da - 1))
+        if rem:
+            raise ArithmeticError("subresultant PRS bookkeeping failed")
+        num = q
+    return acc * num
+
+
+def _strip(r: list[int], e: int, lead: int) -> tuple[list[int], int]:
+    # value r / lead**e; peel exact factors of lead to keep sizes down
+    if abs(lead) == 1:
+        if lead == -1 and e % 2:
+            r = [-c for c in r]
+        return r, 0
+    while e > 0 and r and all(c % lead == 0 for c in r):
+        r = [c // lead for c in r]
+        e -= 1
+    return r, e
+
+
+def _scaled_reduce(p: list[int], e: int, f: list[int]) -> tuple[list[int], int]:
+    d = len(f) - 1
+    if len(p) - 1 >= d:
+        t = len(p) - 1 - d + 1
+        p = prem(p, f)
+        e += t
+    return _strip(p, e, f[-1])
+
+
+def _phi_mod_f(ell: int, i: int, f: list[int]) -> tuple[list[int], int]:
+    """Phi_{l^i} mod f as a scaled pair (r, e) meaning r / lc(f)**e.
+
+    Dense quotients use one literal pseudo-division of the sparse Phi;
+    low-degree f goes through modular exponentiation of y instead.
+    """
+    step = ell ** (i - 1)
+    deg_phi = (ell - 1) * step
+    d = len(f) - 1
+    cost_literal = (deg_phi - d + 1) * (d + 1)
+    cost_modexp = (step.bit_length() + ell) * (d + 1) ** 2 * 4
+    if cost_literal <= cost_modexp:
+        phi = [0] * (deg_phi + 1)
+        for j in range(ell):
+            phi[j * step] = 1
+        return _scaled_reduce(phi, 0, f)
+    # y**step mod f by square-and-multiply, in scaled form
+    base, be = _scaled_reduce([0, 1], 0, f)
+    out, oe = [1], 0
+    e = step
+    while e:
+        if e & 1:
+            out, oe = _scaled_reduce(_mul(out, base), oe + be, f)
+        e >>= 1
+        if e:
+            base, be = _scaled_reduce(_mul(base, base), 2 * be, f)
+    # Phi mod f = sum of (y**step)**j for j < l, by Horner
+    acc, ae = [1], 0
+    for _ in range(ell - 1):
+        acc, ae = _scaled_reduce(_mul(acc, out), ae + oe, f)
+        acc = list(acc) or [0]
+        acc[0] += f[-1] ** ae
+        acc = _trim(acc)
+    return _strip(acc, ae, f[-1])
+
+
+def resultant_with_phi(ell: int, i: int, f: list[int]) -> int:
+    """Res_y(Phi_{l^i}(y), f(y)) for any integer polynomial f, exact: the
+    product of f over all primitive l^i-th roots of unity, i.e. the norm
+    of f(zeta) from Q(zeta) down to Q."""
+    f = _trim(list(f))
+    deg_phi = ell ** i - ell ** (i - 1)
+    if not f:
+        return 0
+    d = len(f) - 1
+    if d == 0:
+        return f[0] ** deg_phi
+    r, e = _phi_mod_f(ell, i, f)
+    if not r:
+        return 0
+    lead = f[-1]
+    sign = -1 if (deg_phi % 2) and (d % 2) else 1
+    res_fr = resultant(f, r)
+    # Res(Phi, f) = sign * lc(f)**(deg_phi - deg r) * Res(f, Phi mod f)
+    # and (Phi mod f) = r / lead**e contributes lead**(-e*d).
+    exp = deg_phi - (len(r) - 1) - e * d
+    if exp >= 0:
+        return sign * lead ** exp * res_fr
+    q, rem = divmod(sign * res_fr, lead ** (-exp))
+    if rem:
+        raise ArithmeticError("resultant scaling was not exact")
+    return q
 
 
 def conjugate_product_norm(ell: int, i: int, coeffs) -> int:

@@ -8,7 +8,7 @@ from graph_iwasawa import multigraph_to_json, bouquet, cayley_serre, voltage_to_
 from graph_iwasawa import (Multigraph, VoltageGraph, multigraph_from_json,
                            voltage_from_json)
 from graph_iwasawa import cycle_graph, report_from_json, report_to_json
-from graph_iwasawa import TowerSpec, cli, norm_bits_bound, towers, zeta
+from graph_iwasawa import TowerSpec, cli, norm_bits_bound, polys, towers, zeta
 from graph_iwasawa.cli import main, _format_kappa, _trial_factor
 from graph_iwasawa.polys import unlimited_digits
 
@@ -221,10 +221,6 @@ def test_integers_past_the_str_digit_limit(tmp_path, capsys):
     assert code == 1 and "Exceeds the limit" in err
 
 
-# the entry points of the level table's Graeffe chain
-CHAIN = ("_chain", "_graeffe_step", "_graeffe_at_one")
-
-
 def _forbid(monkeypatch, module, *names):
     def boom(*args, **kwargs):
         raise AssertionError("work started before the size check")
@@ -232,10 +228,17 @@ def _forbid(monkeypatch, module, *names):
         monkeypatch.setattr(module, name, boom)
 
 
+def _forbid_chain(monkeypatch):
+    # the level table's Graeffe chain and the kernel it steps with
+    _forbid(monkeypatch, towers, "_chain")
+    _forbid(monkeypatch, polys, "graeffe", "graeffe_at_one")
+
+
 @pytest.mark.parametrize("command", ["kappa", "tower"])
 def test_budget_refused_before_any_work(monkeypatch, capsys, command):
     # N_9 has 31 374 bits; its a-priori bound is over a 30 000-bit budget
-    _forbid(monkeypatch, towers, "level_norm", "level_valuation", *CHAIN)
+    _forbid(monkeypatch, towers, "level_norm", "level_valuation")
+    _forbid_chain(monkeypatch)
     estimate = norm_bits_bound(TowerSpec(3, (1, 4, 20)), 9)
     code, out, err = run(capsys, command, "-l", "3", "-a", "1,4,20", "-n",
                          "9", "--budget-bits", "30000")
@@ -245,7 +248,8 @@ def test_budget_refused_before_any_work(monkeypatch, capsys, command):
 
 def test_budget_refuses_a_deep_level_at_once(monkeypatch, capsys):
     # the bound of level 10^8 is never built: 3^(10^8) alone takes minutes
-    _forbid(monkeypatch, towers, "norm_bits_bound", *CHAIN)
+    _forbid(monkeypatch, towers, "norm_bits_bound")
+    _forbid_chain(monkeypatch)
     code, _, err = run(capsys, "kappa", "-l", "3", "-a", "1,1", "-n",
                        "100000000")
     assert code == 1
@@ -255,7 +259,8 @@ def test_budget_refuses_a_deep_level_at_once(monkeypatch, capsys):
 def test_tower_budget_covers_levels_below_n0(monkeypatch, capsys):
     # tower -n 1 still evaluates v_1..v_4 below n0_certified = 5, and the
     # level-4 norm may have 25 bits: refused before any of them is taken
-    _forbid(monkeypatch, towers, "level_norm", "level_valuation", *CHAIN)
+    _forbid(monkeypatch, towers, "level_norm", "level_valuation")
+    _forbid_chain(monkeypatch)
     code, out, err = run(capsys, "tower", "-l", "2", "-a", "3,5", "-n", "1",
                          "--budget-bits", "5")
     assert code == 1 and out == ""
@@ -265,7 +270,8 @@ def test_tower_budget_covers_levels_below_n0(monkeypatch, capsys):
 def test_tower_refuses_a_big_q_before_building_it(monkeypatch, capsys):
     # Q(T) of a = (1, 100000) has some 1.5e10 bits by q_bits_bound: refused
     # before P_100000 or any level is built
-    _forbid(monkeypatch, towers, "p_poly", "q_poly", "_law", *CHAIN)
+    _forbid(monkeypatch, towers, "p_poly", "q_poly", "_law")
+    _forbid_chain(monkeypatch)
     estimate = towers.q_bits_bound(TowerSpec(2, (1, 100000)))
     code, out, err = run(capsys, "tower", "-l", "2", "-a", "1,100000",
                          "-n", "1")

@@ -21,12 +21,12 @@ from graph_iwasawa import (
     ord_L,
     ord_int,
     phi_poly,
-    resultant_with_phi,
     zeta_gen,
 )
-from graph_iwasawa import polys
+from graph_iwasawa import cyclotomic, polys
 from graph_iwasawa.cyclotomic import euler_phi_prime_power
-from oracles import conjugate_product_norm, sylvester_resultant
+from oracles import (conjugate_product_norm, resultant_with_phi,
+                     sylvester_resultant)
 
 
 def test_phi_poly_examples():
@@ -127,6 +127,33 @@ def test_norm_against_conjugate_product():
             assert norm(x) == conjugate_product_norm(ell, i, x.coeffs)
 
 
+def _one_minus_zeta(ell, i):
+    return cyc_sub(cyc_one(ell, i), zeta_gen(ell, i))
+
+
+@pytest.mark.parametrize("ell", [2, 3, 5, 7, 13])
+@pytest.mark.parametrize("i", [1, 2, 3])
+def test_norm_descent_matches_the_oracles(ell, i):
+    rng = random.Random(100 * ell + i)
+    deg = euler_phi_prime_power(ell, i)
+    # 1 - zeta, -3(1 - zeta) and eps(1) vanish at y = 1, and so does every
+    # level-1 element the descent reaches from them; at level 1 so does
+    # 1 - zeta + zeta^2 - zeta^3 for l = 5
+    elems = [_one_minus_zeta(ell, i), cyc_from_poly(ell, i, [-3, 3]),
+             cyc_from_poly(ell, i, [1, -1, 1, -1]), epsilon(ell, i, 1),
+             cyc_from_poly(ell, i, [rng.randint(-4, 4)
+                                    for _ in range(min(deg, 40))])]
+    for _ in range(2):
+        elems.append(cyc_from_poly(ell, i, [rng.randint(-9, 9)
+                                            for _ in range(rng.randint(1, 8))]))
+    for x in elems:
+        n = norm(x)
+        assert n == resultant_with_phi(ell, i, polys.trim(list(x.coeffs))), x
+        if deg <= 42:
+            assert n == conjugate_product_norm(ell, i, x.coeffs), x
+    assert norm(elems[0]) == ell
+
+
 def test_resultant_with_phi_against_sylvester():
     rng = random.Random(4)
     for ell, i in ((2, 2), (3, 1), (3, 2), (5, 1)):
@@ -188,6 +215,68 @@ def test_ord_L_ultrametric():
         assert vs >= min(vx, vy)
         if vx != vy:
             assert vs == min(vx, vy)
+
+
+
+def _criterion_6_elements():
+    # the distinct eps(a) of acceptance criterion 6: l in {2, 3, 5}, i <= 4
+    for ell in (2, 3, 5):
+        for i in range(1, 5):
+            for r in range(1, ell ** i // 2 + 1):
+                yield epsilon(ell, i, r)
+
+
+def test_ord_L_matches_the_norm_oracle_on_criterion_6():
+    for x in _criterion_6_elements():
+        if x.is_zero():
+            assert ord_L(x) == INFINITY
+            continue
+        expected = ord_int(resultant_with_phi(
+            x.ell, x.level, polys.trim(list(x.coeffs))), x.ell)
+        assert ord_L(x) == expected, x
+
+
+@given(st.sampled_from([(2, 4), (3, 2), (3, 3), (5, 2), (7, 1), (13, 1)]),
+       st.lists(st.integers(-30, 30), min_size=1, max_size=12),
+       st.integers(0, 6))
+@settings(max_examples=80)
+def test_ord_L_matches_the_norm_oracle(level, coeffs, k):
+    ell, i = level
+    # times (1 - zeta)^k, so valuations past 0 are common
+    x = cyc_mul(cyc_from_poly(ell, i, coeffs),
+                cyc_pow(_one_minus_zeta(ell, i), k))
+    if x.is_zero():
+        assert ord_L(x) == INFINITY
+        return
+    n = resultant_with_phi(ell, i, polys.trim(list(x.coeffs)))
+    assert ord_L(x) == ord_int(n, ell)
+
+
+def test_ord_L_of_a_high_power_of_l():
+    # phi = 54 at (3, 4): 40 divisions by l, then two by 1 - zeta
+    x = cyc_scale(epsilon(3, 4, 1), 3 ** 40)
+    assert ord_L(x) == 40 * 54 + 2
+    assert ord_L(cyc_scale(_one_minus_zeta(3, 4), -(3 ** 40))) == 40 * 54 + 1
+
+
+def test_ord_L_takes_no_norm(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("ord_L took a norm")
+
+    monkeypatch.setattr(cyclotomic, "norm", forbidden)
+    for name in ("graeffe", "graeffe_at_one"):
+        monkeypatch.setattr(polys, name, forbidden, raising=False)
+    assert ord_L(epsilon(3, 3, 9)) == 18
+    assert ord_L(cyc_from_poly(5, 2, [7, 1, 0, 3])) == 0
+    assert ord_L(cyc_pow(_one_minus_zeta(5, 2), 7)) == 7
+
+
+def test_ord_L_raises_when_an_l_free_element_is_divisible_by_l(monkeypatch):
+    # (1 - zeta)^phi is l times a unit; a wrong content must not go unseen
+    monkeypatch.setattr(cyclotomic, "ord_int", lambda n, ell: 0)
+    x = cyc_scale(cyc_one(3, 2), 3)
+    with pytest.raises(ArithmeticError, match="divisible by l"):
+        ord_L(x)
 
 
 def _valua_expected(ell, i, a):

@@ -34,7 +34,7 @@ from graph_iwasawa import (
 from graph_iwasawa.cyclotomic import euler_phi_prime_power
 from graph_iwasawa.towers import _jump_poly
 from graph_iwasawa import cli, cyclotomic, polys, towers
-from oracles import p_poly_table, sylvester_resultant
+from oracles import p_poly_table, resultant_with_phi, sylvester_resultant
 from test_acceptance import CORPUS, corpus_depth
 
 
@@ -318,23 +318,23 @@ def _count_calls(monkeypatch, name):
     return calls
 
 
-def _spy(monkeypatch, name):
+def _spy(monkeypatch, name, module=towers):
     calls = []
-    real = getattr(towers, name)
+    real = getattr(module, name)
 
     def spy(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(towers, name, spy)
+    monkeypatch.setattr(module, name, spy)
     return calls
 
 
 def test_one_level_table(monkeypatch, fresh_table):
     spec = TowerSpec(2, (3, 5))
     n = 7
-    steps = _spy(monkeypatch, "_graeffe_step")
-    at_one = _spy(monkeypatch, "_graeffe_at_one")
+    steps = _spy(monkeypatch, "graeffe", polys)
+    at_one = _spy(monkeypatch, "graeffe_at_one", polys)
     valuation_calls = _count_calls(monkeypatch, "level_valuation")
     for k in range(n + 1):
         kappa_exact(spec, k)
@@ -387,13 +387,13 @@ def test_consistency_ok_is_a_real_check(monkeypatch, fresh_table, capsys):
 
 def test_chain_raises_on_a_bad_step(monkeypatch, fresh_table):
     # a step whose G~(1) disagrees with the z = 1 rule names its level
-    real = towers._graeffe_step
+    real = polys.graeffe
 
     def off_by_one(p, ell):
         g = real(p, ell)
         return [g[0] + 1] + g[1:]
 
-    monkeypatch.setattr(towers, "_graeffe_step", off_by_one)
+    monkeypatch.setattr(polys, "graeffe", off_by_one)
     # and keeps raising: the cached chain never takes in the bad step
     for _ in range(2):
         with pytest.raises(ArithmeticError, match="level 1"):
@@ -401,7 +401,7 @@ def test_chain_raises_on_a_bad_step(monkeypatch, fresh_table):
 
 
 def _prs_norm(spec, i):
-    return abs(cyclotomic.resultant_with_phi(spec.ell, i, _jump_poly(spec)))
+    return abs(resultant_with_phi(spec.ell, i, _jump_poly(spec)))
 
 
 def test_chain_norms_match_the_prs_on_the_corpus():
@@ -425,12 +425,12 @@ def test_graeffe_step_is_a_resultant(ell, gens):
     # G(z0) = Res_x(x^l - z0, p), for one step and the next
     p = towers._reduced_jump_poly(TowerSpec(ell, gens))
     for _ in range(2):
-        g = towers._graeffe_step(p, ell)
+        g = polys.graeffe(p, ell)
         assert len(g) == len(p)
         for z0 in (-3, -1, 1, 2, 5):
             x = [-z0] + [0] * (ell - 1) + [1]
             assert polys.evaluate(g, z0) == sylvester_resultant(x, p), z0
-        assert polys.evaluate(g, 1) == towers._graeffe_at_one(p, ell)
+        assert polys.evaluate(g, 1) == polys.graeffe_at_one(p, ell)
         p = g
 
 
