@@ -16,6 +16,7 @@ import json
 import sys
 
 from . import serre, towers, voltage, zeta
+from .cyclotomic import ord_int
 from .polys import format_poly, poly_to_json, unlimited_digits
 
 DEFAULT_BUDGET_BITS = 1 << 26
@@ -35,10 +36,8 @@ def _trial_factor(n: int) -> list[tuple[int, int]] | None:
         if p * p > rem:
             break
         if rem % p == 0:
-            e = 0
-            while rem % p == 0:
-                rem //= p
-                e += 1
+            e = ord_int(rem, p)
+            rem //= p ** e
             out.append((p, e))
     if rem == 1:
         return out
@@ -62,10 +61,6 @@ def _small_primes() -> list[int]:
     return _SMALL_PRIMES
 
 
-def _format_kappa(n: int) -> str:
-    return _render_factors(n, _trial_factor(n))
-
-
 def _render_factors(n: int, fac: list[tuple[int, int]] | None) -> str:
     if fac is None:
         return str(n)
@@ -75,9 +70,10 @@ def _render_factors(n: int, fac: list[tuple[int, int]] | None) -> str:
 
 
 def _format_kappas(kappas):
-    """_format_kappa of each kappa_n in turn, without the trial division
-    that cannot succeed: once kappa_m is left unfactored its 10^6-rough
-    part is at least 10^12, and so is that of every multiple of it."""
+    """Each kappa_n in turn, factored when trial division up to 10^6
+    finishes it and in decimal otherwise, without the trial division that
+    cannot succeed: once kappa_m is left unfactored its 10^6-rough part is
+    at least 10^12, and so is that of every multiple of it."""
     unfactored = None
     for n in kappas:
         if unfactored is not None and n % unfactored == 0:
@@ -127,22 +123,13 @@ def _admit_q(spec: towers.TowerSpec, budget: int) -> None:
             f"of {budget} bits")
 
 
-def _admit_tower(spec: towers.TowerSpec, n: int, budget: int) -> None:
-    """Refuse up front a tower report whose norms or Q(T) may outgrow the
-    budget.  The deepest level is first bounded without Q; only if that
-    bound is refused, and Q is not, is Q built for the exact level."""
-    try:
-        _admit(spec, towers.deepest_level_bound(spec, n), budget)
-    except towers.BudgetExceededError:
-        if towers.q_bits_bound(spec) > budget:
-            raise
-        _admit(spec, towers.deepest_level(spec, n), budget)
-    _admit_q(spec, budget)
-
-
 def cmd_tower(args) -> int:
     spec = _spec(args)
-    _admit_tower(spec, args.levels, args.budget)
+    # below n0_certified no norm is taken: v_i divides f(zeta) by 1 - zeta
+    # at levels with phi(l^i) < 2 max|a| - 1, O(max|a|^2) work inside Q's
+    # bound, so N_n and Q bound all the work
+    _admit(spec, args.levels, args.budget)
+    _admit_q(spec, args.budget)
     report = towers.build_tower_report(spec, args.levels)
     with unlimited_digits():
         if args.format == "json":
@@ -188,7 +175,10 @@ def cmd_kappa(args) -> int:
                  "n": str(args.levels), "kappa": str(kappa)}, indent=2))
             sys.stdout.write("\n")
         else:
-            factored = _format_kappa(kappa)
+            # kappa_0..kappa_n come off the chain on the way to kappa_n, and
+            # an unfactored one spares trial division of the rest
+            *_, factored = _format_kappas(
+                towers.kappa_exact(spec, m) for m in range(args.levels + 1))
             if factored != str(kappa):
                 print(f"kappa_{args.levels} = {kappa} = {factored}")
             else:

@@ -19,10 +19,10 @@ P_a(eps(1)) = eps(a).  This module computes everything exactly:
   A step is one l x l fraction-free determinant (``polys.graeffe``); the
   deepest level asked for is the same determinant at z = 1, an integer
   circulant (``polys.graeffe_at_one``).
-* the per-level valuation v_i = ord_L(Q(eps)), read off Q's coefficients
-  as mu * phi(l^i) + lambda + 1 from the certified level on and evaluated
-  inside Z[zeta] below it by division by 1 - zeta, with no norm: an
-  independent route to ord_l(kappa_n) = -n + sum v_i;
+* the per-level valuation v_i = ord_L(Q(eps)) = ord_L(f(zeta)), read off
+  Q's coefficients as mu * phi(l^i) + lambda + 1 from the certified level
+  on and below it by dividing f(zeta) by 1 - zeta inside Z[zeta], with no
+  norm: an independent route to ord_l(kappa_n) = -n + sum v_i;
 * a certified stabilization level: the smallest i past which the
   ultrametric minimum is attained by a single term, so the affine formula
   provably holds for every larger level, not just the inspected ones.
@@ -155,17 +155,17 @@ def stabilization_level(q: list[int], ell: int) -> int:
 
 
 def level_valuation(spec: TowerSpec, i: int):
-    """v_i = ord_L(Q(eps)) inside Z[y]/Phi_{l^i}; its norm is +-N_i."""
+    """v_i = ord_L(f(zeta)) inside Z[y]/Phi_{l^i}, f the jump polynomial;
+    its norm is +-N_i.
+
+    f(zeta) = zeta^B * Q(eps(1)) with B = max|a|, since P_a(eps(1)) =
+    eps(a) makes Q(eps(1)) = sum_j eps(a_j): the same element up to a
+    unit, so no Q is built.
+    """
     if i < 1:
         raise ValueError("level must be >= 1")
-    q = _law(spec)[0]
-    eps = cyclotomic.epsilon(spec.ell, i, 1)
-    acc = cyclotomic.cyc_zero(spec.ell, i)
-    for c in reversed(q):
-        acc = cyclotomic.cyc_mul(acc, eps)
-        if c:
-            acc = cyclotomic.cyc_add(acc, cyclotomic.cyc_int(spec.ell, i, c))
-    return cyclotomic.ord_L(acc)
+    return cyclotomic.ord_L(
+        cyclotomic.cyc_from_poly(spec.ell, i, _jump_poly(spec)))
 
 
 def _jump_poly(spec: TowerSpec) -> list[int]:
@@ -294,28 +294,6 @@ def _valuation(spec: TowerSpec, i: int):
     if v == INFINITY:
         raise ArithmeticError(f"level {i} valuation is infinite")
     return v
-
-
-def deepest_level(spec: TowerSpec, n_max: int) -> int:
-    """Deepest level whose norm build_tower_report(spec, n_max) may take:
-    invariants() evaluates the valuations below n0_certified too."""
-    if spec.is_cycle_tower:
-        return n_max
-    return max(n_max, _law(spec)[3] - 1)
-
-
-def deepest_level_bound(spec: TowerSpec, n_max: int) -> int:
-    """An upper bound on deepest_level(spec, n_max) that builds no Q:
-    n0_certified is at most the first i with phi(l^i) >= 2 max|a| - 1.
-    There every term j < j* of Q(eps), whose coefficient has a larger
-    valuation than mu, is dominated, since j* <= deg Q = max|a|."""
-    if spec.is_cycle_tower:
-        return n_max
-    i = 1
-    while (cyclotomic.euler_phi_prime_power(spec.ell, i)
-           < 2 * max(spec.magnitudes) - 1):
-        i += 1
-    return max(n_max, i - 1)
 
 
 def _ords(vs) -> list[int]:
@@ -458,7 +436,8 @@ def build_tower_report(spec: TowerSpec, n_max: int) -> TowerReport:
 
     consistency_ok compares ord_l of kappa_n, read off the Graeffe chain,
     with -n + sum v_i, whose v_i come from Q's coefficients and, below
-    n0_certified, from ord_L in Z[zeta]: two unrelated algorithms.
+    n0_certified, from ord_L of f(zeta) in Z[zeta]: two unrelated
+    algorithms.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")

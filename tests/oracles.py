@@ -4,11 +4,13 @@ Everything here is deliberately naive: Leibniz determinants, fraction-free
 Bareiss determinants over Z (the reference for the library's multi-modular
 engine), determinants of polynomial matrices by Bareiss at integer points
 and Lagrange interpolation over Fractions, brute-force spanning-tree
-enumeration, the table definition of P_a, Sylvester-matrix resultants over
-Fractions, in-ring Galois-conjugate products, and the subresultant PRS
-with its Res(Phi_{l^i}, f), the reference for the library's Graeffe norms
-and its division-by-(1 - zeta) valuations.  None of it shares code paths
-with the library implementations it checks.
+enumeration, the table definition of P_a, Q(eps) by Horner's rule (the
+reference for the level valuations, which the library takes of f(zeta)),
+Sylvester-matrix resultants over Fractions, in-ring Galois-conjugate
+products, and the subresultant PRS with its Res(Phi_{l^i}, f), the
+reference for the library's Graeffe norms and its division-by-(1 - zeta)
+valuations.  None of it shares code paths with the library
+implementations it checks.
 """
 
 from __future__ import annotations
@@ -387,6 +389,18 @@ def conjugate_product_norm(ell: int, i: int, coeffs) -> int:
     tail = list(prod.coeffs)[1:]
     assert all(c == 0 for c in tail), "conjugate product is not rational"
     return prod.coeffs[0]
+
+
+def q_at_epsilon(spec, i: int):
+    """Q(eps(1)) in Z[y]/Phi_{l^i}, by Horner's rule over Q's coefficients:
+    the element whose valuation is v_i, built from Q, not from the jumps."""
+    from graph_iwasawa import (cyc_add, cyc_int, cyc_mul, cyc_zero, epsilon,
+                               q_poly)
+    eps = epsilon(spec.ell, i, 1)
+    acc = cyc_zero(spec.ell, i)
+    for c in reversed(q_poly(spec)):
+        acc = cyc_add(cyc_mul(acc, eps), cyc_int(spec.ell, i, c))
+    return acc
 
 
 def random_base_multigraph(rng, max_vertices=4, max_edges=10) -> Multigraph:

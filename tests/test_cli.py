@@ -9,7 +9,7 @@ from graph_iwasawa import (Multigraph, VoltageGraph, multigraph_from_json,
                            voltage_from_json)
 from graph_iwasawa import cycle_graph, report_from_json, report_to_json
 from graph_iwasawa import TowerSpec, cli, norm_bits_bound, polys, towers, zeta
-from graph_iwasawa.cli import main, _format_kappa, _trial_factor
+from graph_iwasawa.cli import main, _format_kappas, _trial_factor
 from graph_iwasawa.polys import unlimited_digits
 
 
@@ -22,12 +22,12 @@ def run(capsys, *argv):
 def test_trial_factoring():
     assert _trial_factor(1) == []
     assert _trial_factor(2 ** 34 * 577 ** 2) == [(2, 34), (577, 2)]
-    assert _format_kappa(2 ** 6 * 3 ** 13 * 176417 ** 2) \
-        == "2^6 * 3^13 * 176417^2"
+    assert list(_format_kappas([2 ** 6 * 3 ** 13 * 176417 ** 2])) \
+        == ["2^6 * 3^13 * 176417^2"]
     # two > 10^6 prime factors cannot be completed: raw decimal
     n = 1000003 * 1000033
     assert _trial_factor(n) is None
-    assert _format_kappa(n) == str(n)
+    assert list(_format_kappas([n])) == [str(n)]
     # a single large cofactor below 10^12 is necessarily prime
     assert _trial_factor(1000003) == [(1000003, 1)]
 
@@ -257,14 +257,15 @@ def test_budget_refuses_a_deep_level_at_once(monkeypatch, capsys):
 
 
 def test_tower_budget_covers_levels_below_n0(monkeypatch, capsys):
-    # tower -n 1 still evaluates v_1..v_4 below n0_certified = 5, and the
-    # level-4 norm may have 25 bits: refused before any of them is taken
-    _forbid(monkeypatch, towers, "level_norm", "level_valuation")
+    # tower -n 1 still evaluates v_1..v_4 below n0_certified = 5, by
+    # division of f(zeta) by 1 - zeta, no norm; Q(T) bounds that work, and
+    # at 60 bits it is over a 5-bit budget: refused before any of it
+    _forbid(monkeypatch, towers, "level_norm", "level_valuation", "_law")
     _forbid_chain(monkeypatch)
     code, out, err = run(capsys, "tower", "-l", "2", "-a", "3,5", "-n", "1",
                          "--budget-bits", "5")
     assert code == 1 and out == ""
-    assert "level 4" in err and "budget of 5 bits" in err
+    assert "Q(T)" in err and "budget of 5 bits" in err
 
 
 def test_tower_refuses_a_big_q_before_building_it(monkeypatch, capsys):
@@ -281,18 +282,17 @@ def test_tower_refuses_a_big_q_before_building_it(monkeypatch, capsys):
 
 def test_tower_builds_q_for_the_exact_level_when_the_bound_is_refused(
         capsys):
-    # a = (0 x100, 3): the a-priori deepest level 3 may have 37 bits, but
-    # Q(T) fits in 36, and with Q n0_certified = 1: nothing past level 1
+    # a = (0 x100, 3): level 1 and Q(T) fit in 36 bits, and with Q
+    # n0_certified = 1, so no level past 1 is evaluated
     spec = TowerSpec(2, (0,) * 100 + (3,))
-    assert towers.deepest_level_bound(spec, 1) == 3
-    assert norm_bits_bound(spec, 3) == 37 and towers.q_bits_bound(spec) == 36
+    assert norm_bits_bound(spec, 1) <= 36 and towers.q_bits_bound(spec) == 36
     gens = ",".join(map(str, spec.generators))
     code, out, _ = run(capsys, "tower", "-l", "2", "-a", gens, "-n", "1",
                        "--budget-bits", "36", "--format", "csv")
     assert code == 0 and out.startswith("n,ord_kappa,fit")
     code, _, err = run(capsys, "tower", "-l", "2", "-a", gens, "-n", "1",
                        "--budget-bits", "35")
-    assert code == 1 and "level 3" in err
+    assert code == 1 and "Q(T)" in err
 
 
 def test_budget_admits_the_q_it_bounds(capsys):
@@ -325,6 +325,27 @@ def test_text_stops_trial_division_past_the_first_unfactored_kappa(
     # the skipped levels print raw, as trial division would have left them
     for k in kappas[first:]:
         assert f"  {k}\n" in out
+
+
+def test_kappa_text_never_trial_divides_an_unfactorable_kappa(
+        monkeypatch, capsys):
+    # kappa_1..kappa_8 are rendered on the way to kappa_9; one of them is
+    # left unfactored and divides kappa_9, so kappa_9 prints raw untried
+    calls = []
+    real = cli._trial_factor
+
+    def spy(n):
+        calls.append(n)
+        return real(n)
+
+    monkeypatch.setattr(cli, "_trial_factor", spy)
+    spec = TowerSpec(3, (1, 4, 20))
+    kappa = towers.kappa_exact(spec, 9)
+    code, out, _ = run(capsys, "kappa", "-l", "3", "-a", "1,4,20", "-n", "9")
+    assert code == 0
+    assert not any(n == kappa for n in calls)
+    with unlimited_digits():
+        assert out == f"kappa_9 = {kappa}\n"
 
 
 def test_budget_admits_the_level_it_bounds(capsys):

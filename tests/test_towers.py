@@ -34,7 +34,8 @@ from graph_iwasawa import (
 from graph_iwasawa.cyclotomic import euler_phi_prime_power
 from graph_iwasawa.towers import _jump_poly
 from graph_iwasawa import cli, cyclotomic, polys, towers
-from oracles import p_poly_table, resultant_with_phi, sylvester_resultant
+from oracles import (p_poly_table, q_at_epsilon, resultant_with_phi,
+                     sylvester_resultant)
 from test_acceptance import CORPUS, corpus_depth
 
 
@@ -145,6 +146,39 @@ def test_level_valuation_affine_past_stabilization():
         for i in (istar, istar + 1, istar + 2):
             expected = mu * euler_phi_prime_power(spec.ell, i) + lam + 1
             assert level_valuation(spec, i) == expected
+
+
+def test_level_valuation_matches_q_at_epsilon_on_the_corpus():
+    for ell, gens in CORPUS:
+        spec = TowerSpec(ell, gens)
+        for i in range(1, invariants(spec).n0_certified + 3):
+            assert level_valuation(spec, i) \
+                == cyclotomic.ord_L(q_at_epsilon(spec, i)), (ell, gens, i)
+
+
+def test_sum_of_epsilons_is_q_at_epsilon_and_f_at_zeta():
+    # Q(eps(1)) = sum_j eps(a_j) = zeta^-B f(zeta), B = max |a_j|
+    for ell, gens in CORPUS + [(2, (1, 0))]:
+        spec = TowerSpec(ell, gens)
+        for i in range(1, 4):
+            total = cyc_int(ell, i, 0)
+            for a in gens:
+                total = cyclotomic.cyc_add(total, epsilon(ell, i, a))
+            assert total == q_at_epsilon(spec, i), (ell, gens, i)
+            shift = cyclotomic.cyc_pow(cyclotomic.zeta_gen(ell, i),
+                                       max(spec.magnitudes))
+            assert cyclotomic.cyc_mul(shift, total) \
+                == cyclotomic.cyc_from_poly(ell, i, _jump_poly(spec))
+
+
+def test_level_valuation_builds_no_q(monkeypatch):
+    def boom(*args):
+        raise AssertionError("level_valuation built Q(eps)")
+    monkeypatch.setattr(towers, "_law", boom)
+    monkeypatch.setattr(towers, "q_poly", boom)
+    monkeypatch.setattr(cyclotomic, "cyc_mul", boom)
+    assert level_valuation(TowerSpec(2, (3, 5)), 1) == 3
+    assert level_valuation(TowerSpec(2, (3, 301)), 5) == 32
 
 
 def test_jump_poly_zero_generator_drops_out():
@@ -434,17 +468,6 @@ def test_graeffe_step_is_a_resultant(ell, gens):
         p = g
 
 
-def test_deepest_level_covers_n0_certified():
-    for ell, gens in CORPUS + [(2, (1, 400)), (3, (1, 1, 1)), (7, (2, 9))]:
-        spec = TowerSpec(ell, gens)
-        n0 = invariants(spec).n0_certified
-        for n in (1, 20):
-            exact = towers.deepest_level(spec, n)
-            assert exact == max(n, n0 - 1)
-            assert towers.deepest_level_bound(spec, n) >= exact
-        assert towers.deepest_level_bound(spec, 20) == 20
-
-
 def test_q_bits_bound():
     # |coefficient k of P_a| = 2a*C(a+k, 2k)/(a+k) < 2^(a+k)
     for a in [*range(150), 500, 1000]:
@@ -510,6 +533,13 @@ def test_norm_bits_bound_is_an_upper_bound(spec):
 
 
 @given(tower_specs())
+def test_level_valuation_matches_q_at_epsilon(spec):
+    for i in _shallow_levels(spec.ell):
+        assert level_valuation(spec, i) \
+            == cyclotomic.ord_L(q_at_epsilon(spec, i))
+
+
+@given(tower_specs())
 def test_kappa_divides_the_next_level(spec):
     kappas = [kappa_exact(spec, n)
               for n in range(_shallow_levels(spec.ell)[-1] + 1)]
@@ -531,7 +561,6 @@ def test_certified_formula_past_stabilization(spec):
 @given(tower_specs(), st.data())
 def test_report_json_round_trip(spec, data):
     n = data.draw(st.sampled_from(_shallow_levels(spec.ell)))
-    assume(towers.deepest_level(spec, n) in _shallow_levels(spec.ell))
     report = build_tower_report(spec, n)
     again = report_from_json(json.loads(json.dumps(report_to_json(report))))
     assert again == report
@@ -540,7 +569,6 @@ def test_report_json_round_trip(spec, data):
 @given(tower_specs(), st.data())
 def test_repeated_tower_runs_print_the_same_bytes(spec, data):
     n = data.draw(st.sampled_from(_shallow_levels(spec.ell)))
-    assume(towers.deepest_level(spec, n) in _shallow_levels(spec.ell))
     fmt = data.draw(st.sampled_from(("text", "json", "csv")))
     argv = ["tower", "-l", str(spec.ell),
             f"--generators={','.join(map(str, spec.generators))}",
