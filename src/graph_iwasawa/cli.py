@@ -2,8 +2,8 @@
 
 Subcommands: tower, kappa, zeta, cover-verify, export-dot.  All output is
 deterministic: identical invocations produce identical bytes.  Integers
-are printed in full decimal, however many digits they have.  --parallel
-is accepted for compatibility and has no effect.
+are printed in full decimal, however many digits they have.  tower's
+--parallel is accepted for compatibility and has no effect.
 Sizes (--budget-bits, --cap-vertices) are checked here, before any work.
 Exit codes: 0 success (tower: full fit verified), 1 invalid input, usage
 or size, 2 verification or internal consistency failure.
@@ -257,22 +257,16 @@ def cmd_export_dot(args) -> int:
     return 0
 
 
-def _add_tower_flags(p: argparse.ArgumentParser, levels_required=True) -> None:
+def _add_tower_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("-l", "--prime", type=int, required=True)
     p.add_argument("-a", "--generators", type=str, required=True,
                    help="comma-separated integers, negatives allowed")
-    p.add_argument("-n", "--levels", type=int,
-                   required=levels_required, default=0)
+    p.add_argument("-n", "--levels", type=int, required=True)
 
 
-def _add_common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--format", choices=("text", "json", "csv"),
-                   default="text")
-    p.add_argument("--cap-vertices", type=int, default=serre.DEFAULT_VERTEX_CAP)
+def _add_budget_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument("--budget-bits", type=int, dest="budget",
                    metavar="BUDGET_BITS", default=DEFAULT_BUDGET_BITS)
-    p.add_argument("--parallel", action="store_true",
-                   help="accepted, no effect")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -284,29 +278,35 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tower", help="full per-level table and invariants")
     _add_tower_flags(p)
-    _add_common_flags(p)
+    p.add_argument("--format", choices=("text", "json", "csv"), default="text")
+    _add_budget_flag(p)
+    p.add_argument("--parallel", action="store_true",
+                   help="accepted, no effect")
     p.set_defaults(func=cmd_tower)
 
     p = sub.add_parser("kappa", help="a single spanning-tree count")
     _add_tower_flags(p)
-    _add_common_flags(p)
+    p.add_argument("--format", choices=("text", "json"), default="text")
+    _add_budget_flag(p)
     p.set_defaults(func=cmd_kappa)
 
     p = sub.add_parser("zeta", help="zeta polynomial of a multigraph file")
     p.add_argument("graph_file")
-    _add_common_flags(p)
+    p.add_argument("--format", choices=("text", "json"), default="text")
+    p.add_argument("--cap-vertices", type=int, default=serre.DEFAULT_VERTEX_CAP)
     p.set_defaults(func=cmd_zeta)
 
     p = sub.add_parser("cover-verify",
                        help="check factorization identities for a voltage "
                             "graph file")
     p.add_argument("voltage_file")
-    _add_common_flags(p)
+    p.add_argument("--format", choices=("text", "json"), default="text")
+    p.add_argument("--cap-vertices", type=int, default=serre.DEFAULT_VERTEX_CAP)
     p.set_defaults(func=cmd_cover_verify)
 
     p = sub.add_parser("export-dot", help="DOT of the level-n cover")
     _add_tower_flags(p)
-    _add_common_flags(p)
+    p.add_argument("--cap-vertices", type=int, default=serre.DEFAULT_VERTEX_CAP)
     p.set_defaults(func=cmd_export_dot)
 
     return top

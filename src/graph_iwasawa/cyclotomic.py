@@ -18,13 +18,35 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from . import linalg, polys
+from . import polys
 
 INFINITY = math.inf
 
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
 
 def is_prime(n: int) -> bool:
-    return linalg._is_prime(n)
+    """Miller-Rabin on bases 2..37, deterministic below 3.1 * 10^23."""
+    if n < 2:
+        return False
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def euler_phi_prime_power(ell: int, i: int) -> int:

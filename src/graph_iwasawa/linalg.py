@@ -26,35 +26,11 @@ import math
 
 import numpy as np
 
+from .cyclotomic import is_prime
+
 # Byte cap on the band array of one chunk of prime lanes in det_crt (a
 # chunk has at least one lane, whatever the cap).
 BAND_BYTES_CAP = 8 << 20
-
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for p in _MR_BASES:
-        if n % p == 0:
-            return n == p
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
 
 _PRIME_CACHE: list[int] = []
 
@@ -63,7 +39,7 @@ def crt_primes(count: int) -> list[int]:
     """Deterministic list of 31-bit primes, largest first."""
     cand = _PRIME_CACHE[-1] - 2 if _PRIME_CACHE else (1 << 31) - 1
     while len(_PRIME_CACHE) < count:
-        if _is_prime(cand):
+        if is_prime(cand):
             _PRIME_CACHE.append(cand)
         cand -= 2
     return _PRIME_CACHE[:count]

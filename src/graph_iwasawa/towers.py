@@ -26,12 +26,15 @@ P_a(eps(1)) = eps(a).  This module computes everything exactly:
 * a certified stabilization level: the smallest i past which the
   ultrametric minimum is attained by a single term, so the affine formula
   provably holds for every larger level, not just the inspected ones.
+
+One level table per spec (``_tower``), grown on demand, holds all three.
+The cycle tower (t = 1) takes the same route: Q = P_|a| has the l-unit a^2
+as its linear coefficient, so mu = 0, lambda = 1 and n0_certified = 1.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -190,18 +193,21 @@ def _reduced_jump_poly(spec: TowerSpec) -> list[int]:
     return q
 
 
-class _GraeffeChain:
-    """g_k = G~^k(1) = prod over the l^k-th roots of unity w of f~(w), for
-    G~^0 = f~ and G~^k = Graeffe_l(G~^(k-1)): the l-th roots of the
-    l^(k-1)-th roots of unity are the l^k-th ones.  Grown on demand; the
-    deepest g_k asked for is read at z = 1 without its step, and only the
-    deepest polynomial is kept."""
+class _Tower:
+    """One tower's level table, grown on demand: the Graeffe chain
+    g_k = G~^k(1) = prod over the l^k-th roots of unity w of f~(w), for
+    G~^0 = f~ and G~^k = Graeffe_l(G~^(k-1)) (the l-th roots of the
+    l^(k-1)-th roots of unity are the l^k-th ones), Q's law, and
+    ord_l(kappa_n) from the valuations alone.  The deepest g_k asked for is
+    read at z = 1 without its step; only the deepest polynomial is kept."""
 
     def __init__(self, spec: TowerSpec):
+        self.spec = spec
         self.ell = spec.ell
         self.poly = _reduced_jump_poly(spec)  # G~^depth
         self.depth = 0
         self.values = [sum(self.poly)]
+        self._ords = [0]
 
     def value(self, k: int) -> int:
         while len(self.values) <= k:
@@ -241,12 +247,32 @@ class _GraeffeChain:
         # l^n kappa_n = prod_(i<=n) N_i = l^(2n) |g_n / g_0|
         return self.ell ** n * self.quotient(n, 0)
 
+    @functools.cached_property
+    def law(self) -> tuple[tuple, int, int, int]:
+        """(Q, mu, lambda, n0_certified): Q and what its coefficients give."""
+        q = q_poly(self.spec)
+        return (tuple(q), *mu_lambda(q, self.ell),
+                stabilization_level(q, self.ell))
 
-# The level table: one Graeffe chain per spec, whichever function asks
-# first, and Q with its law.
+    def ords(self, n: int) -> list[int]:
+        """[ord_l(kappa_m) for m <= n], each -m + v_1 + ... + v_m."""
+        while len(self._ords) <= n:
+            i = len(self._ords)
+            _, mu, lam, istar = self.law
+            # from n0_certified on the j* term strictly dominates, and v_i is
+            # its valuation exactly; below it, v_i is level_valuation's
+            v = (mu * cyclotomic.euler_phi_prime_power(self.ell, i) + lam + 1
+                 if i >= istar else level_valuation(self.spec, i))
+            if v == INFINITY:
+                raise ArithmeticError(f"level {i} valuation is infinite")
+            self._ords.append(self._ords[-1] + v - 1)
+        return self._ords[:n + 1]
+
+
+# The level table: one per spec, whichever function asks first.
 @functools.lru_cache(maxsize=256)
-def _chain(spec: TowerSpec) -> _GraeffeChain:
-    return _GraeffeChain(spec)
+def _tower(spec: TowerSpec) -> _Tower:
+    return _Tower(spec)
 
 
 def level_norm(spec: TowerSpec, i: int) -> int:
@@ -258,7 +284,7 @@ def level_norm(spec: TowerSpec, i: int) -> int:
     """
     if i < 1:
         raise ValueError("level must be >= 1")
-    return _chain(spec).norm(i)
+    return _tower(spec).norm(i)
 
 
 class BudgetExceededError(ValueError):
@@ -276,44 +302,19 @@ def norm_bits_bound(spec: TowerSpec, i: int) -> int:
             * (4 * spec.t - 1).bit_length() + 1)
 
 
-@functools.lru_cache(maxsize=256)
-def _law(spec: TowerSpec) -> tuple[tuple, int, int, int]:
-    # (Q, mu, lambda, n0_certified): Q and what its coefficients give
-    q = q_poly(spec)
-    return (tuple(q), *mu_lambda(q, spec.ell),
-            stabilization_level(q, spec.ell))
-
-
-@functools.lru_cache(maxsize=1024)
-def _valuation(spec: TowerSpec, i: int):
-    _, mu, lam, istar = _law(spec)
-    if i >= istar:
-        # the j* term strictly dominates: v_i is its valuation exactly
-        return mu * cyclotomic.euler_phi_prime_power(spec.ell, i) + lam + 1
-    v = level_valuation(spec, i)
-    if v == INFINITY:
-        raise ArithmeticError(f"level {i} valuation is infinite")
-    return v
-
-
-def _ords(vs) -> list[int]:
-    # ords[n] = ord_l(kappa_n) = -n + v_1 + ... + v_n
-    return list(itertools.accumulate((v - 1 for v in vs), initial=0))
-
-
 def kappa_exact(spec: TowerSpec, n: int) -> int:
     """Spanning-tree count at level n, via the L-function decomposition:
     l^n |g_n / g_0| off the Graeffe chain."""
     if n < 0:
         raise ValueError("level must be >= 0")
-    return _chain(spec).kappa(n)
+    return _tower(spec).kappa(n)
 
 
 def ord_kappa(spec: TowerSpec, n: int) -> int:
     """ord_l(kappa_n) as -n + sum of level valuations (no big kappa built)."""
     if n < 0:
         raise ValueError("level must be >= 0")
-    return _ords([_valuation(spec, i) for i in range(1, n + 1)])[n]
+    return _tower(spec).ords(n)[n]
 
 
 @dataclass(frozen=True)
@@ -333,13 +334,9 @@ def invariants(spec: TowerSpec) -> IwasawaInvariants:
     and n0_observed is the earliest level from which the affine formula
     already fits all the way up to n0_certified.
     """
-    if spec.is_cycle_tower:
-        # kappa_n = l^n exactly; chi = 0 so the generic route is off-limits
-        return IwasawaInvariants(mu=0, lam=1, nu=0, n0_certified=1,
-                                 n0_observed=1, cycle_case=True)
-    _, mu, lam, istar = _law(spec)
-    vs = [_valuation(spec, i) for i in range(1, istar + 1)]
-    ords = _ords(vs)
+    tower = _tower(spec)
+    _, mu, lam, istar = tower.law
+    ords = tower.ords(istar)
     nu = ords[istar] - mu * spec.ell ** istar - lam * istar
     n0_obs = istar
     for n in range(istar - 1, 0, -1):
@@ -347,7 +344,8 @@ def invariants(spec: TowerSpec) -> IwasawaInvariants:
             break
         n0_obs = n
     return IwasawaInvariants(mu=mu, lam=lam, nu=nu, n0_certified=istar,
-                             n0_observed=n0_obs)
+                             n0_observed=n0_obs,
+                             cycle_case=spec.is_cycle_tower)
 
 
 # ---------------------------------------------------------------------------
@@ -374,7 +372,7 @@ def verify_bounds(spec: TowerSpec, n_max: int) -> BoundsReport:
     """Exact big-integer checks for n <= n_max:
 
     (a) l^n kappa_n <= (1/(4|chi|)) ((q-1)/(q+1)) (2(q+1))**(l^n), cleared
-        of denominators (skipped for the cycle tower, where chi = 0);
+        of denominators (0 <= 0 for the cycle tower, where chi = 0);
     (b) ord_l(kappa_n) >= n;
     (c) kappa_n divides kappa_{n+1};
     and l**mu <= 2(q+1) for the computed mu.
@@ -387,12 +385,11 @@ def verify_bounds(spec: TowerSpec, n_max: int) -> BoundsReport:
                        lower_bound_ok=True, divisibility_ok=True,
                        mu_bound_ok=True)
     for n in range(n_max + 1):
-        if not spec.is_cycle_tower:
-            lhs = 4 * (t - 1) * (q + 1) * ell ** n * kappas[n]
-            rhs = (q - 1) * (2 * (q + 1)) ** (ell ** n)
-            if lhs > rhs:
-                rpt.upper_bound_ok = False
-                rpt.failures.append(f"upper bound fails at n={n}")
+        lhs = 4 * (t - 1) * (q + 1) * ell ** n * kappas[n]
+        rhs = (q - 1) * (2 * (q + 1)) ** (ell ** n)
+        if lhs > rhs:
+            rpt.upper_bound_ok = False
+            rpt.failures.append(f"upper bound fails at n={n}")
         if ord_int(kappas[n], ell) < n:
             rpt.lower_bound_ok = False
             rpt.failures.append(f"ord_l(kappa_{n}) < {n}")
@@ -442,14 +439,13 @@ def build_tower_report(spec: TowerSpec, n_max: int) -> TowerReport:
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     inv = invariants(spec)
-    chain = _chain(spec)
-    vs = [_valuation(spec, i) for i in range(1, n_max + 1)]
-    ords = _ords(vs)
+    tower = _tower(spec)
+    ords = tower.ords(n_max)
 
     levels = []
     consistency_ok = fit_ok = True
     for n in range(n_max + 1):
-        kappa = chain.kappa(n)
+        kappa = tower.kappa(n)
         o = ord_int(kappa, spec.ell)
         if o != ords[n]:
             consistency_ok = False
@@ -458,10 +454,10 @@ def build_tower_report(spec: TowerSpec, n_max: int) -> TowerReport:
             fit_ok = False
         levels.append(LevelRecord(
             n=n, kappa=kappa, ord_kappa=o,
-            v=vs[n - 1] if n > 0 else None,
-            norm=chain.norm(n) if n > 0 else None,
+            v=ords[n] - ords[n - 1] + 1 if n > 0 else None,
+            norm=tower.norm(n) if n > 0 else None,
             fit=fit))
-    return TowerReport(spec=spec, n_max=n_max, q_coeffs=list(_law(spec)[0]),
+    return TowerReport(spec=spec, n_max=n_max, q_coeffs=list(tower.law[0]),
                        invariants=inv, levels=levels,
                        consistency_ok=consistency_ok, fit_ok=fit_ok)
 

@@ -70,10 +70,11 @@ def test_tower_json_and_csv(capsys):
 
 
 def test_tower_parallel_identical_bytes(capsys):
-    args = ("tower", "-l", "2", "-a", "3,5", "-n", "4", "--format", "json")
-    _, seq, _ = run(capsys, *args)
-    _, par, _ = run(capsys, *args, "--parallel")
-    assert seq == par
+    for fmt in ("text", "json", "csv"):
+        args = ("tower", "-l", "2", "-a", "3,5", "-n", "4", "--format", fmt)
+        _, seq, _ = run(capsys, *args)
+        _, par, _ = run(capsys, *args, "--parallel")
+        assert seq == par and seq
 
 
 def test_kappa_command(capsys):
@@ -230,7 +231,7 @@ def _forbid(monkeypatch, module, *names):
 
 def _forbid_chain(monkeypatch):
     # the level table's Graeffe chain and the kernel it steps with
-    _forbid(monkeypatch, towers, "_chain")
+    _forbid(monkeypatch, towers, "_tower")
     _forbid(monkeypatch, polys, "graeffe", "graeffe_at_one")
 
 
@@ -260,7 +261,7 @@ def test_tower_budget_covers_levels_below_n0(monkeypatch, capsys):
     # tower -n 1 still evaluates v_1..v_4 below n0_certified = 5, by
     # division of f(zeta) by 1 - zeta, no norm; Q(T) bounds that work, and
     # at 60 bits it is over a 5-bit budget: refused before any of it
-    _forbid(monkeypatch, towers, "level_norm", "level_valuation", "_law")
+    _forbid(monkeypatch, towers, "level_norm", "level_valuation", "q_poly")
     _forbid_chain(monkeypatch)
     code, out, err = run(capsys, "tower", "-l", "2", "-a", "3,5", "-n", "1",
                          "--budget-bits", "5")
@@ -271,7 +272,7 @@ def test_tower_budget_covers_levels_below_n0(monkeypatch, capsys):
 def test_tower_refuses_a_big_q_before_building_it(monkeypatch, capsys):
     # Q(T) of a = (1, 100000) has some 1.5e10 bits by q_bits_bound: refused
     # before P_100000 or any level is built
-    _forbid(monkeypatch, towers, "p_poly", "q_poly", "_law")
+    _forbid(monkeypatch, towers, "p_poly", "q_poly")
     _forbid_chain(monkeypatch)
     estimate = towers.q_bits_bound(TowerSpec(2, (1, 100000)))
     code, out, err = run(capsys, "tower", "-l", "2", "-a", "1,100000",
@@ -387,3 +388,36 @@ def test_usage_errors_exit_1(capsys):
     assert main(["--help"]) == 0
     assert main(["kappa", "--help"]) == 0
     assert "--budget-bits" in capsys.readouterr().out
+
+
+_TOWER_ARGS = ("-l", "2", "-a", "1,1", "-n", "1")
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("tower", ("--cap-vertices", "1")),
+    ("kappa", ("--format", "csv")),
+    ("kappa", ("--cap-vertices", "1")),
+    ("kappa", ("--parallel",)),
+    ("zeta", ("--format", "csv")),
+    ("zeta", ("--budget-bits", "1")),
+    ("zeta", ("--parallel",)),
+    ("cover-verify", ("--format", "csv")),
+    ("cover-verify", ("--budget-bits", "1")),
+    ("cover-verify", ("--parallel",)),
+    ("export-dot", ("--format", "json")),
+    ("export-dot", ("--budget-bits", "1")),
+    ("export-dot", ("--parallel",)),
+])
+def test_each_command_refuses_the_flags_it_does_not_read(
+        tmp_path, capsys, command, flag):
+    # each command succeeds without the flag, so the flag alone is refused
+    graph = tmp_path / "g.json"
+    graph.write_text(json.dumps(multigraph_to_json(bouquet(2))))
+    volt = tmp_path / "v.json"
+    volt.write_text(json.dumps(voltage_to_json(cayley_serre(2, (1, 1)))))
+    args = {"zeta": (str(graph),),
+            "cover-verify": (str(volt),)}.get(command, _TOWER_ARGS)
+    assert run(capsys, command, *args)[0] == 0
+    code, out, err = run(capsys, command, *args, *flag)
+    assert code == 1 and out == ""
+    assert "unrecognized arguments" in err or "invalid choice" in err

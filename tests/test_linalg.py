@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from graph_iwasawa import (TowerSpec, cayley_serre, derived_cover,
-                           kappa_exact, linalg, spanning_tree_count)
+from graph_iwasawa import (TowerSpec, cayley_serre, cyclotomic,
+                           derived_cover, kappa_exact, linalg,
+                           spanning_tree_count)
 from graph_iwasawa.serre import adjacency_matrix
 from oracles import det_bareiss, det_leibniz
 
@@ -39,10 +40,10 @@ def test_bareiss_nondestructive():
 def test_primes():
     ps = linalg.crt_primes(10)
     assert len(set(ps)) == 10
-    assert all(linalg._is_prime(p) and p.bit_length() == 31 for p in ps)
-    assert not linalg._is_prime(1)
-    assert linalg._is_prime(2)
-    assert not linalg._is_prime(3215031751)  # strong pseudoprime to 2,3,5,7
+    assert all(cyclotomic.is_prime(p) and p.bit_length() == 31 for p in ps)
+    assert not cyclotomic.is_prime(1)
+    assert cyclotomic.is_prime(2)
+    assert not cyclotomic.is_prime(3215031751)  # strong pseudoprime to 2,3,5,7
 
 
 def test_det_crt_matches_bareiss():

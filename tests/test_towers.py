@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 from graph_iwasawa import (
+    IwasawaInvariants,
     TowerSpec,
     build_tower_report,
     cayley_serre,
@@ -42,11 +43,9 @@ from test_acceptance import CORPUS, corpus_depth
 @pytest.fixture
 def fresh_table():
     # the level table outlives a test; start and leave it empty
-    towers._chain.cache_clear()
-    towers._valuation.cache_clear()
+    towers._tower.cache_clear()
     yield
-    towers._chain.cache_clear()
-    towers._valuation.cache_clear()
+    towers._tower.cache_clear()
 
 
 def test_p_poly_table():
@@ -174,7 +173,6 @@ def test_sum_of_epsilons_is_q_at_epsilon_and_f_at_zeta():
 def test_level_valuation_builds_no_q(monkeypatch):
     def boom(*args):
         raise AssertionError("level_valuation built Q(eps)")
-    monkeypatch.setattr(towers, "_law", boom)
     monkeypatch.setattr(towers, "q_poly", boom)
     monkeypatch.setattr(cyclotomic, "cyc_mul", boom)
     assert level_valuation(TowerSpec(2, (3, 5)), 1) == 3
@@ -261,6 +259,21 @@ def test_cycle_tower():
         assert spanning_tree_count(cover) == 2 ** n
 
 
+def test_cycle_towers_take_the_generic_route(monkeypatch, fresh_table):
+    # Q = P_|a| has the l-unit a^2 as its linear coefficient: mu = 0,
+    # lambda = 1 and n0_certified = 1, so no level lies below n0
+    valuation_calls = _count_calls(monkeypatch, "level_valuation")
+    for ell in (2, 3, 5, 7, 11, 13):
+        for a in range(-30, 31):
+            if a % ell == 0:
+                continue
+            spec = TowerSpec(ell, (a,))
+            assert invariants(spec) == IwasawaInvariants(
+                mu=0, lam=1, nu=0, n0_certified=1, n0_observed=1,
+                cycle_case=True)
+    assert valuation_calls == []
+
+
 def test_zero_generator_unaffects_kappa():
     with_zero = TowerSpec(2, (1, 0))
     without = TowerSpec(2, (1,))
@@ -289,7 +302,7 @@ def test_verify_bounds():
     assert rpt.ok and rpt.failures == []
     rpt = verify_bounds(TowerSpec(2, (3, 5)), 5)
     assert rpt.ok
-    rpt = verify_bounds(TowerSpec(2, (1,)), 3)  # cycle tower skips (a)
+    rpt = verify_bounds(TowerSpec(2, (1,)), 3)  # cycle tower: (a) is 0 <= 0
     assert rpt.ok
 
 
@@ -386,6 +399,17 @@ def test_one_level_table(monkeypatch, fresh_table):
     assert all(i < inv.n0_certified for i in valuation_calls)
 
 
+def test_one_table_object_per_spec(fresh_table):
+    spec = TowerSpec(3, (2, 3))
+    kappa_exact(spec, 3)
+    ord_kappa(spec, 3)
+    invariants(spec)
+    verify_bounds(spec, 2)
+    build_tower_report(spec, 3)
+    level_norm(spec, 2)
+    assert towers._tower.cache_info().currsize == 1
+
+
 def test_each_level_valuation_once(monkeypatch, fresh_table, capsys):
     # invariants() and the report both read v_1..v_4 (n0_certified = 5)
     valuation_calls = _count_calls(monkeypatch, "level_valuation")
@@ -395,7 +419,7 @@ def test_each_level_valuation_once(monkeypatch, fresh_table, capsys):
 
 
 def test_q_built_once_per_spec(monkeypatch, capsys):
-    towers._law.cache_clear()
+    towers._tower.cache_clear()
     built = _spy(monkeypatch, "p_poly")
     assert cli.main(["tower", "-l", "2", "-a", "3,5", "-n", "6"]) == 0
     capsys.readouterr()
@@ -405,14 +429,14 @@ def test_q_built_once_per_spec(monkeypatch, capsys):
 def test_consistency_ok_is_a_real_check(monkeypatch, fresh_table, capsys):
     spec = TowerSpec(2, (3, 5))
     istar = invariants(spec).n0_certified
-    real = towers._GraeffeChain.value
+    real = towers._Tower.value
 
-    def corrupted(chain, k):
-        return real(chain, k) * (chain.ell if k == istar else 1)
+    def corrupted(tower, k):
+        return real(tower, k) * (tower.ell if k == istar else 1)
 
     # g_istar gains a factor l: so do N_istar and kappa_istar, but not the
     # valuations, which never read the chain
-    monkeypatch.setattr(towers._GraeffeChain, "value", corrupted)
+    monkeypatch.setattr(towers._Tower, "value", corrupted)
     assert not build_tower_report(spec, istar + 1).consistency_ok
     code = cli.main(["tower", "-l", "2", "-a", "3,5", "-n", str(istar + 1)])
     assert code == 2
@@ -576,8 +600,7 @@ def test_repeated_tower_runs_print_the_same_bytes(spec, data):
     outs = []
     for _ in range(2):
         # the second run recomputes every level rather than reading the first
-        towers._chain.cache_clear()
-        towers._valuation.cache_clear()
+        towers._tower.cache_clear()
         buf = io.StringIO()
         with contextlib.redirect_stdout(buf):
             assert cli.main(argv) == 0
