@@ -10,7 +10,6 @@ from .cyclotomic import (
     INFINITY,
     CycElem,
     cyc_add,
-    cyc_from_json,
     cyc_from_poly,
     cyc_int,
     cyc_mul,
@@ -19,13 +18,10 @@ from .cyclotomic import (
     cyc_pow,
     cyc_scale,
     cyc_sub,
-    cyc_to_json,
     cyc_zero,
     epsilon,
-    norm,
     ord_L,
     ord_int,
-    phi_poly,
     zeta_gen,
 )
 from .serre import (

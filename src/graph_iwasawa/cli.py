@@ -12,6 +12,7 @@ or size, 2 verification or internal consistency failure.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 
@@ -57,7 +58,8 @@ def _small_primes() -> list[int]:
         for i in range(2, int(TRIAL_DIVISION_BOUND ** 0.5) + 1):
             if sieve[i]:
                 sieve[i * i::i] = b"\x00" * len(sieve[i * i::i])
-        _SMALL_PRIMES.extend(i for i in range(TRIAL_DIVISION_BOUND) if sieve[i])
+        _SMALL_PRIMES.extend(itertools.compress(range(TRIAL_DIVISION_BOUND),
+                                                sieve))
     return _SMALL_PRIMES
 
 
@@ -244,6 +246,8 @@ def cmd_cover_verify(args) -> int:
 
 def cmd_export_dot(args) -> int:
     spec = _spec(args)
+    if args.levels < 0:
+        raise ValueError("level must be >= 0")
     size = 1
     for _ in range(args.levels):  # stops at the cap, never builds a huge l^n
         size *= spec.ell

@@ -3,11 +3,10 @@
 Elements of Z[y]/Phi(y), with Phi the (l^i)-th cyclotomic polynomial, are
 stored as canonical coefficient vectors of length phi(l^i).
 
-``norm`` descends the field norm to Q one level at a time, by the same
-l-Graeffe step (``polys.graeffe``) that the towers module chains for its
-level norms.  ``ord_L`` takes no norm: the prime above l is pi = 1 - zeta,
-unique and totally ramified, and the valuation there is read off by
-dividing out l and then pi, with pi | y exactly when l | y(1).
+``ord_L`` takes no norm: the prime above l is pi = 1 - zeta, unique and
+totally ramified, and the valuation there is read off by dividing out l
+and then pi, with pi | y exactly when l | y(1).  Level norms are the
+towers module's, off its l-Graeffe chain.
 
 The building blocks eps(a) = (1 - zeta^a)(1 - zeta^(-a)) drive the tower
 analysis in the towers module; ``epsilon`` constructs them canonically.
@@ -51,20 +50,6 @@ def is_prime(n: int) -> bool:
 
 def euler_phi_prime_power(ell: int, i: int) -> int:
     return ell ** i - ell ** (i - 1)
-
-
-def phi_poly(ell: int, i: int) -> list[int]:
-    """Cyclotomic polynomial of y**(l^i): sum of y**(j*l^(i-1)), j < l."""
-    if not is_prime(ell):
-        raise ValueError(f"{ell} is not prime")
-    if i < 1:
-        raise ValueError("level must be >= 1")
-    step = ell ** (i - 1)
-    deg = (ell - 1) * step
-    p = [0] * (deg + 1)
-    for j in range(ell):
-        p[j * step] = 1
-    return p
 
 
 @dataclass(frozen=True)
@@ -181,32 +166,8 @@ def cyc_pow(x: CycElem, e: int) -> CycElem:
 
 
 # ---------------------------------------------------------------------------
-# Norms by Graeffe descent, valuations by division by 1 - zeta
+# Valuations by division by 1 - zeta
 # ---------------------------------------------------------------------------
-
-def norm(x: CycElem) -> int:
-    """Field norm to Q: the product of all Galois conjugates; norm(0) = 0.
-
-    Taken down the tower one level at a time: a Graeffe step G(z) =
-    prod over y^l = z of p(y), reduced mod Phi_{l^(k-1)}, is the relative
-    norm from level k to level k - 1, since the l-th roots of a primitive
-    l^(k-1)-th root of unity are primitive l^k-th roots for k >= 2.  At
-    level 1 the l-th roots of unity are the conjugates and 1, so the norm
-    is G(1) / p(1), after adding Phi_l to p when p(1) = 0.  No size limit:
-    callers bound the result before they ask for it.
-    """
-    ell, p = x.ell, polys.trim(list(x.coeffs))
-    if not p:
-        return 0
-    for k in range(x.level, 1, -1):
-        p = polys.trim(list(_reduce(ell, k - 1, polys.graeffe(p, ell))))
-    if not sum(p):
-        p = polys.add(p, [1] * ell)
-    q, r = divmod(polys.graeffe_at_one(p, ell), sum(p))
-    if r:
-        raise ArithmeticError("level-1 norm is not an exact quotient")
-    return q
-
 
 def ord_int(n: int, ell: int):
     """l-adic valuation of an integer; infinity for 0."""
@@ -265,20 +226,9 @@ def ord_L(x: CycElem):
         r += 1
 
 
-def cyc_to_json(x: CycElem) -> dict:
-    return {"l": str(x.ell), "i": str(x.level),
-            "coeffs": [str(c) for c in x.coeffs]}
-
-
-def cyc_from_json(data: dict) -> CycElem:
-    return cyc_from_poly(int(data["l"]), int(data["i"]),
-                         [int(c) for c in data["coeffs"]])
-
-
 __all__ = [
-    "CycElem", "INFINITY", "phi_poly", "epsilon",
+    "CycElem", "INFINITY", "epsilon",
     "cyc_from_poly", "cyc_zero", "cyc_one", "cyc_int", "zeta_gen",
     "cyc_add", "cyc_sub", "cyc_neg", "cyc_scale", "cyc_mul", "cyc_pow",
-    "norm", "ord_int", "ord_L",
-    "cyc_to_json", "cyc_from_json", "euler_phi_prime_power", "is_prime",
+    "ord_int", "ord_L", "euler_phi_prime_power", "is_prime",
 ]

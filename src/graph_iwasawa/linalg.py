@@ -177,12 +177,6 @@ def _det_band(w: int, reach: list[int], rows: np.ndarray, cols: np.ndarray,
     return [None if bad else d for bad, d in zip(failed.tolist(), det.tolist())]
 
 
-def hadamard_bound(matrix: np.ndarray) -> int:
-    """Integer B with |det| <= B (row-norm Hadamard bound)."""
-    rows, cols = np.nonzero(matrix)
-    return _hadamard_bounds(matrix.shape[0], rows, matrix[rows, cols][None])[0]
-
-
 def _hadamard_bounds(n: int, rows: np.ndarray, vals: np.ndarray) -> list[int]:
     """Row-norm Hadamard bound of each matrix j whose entries in row rows[e]
     are vals[j, e]; 0 for a matrix with a zero row."""

@@ -8,8 +8,7 @@ division that is not exact raises instead of leaving Z.
 ``graeffe`` and ``graeffe_at_one`` are the one norm kernel of the package:
 the l-Graeffe step G(z) = prod over y^l = z of p(y), and its value at
 z = 1, each an l x l fraction-free determinant.  The towers module runs a
-chain of them per tower; the cyclotomic module descends the field norm
-with them one level at a time.
+chain of them per tower.
 """
 
 from __future__ import annotations
@@ -308,7 +307,3 @@ def unlimited_digits():
 
 def poly_to_json(p: list[int]) -> list[str]:
     return [str(c) for c in p]
-
-
-def poly_from_json(data: list[str]) -> list[int]:
-    return trim([int(c) for c in data])

@@ -68,9 +68,6 @@ class Multigraph:
         """Canonical representatives: the smaller id of each orbit."""
         return [e for e in range(len(self.origin)) if e < self.inverse[e]]
 
-    def valency(self, v: int) -> int:
-        return sum(1 for o in self.origin if o == v)
-
     def valencies(self) -> list[int]:
         out = [0] * self.num_vertices
         for o in self.origin:

@@ -6,10 +6,9 @@ engine), determinants of polynomial matrices by Bareiss at integer points
 and Lagrange interpolation over Fractions, brute-force spanning-tree
 enumeration, the table definition of P_a, Q(eps) by Horner's rule (the
 reference for the level valuations, which the library takes of f(zeta)),
-Sylvester-matrix resultants over Fractions, in-ring Galois-conjugate
-products, and the subresultant PRS with its Res(Phi_{l^i}, f), the
-reference for the library's Graeffe norms and its division-by-(1 - zeta)
-valuations.  None of it shares code paths with the library
+Sylvester-matrix resultants over Fractions, and the subresultant PRS with
+its Res(Phi_{l^i}, f), the reference for the library's Graeffe norms and
+its division-by-(1 - zeta) valuations.  None of it shares code paths with the library
 implementations it checks.
 """
 
@@ -371,24 +370,6 @@ def resultant_with_phi(ell: int, i: int, f: list[int]) -> int:
     if rem:
         raise ArithmeticError("resultant scaling was not exact")
     return q
-
-
-def conjugate_product_norm(ell: int, i: int, coeffs) -> int:
-    """Norm as the literal product of Galois conjugates, in-ring."""
-    from graph_iwasawa import cyc_from_poly, cyc_mul, cyc_one
-    m = ell ** i
-    f = list(coeffs)
-    prod = cyc_one(ell, i)
-    for j in range(1, m):
-        if math.gcd(j, m) != 1:
-            continue
-        conj = [0] * m
-        for e, c in enumerate(f):
-            conj[(e * j) % m] += c
-        prod = cyc_mul(prod, cyc_from_poly(ell, i, conj))
-    tail = list(prod.coeffs)[1:]
-    assert all(c == 0 for c in tail), "conjugate product is not rational"
-    return prod.coeffs[0]
 
 
 def q_at_epsilon(spec, i: int):

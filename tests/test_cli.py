@@ -195,6 +195,14 @@ def test_export_dot_vertex_cap(capsys):
     assert "2^40" in err and "1000" in err
 
 
+def test_export_dot_refuses_a_negative_level(capsys):
+    # l^-1 is no vertex count: refused, not a TypeError out of main
+    code, out, err = run(capsys, "export-dot", "-l", "2", "-a", "1,1",
+                         "-n", "-1")
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "level must be >= 0" in err
+
+
 def test_integers_past_the_str_digit_limit(tmp_path, capsys):
     # kappa_14 = 2^16397 has 4937 decimal digits; CPython refuses int/str
     # conversions past 4300 by default

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from graph_iwasawa import (
     INFINITY,
     cyc_add,
-    cyc_from_json,
     cyc_from_poly,
     cyc_int,
     cyc_mul,
@@ -15,40 +14,22 @@ from graph_iwasawa import (
     cyc_pow,
     cyc_scale,
     cyc_sub,
-    cyc_to_json,
     epsilon,
-    norm,
     ord_L,
     ord_int,
-    phi_poly,
     zeta_gen,
 )
 from graph_iwasawa import cyclotomic, polys
 from graph_iwasawa.cyclotomic import euler_phi_prime_power
-from oracles import (conjugate_product_norm, resultant_with_phi,
-                     sylvester_resultant)
-
-
-def test_phi_poly_examples():
-    assert phi_poly(2, 1) == [1, 1]
-    assert phi_poly(3, 2) == [1, 0, 0, 1, 0, 0, 1]
-    assert phi_poly(2, 3) == [1, 0, 0, 0, 1]
+from oracles import resultant_with_phi, sylvester_resultant
 
 
 @pytest.mark.parametrize("ell,i", [(2, 1), (2, 4), (3, 2), (5, 2), (7, 1)])
 def test_phi_poly_properties(ell, i):
-    p = phi_poly(ell, i)
+    p = polys.cyclotomic_polynomial(ell ** i)
     assert p[-1] == 1
     assert len(p) - 1 == euler_phi_prime_power(ell, i)
     assert polys.evaluate(p, 1) == ell
-    assert p == polys.cyclotomic_polynomial(ell ** i)
-
-
-def test_phi_poly_rejects_bad_input():
-    with pytest.raises(ValueError):
-        phi_poly(4, 1)
-    with pytest.raises(ValueError):
-        phi_poly(3, 0)
 
 
 def test_epsilon_examples():
@@ -100,64 +81,14 @@ def test_ring_axioms(a, b, c):
     assert cyc_mul(x, cyc_add(y, z)) == cyc_add(cyc_mul(x, y), cyc_mul(x, z))
 
 
-def test_norm_examples():
-    assert norm(epsilon(3, 1, 1)) == 9
-    for ell, i in ((2, 1), (2, 3), (3, 2), (5, 1), (7, 1)):
-        one_minus_zeta = cyc_sub(cyc_one(ell, i), zeta_gen(ell, i))
-        assert norm(one_minus_zeta) == ell
-        assert norm(zeta_gen(ell, i)) in (1, -1)
-    assert norm(cyc_from_poly(3, 1, [])) == 0
-
-
-@given(small_elems, small_elems)
-@settings(max_examples=40)
-def test_norm_multiplicative(a, b):
-    x = cyc_from_poly(3, 2, a)
-    y = cyc_from_poly(3, 2, b)
-    assert norm(cyc_mul(x, y)) == norm(x) * norm(y)
-
-
-def test_norm_against_conjugate_product():
-    rng = random.Random(99)
-    for ell, i in ((2, 1), (2, 2), (3, 1), (3, 2), (5, 1), (5, 2), (7, 1)):
-        deg = euler_phi_prime_power(ell, i)
-        for _ in range(6):
-            coeffs = [rng.randint(-5, 5) for _ in range(deg)]
-            x = cyc_from_poly(ell, i, coeffs)
-            assert norm(x) == conjugate_product_norm(ell, i, x.coeffs)
-
-
 def _one_minus_zeta(ell, i):
     return cyc_sub(cyc_one(ell, i), zeta_gen(ell, i))
-
-
-@pytest.mark.parametrize("ell", [2, 3, 5, 7, 13])
-@pytest.mark.parametrize("i", [1, 2, 3])
-def test_norm_descent_matches_the_oracles(ell, i):
-    rng = random.Random(100 * ell + i)
-    deg = euler_phi_prime_power(ell, i)
-    # 1 - zeta, -3(1 - zeta) and eps(1) vanish at y = 1, and so does every
-    # level-1 element the descent reaches from them; at level 1 so does
-    # 1 - zeta + zeta^2 - zeta^3 for l = 5
-    elems = [_one_minus_zeta(ell, i), cyc_from_poly(ell, i, [-3, 3]),
-             cyc_from_poly(ell, i, [1, -1, 1, -1]), epsilon(ell, i, 1),
-             cyc_from_poly(ell, i, [rng.randint(-4, 4)
-                                    for _ in range(min(deg, 40))])]
-    for _ in range(2):
-        elems.append(cyc_from_poly(ell, i, [rng.randint(-9, 9)
-                                            for _ in range(rng.randint(1, 8))]))
-    for x in elems:
-        n = norm(x)
-        assert n == resultant_with_phi(ell, i, polys.trim(list(x.coeffs))), x
-        if deg <= 42:
-            assert n == conjugate_product_norm(ell, i, x.coeffs), x
-    assert norm(elems[0]) == ell
 
 
 def test_resultant_with_phi_against_sylvester():
     rng = random.Random(4)
     for ell, i in ((2, 2), (3, 1), (3, 2), (5, 1)):
-        phi = phi_poly(ell, i)
+        phi = polys.cyclotomic_polynomial(ell ** i)
         for _ in range(8):
             f = polys.trim([rng.randint(-6, 6)
                             for _ in range(rng.randint(1, 7))])
@@ -263,7 +194,6 @@ def test_ord_L_takes_no_norm(monkeypatch):
     def forbidden(*args):
         raise AssertionError("ord_L took a norm")
 
-    monkeypatch.setattr(cyclotomic, "norm", forbidden)
     for name in ("graeffe", "graeffe_at_one"):
         monkeypatch.setattr(polys, name, forbidden, raising=False)
     assert ord_L(epsilon(3, 3, 9)) == 18
@@ -309,8 +239,3 @@ def test_useful_form_identity():
             for k in range(1, a):
                 acc = cyc_sub(acc, cyc_scale(epsilon(ell, i, k), a - k))
             assert cyc_mul(eps1, acc) == epsilon(ell, i, a), (ell, i, a)
-
-
-def test_json_roundtrip():
-    x = epsilon(3, 2, 2)
-    assert cyc_from_json(cyc_to_json(x)) == x

@@ -114,8 +114,3 @@ def test_format_poly():
     assert polys.format_poly([0, 2], "T") == "2*T"
     assert polys.format_poly([0, 0, -1]) == "-u^2"
     assert polys.format_poly([]) == "0"
-
-
-def test_poly_json_roundtrip():
-    p = [0, 34, -56, 36, -10, 1]
-    assert polys.poly_from_json(polys.poly_to_json(p)) == p
