@@ -9,15 +9,19 @@ reduced Laplacian, and eliminated inside that band without row swaps, one
 vectorized block update per pivot for every lane at once, in chunks of
 lanes whose band stays under ``BAND_BYTES_CAP``.  A lane whose pivot
 vanishes falls back to ``_det_mod_p``, a per-prime elimination with row
-swaps, so singular matrices and zero leading minors stay exact.
+swaps, so singular matrices and zero leading minors stay exact.  Each pivot
+takes one modular inverse per prime of its chunk, not one per lane: the
+pivots of the lanes that share a prime are inverted together by
+Montgomery's trick (Montgomery, Math. Comp. 48, 1987).
 
 ``_det_stack`` is the engine itself.  It takes k matrices that share one
 pattern of n x n positions (rows, cols) as a k x nnz table of their values
 there (the nodes of ``zeta.pencil_det``; ``det_crt`` is the case k = 1),
 never as a dense stack: one order and one band over the pattern, a lane
 per (matrix, prime) pair, and only the primes each matrix's own Hadamard
-bound, taken from its values, needs.  A fallback lane densifies only its
-own matrix.
+bound, taken from its values, needs.  Lanes are ordered prime by prime, so
+a chunk holds many matrices' lanes of few primes.  A fallback lane
+densifies only its own matrix.
 """
 
 from __future__ import annotations
@@ -161,6 +165,14 @@ def _det_band(w: int, reach: list[int], rows: np.ndarray, cols: np.ndarray,
         strides=(s0, s0 - s1, s1, s2))
     det = np.ones_like(ps)
     failed = np.zeros(ps.size, dtype=bool)
+    # Montgomery's trick over the lanes that share a prime: multiply their
+    # pivots up a product tree, invert each root, multiply back down.  A
+    # vanished pivot (its lane has failed) enters the tree as 1, so no root
+    # is 0; with no shared prime the roots are the pivots themselves.
+    size, levels, roots, root_primes = _inverse_tree(primes)
+    if levels:
+        up = np.empty(size, dtype=np.int64)
+        down = np.empty_like(up)
     for k in range(n):
         m = reach[k] - k
         block = window[k, :m + 1, :m + 1]
@@ -169,12 +181,60 @@ def _det_band(w: int, reach: list[int], rows: np.ndarray, cols: np.ndarray,
         if m == 0:
             continue
         failed |= piv == 0
+        tops = piv
+        if levels:
+            np.maximum(piv, 1, out=up[:ps.size])
+            for lo, left, right, lp in levels:
+                np.remainder(up[left] * up[right], lp,
+                             out=up[lo:lo + lp.size])
+            tops = up[roots]
         inv = np.array([pow(x, -1, p) if x else 0
-                        for x, p in zip(piv.tolist(), primes)], dtype=np.int64)
+                        for x, p in zip(tops.tolist(), root_primes)],
+                       dtype=np.int64)
+        if levels:
+            down[roots] = inv
+            for lo, left, right, lp in reversed(levels):
+                node = down[lo:lo + lp.size]
+                down[left] = node * up[right] % lp
+                down[right] = node * up[left] % lp
+            inv = down[:ps.size]
         f = block[1:, 0] * inv % ps
         rest = block[1:, 1:]
         rest[...] = (rest - f[:, None] * block[0, 1:]) % ps
     return [None if bad else d for bad, d in zip(failed.tolist(), det.tolist())]
+
+
+def _inverse_tree(primes: list[int]) -> tuple:
+    """Shape of the product trees over the lanes that share each prime, one
+    tree per distinct prime: (node count, levels, roots, root primes).
+
+    Nodes are numbered from the lanes 0..len(primes) - 1 up.  A level is
+    (lo, left, right, level primes): node lo + i is the product of nodes
+    left[i] and right[i] of prime lp[i], so a level's nodes come after
+    their children.  With no repeated prime there is no level and the roots
+    are the lanes, in order."""
+    nodes: dict[int, list[int]] = {}
+    for q, p in enumerate(primes):
+        nodes.setdefault(p, []).append(q)
+    size, levels = len(primes), []
+    while True:
+        left: list[int] = []
+        right: list[int] = []
+        lp: list[int] = []
+        for p, group in nodes.items():
+            pairs, first = len(group) // 2, size + len(left)
+            # an odd node out waits, unchanged, for a later level
+            nodes[p] = list(range(first, first + pairs)) + group[2 * pairs:]
+            left += group[0:2 * pairs:2]
+            right += group[1:2 * pairs:2]
+            lp += [p] * pairs
+        if not left:
+            break
+        levels.append((size, np.array(left), np.array(right),
+                       np.array(lp, dtype=np.int64)))
+        size += len(left)
+    roots = [group[0] for group in nodes.values()]
+    return size, levels, np.array(roots), list(nodes)
 
 
 def _hadamard_bounds(n: int, rows: np.ndarray, vals: np.ndarray) -> list[int]:
@@ -222,16 +282,21 @@ def _det_stack(n: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
     bounds = _hadamard_bounds(n, rows, vals)
     primes = [_primes_above(b + 1 if nonnegative else 2 * b + 1) if b else []
               for b in bounds]
-    lanes = [(j, p) for j, ps in enumerate(primes) for p in ps]
-    residues = iter(_det_mod_lanes(n, rows, cols, vals, lanes) if lanes
-                    else [])
+    # prime-major lanes: a chunk of lanes shares few primes, so its pivots
+    # take few inverses
+    lanes = [(j, ps[i]) for i in range(max(map(len, primes), default=0))
+             for j, ps in enumerate(primes) if i < len(ps)]
+    residues: list[list[int]] = [[] for _ in primes]
+    for (j, _), r in zip(lanes, _det_mod_lanes(n, rows, cols, vals, lanes)
+                         if lanes else []):
+        residues[j].append(r)
     out = []
-    for bound, ps in zip(bounds, primes):
+    for bound, ps, rs in zip(bounds, primes, residues):
         residue = 0
         modulus = 1
-        for p in ps:
+        for p, r in zip(ps, rs):
             # incremental CRT
-            delta = (next(residues) - residue) % p
+            delta = (r - residue) % p
             residue = residue + modulus * (delta * pow(modulus % p, -1, p) % p)
             modulus *= p
         if not nonnegative and residue > modulus // 2:

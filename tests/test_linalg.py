@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from graph_iwasawa import (TowerSpec, cayley_serre, cyclotomic,
                            derived_cover, kappa_exact, linalg,
-                           spanning_tree_count)
+                           spanning_tree_count, zeta)
 from graph_iwasawa.serre import adjacency_matrix
 from oracles import det_bareiss, det_leibniz
 
@@ -91,6 +91,35 @@ def _spy_det_mod_p(monkeypatch, stack=None):
 
     monkeypatch.setattr(linalg, "_det_mod_p", spy)
     return seen
+
+
+def _spy_inverses(monkeypatch):
+    """Per _det_band call: (eliminating pivots, lanes, distinct primes,
+    modular inverses taken inside the call).  pow may never get a zero:
+    ValueError would reach the CLI as "invalid input"."""
+    calls = []
+    inside = [False]
+    real_band = linalg._det_band
+
+    def counting_pow(base, exp, mod=None):
+        if exp == -1:
+            assert base % mod, "pow asked to invert 0"
+            if inside[0]:
+                calls[-1][3] += 1
+        return pow(base, exp, mod)
+
+    def band(w, reach, rows, cols, vals, primes):
+        calls.append([sum(r > k for k, r in enumerate(reach)), len(primes),
+                      len(set(primes)), 0])
+        inside[0] = True
+        try:
+            return real_band(w, reach, rows, cols, vals, primes)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(linalg, "pow", counting_pow, raising=False)
+    monkeypatch.setattr(linalg, "_det_band", band)
+    return calls
 
 
 def _path_laplacian_like(n, diag):
@@ -199,14 +228,22 @@ def test_det_stack_matches_bareiss():
 
 
 def test_det_stack_falls_back_for_one_matrix_and_prime(monkeypatch):
-    # as in test_det_crt_zero_pivot_falls_back_for_that_prime, but only
-    # matrix 1 of the stack has the pivot that vanishes mod the first prime
+    # matrices scaled by 1, 10^3 and 10^6 need different numbers of primes,
+    # all of them the first prime p0; only matrix 1's first pivot (row 0,
+    # where Cuthill-McKee starts) vanishes mod p0, inside the product tree
+    # that inverts all three lanes of p0 together
     p0 = linalg.crt_primes(1)[0]
-    stack = np.stack([_path_laplacian_like(50, d) for d in (3, 3, 4)])
+    stack = np.stack([_path_laplacian_like(50, 3) * c
+                      for c in (1, 10 ** 3, 10 ** 6)])
     stack[1, 0, 0] = p0
+    rows, cols = np.nonzero(stack.any(axis=0))
+    bounds = linalg._hadamard_bounds(50, rows, stack[:, rows, cols])
+    assert len({len(linalg._primes_above(2 * b + 1)) for b in bounds}) == 3
     seen = _spy_det_mod_p(monkeypatch, stack)
+    inverses = _spy_inverses(monkeypatch)
     assert _det_stack(stack) == [det_bareiss(m.tolist()) for m in stack]
     assert seen == [(1, p0)]
+    assert len(inverses) == 1  # one chunk: the lanes of p0 share one tree
 
 
 def test_det_stack_with_zero_matrices():
@@ -231,3 +268,50 @@ def test_det_stack_singular_node_at_u_equal_1():
     dets = _det_stack(stack)
     assert dets[1] == 0 and dets[0] == 1
     assert dets == [det_bareiss(m.tolist()) for m in stack]
+
+
+def test_pencil_stack_takes_one_inverse_per_prime_and_pivot(monkeypatch):
+    cover = derived_cover(cayley_serre(2 ** 4, (3, 5)))
+    inverses = _spy_inverses(monkeypatch)
+    zeta.ihara_h(cover)
+    assert inverses
+    for pivots, lanes, distinct, taken in inverses:
+        assert distinct < lanes
+        assert taken <= pivots * distinct
+
+
+def test_det_crt_takes_one_inverse_per_lane_and_pivot(monkeypatch):
+    # one matrix: no prime repeats, so no product tree and no saving
+    cover = derived_cover(cayley_serre(2 ** 9, (3, 5)))
+    inverses = _spy_inverses(monkeypatch)
+    assert spanning_tree_count(cover) == kappa_exact(TowerSpec(2, (3, 5)), 9)
+    assert inverses
+    for pivots, lanes, distinct, taken in inverses:
+        assert distinct == lanes
+        assert taken == pivots * lanes
+
+
+@st.composite
+def stacks(draw):
+    """k <= 8 matrices of size n <= 16 on one random pattern, each scaled
+    by 1, 10^3 or 10^6, some of them zero or with two equal rows."""
+    k, n = draw(st.integers(1, 8)), draw(st.integers(1, 16))
+    pattern = draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n))
+    mask = np.array(pattern).reshape(n, n) | np.eye(n, dtype=bool)
+    stack = np.zeros((k, n, n), dtype=np.int64)
+    for mat in stack:
+        values = draw(st.lists(st.integers(-9, 9), min_size=n * n,
+                               max_size=n * n))
+        mat[...] = np.array(values).reshape(n, n) * mask
+        mat *= draw(st.sampled_from((1, 10 ** 3, 10 ** 6)))
+        kind = draw(st.sampled_from(("plain", "zero", "singular")))
+        if kind == "zero":
+            mat[...] = 0
+        elif kind == "singular" and n > 1:
+            mat[1] = mat[0]
+    return stack
+
+
+@given(stacks())
+def test_det_stack_property(stack):
+    assert _det_stack(stack) == [det_bareiss(m.tolist()) for m in stack]
