@@ -39,13 +39,18 @@ BAND_BYTES_CAP = 8 << 20
 _PRIME_CACHE: list[int] = []
 
 
-def crt_primes(count: int) -> list[int]:
-    """Deterministic list of 31-bit primes, largest first."""
+def _grow_primes(count: int) -> None:
+    """Extend _PRIME_CACHE to at least count primes."""
     cand = _PRIME_CACHE[-1] - 2 if _PRIME_CACHE else (1 << 31) - 1
     while len(_PRIME_CACHE) < count:
         if is_prime(cand):
             _PRIME_CACHE.append(cand)
         cand -= 2
+
+
+def crt_primes(count: int) -> list[int]:
+    """Deterministic list of 31-bit primes, largest first."""
+    _grow_primes(count)
     return _PRIME_CACHE[:count]
 
 
@@ -125,7 +130,7 @@ def _det_mod_lanes(n: int, rows: np.ndarray, cols: np.ndarray,
     reach = np.arange(n)
     np.maximum.at(reach, first, np.arange(n))
     reach = np.maximum.accumulate(reach).tolist()
-    lane_bytes = (n + w) * (2 * w + 1) * 4  # one lane of the int32 band
+    lane_bytes = (n + w + 1) * (2 * w + 2) * 4  # one lane of the int32 band
     chunks = -(-len(lanes) // max(1, BAND_BYTES_CAP // lane_bytes))
     chunk = -(-len(lanes) // chunks)
     out = []
@@ -147,43 +152,48 @@ def _det_mod_lanes(n: int, rows: np.ndarray, cols: np.ndarray,
 def _det_band(w: int, reach: list[int], rows: np.ndarray, cols: np.ndarray,
               vals: np.ndarray, primes: list[int]) -> list:
     """Determinant mod primes[q] of the matrix with entries vals[:, q] at
-    (rows, cols), all within w of the diagonal, for every lane q, by
-    elimination without row swaps; pivot k updates rows and columns
-    k + 1..reach[k] <= k + w.  None for a lane whose pivot vanished before
-    the last row.  vals is the caller's scratch copy: it is reduced in
-    place."""
+    (rows, cols), all within w of the diagonal, for every lane q, by block
+    elimination without row swaps: the 2 x 2 pivot block of rows k, k + 1
+    (k = 0, 2, 4, ...) updates rows and columns k + 2..reach[k + 1]
+    <= k + 1 + w, and an odd n ends on one single pivot.  None for a lane
+    whose pivot block vanished with rows still to update.  vals is the
+    caller's scratch copy: it is reduced in place."""
     n = len(reach)
     ps = np.array(primes, dtype=np.int64)
-    # band[i, j - i + w] = A[i, j] mod p, below 2^31; products are formed in
-    # int64.  w rows of padding keep `window` in bounds.
-    band = np.zeros((n + w, 2 * w + 1, ps.size), dtype=np.int32)
+    # band[i, j - i + w] = A[i, j] mod p, below 2^31, for j - i in
+    # -w..w + 1; products are formed in int64.  Column 2w + 1 is never
+    # written, so it reads as 0 both as A[i, i + w + 1] and, one row down
+    # through the stride, as A[i + 1, i - w]; w + 1 rows of padding keep
+    # `window` in bounds.
+    band = np.zeros((n + w + 1, 2 * w + 2, ps.size), dtype=np.int32)
     band[rows, cols - rows + w] = np.remainder(vals, ps, out=vals)
     s0, s1, s2 = band.strides
-    # window[k, r, c] = A[k + r, k + c]: the block that pivot k updates
+    # window[k, r, c] = A[k + r, k + c]: the block that pivot pair k updates
     window = np.lib.stride_tricks.as_strided(
-        band[:, w:], shape=(n, w + 1, w + 1, ps.size),
+        band[:, w:], shape=(n, w + 2, w + 2, ps.size),
         strides=(s0, s0 - s1, s1, s2))
     det = np.ones_like(ps)
     failed = np.zeros(ps.size, dtype=bool)
     # Montgomery's trick over the lanes that share a prime: multiply their
-    # pivots up a product tree, invert each root, multiply back down.  A
-    # vanished pivot (its lane has failed) enters the tree as 1, so no root
-    # is 0; with no shared prime the roots are the pivots themselves.
+    # pivot determinants up a product tree, invert each root, multiply back
+    # down.  A vanished one (its lane has failed) enters the tree as 1, so
+    # no root is 0; with no shared prime the roots are the lanes themselves.
     size, levels, roots, root_primes = _inverse_tree(primes)
     if levels:
         up = np.empty(size, dtype=np.int64)
         down = np.empty_like(up)
-    for k in range(n):
-        m = reach[k] - k
+    for k in range(0, n - 1, 2):
+        m = reach[k + 1] - k
         block = window[k, :m + 1, :m + 1]
-        piv = block[0, 0]
-        det = det * piv % ps
-        if m == 0:
-            continue
-        failed |= piv == 0
-        tops = piv
+        (a, b), (c, d) = block[:2, :2].astype(np.int64)
+        delta = (a * d - b * c) % ps
+        det = det * delta % ps
+        if m == 1:
+            continue  # rows k, k + 1 touch no later row
+        failed |= delta == 0
+        tops = delta
         if levels:
-            np.maximum(piv, 1, out=up[:ps.size])
+            np.maximum(delta, 1, out=up[:ps.size])
             for lo, left, right, lp in levels:
                 np.remainder(up[left] * up[right], lp,
                              out=up[lo:lo + lp.size])
@@ -198,9 +208,22 @@ def _det_band(w: int, reach: list[int], rows: np.ndarray, cols: np.ndarray,
                 down[left] = node * up[right] % lp
                 down[right] = node * up[left] % lp
             inv = down[:ps.size]
-        f = block[1:, 0] * inv % ps
-        rest = block[1:, 1:]
-        rest[...] = (rest - f[:, None] * block[0, 1:]) % ps
+        # F = C adj(P) / delta, with C the pair's columns below it and
+        # adj(P) = [[d, -b], [-c, a]]
+        c0, c1 = block[2:, 0], block[2:, 1]
+        f0 = (c0 * d - c1 * c) % ps * inv % ps
+        f1 = (c1 * a - c0 * b) % ps * inv % ps
+        # rest -= F0 (x) R0 + F1 (x) R1, with R the pair's rows right of
+        # it.  Exact in int64 with one reduction: each product is at most
+        # (p - 1)^2 < 2^62, so two of them sum below 2^63 and rest minus
+        # that sum stays above -2^63.
+        rest = block[2:, 2:]
+        t = f0[:, None] * block[0, 2:]
+        t += f1[:, None] * block[1, 2:]
+        np.subtract(rest, t, out=t)
+        rest[...] = np.remainder(t, ps, out=t)
+    if n % 2:
+        det = det * window[n - 1, 0, 0] % ps
     return [None if bad else d for bad, d in zip(failed.tolist(), det.tolist())]
 
 
@@ -262,9 +285,10 @@ def _primes_above(target: int) -> list[int]:
     """The fewest leading CRT primes whose product exceeds target."""
     count, modulus = 0, 1
     while modulus <= target:
+        _grow_primes(count + 1)
+        modulus *= _PRIME_CACHE[count]
         count += 1
-        modulus *= crt_primes(count)[-1]
-    return crt_primes(count)
+    return _PRIME_CACHE[:count]
 
 
 def _det_stack(n: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,

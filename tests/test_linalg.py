@@ -94,7 +94,7 @@ def _spy_det_mod_p(monkeypatch, stack=None):
 
 
 def _spy_inverses(monkeypatch):
-    """Per _det_band call: (eliminating pivots, lanes, distinct primes,
+    """Per _det_band call: (updating pivot pairs, lanes, distinct primes,
     modular inverses taken inside the call).  pow may never get a zero:
     ValueError would reach the CLI as "invalid input"."""
     calls = []
@@ -109,8 +109,8 @@ def _spy_inverses(monkeypatch):
         return pow(base, exp, mod)
 
     def band(w, reach, rows, cols, vals, primes):
-        calls.append([sum(r > k for k, r in enumerate(reach)), len(primes),
-                      len(set(primes)), 0])
+        pairs = sum(reach[k + 1] > k + 1 for k in range(0, len(reach) - 1, 2))
+        calls.append([pairs, len(primes), len(set(primes)), 0])
         inside[0] = True
         try:
             return real_band(w, reach, rows, cols, vals, primes)
@@ -152,14 +152,68 @@ def test_det_crt_permuted_band_with_corner():
 
 
 def test_det_crt_zero_pivot_falls_back_for_that_prime(monkeypatch):
-    # Cuthill-McKee starts at row 0 (least degree, lowest index), whose
-    # pivot vanishes mod the first CRT prime only
+    # Cuthill-McKee starts at row 0 (least degree, lowest index); the first
+    # pivot block [[1, -1], [-1, p0 + 1]] has determinant p0, so it
+    # vanishes mod the first CRT prime only
+    p0 = linalg.crt_primes(1)[0]
+    m = _path_laplacian_like(50, 3)
+    m[0, 0], m[1, 1] = 1, p0 + 1
+    seen = _spy_det_mod_p(monkeypatch)
+    inverses = _spy_inverses(monkeypatch)
+    assert linalg.det_crt(m) == det_bareiss(m.tolist())
+    assert seen == [p0]
+    assert inverses
+
+
+def test_det_crt_zero_scalar_pivot_needs_no_fallback(monkeypatch):
+    # a first entry that vanishes mod p0 inside a pivot block that does not
     p0 = linalg.crt_primes(1)[0]
     m = _path_laplacian_like(50, 3)
     m[0, 0] = p0
     seen = _spy_det_mod_p(monkeypatch)
+    _spy_inverses(monkeypatch)
     assert linalg.det_crt(m) == det_bareiss(m.tolist())
-    assert seen == [p0]
+    assert seen == []
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 9, 10])
+def test_det_crt_odd_and_even_sizes(n):
+    # an odd n ends on one single pivot after the pivot pairs
+    rng = random.Random(n)
+    for trial in range(3):
+        m = np.zeros((n, n), dtype=np.int64)
+        for i in range(n):
+            for j in range(max(0, i - 2), min(n, i + 3)):
+                m[i, j] = rng.randint(-5, 5)
+        assert linalg.det_crt(m) == det_bareiss(m.tolist()), trial
+
+
+@pytest.mark.parametrize("corner", [1, linalg.crt_primes(1)[0] + 1])
+def test_det_crt_split_pivot_block_that_vanishes(monkeypatch, corner):
+    # rows 0 and 1 form a component of their own, where Cuthill-McKee
+    # starts: reach[1] = 1, so their pivot block [[1, 1], [1, corner]]
+    # updates no row.  Its determinant, 0 or p0, vanishes mod p0 and enters
+    # det as it is, with no inverse and no fallback.
+    m = np.zeros((20, 20), dtype=np.int64)
+    m[:2, :2] = [[1, 1], [1, corner]]
+    m[2:, 2:] = _path_laplacian_like(18, 3)
+    seen = _spy_det_mod_p(monkeypatch)
+    inverses = _spy_inverses(monkeypatch)
+    assert linalg.det_crt(m) == det_bareiss(m.tolist())
+    assert seen == []
+    assert inverses
+
+
+@pytest.mark.parametrize("n", [5, 6, 12])
+def test_det_crt_worst_case_residues(monkeypatch, n):
+    # 3I - J mod p0 = 2^31 - 1: every off-diagonal residue is p0 - 1, and
+    # the first pivot block [[2, -1], [-1, 2]] gives F = (-1, -1), so both
+    # products of the first update are (p0 - 1)^2 on every entry
+    assert linalg.crt_primes(1)[0] == (1 << 31) - 1
+    m = 3 * np.eye(n, dtype=np.int64) - 1
+    seen = _spy_det_mod_p(monkeypatch)
+    assert linalg.det_crt(m) == det_bareiss(m.tolist()) == 3 ** (n - 1) * (3 - n)
+    assert seen == []
 
 
 def test_corpus_cover_needs_no_fallback(monkeypatch):
@@ -227,23 +281,40 @@ def test_det_stack_matches_bareiss():
             assert _det_stack(stack, nonnegative=True) == expected
 
 
-def test_det_stack_falls_back_for_one_matrix_and_prime(monkeypatch):
-    # matrices scaled by 1, 10^3 and 10^6 need different numbers of primes,
-    # all of them the first prime p0; only matrix 1's first pivot (row 0,
-    # where Cuthill-McKee starts) vanishes mod p0, inside the product tree
-    # that inverts all three lanes of p0 together
-    p0 = linalg.crt_primes(1)[0]
+def _scaled_paths():
+    """Path-like matrices scaled by 1, 10^3 and 10^6: they need different
+    numbers of primes, all of them the first prime p0."""
     stack = np.stack([_path_laplacian_like(50, 3) * c
                       for c in (1, 10 ** 3, 10 ** 6)])
-    stack[1, 0, 0] = p0
     rows, cols = np.nonzero(stack.any(axis=0))
     bounds = linalg._hadamard_bounds(50, rows, stack[:, rows, cols])
     assert len({len(linalg._primes_above(2 * b + 1)) for b in bounds}) == 3
+    return stack
+
+
+def test_det_stack_falls_back_for_one_matrix_and_prime(monkeypatch):
+    # only matrix 1's first pivot block (rows 0 and 1, where Cuthill-McKee
+    # starts), [[1, -10^3], [-10^3, p0 + 10^6]], vanishes mod p0, inside
+    # the product tree that inverts all three lanes of p0 together
+    p0 = linalg.crt_primes(1)[0]
+    stack = _scaled_paths()
+    stack[1, 0, 0], stack[1, 1, 1] = 1, p0 + 10 ** 6
     seen = _spy_det_mod_p(monkeypatch, stack)
     inverses = _spy_inverses(monkeypatch)
     assert _det_stack(stack) == [det_bareiss(m.tolist()) for m in stack]
     assert seen == [(1, p0)]
     assert len(inverses) == 1  # one chunk: the lanes of p0 share one tree
+
+
+def test_det_stack_zero_scalar_pivot_needs_no_fallback(monkeypatch):
+    p0 = linalg.crt_primes(1)[0]
+    stack = _scaled_paths()
+    stack[1, 0, 0] = p0
+    seen = _spy_det_mod_p(monkeypatch, stack)
+    inverses = _spy_inverses(monkeypatch)
+    assert _det_stack(stack) == [det_bareiss(m.tolist()) for m in stack]
+    assert seen == []
+    assert len(inverses) == 1
 
 
 def test_det_stack_with_zero_matrices():
@@ -270,25 +341,25 @@ def test_det_stack_singular_node_at_u_equal_1():
     assert dets == [det_bareiss(m.tolist()) for m in stack]
 
 
-def test_pencil_stack_takes_one_inverse_per_prime_and_pivot(monkeypatch):
+def test_pencil_stack_takes_one_inverse_per_prime_and_pivot_pair(monkeypatch):
     cover = derived_cover(cayley_serre(2 ** 4, (3, 5)))
     inverses = _spy_inverses(monkeypatch)
     zeta.ihara_h(cover)
     assert inverses
-    for pivots, lanes, distinct, taken in inverses:
+    for pairs, lanes, distinct, taken in inverses:
         assert distinct < lanes
-        assert taken <= pivots * distinct
+        assert taken <= pairs * distinct
 
 
-def test_det_crt_takes_one_inverse_per_lane_and_pivot(monkeypatch):
+def test_det_crt_takes_one_inverse_per_lane_and_pivot_pair(monkeypatch):
     # one matrix: no prime repeats, so no product tree and no saving
     cover = derived_cover(cayley_serre(2 ** 9, (3, 5)))
     inverses = _spy_inverses(monkeypatch)
     assert spanning_tree_count(cover) == kappa_exact(TowerSpec(2, (3, 5)), 9)
     assert inverses
-    for pivots, lanes, distinct, taken in inverses:
+    for pairs, lanes, distinct, taken in inverses:
         assert distinct == lanes
-        assert taken == pivots * lanes
+        assert taken == pairs * lanes
 
 
 @st.composite
