@@ -5,14 +5,16 @@ The result is reconstructed by CRT from word-size primes whose product
 exceeds an integer Hadamard bound, so it is exact, not probabilistic.  The
 primes are lanes, the last axis of one array of residues: the matrix is
 reordered by Cuthill-McKee, which narrows the band of a circulant cover's
-reduced Laplacian, and eliminated inside that band without row swaps, one
-vectorized block update per pivot for every lane at once, in chunks of
-lanes whose band stays under ``BAND_BYTES_CAP``.  A lane whose pivot
-vanishes falls back to ``_det_mod_p``, a per-prime elimination with row
-swaps, so singular matrices and zero leading minors stay exact.  Each pivot
-takes one modular inverse per prime of its chunk, not one per lane: the
-pivots of the lanes that share a prime are inverted together by
-Montgomery's trick (Montgomery, Math. Comp. 48, 1987).
+reduced Laplacian, and eliminated inside that band without row swaps, two
+rows at a time: one vectorized update of the trailing block per 2 x 2 pivot
+block for every lane at once, with one reduction mod p (Dumas, Giorgi and
+Pernet, ACM TOMS 35(3), 2008), in chunks of lanes whose band stays under
+``BAND_BYTES_CAP``.  A lane whose pivot block vanishes falls back to
+``_det_mod_p``, a per-prime elimination with row swaps, so singular
+matrices and zero leading minors of even order stay exact.  Each pivot
+pair takes one modular inverse per prime of its chunk, not one per lane:
+the pivot block determinants of the lanes that share a prime are inverted
+together by Montgomery's trick (Montgomery, Math. Comp. 48, 1987).
 
 ``_det_stack`` is the engine itself.  It takes k matrices that share one
 pattern of n x n positions (rows, cols) as a k x nnz table of their values

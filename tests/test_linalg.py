@@ -166,14 +166,16 @@ def test_det_crt_zero_pivot_falls_back_for_that_prime(monkeypatch):
 
 
 def test_det_crt_zero_scalar_pivot_needs_no_fallback(monkeypatch):
-    # a first entry that vanishes mod p0 inside a pivot block that does not
+    # m[0, 0] = p0 vanishes mod p0, but the first pivot block
+    # [[p0, -1], [-1, 3]] does not
     p0 = linalg.crt_primes(1)[0]
     m = _path_laplacian_like(50, 3)
     m[0, 0] = p0
     seen = _spy_det_mod_p(monkeypatch)
-    _spy_inverses(monkeypatch)
+    inverses = _spy_inverses(monkeypatch)
     assert linalg.det_crt(m) == det_bareiss(m.tolist())
     assert seen == []
+    assert inverses
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 9, 10])
@@ -307,6 +309,7 @@ def test_det_stack_falls_back_for_one_matrix_and_prime(monkeypatch):
 
 
 def test_det_stack_zero_scalar_pivot_needs_no_fallback(monkeypatch):
+    # matrix 1's first entry vanishes mod p0, its first pivot block does not
     p0 = linalg.crt_primes(1)[0]
     stack = _scaled_paths()
     stack[1, 0, 0] = p0
