@@ -1,29 +1,26 @@
 """Exact integer linear algebra.
 
-One determinant engine, ``det_crt``: a rigorous multi-modular determinant.
-The result is reconstructed by CRT from word-size primes whose product
-exceeds an integer Hadamard bound, so it is exact, not probabilistic.  The
-primes are lanes, the last axis of one array of residues: the matrix is
-reordered by Cuthill-McKee, which narrows the band of a circulant cover's
-reduced Laplacian, and eliminated inside that band without row swaps, two
-rows at a time: one vectorized update of the trailing block per 2 x 2 pivot
-block for every lane at once, with one reduction mod p (Dumas, Giorgi and
-Pernet, ACM TOMS 35(3), 2008), in chunks of lanes whose band stays under
-``BAND_BYTES_CAP``.  A lane whose pivot block vanishes falls back to
-``_det_mod_p``, a per-prime elimination with row swaps, so singular
-matrices and zero leading minors of even order stay exact.  Each pivot
+One determinant engine, ``det_pattern``: a rigorous multi-modular
+determinant of k integer matrices that share one pattern of n x n positions
+(rows, cols), given as a k x nnz table of their values there and never as a
+dense matrix (a reduced Laplacian is the case k = 1, the nodes of
+``zeta.pencil_det`` the case k = 2n + 1).  Each result is reconstructed by
+CRT from word-size primes whose product exceeds the matrix's own integer
+Hadamard bound, taken from its values, so it is exact, not probabilistic.
+The primes are lanes, the last axis of one array of residues, a lane per
+(matrix, prime) pair: the pattern is reordered by Cuthill-McKee, which
+narrows the band of a circulant cover's reduced Laplacian, and eliminated
+inside that band without row swaps, two rows at a time: one vectorized
+update of the trailing block per 2 x 2 pivot block for every lane at once,
+with one reduction mod p (Dumas, Giorgi and Pernet, ACM TOMS 35(3), 2008),
+in chunks of lanes whose band stays under ``BAND_BYTES_CAP``.  A lane whose
+pivot block vanishes falls back to ``_det_mod_p``, a per-prime elimination
+with row swaps that densifies only its own matrix, so singular matrices and
+zero leading minors of even order stay exact.  Lanes are ordered prime by
+prime, so a chunk holds many matrices' lanes of few primes, and each pivot
 pair takes one modular inverse per prime of its chunk, not one per lane:
 the pivot block determinants of the lanes that share a prime are inverted
 together by Montgomery's trick (Montgomery, Math. Comp. 48, 1987).
-
-``_det_stack`` is the engine itself.  It takes k matrices that share one
-pattern of n x n positions (rows, cols) as a k x nnz table of their values
-there (the nodes of ``zeta.pencil_det``; ``det_crt`` is the case k = 1),
-never as a dense stack: one order and one band over the pattern, a lane
-per (matrix, prime) pair, and only the primes each matrix's own Hadamard
-bound, taken from its values, needs.  Lanes are ordered prime by prime, so
-a chunk holds many matrices' lanes of few primes.  A fallback lane
-densifies only its own matrix.
 """
 
 from __future__ import annotations
@@ -34,8 +31,8 @@ import numpy as np
 
 from .cyclotomic import is_prime
 
-# Byte cap on the band array of one chunk of prime lanes in det_crt (a
-# chunk has at least one lane, whatever the cap).
+# Byte cap on the band array of one chunk of prime lanes (a chunk has at
+# least one lane, whatever the cap).
 BAND_BYTES_CAP = 8 << 20
 
 _PRIME_CACHE: list[int] = []
@@ -293,21 +290,18 @@ def _primes_above(target: int) -> list[int]:
     return _PRIME_CACHE[:count]
 
 
-def _det_stack(n: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
-               nonnegative: bool = False) -> list[int]:
+def det_pattern(n: int, rows: np.ndarray, cols: np.ndarray,
+                vals: np.ndarray) -> list[int]:
     """Exact determinant of each n x n matrix j whose nonzeros lie among the
     distinct positions (rows[e], cols[e]), with int64 values vals[j, e].
 
     One kernel run for all k = len(vals) matrices over their shared
-    pattern; only the k x nnz values are stored.  ``nonnegative=True``
-    asserts det >= 0 for every matrix, which halves the required modulus
-    range.
+    pattern; only the k x nnz values are stored.
     """
     if n == 0:
         return [1] * len(vals)
     bounds = _hadamard_bounds(n, rows, vals)
-    primes = [_primes_above(b + 1 if nonnegative else 2 * b + 1) if b else []
-              for b in bounds]
+    primes = [_primes_above(2 * b + 1) if b else [] for b in bounds]
     # prime-major lanes: a chunk of lanes shares few primes, so its pivots
     # take few inverses
     lanes = [(j, ps[i]) for i in range(max(map(len, primes), default=0))
@@ -325,20 +319,9 @@ def _det_stack(n: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
             delta = (r - residue) % p
             residue = residue + modulus * (delta * pow(modulus % p, -1, p) % p)
             modulus *= p
-        if not nonnegative and residue > modulus // 2:
+        if residue > modulus // 2:
             residue -= modulus
         if abs(residue) > bound:
             raise ArithmeticError("CRT determinant exceeded its Hadamard bound")
         out.append(residue)
     return out
-
-
-def det_crt(matrix: np.ndarray, nonnegative: bool = False) -> int:
-    """Exact determinant via CRT over enough word-size primes.
-
-    ``nonnegative=True`` asserts det >= 0 (e.g. reduced Laplacians), which
-    halves the required modulus range.
-    """
-    rows, cols = np.nonzero(matrix)
-    return _det_stack(matrix.shape[0], rows, cols, matrix[rows, cols][None],
-                      nonnegative)[0]

@@ -104,27 +104,6 @@ def _pack(p, b):
     return pos - negv
 
 
-def pow_(p: list[int], e: int) -> list[int]:
-    if e < 0:
-        raise ValueError("negative exponent")
-    out = [1]
-    base = list(p)
-    while e:
-        if e & 1:
-            out = mul(out, base)
-        e >>= 1
-        if e:
-            base = mul(base, base)
-    return out
-
-
-def evaluate(p: list[int], x: int) -> int:
-    acc = 0
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
-
-
 def divmod_exact(p: list[int], d: list[int]) -> tuple[list[int], list[int]]:
     """Quotient and remainder of p by d where every division by lc(d) is exact.
 

@@ -6,9 +6,12 @@ edges are allowed; an undirected edge is an orbit {e, inverse(e)}.  All
 graphs handled here are expected to be finite, connected, and free of
 degree-one vertices; ``validate_serre`` reports every violation.
 
-Spanning trees are counted exactly through the matrix-tree theorem: the
-determinant of the reduced Laplacian, by the rigorous multi-modular CRT
-determinant of ``linalg``.
+Every matrix of a graph is built from one sparse pattern of its edge
+arrays (``_edge_pattern``): the adjacency matrix on its distinct positions
+plus the whole diagonal.  Spanning trees are counted exactly through the
+matrix-tree theorem: the determinant of the reduced Laplacian, given to the
+rigorous multi-modular CRT engine of ``linalg`` as its values on that
+pattern, never as a dense n x n array.
 """
 
 from __future__ import annotations
@@ -17,7 +20,8 @@ import numpy as np
 
 from . import linalg
 
-# Dense determinants on graphs beyond this many vertices are refused.
+# Graphs beyond this many vertices are refused by the matrix-tree count
+# and by the voltage-graph checks built on it.
 DEFAULT_VERTEX_CAP = 1 << 15
 
 
@@ -159,13 +163,31 @@ def require_valid(x: Multigraph) -> None:
         raise ValueError("invalid multigraph: " + "; ".join(problems))
 
 
+def _edge_pattern(n: int, origin, terminus) -> tuple:
+    """(rows, cols, counts) of the n x n adjacency matrix of the directed
+    edges origin[e] -> terminus[e]: its distinct nonzero positions and
+    every diagonal position, row-major, with the edge count at each (2 per
+    loop on the diagonal, 0 where a vertex has none)."""
+    keys = np.concatenate([np.asarray(origin, dtype=np.int64) * n
+                           + np.asarray(terminus, dtype=np.int64),
+                           np.arange(n, dtype=np.int64) * (n + 1)])
+    keys, counts = np.unique(keys, return_counts=True)
+    rows, cols = np.divmod(keys, n)
+    return rows, cols, counts - (rows == cols)
+
+
+def _adjacency_lists(n: int, origin, terminus) -> list[list[int]]:
+    """``_edge_pattern`` written out as an n x n list of lists."""
+    a = [[0] * n for _ in range(n)]
+    for i, j, c in zip(*(v.tolist() for v in
+                         _edge_pattern(n, origin, terminus))):
+        a[i][j] = c
+    return a
+
+
 def adjacency_matrix(x: Multigraph) -> list[list[int]]:
     """a_ii = twice the loops at i; a_ij = undirected edges between i and j."""
-    n = x.num_vertices
-    a = [[0] * n for _ in range(n)]
-    for e in range(len(x.origin)):
-        a[x.origin[e]][x.terminus[e]] += 1
-    return a
+    return _adjacency_lists(x.num_vertices, x.origin, x.terminus)
 
 
 def valency_matrix(x: Multigraph) -> list[list[int]]:
@@ -193,37 +215,30 @@ def betti1(x: Multigraph) -> int:
     return 1 - euler_characteristic(x)
 
 
-def _laplacian_reduced_np(x: Multigraph, delete_index: int) -> np.ndarray:
-    # vertex v is row v, or row v - 1 past the deleted vertex
-    lap = np.zeros((x.num_vertices - 1,) * 2, dtype=np.int64)
-    for o, t in zip(x.origin, x.terminus):
-        if o == delete_index:
-            continue
-        i = o - (o > delete_index)
-        lap[i, i] += 1
-        if t != delete_index:
-            lap[i, t - (t > delete_index)] -= 1
-    return lap
-
-
 def spanning_tree_count(x: Multigraph, delete_index: int = 0,
                         cap: int = DEFAULT_VERTEX_CAP) -> int:
     """Number of spanning trees (matrix-tree theorem), exact.
 
     ``delete_index`` selects the row/column removed from the Laplacian; the
     result does not depend on it.  Graphs with more than ``cap`` vertices
-    are refused since the dense determinant is infeasible.
+    are refused before any other work.
     """
-    require_valid(x)
     n = x.num_vertices
     if n > cap:
         raise ValueError(f"graph has {n} vertices, beyond the cap of {cap}")
+    require_valid(x)
     if not (0 <= delete_index < n):
         raise ValueError("delete_index out of range")
     if n == 1:
         return 1
-    det = linalg.det_crt(_laplacian_reduced_np(x, delete_index),
-                         nonnegative=True)
+    rows, cols, counts = _edge_pattern(n, x.origin, x.terminus)
+    # D - A on A's pattern: valency minus twice the loops on the diagonal
+    lap = np.where(rows == cols,
+                   np.bincount(x.origin, minlength=n)[rows] - counts, -counts)
+    keep = (rows != delete_index) & (cols != delete_index)
+    # vertex v is row v, or row v - 1 past the deleted vertex
+    rows, cols = (v[keep] - (v[keep] > delete_index) for v in (rows, cols))
+    det = linalg.det_pattern(n - 1, rows, cols, lap[keep][None])[0]
     if det <= 0:
         raise DisconnectedGraphError("reduced Laplacian is singular")
     return det

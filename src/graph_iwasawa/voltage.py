@@ -12,8 +12,11 @@ order d is the resultant of the d-th cyclotomic polynomial against the
 voltage-weighted determinant.  Substituting the companion matrix C of
 the cyclotomic polynomial for the voltage variable makes it one integer
 pencil, det(I - A u + diag(delta) u^2) with A = sum_sigma A(sigma) (x)
-C^sigma and delta = (D - I) (x) 1, which ``zeta.pencil_det`` evaluates;
-at u = 1 it is the single determinant det(D (x) 1 - A).
+C^sigma and delta = (D - I) (x) 1.  A is built dense, since it is only
+g * phi(d) on a side, and handed on once as its pattern (its nonzeros and
+the diagonal): ``zeta.pencil_det`` evaluates the pencil there, and at
+u = 1 it is the single determinant det(D (x) 1 - A) of the same pattern's
+values.
 """
 
 from __future__ import annotations
@@ -109,32 +112,39 @@ def artin_A_sigma(vg: VoltageGraph, sigma: int) -> list[list[int]]:
     adjacency convention.  Summed over sigma this recovers the base
     adjacency matrix.
     """
-    g = vg.base.num_vertices
     s = sigma % vg.modulus
-    a = [[0] * g for _ in range(g)]
-    for e in range(vg.base.num_directed_edges):
-        if vg.voltage[e] == s:
-            a[vg.base.origin[e]][vg.base.terminus[e]] += 1
-    return a
+    on = [e for e, v in enumerate(vg.voltage) if v == s]
+    return serre._adjacency_lists(vg.base.num_vertices,
+                                  [vg.base.origin[e] for e in on],
+                                  [vg.base.terminus[e] for e in on])
 
 
-def _orbit_pencil(vg: VoltageGraph, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """(A, delta) with h(u, Psi_d) = det(I - A u + diag(delta) u^2), for a
-    divisor d > 1 of the modulus: A = sum_sigma A(sigma) (x) C**sigma with C
-    the companion matrix of Phi_d, and delta = (D - I) (x) 1."""
+def _orbit_pencil(vg: VoltageGraph, d: int) -> tuple:
+    """(rows, cols, A's values there, delta) with h(u, Psi_d) =
+    det(I - A u + diag(delta) u^2), for a divisor d > 1 of the modulus:
+    A = sum_sigma A(sigma) (x) C**sigma with C the companion matrix of
+    Phi_d, and delta = (D - I) (x) 1.  The pattern is A's nonzeros and
+    the whole diagonal."""
     phi_d = polys.cyclotomic_polynomial(d)
     k = len(phi_d) - 1
     # C acts as multiplication by y on Z[y]/(Phi_d) in the basis 1..y^(k-1);
-    # C**d = I, so its powers cycle and their entries stay small
+    # C**d = I, so a voltage s acts as C**(s mod d)
     comp = np.eye(k, k, -1, dtype=np.int64)
     comp[:, -1] = [-c for c in phi_d[:-1]]
+    powers = [np.eye(k, dtype=np.int64)]
+    for _ in range(1, d):
+        powers.append(powers[-1] @ comp)
     g = vg.base.num_vertices
+    # dense, but only g * phi(d) on a side: each directed edge adds
+    # C**voltage to the block of its origin and terminus
     a = np.zeros((g * k, g * k), dtype=np.int64)
-    power = np.eye(k, dtype=np.int64)
-    for sigma in range(vg.modulus):
-        a += np.kron(np.array(artin_A_sigma(vg, sigma), dtype=np.int64), power)
-        power = power @ comp
-    return a, np.repeat(np.array(vg.base.valencies(), dtype=np.int64) - 1, k)
+    for o, t, s in zip(vg.base.origin, vg.base.terminus, vg.voltage):
+        a[o * k:(o + 1) * k, t * k:(t + 1) * k] += powers[s % d]
+    mask = a != 0
+    np.fill_diagonal(mask, True)
+    rows, cols = np.nonzero(mask)
+    return (rows, cols, a[rows, cols],
+            np.repeat(np.array(vg.base.valencies(), dtype=np.int64) - 1, k))
 
 
 def orbit_h_poly(vg: VoltageGraph, d: int) -> list[int]:
@@ -203,8 +213,9 @@ def verify_integer_decomposition(
         if d == 1:
             continue
         # h(1, Psi_d) = det(I - A + diag(delta)), the pencil at u = 1
-        a, delta = _orbit_pencil(vg, d)
-        val = linalg.det_crt(np.diag(delta + 1) - a)
+        rows, cols, a, delta = _orbit_pencil(vg, d)
+        at_one = zeta._pencil_values(rows, cols, a, delta, [1])
+        val = linalg.det_pattern(len(delta), rows, cols, at_one)[0]
         if val == 0:
             raise ArithmeticError(
                 f"h(1, Psi_{d}) vanished for a nontrivial orbit")

@@ -5,12 +5,13 @@ The reciprocal zeta of a multigraph X factors as
 Every h this package computes, of a graph or of a character orbit of a
 cover (``voltage.orbit_h_poly``), is such a quadratic pencil
 det(I - A u + diag(delta) u^2) of an integer matrix A and an integer
-vector delta, and ``pencil_det`` is the one place that evaluates it: only
-the pattern (the nonzeros of A and the diagonal) is evaluated at enough
-integer nodes, the determinants of all node matrices are taken in one run
-of ``linalg``'s multi-modular engine, and the polynomial is rebuilt by
-integer divided differences; integrality of the result is asserted rather
-than assumed.
+vector delta, and ``pencil_det`` is the one place that evaluates it.  It
+takes the pencil as a pattern, never as a dense n x n matrix: A's values at
+its nonzeros and at the whole diagonal (a graph's comes from
+``serre._edge_pattern``).  Only that pattern is evaluated at enough integer
+nodes, the determinants of all node matrices are taken in one run of
+``linalg.det_pattern``, and the polynomial is rebuilt by integer divided
+differences; integrality of the result is asserted rather than assumed.
 
 At u = 1 the determinant vanishes (singular Laplacian) and, away from the
 cycle-graph case chi(X) = 0, h_X'(1) = -2 chi(X) kappa_X recovers the
@@ -27,10 +28,12 @@ from . import linalg, polys, serre
 from .serre import Multigraph
 
 
-def pencil_det(a: np.ndarray, delta: np.ndarray) -> list[int]:
-    """det(I - A u + diag(delta) u^2) for an n x n int64 matrix A and an
-    int64 vector delta of length n: an integer polynomial of degree <= 2n
-    and constant term 1.
+def pencil_det(rows: np.ndarray, cols: np.ndarray, a: np.ndarray,
+               delta: np.ndarray) -> list[int]:
+    """det(I - A u + diag(delta) u^2) for the n x n integer matrix A with
+    int64 values a at the distinct positions (rows, cols), which hold every
+    diagonal position, and an int64 vector delta of length n: an integer
+    polynomial of degree <= 2n and constant term 1.
 
     The pattern's values at the 2n + 1 nodes 0, 1, -1, ..., n, -n are
     formed in int64; a node value that could pass int64 raises
@@ -44,18 +47,21 @@ def pencil_det(a: np.ndarray, delta: np.ndarray) -> list[int]:
     # |1 - a u + d u^2| <= 1 + n|a| + n^2|d| at every node |u| <= n
     if 1 + n * size_a + n * n * size_d >= 1 << 63:
         raise OverflowError("h(u) node values would pass int64")
-    mask = a != 0
-    np.fill_diagonal(mask, True)
-    rows, cols = np.nonzero(mask)
     nodes = _nodes(2 * n + 1)
-    u = np.array(nodes, dtype=np.int64)[:, None]
-    vals = (np.where(rows == cols, 1 + u * u * delta[rows], 0)
-            - u * a[rows, cols])
+    vals = _pencil_values(rows, cols, a, delta, nodes)
     h = polys.interpolate(list(zip(nodes,
-                                   linalg._det_stack(n, rows, cols, vals))))
+                                   linalg.det_pattern(n, rows, cols, vals))))
     if not h or h[0] != 1:
         raise ArithmeticError("h(0) must be 1")
     return h
+
+
+def _pencil_values(rows: np.ndarray, cols: np.ndarray, a: np.ndarray,
+                   delta: np.ndarray, nodes: list[int]) -> np.ndarray:
+    """The values of I - A u + diag(delta) u^2 on the pattern, one row per
+    node u."""
+    u = np.array(nodes, dtype=np.int64)[:, None]
+    return np.where(rows == cols, 1 + u * u * delta[rows], 0) - u * a
 
 
 def _nodes(k: int) -> list[int]:
@@ -73,9 +79,8 @@ def ihara_h(x: Multigraph) -> list[int]:
     """h_X(u) = det(I - Au + (D - I)u^2), an integer polynomial of degree 2g."""
     serre.require_valid(x)
     n = x.num_vertices
-    a = np.zeros((n, n), dtype=np.int64)
-    np.add.at(a, (x.origin, x.terminus), 1)
-    return pencil_det(a, np.bincount(x.origin, minlength=n) - 1)
+    return pencil_det(*serre._edge_pattern(n, x.origin, x.terminus),
+                      np.bincount(x.origin, minlength=n) - 1)
 
 
 def ihara_Z(x: Multigraph) -> tuple[int, list[int]]:

@@ -4,7 +4,8 @@ Everything here is deliberately naive: Leibniz determinants, fraction-free
 Bareiss determinants over Z (the reference for the library's multi-modular
 engine), determinants of polynomial matrices by Bareiss at integer points
 and Lagrange interpolation over Fractions, brute-force spanning-tree
-enumeration, the table definition of P_a, Q(eps) by Horner's rule (the
+enumeration, polynomial powers and Horner evaluation, the table
+definition of P_a, Q(eps) by Horner's rule (the
 reference for the level valuations, which the library takes of f(zeta)),
 Sylvester-matrix resultants over Fractions, and the subresultant PRS with
 its Res(Phi_{l^i}, f), the reference for the library's Graeffe norms and
@@ -151,6 +152,22 @@ def spanning_trees_brute(x: Multigraph) -> int:
         if ok:
             count += 1
     return count
+
+
+def poly_pow(p: list[int], e: int) -> list[int]:
+    """p**e by repeated multiplication, e >= 0."""
+    out = [1]
+    for _ in range(e):
+        out = _mul(out, p)
+    return out
+
+
+def poly_eval(p: list[int], x: int) -> int:
+    """p(x) by Horner's rule; 0 for the zero polynomial []."""
+    acc = 0
+    for c in reversed(p):
+        acc = acc * x + c
+    return acc
 
 
 def p_poly_table(a: int) -> list[int]:

@@ -46,22 +46,34 @@ def test_primes():
     assert not cyclotomic.is_prime(3215031751)  # strong pseudoprime to 2,3,5,7
 
 
+def _det_stack(stack):
+    """linalg.det_pattern on the values of a dense (k, n, n) stack at the
+    union of its patterns."""
+    rows, cols = np.nonzero(stack.any(axis=0))
+    return linalg.det_pattern(stack.shape[1], rows, cols, stack[:, rows, cols])
+
+
+def _det_crt(matrix):
+    """linalg.det_pattern on the nonzeros of one dense matrix."""
+    return _det_stack(matrix[None])[0]
+
+
 def test_det_crt_matches_bareiss():
     rng = random.Random(7)
     for trial in range(20):
         n = rng.randint(1, 30)
         m = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
         expected = det_bareiss(m)
-        got = linalg.det_crt(np.array(m, dtype=np.int64))
+        got = _det_crt(np.array(m, dtype=np.int64))
         assert got == expected, trial
 
 
-def test_det_crt_nonnegative_mode():
-    # SPD-style matrix, det known positive
+def test_det_crt_positive_det_in_signed_range():
+    # SPD-style matrix, det known positive: the signed CRT range holds it
     m = np.array([[4, -1, 0], [-1, 4, -1], [0, -1, 4]], dtype=np.int64)
     expected = det_bareiss(m.tolist())
     assert expected > 0
-    assert linalg.det_crt(m, nonnegative=True) == expected
+    assert _det_crt(m) == expected
 
 
 def test_det_crt_large_banded():
@@ -72,7 +84,7 @@ def test_det_crt_large_banded():
         m[i, i] = 2
         if i:
             m[i, i - 1] = m[i - 1, i] = -1
-    assert linalg.det_crt(m, nonnegative=True) == n + 1
+    assert _det_crt(m) == n + 1
 
 
 def _spy_det_mod_p(monkeypatch, stack=None):
@@ -148,7 +160,7 @@ def test_det_crt_permuted_band_with_corner():
         perm = list(range(n))
         rng.shuffle(perm)
         m = m[np.ix_(perm, perm)]
-        assert linalg.det_crt(m) == det_bareiss(m.tolist()), trial
+        assert _det_crt(m) == det_bareiss(m.tolist()), trial
 
 
 def test_det_crt_zero_pivot_falls_back_for_that_prime(monkeypatch):
@@ -160,7 +172,7 @@ def test_det_crt_zero_pivot_falls_back_for_that_prime(monkeypatch):
     m[0, 0], m[1, 1] = 1, p0 + 1
     seen = _spy_det_mod_p(monkeypatch)
     inverses = _spy_inverses(monkeypatch)
-    assert linalg.det_crt(m) == det_bareiss(m.tolist())
+    assert _det_crt(m) == det_bareiss(m.tolist())
     assert seen == [p0]
     assert inverses
 
@@ -173,7 +185,7 @@ def test_det_crt_zero_scalar_pivot_needs_no_fallback(monkeypatch):
     m[0, 0] = p0
     seen = _spy_det_mod_p(monkeypatch)
     inverses = _spy_inverses(monkeypatch)
-    assert linalg.det_crt(m) == det_bareiss(m.tolist())
+    assert _det_crt(m) == det_bareiss(m.tolist())
     assert seen == []
     assert inverses
 
@@ -187,7 +199,7 @@ def test_det_crt_odd_and_even_sizes(n):
         for i in range(n):
             for j in range(max(0, i - 2), min(n, i + 3)):
                 m[i, j] = rng.randint(-5, 5)
-        assert linalg.det_crt(m) == det_bareiss(m.tolist()), trial
+        assert _det_crt(m) == det_bareiss(m.tolist()), trial
 
 
 @pytest.mark.parametrize("corner", [1, linalg.crt_primes(1)[0] + 1])
@@ -201,7 +213,7 @@ def test_det_crt_split_pivot_block_that_vanishes(monkeypatch, corner):
     m[2:, 2:] = _path_laplacian_like(18, 3)
     seen = _spy_det_mod_p(monkeypatch)
     inverses = _spy_inverses(monkeypatch)
-    assert linalg.det_crt(m) == det_bareiss(m.tolist())
+    assert _det_crt(m) == det_bareiss(m.tolist())
     assert seen == []
     assert inverses
 
@@ -214,7 +226,7 @@ def test_det_crt_worst_case_residues(monkeypatch, n):
     assert linalg.crt_primes(1)[0] == (1 << 31) - 1
     m = 3 * np.eye(n, dtype=np.int64) - 1
     seen = _spy_det_mod_p(monkeypatch)
-    assert linalg.det_crt(m) == det_bareiss(m.tolist()) == 3 ** (n - 1) * (3 - n)
+    assert _det_crt(m) == det_bareiss(m.tolist()) == 3 ** (n - 1) * (3 - n)
     assert seen == []
 
 
@@ -251,15 +263,7 @@ def test_hadamard_bound_past_int64_squares():
         arr = np.array(m, dtype=np.int64)
         det = det_bareiss(m)
         assert abs(det) <= _hadamard_bound(arr)
-        assert linalg.det_crt(arr) == det
-
-
-def _det_stack(stack, nonnegative=False):
-    """linalg._det_stack on the values of a dense (k, n, n) stack at the
-    union of its patterns."""
-    rows, cols = np.nonzero(stack.any(axis=0))
-    return linalg._det_stack(stack.shape[1], rows, cols, stack[:, rows, cols],
-                             nonnegative)
+        assert _det_crt(arr) == det
 
 
 def _stack_on_pattern(rng, k, n, density):
@@ -279,8 +283,6 @@ def test_det_stack_matches_bareiss():
         stack = _stack_on_pattern(rng, k, n, rng.choice((0.1, 0.3, 0.8)))
         expected = [det_bareiss(m.tolist()) for m in stack]
         assert _det_stack(stack) == expected, trial
-        if min(expected) >= 0:
-            assert _det_stack(stack, nonnegative=True) == expected
 
 
 def _scaled_paths():

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from graph_iwasawa import polys
-from oracles import prem, resultant, sylvester_resultant
+from oracles import poly_eval, prem, resultant, sylvester_resultant
 
 small_polys = st.lists(st.integers(-50, 50), max_size=8).map(polys.trim)
 
@@ -33,13 +33,6 @@ def test_kronecker_matches_schoolbook(p, q):
     if len(p) < 40 or len(q) < 40:
         return
     assert polys._mul_kronecker(p, q) == polys._mul_school(p, q)
-
-
-def test_pow_and_evaluate():
-    assert polys.pow_([0, 1], 5) == [0, 0, 0, 0, 0, 1]
-    assert polys.pow_([1, 1], 2) == [1, 2, 1]
-    assert polys.evaluate([1, -4, 3], 2) == 1 - 8 + 12
-    assert polys.evaluate([], 17) == 0
 
 
 def test_divmod_exact():
@@ -79,7 +72,7 @@ def test_resultant_edge_cases():
 @given(st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=1, max_size=9))
 def test_interpolate_roundtrip(coeffs):
     p = polys.trim(coeffs)
-    pts = [(x, polys.evaluate(p, x)) for x in range(-4, 5)]
+    pts = [(x, poly_eval(p, x)) for x in range(-4, 5)]
     assert polys.interpolate(pts) == p
 
 

@@ -1,10 +1,12 @@
 import random
+import tracemalloc
 
 import pytest
 
 from graph_iwasawa import (
     DisconnectedGraphError,
     Multigraph,
+    TowerSpec,
     adjacency_matrix,
     betti1,
     bouquet,
@@ -12,6 +14,7 @@ from graph_iwasawa import (
     cycle_graph,
     derived_cover,
     euler_characteristic,
+    kappa_exact,
     laplacian,
     multigraph_from_json,
     multigraph_to_json,
@@ -20,6 +23,7 @@ from graph_iwasawa import (
     valency_matrix,
     validate_serre,
 )
+from graph_iwasawa import serre
 from oracles import random_base_multigraph, spanning_trees_brute
 
 
@@ -29,6 +33,23 @@ def four_edge_join() -> Multigraph:
     for _ in range(4):
         g.add_edge(0, 1)
     return g
+
+
+def loop_graphs() -> list[Multigraph]:
+    """Loops count twice on the adjacency diagonal and drop out of the
+    Laplacian: a vertex with two loops (which the seeded random graphs
+    below never draw on two or more vertices), and a loop beside parallel
+    edges."""
+    two_loops = Multigraph(3)
+    two_loops.add_loop(0)
+    two_loops.add_loop(0)
+    for u, v in ((0, 1), (1, 2), (1, 2), (2, 0)):
+        two_loops.add_edge(u, v)
+    beside = Multigraph(3)
+    beside.add_loop(1)
+    for u, v in ((0, 1), (0, 1), (1, 2), (2, 0)):
+        beside.add_edge(u, v)
+    return [two_loops, beside]
 
 
 def test_validate_bouquet_ok():
@@ -67,6 +88,17 @@ def test_adjacency_examples():
     c4 = adjacency_matrix(cycle_graph(4))
     assert c4 == [[0, 1, 0, 1], [1, 0, 1, 0], [0, 1, 0, 1], [1, 0, 1, 0]]
     assert adjacency_matrix(four_edge_join()) == [[0, 4], [4, 0]]
+
+
+def test_adjacency_matches_an_edge_loop():
+    rng = random.Random(29)
+    graphs = [random_base_multigraph(rng) for _ in range(20)]
+    for g in graphs + loop_graphs() + [bouquet(3)]:
+        n = g.num_vertices
+        a = [[0] * n for _ in range(n)]
+        for o, t in zip(g.origin, g.terminus):
+            a[o][t] += 1
+        assert adjacency_matrix(g) == a
 
 
 def test_valency_laplacian_examples():
@@ -127,15 +159,17 @@ def test_spanning_trees_cover_example():
 
 def test_spanning_trees_vs_bruteforce():
     rng = random.Random(23)
-    for _ in range(15):
-        g = random_base_multigraph(rng, max_vertices=4, max_edges=7)
+    graphs = [random_base_multigraph(rng, max_vertices=4, max_edges=7)
+              for _ in range(15)]
+    for g in graphs + loop_graphs():
         assert spanning_tree_count(g) == spanning_trees_brute(g)
 
 
 def test_spanning_trees_deletion_independent():
     rng = random.Random(41)
-    for _ in range(10):
-        g = random_base_multigraph(rng, max_vertices=8, max_edges=12)
+    graphs = [random_base_multigraph(rng, max_vertices=8, max_edges=12)
+              for _ in range(10)]
+    for g in graphs + loop_graphs():
         counts = {spanning_tree_count(g, delete_index=i)
                   for i in range(g.num_vertices)}
         assert len(counts) == 1
@@ -152,6 +186,31 @@ def test_spanning_trees_requires_connected():
 def test_vertex_cap():
     with pytest.raises(ValueError, match="cap"):
         spanning_tree_count(cycle_graph(100), cap=64)
+
+
+def test_vertex_cap_refuses_before_validating(monkeypatch):
+    calls = []
+    monkeypatch.setattr(serre, "validate_serre",
+                        lambda x: calls.append(x) or [])
+    with pytest.raises(ValueError, match="cap"):
+        spanning_tree_count(cycle_graph(100), cap=64)
+    assert calls == []
+
+
+def test_matrix_tree_count_builds_no_dense_laplacian():
+    # a dense reduced Laplacian of this cover alone is (n - 1)^2 int64s,
+    # 7.98 MiB; the pattern route peaks well below it
+    spec, level = TowerSpec(2, (1, 1)), 10
+    cover = derived_cover(cayley_serre(2 ** level, spec.generators))
+    n = cover.num_vertices
+    tracemalloc.start()
+    try:
+        count = spanning_tree_count(cover)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert count == kappa_exact(spec, level)
+    assert peak < (n - 1) ** 2 * 8
 
 
 def test_delete_index_out_of_range():
