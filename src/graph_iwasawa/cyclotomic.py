@@ -22,10 +22,18 @@ from . import polys
 INFINITY = math.inf
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# psi_12, the least strong pseudoprime to all of _MR_BASES (Sorenson and
+# Webster, Math. Comp. 86, 2017): below it the test is a proof.
+_MR_PROVEN_BELOW = 318665857834031151167461
 
 
 def is_prime(n: int) -> bool:
-    """Miller-Rabin on bases 2..37, deterministic below 3.1 * 10^23."""
+    """Miller-Rabin on bases 2..37, deterministic below psi_12 = 3.1 * 10^23;
+    ValueError from there on, where it would only be probable."""
+    if n >= _MR_PROVEN_BELOW:
+        raise ValueError(f"{n} is past the proven range of the primality "
+                         f"test: Miller-Rabin on bases 2..37 decides only "
+                         f"n < {_MR_PROVEN_BELOW}")
     if n < 2:
         return False
     for p in _MR_BASES:

@@ -1,25 +1,30 @@
 """Exact integer linear algebra.
 
-One determinant engine, ``det_pattern``: a rigorous multi-modular
-determinant of k integer matrices that share one pattern of n x n positions
-(rows, cols), given as a k x nnz table of their values there and never as a
-dense matrix (a reduced Laplacian is the case k = 1, the nodes of
-``zeta.pencil_det`` the case k = 2n + 1).  Each result is reconstructed by
-CRT from word-size primes whose product exceeds the matrix's own integer
-Hadamard bound, taken from its values, so it is exact, not probabilistic.
-The primes are lanes, the last axis of one array of residues, a lane per
-(matrix, prime) pair: the pattern is reordered by Cuthill-McKee, which
-narrows the band of a circulant cover's reduced Laplacian, and eliminated
-inside that band without row swaps, two rows at a time: one vectorized
-update of the trailing block per 2 x 2 pivot block for every lane at once,
-with one reduction mod p (Dumas, Giorgi and Pernet, ACM TOMS 35(3), 2008),
-in chunks of lanes whose band stays under ``BAND_BYTES_CAP``.  A lane whose
-pivot block vanishes falls back to ``_det_mod_p``, a per-prime elimination
-with row swaps that densifies only its own matrix, so singular matrices and
-zero leading minors of even order stay exact.  Lanes are ordered prime by
-prime, so a chunk holds many matrices' lanes of few primes, and each pivot
-pair takes one modular inverse per prime of its chunk, not one per lane:
-the pivot block determinants of the lanes that share a prime are inverted
+One determinant engine for k integer matrices that share one pattern of
+n x n positions (rows, cols), given as a k x nnz table of their values
+there and never as a dense matrix.  ``det_residues`` takes the determinant
+of every matrix mod each prime of a given list: the primes are lanes, the
+last axis of one array of residues, a lane per (matrix, prime) pair.
+``det_pattern`` is the exact determinant: the primes of each matrix's own
+integer Hadamard bound, taken from its values, then ``det_residues``, then
+``_crt``, the one CRT, which refuses a result past its bound.  So it is
+exact, not probabilistic.  A reduced Laplacian is the case k = 1;
+``zeta.pencil_det`` calls ``det_residues`` with its 2n + 1 node matrices and
+the primes of one bound on the pencil's coefficients, and ``_crt`` after it
+has interpolated mod each prime.
+
+The kernel reorders the pattern by Cuthill-McKee, which narrows the band of
+a circulant cover's reduced Laplacian, and eliminates inside that band
+without row swaps, two rows at a time: one vectorized update of the
+trailing block per 2 x 2 pivot block for every lane at once, with one
+reduction mod p (Dumas, Giorgi and Pernet, ACM TOMS 35(3), 2008), in chunks
+of lanes whose band stays under ``BAND_BYTES_CAP``.  A lane whose pivot
+block vanishes falls back to ``_det_mod_p``, a per-prime elimination with
+row swaps that densifies only its own matrix, so singular matrices and zero
+leading minors of even order stay exact.  Lanes are ordered prime by prime,
+so a chunk holds many matrices' lanes of few primes, and each pivot pair
+takes one modular inverse per prime of its chunk, not one per lane: the
+pivot block determinants of the lanes that share a prime are inverted
 together by Montgomery's trick (Montgomery, Math. Comp. 48, 1987).
 """
 
@@ -290,38 +295,61 @@ def _primes_above(target: int) -> list[int]:
     return _PRIME_CACHE[:count]
 
 
+def det_residues(n: int, rows: np.ndarray, cols: np.ndarray,
+                 vals: np.ndarray, primes: list[list[int]]) -> list[list[int]]:
+    """det(M_j) mod p for each prime p of primes[j], of each n x n matrix j
+    whose nonzeros lie among the distinct positions (rows[e], cols[e]), with
+    int64 values vals[j, e]: one kernel run over all sum_j len(primes[j])
+    (matrix, prime) lanes, with the pivoting fallback for a lane whose pivot
+    block vanishes."""
+    if n == 0:
+        return [[1 % p for p in ps] for ps in primes]
+    # prime-major lanes: a chunk of lanes shares few primes, so its pivots
+    # take few inverses
+    lanes = [(j, ps[i]) for i in range(max(map(len, primes), default=0))
+             for j, ps in enumerate(primes) if i < len(ps)]
+    out: list[list[int]] = [[] for _ in primes]
+    for (j, _), r in zip(lanes, _det_mod_lanes(n, rows, cols, vals, lanes)
+                         if lanes else []):
+        out[j].append(r)
+    return out
+
+
+def _crt(primes: list[int], residues: list[list[int]],
+         bound: int) -> list[int]:
+    """The integer x with |x| <= bound and x = rs[i] mod primes[i], for each
+    row rs of residues, where the product of the primes exceeds 2 bound.
+    ArithmeticError if some x lies past bound: then the bound was wrong."""
+    steps, modulus = [], 1
+    for p in primes:
+        # incremental CRT: the inverse of each partial modulus is shared by
+        # every row
+        steps.append((p, modulus, pow(modulus % p, -1, p)))
+        modulus *= p
+    out = []
+    for rs in residues:
+        x = 0
+        for (p, m, inv), r in zip(steps, rs):
+            x += m * ((r - x % p) * inv % p)
+        if x > modulus // 2:
+            x -= modulus
+        if abs(x) > bound:
+            raise ArithmeticError("CRT value exceeded its a-priori bound")
+        out.append(x)
+    return out
+
+
 def det_pattern(n: int, rows: np.ndarray, cols: np.ndarray,
                 vals: np.ndarray) -> list[int]:
     """Exact determinant of each n x n matrix j whose nonzeros lie among the
     distinct positions (rows[e], cols[e]), with int64 values vals[j, e].
 
-    One kernel run for all k = len(vals) matrices over their shared
-    pattern; only the k x nnz values are stored.
+    Each matrix gets the primes of its own Hadamard bound; one kernel run
+    takes the residues of all k = len(vals) matrices, and only the k x nnz
+    values are stored.
     """
-    if n == 0:
-        return [1] * len(vals)
     bounds = _hadamard_bounds(n, rows, vals)
     primes = [_primes_above(2 * b + 1) if b else [] for b in bounds]
-    # prime-major lanes: a chunk of lanes shares few primes, so its pivots
-    # take few inverses
-    lanes = [(j, ps[i]) for i in range(max(map(len, primes), default=0))
-             for j, ps in enumerate(primes) if i < len(ps)]
-    residues: list[list[int]] = [[] for _ in primes]
-    for (j, _), r in zip(lanes, _det_mod_lanes(n, rows, cols, vals, lanes)
-                         if lanes else []):
-        residues[j].append(r)
-    out = []
-    for bound, ps, rs in zip(bounds, primes, residues):
-        residue = 0
-        modulus = 1
-        for p, r in zip(ps, rs):
-            # incremental CRT
-            delta = (r - residue) % p
-            residue = residue + modulus * (delta * pow(modulus % p, -1, p) % p)
-            modulus *= p
-        if residue > modulus // 2:
-            residue -= modulus
-        if abs(residue) > bound:
-            raise ArithmeticError("CRT determinant exceeded its Hadamard bound")
-        out.append(residue)
-    return out
+    residues = det_residues(n, rows, cols, vals, primes)
+    return [_crt(ps, [rs], b)[0]
+            for b, ps, rs in zip(bounds, primes, residues)]

@@ -2,8 +2,8 @@
 
 Polynomials are plain lists of int coefficients in ascending degree,
 always kept trimmed (no trailing zeros); the zero polynomial is the empty
-list.  Every operation, interpolation included, stays in the integers: a
-division that is not exact raises instead of leaving Z.
+list.  Every operation stays in the integers: a division that is not exact
+raises instead of leaving Z.
 
 ``graeffe`` and ``graeffe_at_one`` are the one norm kernel of the package:
 the l-Graeffe step G(z) = prod over y^l = z of p(y), and its value at
@@ -196,36 +196,6 @@ def graeffe_at_one(p: list[int], ell: int) -> int:
     sign, det = _det(_multiplication_matrix(sections, lambda x: x),
                      operator.mul, operator.sub, _divexact_int)
     return sign * det
-
-
-def interpolate(points: list[tuple[int, int]]) -> list[int]:
-    """Interpolation through integer points by Newton divided differences,
-    asserting an integer polynomial results.
-
-    The divided differences of an integer polynomial at integer nodes are
-    integers, so every division is exact exactly when the interpolant has
-    integer coefficients.
-    """
-    xs = [x for x, _ in points]
-    if len(set(xs)) != len(xs):
-        raise ValueError("interpolation nodes must be distinct")
-    c = [y for _, y in points]
-    for j in range(1, len(c)):
-        for i in range(len(c) - 1, j - 1, -1):
-            q, r = divmod(c[i] - c[i - 1], xs[i] - xs[i - j])
-            if r:
-                raise ArithmeticError("interpolation produced a non-integer "
-                                      "coefficient; degree bound too small?")
-            c[i] = q
-    # Newton form to coefficients: p = c[i] + (y - x_i) * p, innermost last
-    out: list[int] = []
-    for i in range(len(c) - 1, -1, -1):
-        shifted = [0] + out
-        for d, a in enumerate(out):
-            shifted[d] -= xs[i] * a
-        shifted[0] += c[i]
-        out = shifted
-    return trim(out)
 
 
 def cyclotomic_polynomial(n: int) -> list[int]:

@@ -8,10 +8,16 @@ det(I - A u + diag(delta) u^2) of an integer matrix A and an integer
 vector delta, and ``pencil_det`` is the one place that evaluates it.  It
 takes the pencil as a pattern, never as a dense n x n matrix: A's values at
 its nonzeros and at the whole diagonal (a graph's comes from
-``serre._edge_pattern``).  Only that pattern is evaluated at enough integer
-nodes, the determinants of all node matrices are taken in one run of
-``linalg.det_pattern``, and the polynomial is rebuilt by integer divided
-differences; integrality of the result is asserted rather than assumed.
+``serre._edge_pattern``).  h is rebuilt by coefficient CRT:
+
+1. a bound on h's coefficients before any work, the product of the rows'
+   l1 norms over the pencil's polynomial entries, which fixes one prime
+   list for the whole pencil;
+2. the pattern's values at 2n + 1 integer nodes, and the determinant of
+   every node matrix mod every prime in one run of
+   ``linalg.det_residues``: (2n + 1) k lanes for k primes;
+3. interpolation mod each prime, vectorized over primes and nodes;
+4. one CRT per coefficient, which refuses a coefficient past the bound.
 
 At u = 1 the determinant vanishes (singular Laplacian) and, away from the
 cycle-graph case chi(X) = 0, h_X'(1) = -2 chi(X) kappa_X recovers the
@@ -20,6 +26,7 @@ spanning-tree count.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,9 +42,11 @@ def pencil_det(rows: np.ndarray, cols: np.ndarray, a: np.ndarray,
     diagonal position, and an int64 vector delta of length n: an integer
     polynomial of degree <= 2n and constant term 1.
 
-    The pattern's values at the 2n + 1 nodes 0, 1, -1, ..., n, -n are
-    formed in int64; a node value that could pass int64 raises
-    OverflowError instead of wrapping.
+    The primes are those whose product passes twice the a-priori bound
+    sum_i |h_i| <= prod_v (1 + |delta_v| + sum_j |a_vj|).  The pattern's
+    values at the 2n + 1 nodes 0, 1, -1, ..., n, -n are formed in int64; a
+    node value that could pass int64 raises OverflowError instead of
+    wrapping.
     """
     n = len(delta)
     if n == 0:
@@ -47,12 +56,70 @@ def pencil_det(rows: np.ndarray, cols: np.ndarray, a: np.ndarray,
     # |1 - a u + d u^2| <= 1 + n|a| + n^2|d| at every node |u| <= n
     if 1 + n * size_a + n * n * size_d >= 1 << 63:
         raise OverflowError("h(u) node values would pass int64")
+    # ||h||_1 <= prod_v sum_j ||m_vj||_1 over the pencil's polynomial
+    # entries m_vj: h is a signed sum of products of entries, and the l1
+    # norm of coefficients is subadditive and submultiplicative
+    norms = 1 + np.abs(delta)
+    np.add.at(norms, rows, np.abs(a))
+    bound = math.prod(norms.tolist())
+    primes = linalg._primes_above(2 * bound + 1)
     nodes = _nodes(2 * n + 1)
     vals = _pencil_values(rows, cols, a, delta, nodes)
-    h = polys.interpolate(list(zip(nodes,
-                                   linalg.det_pattern(n, rows, cols, vals))))
+    residues = linalg.det_residues(n, rows, cols, vals,
+                                   [primes] * len(nodes))
+    coeffs = _interpolate_mod(np.array(residues, dtype=np.int64), primes)
+    h = polys.trim(linalg._crt(primes, coeffs.tolist(), bound))
     if not h or h[0] != 1:
         raise ArithmeticError("h(0) must be 1")
+    return h
+
+
+def _interpolate_mod(values: np.ndarray, primes: list[int]) -> np.ndarray:
+    """Coefficients mod primes[i], in column i, of the polynomial h of
+    degree <= 2n with h(u) = values[v, i] mod primes[i] at the v-th of the
+    2n + 1 nodes 0, 1, -1, ..., n, -n (``_nodes``), n >= 1.
+
+    h(u) = E(u^2) + u O(u^2) with E(t) = E(0) + t E'(t): E' and O have
+    degree < n, and h(+-v) gives both at t = v^2 for v = 1..n.  They are
+    interpolated there together by Newton divided differences, one array
+    operation per step over both, every node and every prime: the node
+    differences v^2 - w^2 = (v - w)(v + w) are the same for every prime.
+    """
+    ps = np.array(primes, dtype=np.int64)
+    n = (len(values) - 1) // 2
+    h = values % ps
+    # inverse[d] = 1 / d and inv_fact[j] = 1 / j! mod each prime
+    rows = [[0] * len(primes)] + [[pow(d, -1, p) for p in primes]
+                                  for d in range(1, 2 * n + 1)]
+    inv_fact = [[1] * len(primes)]
+    for j in range(1, n):
+        inv_fact.append([f * i % p for f, i, p
+                         in zip(inv_fact[-1], rows[j], primes)])
+    inverse = np.array(rows, dtype=np.int64)
+    inv_v = inverse[1:n + 1]
+    at0, plus, minus = h[0], h[1::2], h[2::2]
+    even = (plus + minus) * inverse[2] % ps  # E(v^2)
+    even = (even - at0) * inv_v % ps * inv_v % ps  # E'(v^2)
+    odd = (plus - minus) * inverse[2:2 * n + 1:2] % ps  # O(v^2)
+    c = np.stack([even, odd])
+    # Step j divides by (v - w)(v + w) = j (2v - j) with v = i + 1 at
+    # node i; the common factor j is left to the end, so column i ends
+    # i! times its divided difference.
+    for j in range(1, n):
+        step = c[:, j:] - c[:, j - 1:-1]
+        step *= inverse[j + 2:2 * n - j + 1:2]
+        np.remainder(step, ps, out=c[:, j:])
+    c = c * np.array(inv_fact, dtype=np.int64) % ps
+    # Newton form to coefficients: p = c[i] + (t - v^2) p, innermost
+    # first, with p in out[:, 1:] and out[:, 0] = c[i] to shift it in
+    out = np.zeros((2, n + 1, len(primes)), dtype=np.int64)
+    for i in range(n - 1, -1, -1):
+        top = n - i
+        out[:, 0] = c[:, i]
+        step = out[:, 1:top + 1] * -(i + 1) ** 2
+        step += out[:, :top]
+        np.remainder(step, ps, out=out[:, 1:top + 1])
+    h[2::2], h[1::2] = out[:, 1:]
     return h
 
 

@@ -4,7 +4,8 @@ Everything here is deliberately naive: Leibniz determinants, fraction-free
 Bareiss determinants over Z (the reference for the library's multi-modular
 engine), determinants of polynomial matrices by Bareiss at integer points
 and Lagrange interpolation over Fractions, brute-force spanning-tree
-enumeration, polynomial powers and Horner evaluation, the table
+enumeration, polynomial powers, Horner evaluation and exact integer
+interpolation by divided differences, the table
 definition of P_a, Q(eps) by Horner's rule (the
 reference for the level valuations, which the library takes of f(zeta)),
 Sylvester-matrix resultants over Fractions, and the subresultant PRS with
@@ -168,6 +169,37 @@ def poly_eval(p: list[int], x: int) -> int:
     for c in reversed(p):
         acc = acc * x + c
     return acc
+
+
+def interpolate(points: list[tuple[int, int]]) -> list[int]:
+    """Interpolation through integer points by Newton divided differences
+    over Z, asserting an integer polynomial results: the reference for
+    ``zeta.pencil_det``, which interpolates mod each CRT prime.
+
+    The divided differences of an integer polynomial at integer nodes are
+    integers, so every division is exact exactly when the interpolant has
+    integer coefficients.
+    """
+    xs = [x for x, _ in points]
+    if len(set(xs)) != len(xs):
+        raise ValueError("interpolation nodes must be distinct")
+    c = [y for _, y in points]
+    for j in range(1, len(c)):
+        for i in range(len(c) - 1, j - 1, -1):
+            q, r = divmod(c[i] - c[i - 1], xs[i] - xs[i - j])
+            if r:
+                raise ArithmeticError("interpolation produced a non-integer "
+                                      "coefficient; degree bound too small?")
+            c[i] = q
+    # Newton form to coefficients: p = c[i] + (y - x_i) * p, innermost last
+    out: list[int] = []
+    for i in range(len(c) - 1, -1, -1):
+        shifted = [0] + out
+        for d, a in enumerate(out):
+            shifted[d] -= xs[i] * a
+        shifted[0] += c[i]
+        out = shifted
+    return _trim(out)
 
 
 def p_poly_table(a: int) -> list[int]:

@@ -53,6 +53,18 @@ def test_tower_invalid_spec(capsys):
     assert "coprime" in err
 
 
+@pytest.mark.parametrize("ell", [
+    318665857834031151167461,  # psi_12: composite, yet passes bases 2..37
+    618970019642690137449562111,  # 2^89 - 1: prime, but not provably here
+])
+def test_prime_past_the_proven_primality_range_exits_1(capsys, ell):
+    for command in ("kappa", "tower"):
+        code, out, err = run(capsys, command, "-l", str(ell), "-a", "1,1",
+                             "-n", "0")
+        assert (code, out) == (1, "")
+        assert "318665857834031151167461" in err
+
+
 def test_tower_json_and_csv(capsys):
     code, out, _ = run(capsys, "tower", "-l", "2", "-a", "1,1", "-n", "4",
                        "--format", "json")

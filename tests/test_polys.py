@@ -2,7 +2,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from graph_iwasawa import polys
-from oracles import poly_eval, prem, resultant, sylvester_resultant
+from oracles import (interpolate, poly_eval, prem, resultant,
+                     sylvester_resultant)
 
 small_polys = st.lists(st.integers(-50, 50), max_size=8).map(polys.trim)
 
@@ -69,23 +70,25 @@ def test_resultant_edge_cases():
     assert resultant(f, g) == -resultant(g, f)
 
 
+# oracles.interpolate: the exact reference that zeta.pencil_det's modular
+# interpolation is checked against
 @given(st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=1, max_size=9))
 def test_interpolate_roundtrip(coeffs):
     p = polys.trim(coeffs)
     pts = [(x, poly_eval(p, x)) for x in range(-4, 5)]
-    assert polys.interpolate(pts) == p
+    assert interpolate(pts) == p
 
 
 def test_interpolate_rejects_duplicates():
     with pytest.raises(ValueError):
-        polys.interpolate([(1, 1), (1, 2)])
+        interpolate([(1, 1), (1, 2)])
 
 
 @pytest.mark.parametrize("xs", [[0, 1, -1, 2, -2], [-3, 5, 0], [2, 1, 0]])
 def test_interpolate_rejects_non_integer_interpolant(xs):
     # y(y - 1)/2 takes integer values at integers but is not in Z[y]
     with pytest.raises(ArithmeticError, match="non-integer"):
-        polys.interpolate([(x, x * (x - 1) // 2) for x in xs])
+        interpolate([(x, x * (x - 1) // 2) for x in xs])
 
 
 @pytest.mark.parametrize("n,expected", [

@@ -2,6 +2,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from graph_iwasawa import (
     bouquet,
@@ -186,17 +187,67 @@ def test_pencil_det_refuses_node_values_past_int64():
         _pencil_det(np.array([[0, big], [big, 0]]), np.array([0, 0]))
 
 
+def _check_pencil(a, delta):
+    """pencil_det of a dense A against the oracle, and the a-priori bound
+    sum |h_i| <= prod_v (1 + |delta_v| + sum_j |a_vj|) it takes its primes
+    from."""
+    n = len(delta)
+    h = _pencil_det(a, delta)
+    m = [[polys.trim([1 if i == j else 0, -int(a[i, j]),
+                      int(delta[i]) if i == j else 0])
+          for j in range(n)] for i in range(n)]
+    assert h == det_poly_matrix(m, 2 * n)
+    bound = 1
+    for v in range(n):
+        bound *= 1 + abs(int(delta[v])) + sum(abs(int(x)) for x in a[v])
+    assert sum(abs(c) for c in h) <= bound
+
+
+pencils = st.integers(1, 4).flatmap(lambda n: st.tuples(
+    st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+             min_size=n, max_size=n),
+    st.lists(st.integers(-2, 3), min_size=n, max_size=n)))
+
+
+@given(pencils)
+@example(([[-2, 1], [3, 0]], [0, -1]))
+@example(([[0, -3, 0], [-3, 0, 3], [0, 3, -3]], [3, 3, 3]))
+def test_pencil_det_within_its_coefficient_bound(pencil):
+    a, delta = pencil
+    _check_pencil(np.array(a, dtype=np.int64), np.array(delta, dtype=np.int64))
+
+
+def test_pencil_det_falls_back_on_a_node_pivot_block(monkeypatch):
+    # Cuthill-McKee starts the path 0 - 1 - 2 at vertex 0.  At u = +-1 the
+    # first pivot block of I - A u + diag(delta) u^2 is [[1, -+1], [-+1,
+    # 1 + p0]], of determinant p0: it vanishes mod the first CRT prime only,
+    # and those two node lanes fall back
+    p0 = linalg.crt_primes(1)[0]
+    a = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]])
+    delta = np.array([0, p0, 1])
+    seen = []
+    real = linalg._det_mod_p
+
+    def spy(matrix, p):
+        seen.append(p)
+        return real(matrix, p)
+
+    monkeypatch.setattr(linalg, "_det_mod_p", spy)
+    _check_pencil(a, delta)
+    assert seen == [p0, p0]
+
+
 def test_ihara_h_stores_only_the_pattern_values(monkeypatch):
     cover = derived_cover(cayley_serre(32, (3, 5)))
     n = cover.num_vertices
     shapes = []
-    real = linalg.det_pattern
+    real = linalg.det_residues
 
     def spy(*args, **kwargs):
         shapes.append([a.shape for a in args if isinstance(a, np.ndarray)])
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(linalg, "det_pattern", spy)
+    monkeypatch.setattr(linalg, "det_residues", spy)
     h = ihara_h(cover)
     assert len(h) - 1 == 2 * n
     # one call: each row holds its four neighbours (jumps +-3, +-5) and the
