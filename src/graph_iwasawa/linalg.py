@@ -303,7 +303,7 @@ def det_residues(n: int, rows: np.ndarray, cols: np.ndarray,
     (matrix, prime) lanes, with the pivoting fallback for a lane whose pivot
     block vanishes."""
     if n == 0:
-        return [[1 % p for p in ps] for ps in primes]
+        return [[1] * len(ps) for ps in primes]
     # prime-major lanes: a chunk of lanes shares few primes, so its pivots
     # take few inverses
     lanes = [(j, ps[i]) for i in range(max(map(len, primes), default=0))

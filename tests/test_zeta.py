@@ -209,6 +209,7 @@ pencils = st.integers(1, 4).flatmap(lambda n: st.tuples(
     st.lists(st.integers(-2, 3), min_size=n, max_size=n)))
 
 
+# negative entries beside a zero delta, and the largest entries drawn
 @given(pencils)
 @example(([[-2, 1], [3, 0]], [0, -1]))
 @example(([[0, -3, 0], [-3, 0, 3], [0, 3, -3]], [3, 3, 3]))
@@ -221,7 +222,8 @@ def test_pencil_det_falls_back_on_a_node_pivot_block(monkeypatch):
     # Cuthill-McKee starts the path 0 - 1 - 2 at vertex 0.  At u = +-1 the
     # first pivot block of I - A u + diag(delta) u^2 is [[1, -+1], [-+1,
     # 1 + p0]], of determinant p0: it vanishes mod the first CRT prime only,
-    # and those two node lanes fall back
+    # and those two node lanes fall back.  The bound asks for two primes,
+    # and h = 1 + (p0 - 1)(u^2 + u^4) needs both.
     p0 = linalg.crt_primes(1)[0]
     a = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]])
     delta = np.array([0, p0, 1])
