@@ -89,13 +89,13 @@ def _interpolate_mod(values: np.ndarray, primes: list[int]) -> np.ndarray:
     n = (len(values) - 1) // 2
     h = values % ps
     # inverse[d] = 1 / d and inv_fact[j] = 1 / j! mod each prime
-    rows = [[0] * len(primes)] + [[pow(d, -1, p) for p in primes]
-                                  for d in range(1, 2 * n + 1)]
+    inv_rows = [[0] * len(primes)] + [[pow(d, -1, p) for p in primes]
+                                      for d in range(1, 2 * n + 1)]
     inv_fact = [[1] * len(primes)]
     for j in range(1, n):
         inv_fact.append([f * i % p for f, i, p
-                         in zip(inv_fact[-1], rows[j], primes)])
-    inverse = np.array(rows, dtype=np.int64)
+                         in zip(inv_fact[-1], inv_rows[j], primes)])
+    inverse = np.array(inv_rows, dtype=np.int64)
     inv_v = inverse[1:n + 1]
     at0, plus, minus = h[0], h[1::2], h[2::2]
     even = (plus + minus) * inverse[2] % ps  # E(v^2)
@@ -111,12 +111,14 @@ def _interpolate_mod(values: np.ndarray, primes: list[int]) -> np.ndarray:
         np.remainder(step, ps, out=c[:, j:])
     c = c * np.array(inv_fact, dtype=np.int64) % ps
     # Newton form to coefficients: p = c[i] + (t - v^2) p, innermost
-    # first, with p in out[:, 1:] and out[:, 0] = c[i] to shift it in
+    # first, with p in out[:, 1:] and out[:, 0] = c[i] to shift it in;
+    # -v^2 is reduced first, so each product stays below p^2
+    neg_t = -np.arange(1, n + 1, dtype=np.int64)[:, None] ** 2 % ps
     out = np.zeros((2, n + 1, len(primes)), dtype=np.int64)
     for i in range(n - 1, -1, -1):
         top = n - i
         out[:, 0] = c[:, i]
-        step = out[:, 1:top + 1] * -(i + 1) ** 2
+        step = out[:, 1:top + 1] * neg_t[i]
         step += out[:, :top]
         np.remainder(step, ps, out=out[:, 1:top + 1])
     h[2::2], h[1::2] = out[:, 1:]
