@@ -9,20 +9,10 @@ invariants governing the l-adic growth of the counts along a tower.
 from .cyclotomic import (
     INFINITY,
     CycElem,
-    cyc_add,
     cyc_from_poly,
-    cyc_int,
-    cyc_mul,
-    cyc_neg,
-    cyc_one,
-    cyc_pow,
-    cyc_scale,
-    cyc_sub,
-    cyc_zero,
     epsilon,
     ord_L,
     ord_int,
-    zeta_gen,
 )
 from .serre import (
     DisconnectedGraphError,

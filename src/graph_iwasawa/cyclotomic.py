@@ -1,15 +1,17 @@
-"""Exact arithmetic in Z[zeta] for prime-power roots of unity.
+"""Elements of Z[zeta] for prime-power roots of unity, and their valuation
+at the prime above l.
 
 Elements of Z[y]/Phi(y), with Phi the (l^i)-th cyclotomic polynomial, are
-stored as canonical coefficient vectors of length phi(l^i).
+stored as canonical coefficient vectors of length phi(l^i):
+``cyc_from_poly`` reduces any integer polynomial to one.  The module keeps
+no ring arithmetic: the towers need only the building blocks
+eps(a) = (1 - zeta^a)(1 - zeta^(-a)), which ``epsilon`` constructs
+canonically, and the valuation ``ord_L``.
 
 ``ord_L`` takes no norm: the prime above l is pi = 1 - zeta, unique and
 totally ramified, and the valuation there is read off by dividing out l
 and then pi, with pi | y exactly when l | y(1).  Level norms are the
 towers module's, off its l-Graeffe chain.
-
-The building blocks eps(a) = (1 - zeta^a)(1 - zeta^(-a)) drive the tower
-analysis in the towers module; ``epsilon`` constructs them canonically.
 """
 
 from __future__ import annotations
@@ -102,23 +104,6 @@ def cyc_from_poly(ell: int, i: int, coeffs) -> CycElem:
     return CycElem(ell, i, _reduce(ell, i, list(coeffs)))
 
 
-def cyc_zero(ell: int, i: int) -> CycElem:
-    return cyc_from_poly(ell, i, [])
-
-
-def cyc_one(ell: int, i: int) -> CycElem:
-    return cyc_from_poly(ell, i, [1])
-
-
-def cyc_int(ell: int, i: int, n: int) -> CycElem:
-    return cyc_from_poly(ell, i, [n])
-
-
-def zeta_gen(ell: int, i: int) -> CycElem:
-    """The residue of y, i.e. the chosen primitive l^i-th root of unity."""
-    return cyc_from_poly(ell, i, [0, 1])
-
-
 def epsilon(ell: int, i: int, a: int) -> CycElem:
     """eps(a) = (1 - zeta^a)(1 - zeta^-a) = 2 - y^a - y^-a, canonically."""
     m = ell ** i
@@ -128,49 +113,6 @@ def epsilon(ell: int, i: int, a: int) -> CycElem:
     p[r] -= 1
     p[(m - r) % m] -= 1
     return cyc_from_poly(ell, i, p)
-
-
-def _check_match(x: CycElem, y: CycElem) -> None:
-    if x.ell != y.ell or x.level != y.level:
-        raise ValueError("elements live in different cyclotomic rings")
-
-
-def cyc_add(x: CycElem, y: CycElem) -> CycElem:
-    _check_match(x, y)
-    return CycElem(x.ell, x.level,
-                   tuple(a + b for a, b in zip(x.coeffs, y.coeffs)))
-
-
-def cyc_neg(x: CycElem) -> CycElem:
-    return CycElem(x.ell, x.level, tuple(-a for a in x.coeffs))
-
-
-def cyc_sub(x: CycElem, y: CycElem) -> CycElem:
-    return cyc_add(x, cyc_neg(y))
-
-
-def cyc_scale(x: CycElem, k: int) -> CycElem:
-    return CycElem(x.ell, x.level, tuple(k * a for a in x.coeffs))
-
-
-def cyc_mul(x: CycElem, y: CycElem) -> CycElem:
-    _check_match(x, y)
-    prod = polys.mul(polys.trim(list(x.coeffs)), polys.trim(list(y.coeffs)))
-    return CycElem(x.ell, x.level, _reduce(x.ell, x.level, prod))
-
-
-def cyc_pow(x: CycElem, e: int) -> CycElem:
-    if e < 0:
-        raise ValueError("negative exponent")
-    out = cyc_one(x.ell, x.level)
-    base = x
-    while e:
-        if e & 1:
-            out = cyc_mul(out, base)
-        e >>= 1
-        if e:
-            base = cyc_mul(base, base)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -235,8 +177,6 @@ def ord_L(x: CycElem):
 
 
 __all__ = [
-    "CycElem", "INFINITY", "epsilon",
-    "cyc_from_poly", "cyc_zero", "cyc_one", "cyc_int", "zeta_gen",
-    "cyc_add", "cyc_sub", "cyc_neg", "cyc_scale", "cyc_mul", "cyc_pow",
+    "CycElem", "INFINITY", "epsilon", "cyc_from_poly",
     "ord_int", "ord_L", "euler_phi_prime_power", "is_prime",
 ]

@@ -3,15 +3,15 @@
 One determinant engine for k integer matrices that share one pattern of
 n x n positions (rows, cols), given as a k x nnz table of their values
 there and never as a dense matrix.  ``det_residues`` takes the determinant
-of every matrix mod each prime of a given list: the primes are lanes, the
-last axis of one array of residues, a lane per (matrix, prime) pair.
-``det_pattern`` is the exact determinant: the primes of each matrix's own
-integer Hadamard bound, taken from its values, then ``det_residues``, then
-``_crt``, the one CRT, which refuses a result past its bound.  So it is
-exact, not probabilistic.  A reduced Laplacian is the case k = 1;
-``zeta.pencil_det`` calls ``det_residues`` with its 2n + 1 node matrices and
-the primes of one bound on the pencil's coefficients, and ``_crt`` after it
-has interpolated mod each prime.
+of every matrix mod each prime of one list shared by all k: the primes are
+lanes, the last axis of one array of residues, a lane per (matrix, prime)
+pair.  ``det_pattern`` is the exact determinant of one matrix (k = 1): the
+primes of its integer Hadamard bound (``_hadamard_bound``), then
+``det_residues``, then ``_crt``, the one CRT, which refuses a result past
+its bound.  So it is exact, not probabilistic.  ``zeta.pencil_det`` calls
+``det_residues`` with its 2n + 1 node matrices and the primes of the
+pencil's unit-circle Hadamard bound, also from ``_hadamard_bound``, and
+``_crt`` after it has interpolated mod each prime.
 
 The kernel reorders the pattern by Cuthill-McKee, which narrows the band of
 a circulant cover's reduced Laplacian, and eliminates inside that band
@@ -114,43 +114,6 @@ def _cuthill_mckee(rows: np.ndarray, cols: np.ndarray, n: int) -> list[int]:
                     seen[u] = True
                     order.append(u)
     return order
-
-
-def _det_mod_lanes(n: int, rows: np.ndarray, cols: np.ndarray,
-                   vals: np.ndarray, lanes: list[tuple[int, int]]) -> list[int]:
-    """Determinant mod p of matrix j (entries vals[j] at (rows, cols)) for
-    each lane (j, p): banded lanes, pivoting fallback."""
-    # a symmetric permutation leaves the determinant unchanged
-    pos = np.empty(n, dtype=np.int64)
-    pos[_cuthill_mckee(rows, cols, n)] = np.arange(n)
-    prows, pcols = pos[rows], pos[cols]
-    w = int(np.abs(prows - pcols).max())
-    # Elimination without swaps keeps the envelope of the symmetrized
-    # pattern (George & Liu, 1981): the nonzeros of column k below the
-    # diagonal, and of row k right of it, stay within k + 1..reach[k].
-    first = np.arange(n)
-    np.minimum.at(first, prows, pcols)
-    np.minimum.at(first, pcols, prows)
-    reach = np.arange(n)
-    np.maximum.at(reach, first, np.arange(n))
-    reach = np.maximum.accumulate(reach).tolist()
-    lane_bytes = (n + w + 1) * (2 * w + 2) * 4  # one lane of the int32 band
-    chunks = -(-len(lanes) // max(1, BAND_BYTES_CAP // lane_bytes))
-    chunk = -(-len(lanes) // chunks)
-    out = []
-    for s in range(0, len(lanes), chunk):
-        part = lanes[s:s + chunk]
-        js = [j for j, _ in part]
-        primes = [p for _, p in part]
-        for j, p, rp in zip(js, primes, _det_band(w, reach, prows, pcols,
-                                                  vals[js].T, primes)):
-            if rp is None:
-                # only the matrix whose lane failed is densified
-                dense = np.zeros((n, n), dtype=np.int64)
-                dense[rows, cols] = vals[j]
-                rp = _det_mod_p(dense, p)
-            out.append(rp)
-    return out
 
 
 def _det_band(w: int, reach: list[int], rows: np.ndarray, cols: np.ndarray,
@@ -264,20 +227,20 @@ def _inverse_tree(primes: list[int]) -> tuple:
     return size, levels, np.array(roots), list(nodes)
 
 
-def _hadamard_bounds(n: int, rows: np.ndarray, vals: np.ndarray) -> list[int]:
-    """Row-norm Hadamard bound of each matrix j whose entries in row rows[e]
-    are vals[j, e]; 0 for a matrix with a zero row."""
+def _hadamard_bound(n: int, rows: np.ndarray, vals: np.ndarray) -> int:
+    """Row-norm Hadamard bound of the n x n matrix whose entries in row
+    rows[e] are the integers vals[e]; 0 for a matrix with a zero row."""
     if n == 0:
-        return [1] * len(vals)
+        return 1
     counts = np.bincount(rows, minlength=n)
     if counts.min() == 0:
-        return [0] * len(vals)
-    sq = vals[:, np.argsort(rows, kind="stable")]
+        return 0
+    sq = vals[np.argsort(rows, kind="stable")]
     top = max(int(vals.max()), -int(vals.min()))
     if top * top * int(counts.max()) >= 1 << 63:
         sq = sq.astype(object)  # Python ints: an int64 row norm could overflow
-    norms = np.add.reduceat(sq * sq, np.cumsum(counts) - counts, axis=1)
-    return [_isqrt_ceil(math.prod(row)) for row in norms.tolist()]
+    norms = np.add.reduceat(sq * sq, np.cumsum(counts) - counts)
+    return _isqrt_ceil(math.prod(norms.tolist()))
 
 
 def _isqrt_ceil(n: int) -> int:
@@ -296,23 +259,49 @@ def _primes_above(target: int) -> list[int]:
 
 
 def det_residues(n: int, rows: np.ndarray, cols: np.ndarray,
-                 vals: np.ndarray, primes: list[list[int]]) -> list[list[int]]:
-    """det(M_j) mod p for each prime p of primes[j], of each n x n matrix j
-    whose nonzeros lie among the distinct positions (rows[e], cols[e]), with
-    int64 values vals[j, e]: one kernel run over all sum_j len(primes[j])
-    (matrix, prime) lanes, with the pivoting fallback for a lane whose pivot
-    block vanishes."""
+                 vals: np.ndarray, primes: list[int]) -> list[list[int]]:
+    """det(M_j) mod p for each p of the nonempty list primes, of each n x n
+    matrix j whose nonzeros lie among the distinct positions
+    (rows[e], cols[e]), with int64 values vals[j, e]: one kernel run over
+    all k len(primes) (matrix, prime) lanes, with the pivoting fallback for
+    a lane whose pivot block vanishes."""
+    k = len(vals)
     if n == 0:
-        return [[1] * len(ps) for ps in primes]
+        return [[1] * len(primes) for _ in range(k)]
+    # a symmetric permutation leaves the determinant unchanged
+    pos = np.empty(n, dtype=np.int64)
+    pos[_cuthill_mckee(rows, cols, n)] = np.arange(n)
+    prows, pcols = pos[rows], pos[cols]
+    w = int(np.abs(prows - pcols).max())
+    # Elimination without swaps keeps the envelope of the symmetrized
+    # pattern (George & Liu, 1981): the nonzeros of column k below the
+    # diagonal, and of row k right of it, stay within k + 1..reach[k].
+    first = np.arange(n)
+    np.minimum.at(first, prows, pcols)
+    np.minimum.at(first, pcols, prows)
+    reach = np.arange(n)
+    np.maximum.at(reach, first, np.arange(n))
+    reach = np.maximum.accumulate(reach).tolist()
     # prime-major lanes: a chunk of lanes shares few primes, so its pivots
     # take few inverses
-    lanes = [(j, ps[i]) for i in range(max(map(len, primes), default=0))
-             for j, ps in enumerate(primes) if i < len(ps)]
-    out: list[list[int]] = [[] for _ in primes]
-    for (j, _), r in zip(lanes, _det_mod_lanes(n, rows, cols, vals, lanes)
-                         if lanes else []):
-        out[j].append(r)
-    return out
+    lanes = [(j, p) for p in primes for j in range(k)]
+    lane_bytes = (n + w + 1) * (2 * w + 2) * 4  # one lane of the int32 band
+    chunks = -(-len(lanes) // max(1, BAND_BYTES_CAP // lane_bytes))
+    chunk = -(-len(lanes) // chunks)
+    out = []
+    for s in range(0, len(lanes), chunk):
+        part = lanes[s:s + chunk]
+        js = [j for j, _ in part]
+        ps = [p for _, p in part]
+        for j, p, rp in zip(js, ps, _det_band(w, reach, prows, pcols,
+                                              vals[js].T, ps)):
+            if rp is None:
+                # only the matrix whose lane failed is densified
+                dense = np.zeros((n, n), dtype=np.int64)
+                dense[rows, cols] = vals[j]
+                rp = _det_mod_p(dense, p)
+            out.append(rp)
+    return [out[j::k] for j in range(k)]
 
 
 def _crt(primes: list[int], residues: list[list[int]],
@@ -340,16 +329,13 @@ def _crt(primes: list[int], residues: list[list[int]],
 
 
 def det_pattern(n: int, rows: np.ndarray, cols: np.ndarray,
-                vals: np.ndarray) -> list[int]:
-    """Exact determinant of each n x n matrix j whose nonzeros lie among the
-    distinct positions (rows[e], cols[e]), with int64 values vals[j, e].
-
-    Each matrix gets the primes of its own Hadamard bound; one kernel run
-    takes the residues of all k = len(vals) matrices, and only the k x nnz
-    values are stored.
-    """
-    bounds = _hadamard_bounds(n, rows, vals)
-    primes = [_primes_above(2 * b + 1) if b else [] for b in bounds]
-    residues = det_residues(n, rows, cols, vals, primes)
-    return [_crt(ps, [rs], b)[0]
-            for b, ps, rs in zip(bounds, primes, residues)]
+                vals: np.ndarray) -> int:
+    """Exact determinant of the n x n matrix whose nonzeros lie among the
+    distinct positions (rows[e], cols[e]), with int64 values vals[e]: the
+    primes of its Hadamard bound, one kernel run, one CRT."""
+    bound = _hadamard_bound(n, rows, vals)
+    if not bound:
+        return 0
+    primes = _primes_above(2 * bound + 1)
+    residues = det_residues(n, rows, cols, vals[None], primes)
+    return _crt(primes, residues, bound)[0]

@@ -238,7 +238,7 @@ def spanning_tree_count(x: Multigraph, delete_index: int = 0,
     keep = (rows != delete_index) & (cols != delete_index)
     # vertex v is row v, or row v - 1 past the deleted vertex
     rows, cols = (v[keep] - (v[keep] > delete_index) for v in (rows, cols))
-    det = linalg.det_pattern(n - 1, rows, cols, lap[keep][None])[0]
+    det = linalg.det_pattern(n - 1, rows, cols, lap[keep])
     if det <= 0:
         raise DisconnectedGraphError("reduced Laplacian is singular")
     return det

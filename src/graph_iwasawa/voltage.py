@@ -214,8 +214,8 @@ def verify_integer_decomposition(
             continue
         # h(1, Psi_d) = det(I - A + diag(delta)), the pencil at u = 1
         rows, cols, a, delta = _orbit_pencil(vg, d)
-        at_one = zeta._pencil_values(rows, cols, a, delta, [1])
-        val = linalg.det_pattern(len(delta), rows, cols, at_one)[0]
+        at_one = zeta._pencil_values(rows, cols, a, delta, 1)
+        val = linalg.det_pattern(len(delta), rows, cols, at_one)
         if val == 0:
             raise ArithmeticError(
                 f"h(1, Psi_{d}) vanished for a nontrivial orbit")

@@ -10,9 +10,9 @@ takes the pencil as a pattern, never as a dense n x n matrix: A's values at
 its nonzeros and at the whole diagonal (a graph's comes from
 ``serre._edge_pattern``).  h is rebuilt by coefficient CRT:
 
-1. a bound on h's coefficients before any work, the product of the rows'
-   l1 norms over the pencil's polynomial entries, which fixes one prime
-   list for the whole pencil;
+1. a bound on h's coefficients before any work, the Hadamard bound of the
+   pencil's entries on the unit circle (``linalg._hadamard_bound`` of
+   their l1 norms), which fixes one prime list for the whole pencil;
 2. the pattern's values at 2n + 1 integer nodes, and the determinant of
    every node matrix mod every prime in one run of
    ``linalg.det_residues``: (2n + 1) k lanes for k primes;
@@ -26,7 +26,6 @@ spanning-tree count.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,11 +41,13 @@ def pencil_det(rows: np.ndarray, cols: np.ndarray, a: np.ndarray,
     diagonal position, and an int64 vector delta of length n: an integer
     polynomial of degree <= 2n and constant term 1.
 
-    The primes are those whose product passes twice the a-priori bound
-    sum_i |h_i| <= prod_v (1 + |delta_v| + sum_j |a_vj|).  The pattern's
-    values at the 2n + 1 nodes 0, 1, -1, ..., n, -n are formed in int64; a
-    node value that could pass int64 raises OverflowError instead of
-    wrapping.
+    The primes are those whose product passes twice H, the Hadamard bound
+    of the matrix of the entries' l1 norms (over their coefficients):
+    1 + |a_vv| + |delta_v| on the diagonal and |a_vj| off it.  On |u| = 1
+    each entry is at most its l1 norm, so |h(u)| <= H there, and every
+    |h_i| <= max over |u| = 1 of |h(u)| (Cauchy).  The pattern's values at
+    the 2n + 1 nodes 0, 1, -1, ..., n, -n are formed in int64; a node value
+    that could pass int64 raises OverflowError instead of wrapping.
     """
     n = len(delta)
     if n == 0:
@@ -56,17 +57,14 @@ def pencil_det(rows: np.ndarray, cols: np.ndarray, a: np.ndarray,
     # |1 - a u + d u^2| <= 1 + n|a| + n^2|d| at every node |u| <= n
     if 1 + n * size_a + n * n * size_d >= 1 << 63:
         raise OverflowError("h(u) node values would pass int64")
-    # ||h||_1 <= prod_v sum_j ||m_vj||_1 over the pencil's polynomial
-    # entries m_vj: h is a signed sum of products of entries, and the l1
-    # norm of coefficients is subadditive and submultiplicative
-    norms = 1 + np.abs(delta)
-    np.add.at(norms, rows, np.abs(a))
-    bound = math.prod(norms.tolist())
+    norms = np.abs(a)
+    diag = rows == cols
+    norms[diag] += 1 + np.abs(delta[rows[diag]])
+    bound = linalg._hadamard_bound(n, rows, norms)
     primes = linalg._primes_above(2 * bound + 1)
     nodes = _nodes(2 * n + 1)
     vals = _pencil_values(rows, cols, a, delta, nodes)
-    residues = linalg.det_residues(n, rows, cols, vals,
-                                   [primes] * len(nodes))
+    residues = linalg.det_residues(n, rows, cols, vals, primes)
     coeffs = _interpolate_mod(np.array(residues, dtype=np.int64), primes)
     h = polys.trim(linalg._crt(primes, coeffs.tolist(), bound))
     if not h or h[0] != 1:
@@ -126,10 +124,10 @@ def _interpolate_mod(values: np.ndarray, primes: list[int]) -> np.ndarray:
 
 
 def _pencil_values(rows: np.ndarray, cols: np.ndarray, a: np.ndarray,
-                   delta: np.ndarray, nodes: list[int]) -> np.ndarray:
+                   delta: np.ndarray, nodes: list[int] | int) -> np.ndarray:
     """The values of I - A u + diag(delta) u^2 on the pattern, one row per
-    node u."""
-    u = np.array(nodes, dtype=np.int64)[:, None]
+    node u of a list, or one 1-D row for a single node."""
+    u = np.array(nodes, dtype=np.int64)[..., None]
     return np.where(rows == cols, 1 + u * u * delta[rows], 0) - u * a
 
 

@@ -6,8 +6,9 @@ engine), determinants of polynomial matrices by Bareiss at integer points
 and Lagrange interpolation over Fractions, brute-force spanning-tree
 enumeration, polynomial powers, Horner evaluation and exact integer
 interpolation by divided differences, the table
-definition of P_a, Q(eps) by Horner's rule (the
-reference for the level valuations, which the library takes of f(zeta)),
+definition of P_a, ring arithmetic in Z[zeta] on the library's canonical
+elements and Q(eps) by Horner's rule with it (the reference for the level
+valuations, which the library takes of f(zeta)),
 Sylvester-matrix resultants over Fractions, and the subresultant PRS with
 its Res(Phi_{l^i}, f), the reference for the library's Graeffe norms and
 its division-by-(1 - zeta) valuations.  None of it shares code paths with the library
@@ -20,7 +21,8 @@ import itertools
 import math
 from fractions import Fraction
 
-from graph_iwasawa import Multigraph, VoltageGraph
+from graph_iwasawa import (Multigraph, VoltageGraph, cyc_from_poly, epsilon,
+                           polys)
 from graph_iwasawa.serre import _components
 
 
@@ -421,15 +423,34 @@ def resultant_with_phi(ell: int, i: int, f: list[int]) -> int:
     return q
 
 
+def cyc_add(x, y, k: int = 1):
+    """x + k y in Z[y]/Phi_{l^i}."""
+    return cyc_from_poly(x.ell, x.level,
+                         [a + k * b for a, b in zip(x.coeffs, y.coeffs)])
+
+
+def cyc_mul(x, y):
+    """x y in Z[y]/Phi_{l^i}."""
+    return cyc_from_poly(x.ell, x.level,
+                         polys.mul(list(x.coeffs), list(y.coeffs)))
+
+
+def cyc_pow(x, e: int):
+    """x^e in Z[y]/Phi_{l^i}, e >= 0, by e products."""
+    out = cyc_from_poly(x.ell, x.level, [1])
+    for _ in range(e):
+        out = cyc_mul(out, x)
+    return out
+
+
 def q_at_epsilon(spec, i: int):
     """Q(eps(1)) in Z[y]/Phi_{l^i}, by Horner's rule over Q's coefficients:
     the element whose valuation is v_i, built from Q, not from the jumps."""
-    from graph_iwasawa import (cyc_add, cyc_int, cyc_mul, cyc_zero, epsilon,
-                               q_poly)
+    from graph_iwasawa import q_poly
     eps = epsilon(spec.ell, i, 1)
-    acc = cyc_zero(spec.ell, i)
+    acc = cyc_from_poly(spec.ell, i, [])
     for c in reversed(q_poly(spec)):
-        acc = cyc_add(cyc_mul(acc, eps), cyc_int(spec.ell, i, c))
+        acc = cyc_add(cyc_mul(acc, eps), cyc_from_poly(spec.ell, i, [c]))
     return acc
 
 

@@ -14,7 +14,7 @@ import sys
 import time
 
 import graph_iwasawa as gi
-from oracles import random_voltage_graph
+from oracles import cyc_add, cyc_mul, random_voltage_graph
 
 
 def _announce(capsys, line: str) -> None:
@@ -159,14 +159,15 @@ def test_criterion_6_valuation_lemmas(capsys):
                 # eps(a) = eps(1) * (a^2 - sum_{k<a} (a-k) eps(k)),
                 # swept with running sums
                 eps1 = gi.epsilon(ell, i, 1)
-                running = gi.cyc_zero(ell, i)   # sum_{k<a} (a-k) eps(k)
-                total = gi.cyc_zero(ell, i)     # sum_{k<a} eps(k)
+                zero = gi.cyc_from_poly(ell, i, [])
+                running = zero   # sum_{k<a} (a-k) eps(k)
+                total = zero     # sum_{k<a} eps(k)
                 for a in range(1, 2 * m + 1):
-                    rhs = gi.cyc_mul(eps1, gi.cyc_sub(
-                        gi.cyc_int(ell, i, a * a), running))
+                    rhs = cyc_mul(eps1, cyc_add(
+                        gi.cyc_from_poly(ell, i, [a * a]), running, -1))
                     assert rhs == gi.epsilon(ell, i, a), (ell, i, a)
-                    total = gi.cyc_add(total, gi.epsilon(ell, i, a))
-                    running = gi.cyc_add(running, total)
+                    total = cyc_add(total, gi.epsilon(ell, i, a))
+                    running = cyc_add(running, total)
 
 
 def _zeta_corpus():

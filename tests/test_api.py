@@ -1,0 +1,27 @@
+import graph_iwasawa
+
+PUBLIC = [
+    "BudgetExceededError", "CycElem", "DisconnectedGraphError", "INFINITY",
+    "IwasawaInvariants", "Multigraph", "SpecialValues", "TowerReport",
+    "TowerSpec", "VoltageGraph", "adjacency_matrix", "artin_A_sigma",
+    "betti1", "bouquet", "build_tower_report", "cayley_serre",
+    "cyc_from_poly", "cycle_graph", "cyclotomic", "derived_cover", "epsilon",
+    "euler_characteristic", "ihara_Z", "ihara_h", "invariants",
+    "kappa_exact", "laplacian", "level_norm", "level_valuation", "linalg",
+    "mu_lambda", "multigraph_from_json", "multigraph_to_json",
+    "norm_bits_bound", "orbit_h_poly", "ord_L", "ord_int", "ord_kappa",
+    "p_poly", "polys", "q_bits_bound", "q_poly", "report_from_json",
+    "report_to_csv", "report_to_json", "serre", "spanning_tree_count",
+    "special_values", "stabilization_level", "to_dot", "towers",
+    "valency_matrix", "validate_serre", "validate_voltage", "verify_bounds",
+    "verify_integer_decomposition", "verify_product_formula", "voltage",
+    "voltage_from_json", "voltage_graph", "voltage_to_json", "zeta",
+]
+
+
+def test_public_names():
+    # a change to the package's API shows up as a change to this list; the
+    # cli submodule is bound on the package only once something imports it
+    names = [n for n in dir(graph_iwasawa)
+             if not n.startswith("__") and n != "cli"]
+    assert names == PUBLIC

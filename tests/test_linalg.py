@@ -47,15 +47,25 @@ def test_primes():
 
 
 def _det_stack(stack):
-    """linalg.det_pattern on the values of a dense (k, n, n) stack at the
-    union of its patterns."""
+    """The determinants of a dense (k, n, n) stack: linalg.det_residues on
+    its values at the union of their patterns, with the primes of the
+    largest Hadamard bound shared by all k, then linalg._crt."""
+    n = stack.shape[1]
     rows, cols = np.nonzero(stack.any(axis=0))
-    return linalg.det_pattern(stack.shape[1], rows, cols, stack[:, rows, cols])
+    vals = stack[:, rows, cols]
+    bound = max(linalg._hadamard_bound(n, rows, v) for v in vals)
+    if not bound:
+        return [0] * len(stack)  # every matrix has a zero row
+    primes = linalg._primes_above(2 * bound + 1)
+    return linalg._crt(primes, linalg.det_residues(n, rows, cols, vals,
+                                                   primes), bound)
 
 
 def _det_crt(matrix):
     """linalg.det_pattern on the nonzeros of one dense matrix."""
-    return _det_stack(matrix[None])[0]
+    rows, cols = np.nonzero(matrix)
+    return linalg.det_pattern(matrix.shape[0], rows, cols,
+                              matrix[rows, cols])
 
 
 def test_det_crt_matches_bareiss():
@@ -240,8 +250,7 @@ def test_corpus_cover_needs_no_fallback(monkeypatch):
 
 def _hadamard_bound(matrix):
     rows, cols = np.nonzero(matrix)
-    return linalg._hadamard_bounds(matrix.shape[0], rows,
-                                   matrix[rows, cols][None])[0]
+    return linalg._hadamard_bound(matrix.shape[0], rows, matrix[rows, cols])
 
 
 def test_hadamard_bound_dominates():
@@ -286,14 +295,10 @@ def test_det_stack_matches_bareiss():
 
 
 def _scaled_paths():
-    """Path-like matrices scaled by 1, 10^3 and 10^6: they need different
-    numbers of primes, all of them the first prime p0."""
-    stack = np.stack([_path_laplacian_like(50, 3) * c
-                      for c in (1, 10 ** 3, 10 ** 6)])
-    rows, cols = np.nonzero(stack.any(axis=0))
-    bounds = linalg._hadamard_bounds(50, rows, stack[:, rows, cols])
-    assert len({len(linalg._primes_above(2 * b + 1)) for b in bounds}) == 3
-    return stack
+    """Path-like matrices scaled by 1, 10^3 and 10^6, so of Hadamard
+    bounds far apart; they share the primes of the largest."""
+    return np.stack([_path_laplacian_like(50, 3) * c
+                     for c in (1, 10 ** 3, 10 ** 6)])
 
 
 def test_det_stack_falls_back_for_one_matrix_and_prime(monkeypatch):

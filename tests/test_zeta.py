@@ -1,3 +1,4 @@
+import math
 import random
 
 import numpy as np
@@ -188,18 +189,23 @@ def test_pencil_det_refuses_node_values_past_int64():
 
 
 def _check_pencil(a, delta):
-    """pencil_det of a dense A against the oracle, and the a-priori bound
-    sum |h_i| <= prod_v (1 + |delta_v| + sum_j |a_vj|) it takes its primes
-    from."""
+    """pencil_det of a dense A against the oracle, and against two bounds
+    on its coefficients: max |h_i| <= H, the Hadamard bound on the unit
+    circle, prod_v (sum_j ||m_vj||_1^2)^(1/2) over the polynomial entries
+    m_vj, which pencil_det takes its primes from, and the looser
+    sum |h_i| <= B = prod_v sum_j ||m_vj||_1, with H <= B."""
     n = len(delta)
     h = _pencil_det(a, delta)
     m = [[polys.trim([1 if i == j else 0, -int(a[i, j]),
                       int(delta[i]) if i == j else 0])
           for j in range(n)] for i in range(n)]
     assert h == det_poly_matrix(m, 2 * n)
-    bound = 1
-    for v in range(n):
-        bound *= 1 + abs(int(delta[v])) + sum(abs(int(x)) for x in a[v])
+    norms = [[sum(abs(c) for c in entry) for entry in row] for row in m]
+    squares = math.prod(sum(x * x for x in row) for row in norms)
+    hadamard = math.isqrt(squares)
+    hadamard += hadamard * hadamard < squares
+    bound = math.prod(sum(row) for row in norms)
+    assert max(abs(c) for c in h) <= hadamard <= bound
     assert sum(abs(c) for c in h) <= bound
 
 
@@ -256,6 +262,24 @@ def test_ihara_h_stores_only_the_pattern_values(monkeypatch):
     # diagonal, so the values are a (2n + 1) x 5n table
     nnz = 5 * n
     assert shapes == [[(nnz,), (nnz,), (2 * n + 1, nnz)]]
+
+
+@pytest.mark.parametrize("m,primes", [(32, 3), (128, 9)])
+def test_pencil_takes_the_primes_of_its_unit_circle_bound(monkeypatch, m,
+                                                           primes):
+    # the pencil of the l=2, a=(3,5) cover with m vertices reaches the
+    # engine once, with one prime list for all its 2m + 1 node matrices
+    cover = derived_cover(cayley_serre(m, (3, 5)))
+    seen = []
+    real = linalg.det_residues
+
+    def spy(n, rows, cols, vals, ps):
+        seen.append((len(vals), len(ps)))
+        return real(n, rows, cols, vals, ps)
+
+    monkeypatch.setattr(linalg, "det_residues", spy)
+    ihara_h(cover)
+    assert seen == [(2 * m + 1, primes)]
 
 
 def test_special_values_signals_inexact_division():
