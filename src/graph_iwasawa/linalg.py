@@ -17,10 +17,15 @@ The kernel reorders the pattern by Cuthill-McKee, which narrows the band of
 a circulant cover's reduced Laplacian, and eliminates inside that band
 without row swaps, two rows at a time: one vectorized update of the
 trailing block per 2 x 2 pivot block for every lane at once, with one
-reduction mod p (Dumas, Giorgi and Pernet, ACM TOMS 35(3), 2008), in chunks
-of lanes whose band stays under ``BAND_BYTES_CAP``.  A lane whose pivot
-block vanishes falls back to ``_det_mod_p``, a per-prime elimination with
-row swaps that densifies only its own matrix, so singular matrices and zero
+reduction mod p (Dumas, Giorgi and Pernet, ACM TOMS 35(3), 2008).  It holds
+the whole band of every lane when that fits under ``BAND_BYTES_CAP``.
+Otherwise it slides a buffer of 2 (w + 2) band rows down the matrix, w the
+half-bandwidth, and rows enter it, reduced mod each lane's prime, as it
+reaches the pivot pairs that touch them.  A lane then needs O(w^2) memory,
+not O(n w), and the lanes are split into chunks only when the buffers and
+pair temporaries of all of them pass the cap.  A lane whose pivot block
+vanishes falls back to ``_det_mod_p``, a per-prime elimination with row
+swaps that densifies only its own matrix, so singular matrices and zero
 leading minors of even order stay exact.  Lanes are ordered prime by prime,
 so a chunk holds many matrices' lanes of few primes, and each pivot pair
 takes one modular inverse per prime of its chunk, not one per lane: the
@@ -36,8 +41,10 @@ import numpy as np
 
 from .cyclotomic import is_prime
 
-# Byte cap on the band array of one chunk of prime lanes (a chunk has at
-# least one lane, whatever the cap).
+# Byte cap on one chunk of prime lanes: on the whole band of every lane when
+# it fits, else on a chunk's working set, its sliding buffer and the
+# temporaries of a pivot pair (a chunk has at least one lane, whatever the
+# cap).
 BAND_BYTES_CAP = 8 << 20
 
 _PRIME_CACHE: list[int] = []
@@ -90,8 +97,10 @@ def _cuthill_mckee(rows: np.ndarray, cols: np.ndarray, n: int) -> list[int]:
     cols[k]): breadth first from a vertex of least degree, neighbours by
     increasing degree, ties by index; one restart per component."""
     off = rows != cols
-    pairs = np.unique(np.concatenate([rows[off] * n + cols[off],
-                                      cols[off] * n + rows[off]]))
+    pairs = np.sort(np.concatenate([rows[off] * n + cols[off],
+                                    cols[off] * n + rows[off]]))
+    # dedupe by hand: np.unique would import numpy.ma on its first call
+    pairs = pairs[np.diff(pairs, prepend=-1) != 0]
     src, dst = np.divmod(pairs, n)
     deg = np.bincount(src, minlength=n)
     dst = dst[np.lexsort((dst, deg[dst], src))].tolist()
@@ -116,29 +125,67 @@ def _cuthill_mckee(rows: np.ndarray, cols: np.ndarray, n: int) -> list[int]:
     return order
 
 
-def _det_band(w: int, reach: list[int], rows: np.ndarray, cols: np.ndarray,
-              vals: np.ndarray, primes: list[int]) -> list:
-    """Determinant mod primes[q] of the matrix with entries vals[:, q] at
-    (rows, cols), all within w of the diagonal, for every lane q, by block
-    elimination without row swaps: the 2 x 2 pivot block of rows k, k + 1
-    (k = 0, 2, 4, ...) updates rows and columns k + 2..reach[k + 1]
-    <= k + 1 + w, and an odd n ends on one single pivot.  None for a lane
-    whose pivot block vanished with rows still to update.  vals is the
-    caller's scratch copy: it is reduced in place."""
+def _band_form(n: int, rows: np.ndarray, cols: np.ndarray,
+               vals: np.ndarray) -> tuple:
+    """The pattern (rows, cols) put into Cuthill-McKee order by a symmetric
+    permutation, which leaves every determinant unchanged, as (w, reach,
+    places, values): w is the half-bandwidth, reach the envelope, and
+    places[e] = r (2w + 2) + (c - r + w) is the place of entry e, now at
+    (r, c), in a row-major band of 2w + 2 columns.  The entries are sorted
+    by place, so by row, and values[:, e] holds vals at entry e."""
+    pos = np.empty(n, dtype=np.int64)
+    pos[_cuthill_mckee(rows, cols, n)] = np.arange(n)
+    prows, pcols = pos[rows], pos[cols]
+    w = int(np.abs(prows - pcols).max())
+    # Elimination without swaps keeps the envelope of the symmetrized
+    # pattern (George & Liu, 1981): the nonzeros of column k below the
+    # diagonal, and of row k right of it, stay within k + 1..reach[k].
+    first = np.arange(n)
+    np.minimum.at(first, prows, pcols)
+    np.minimum.at(first, pcols, prows)
+    reach = np.arange(n)
+    np.maximum.at(reach, first, np.arange(n))
+    reach = np.maximum.accumulate(reach).tolist()
+    places = prows * (2 * w + 1) + pcols + w
+    order = np.argsort(places)
+    return w, reach, places[order], vals[:, order]
+
+
+def _det_band(w: int, span: int, reach: list[int], places: np.ndarray,
+              vals: np.ndarray, js: list[int], primes: list[int]) -> list:
+    """Determinant mod primes[q] of matrix js[q], for every lane q, from its
+    entries vals[js[q]] at the band places of ``_band_form`` (all within w
+    of the diagonal), by block elimination without row swaps: the 2 x 2
+    pivot block of rows k, k + 1 (k = 0, 2, 4, ...) updates rows and
+    columns k + 2..reach[k + 1] <= k + 1 + w, and an odd n ends on one
+    single pivot.  None for a lane whose pivot block vanished with rows
+    still to update.  Only span >= w + 2 band rows are held at a time."""
     n = len(reach)
     ps = np.array(primes, dtype=np.int64)
-    # band[i, j - i + w] = A[i, j] mod p, below 2^31, for j - i in
-    # -w..w + 1; products are formed in int64.  Column 2w + 1 is never
-    # written, so it reads as 0 both as A[i, i + w + 1] and, one row down
-    # through the stride, as A[i + 1, i - w]; w + 1 rows of padding keep
-    # `window` in bounds.
-    band = np.zeros((n + w + 1, 2 * w + 2, ps.size), dtype=np.int32)
-    band[rows, cols - rows + w] = np.remainder(vals, ps, out=vals)
-    s0, s1, s2 = band.strides
-    # window[k, r, c] = A[k + r, k + c]: the block that pivot pair k updates
+    js = np.array(js)
+    width = 2 * w + 2
+    # buf[i, j - r + w] = A[r, j] mod p for the held row r = base + i, below
+    # 2^31, for j - r in -w..w + 1; products are formed in int64.  Column
+    # 2w + 1 is never written, so it reads as 0 both as A[r, r + w + 1] and,
+    # one row down through the stride, as A[r + 1, r - w].  Rows past n - 1
+    # are held as zeros, so every pair's window, w + 2 rows deep, fits.
+    buf = np.zeros((span, width, ps.size), dtype=np.int32)
+    flat = buf.reshape(span * width, ps.size)
+    s0, s1, s2 = buf.strides
+    # window[k - base, r, c] = A[k + r, k + c]: the block that pair k updates
     window = np.lib.stride_tricks.as_strided(
-        band[:, w:], shape=(n, w + 2, w + 2, ps.size),
+        buf[:, w:], shape=(span - w - 1, w + 2, w + 2, ps.size),
         strides=(s0, s0 - s1, s1, s2))
+
+    def load(lo: int, hi: int) -> None:
+        """Enter rows lo..hi - 1, reduced mod each lane's prime, into buf."""
+        e0, e1 = np.searchsorted(places, (lo * width, hi * width))
+        entered = vals[js, e0:e1].T
+        flat[places[e0:e1] - base * width] = np.remainder(entered, ps,
+                                                          out=entered)
+
+    base = 0
+    load(0, span)
     det = np.ones_like(ps)
     failed = np.zeros(ps.size, dtype=bool)
     # Montgomery's trick over the lanes that share a prime: multiply their
@@ -149,9 +196,20 @@ def _det_band(w: int, reach: list[int], rows: np.ndarray, cols: np.ndarray,
     if levels:
         up = np.empty(size, dtype=np.int64)
         down = np.empty_like(up)
-    for k in range(0, n - 1, 2):
+    for k in range(0, n, 2):
+        if k + w + 2 > base + span:
+            # slide: the rows from k on, fewer than w + 2 since the rows
+            # above k are done, move to the top; the rows after them enter
+            keep = base + span - k
+            buf[:keep] = buf[k - base:]
+            buf[keep:] = 0
+            base = k
+            load(k + keep, k + span)
+        if k == n - 1:
+            det = det * buf[k - base, w] % ps
+            break
         m = reach[k + 1] - k
-        block = window[k, :m + 1, :m + 1]
+        block = window[k - base, :m + 1, :m + 1]
         (a, b), (c, d) = block[:2, :2].astype(np.int64)
         delta = (a * d - b * c) % ps
         det = det * delta % ps
@@ -189,8 +247,6 @@ def _det_band(w: int, reach: list[int], rows: np.ndarray, cols: np.ndarray,
         t += f1[:, None] * block[1, 2:]
         np.subtract(rest, t, out=t)
         rest[...] = np.remainder(t, ps, out=t)
-    if n % 2:
-        det = det * window[n - 1, 0, 0] % ps
     return [None if bad else d for bad, d in zip(failed.tolist(), det.tolist())]
 
 
@@ -268,24 +324,20 @@ def det_residues(n: int, rows: np.ndarray, cols: np.ndarray,
     k = len(vals)
     if n == 0:
         return [[1] * len(primes) for _ in range(k)]
-    # a symmetric permutation leaves the determinant unchanged
-    pos = np.empty(n, dtype=np.int64)
-    pos[_cuthill_mckee(rows, cols, n)] = np.arange(n)
-    prows, pcols = pos[rows], pos[cols]
-    w = int(np.abs(prows - pcols).max())
-    # Elimination without swaps keeps the envelope of the symmetrized
-    # pattern (George & Liu, 1981): the nonzeros of column k below the
-    # diagonal, and of row k right of it, stay within k + 1..reach[k].
-    first = np.arange(n)
-    np.minimum.at(first, prows, pcols)
-    np.minimum.at(first, pcols, prows)
-    reach = np.arange(n)
-    np.maximum.at(reach, first, np.arange(n))
-    reach = np.maximum.accumulate(reach).tolist()
+    w, reach, places, bvals = _band_form(n, rows, cols, vals)
     # prime-major lanes: a chunk of lanes shares few primes, so its pivots
     # take few inverses
     lanes = [(j, p) for p in primes for j in range(k)]
-    lane_bytes = (n + w + 1) * (2 * w + 2) * 4  # one lane of the int32 band
+    span = n + w + 1  # the whole band, padding rows included
+    lane_bytes = span * (2 * w + 2) * 4  # one lane of the int32 band
+    if lane_bytes * len(lanes) > BAND_BYTES_CAP:
+        # Slide a buffer of 2 (w + 2) rows, the fewest for which a slide
+        # moves fewer rows than it enters (under w + 2 against over w + 2),
+        # once per (w + 3) / 2 pivot pairs or more; a smaller buffer leaves
+        # more lanes to a chunk.  A lane's working set is then its buffer
+        # plus the two int64 temporaries of a pair's trailing update.
+        span = min(span, 2 * (w + 2))
+        lane_bytes = span * (2 * w + 2) * 4 + 2 * 8 * (w + 1) ** 2
     chunks = -(-len(lanes) // max(1, BAND_BYTES_CAP // lane_bytes))
     chunk = -(-len(lanes) // chunks)
     out = []
@@ -293,10 +345,11 @@ def det_residues(n: int, rows: np.ndarray, cols: np.ndarray,
         part = lanes[s:s + chunk]
         js = [j for j, _ in part]
         ps = [p for _, p in part]
-        for j, p, rp in zip(js, ps, _det_band(w, reach, prows, pcols,
-                                              vals[js].T, ps)):
+        for j, p, rp in zip(js, ps, _det_band(w, span, reach, places,
+                                              bvals, js, ps)):
             if rp is None:
-                # only the matrix whose lane failed is densified
+                # only the matrix whose lane failed is densified, from the
+                # caller's entries
                 dense = np.zeros((n, n), dtype=np.int64)
                 dense[rows, cols] = vals[j]
                 rp = _det_mod_p(dense, p)

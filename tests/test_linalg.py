@@ -1,4 +1,9 @@
+import os
 import random
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +14,8 @@ from graph_iwasawa import (TowerSpec, cayley_serre, cyclotomic,
                            spanning_tree_count, zeta)
 from graph_iwasawa.serre import adjacency_matrix
 from oracles import det_bareiss, det_leibniz
+
+ROOT = Path(__file__).resolve().parents[1]
 
 matrices = st.integers(1, 5).flatmap(
     lambda n: st.lists(
@@ -130,12 +137,12 @@ def _spy_inverses(monkeypatch):
                 calls[-1][3] += 1
         return pow(base, exp, mod)
 
-    def band(w, reach, rows, cols, vals, primes):
+    def band(w, span, reach, places, vals, js, primes):
         pairs = sum(reach[k + 1] > k + 1 for k in range(0, len(reach) - 1, 2))
         calls.append([pairs, len(primes), len(set(primes)), 0])
         inside[0] = True
         try:
-            return real_band(w, reach, rows, cols, vals, primes)
+            return real_band(w, span, reach, places, vals, js, primes)
         finally:
             inside[0] = False
 
@@ -396,3 +403,127 @@ def stacks(draw):
 @given(stacks())
 def test_det_stack_property(stack):
     assert _det_stack(stack) == [det_bareiss(m.tolist()) for m in stack]
+
+
+def _sliding_dets(stack, mask, monkeypatch):
+    """The determinants of a (k, n, n) stack on the pattern mask (with the
+    stack's own nonzeros) by linalg.det_residues, with BAND_BYTES_CAP one
+    byte short of the whole band of all lanes, so that the kernel slides
+    its buffer, then linalg._crt; and (w, span, lanes) of each kernel
+    call."""
+    n = stack.shape[1]
+    rows, cols = np.nonzero(mask | stack.any(axis=0))
+    vals = stack[:, rows, cols]
+    bound = max(linalg._hadamard_bound(n, rows, v) for v in vals)
+    if not bound:
+        return [0] * len(stack), []  # every matrix has a zero row
+    primes = linalg._primes_above(2 * bound + 1)
+    w = linalg._band_form(n, rows, cols, vals)[0]
+    whole = (n + w + 1) * (2 * w + 2) * 4 * len(vals) * len(primes)
+    monkeypatch.setattr(linalg, "BAND_BYTES_CAP", whole - 1)
+    calls = []
+    real_band = linalg._det_band
+
+    def band(w, span, reach, places, vals, js, primes):
+        calls.append((w, span, len(primes)))
+        return real_band(w, span, reach, places, vals, js, primes)
+
+    monkeypatch.setattr(linalg, "_det_band", band)
+    residues = linalg.det_residues(n, rows, cols, vals, primes)
+    return linalg._crt(primes, residues, bound), calls
+
+
+def _band_mask(n, b):
+    return abs(np.subtract.outer(range(n), range(n))) <= b
+
+
+@st.composite
+def banded_stacks(draw):
+    """(stack, mask): k <= 4 matrices on one random pattern mask inside the
+    band of half-width b <= 3, diagonal included, of odd or even size
+    n >= 6 (b + 2), each scaled by 1, 10^3 or 10^6, some of them zero or
+    with two equal rows."""
+    b = draw(st.integers(0, 3))
+    k, n = draw(st.integers(1, 4)), draw(st.integers(6 * (b + 2),
+                                                      6 * (b + 2) + 7))
+    pattern = draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n))
+    mask = (np.array(pattern).reshape(n, n) & _band_mask(n, b)
+            | np.eye(n, dtype=bool))
+    stack = np.zeros((k, n, n), dtype=np.int64)
+    for mat in stack:
+        values = draw(st.lists(st.integers(-9, 9), min_size=n * n,
+                               max_size=n * n))
+        mat[...] = np.array(values).reshape(n, n) * mask
+        mat *= draw(st.sampled_from((1, 10 ** 3, 10 ** 6)))
+        kind = draw(st.sampled_from(("plain", "zero", "singular")))
+        if kind == "zero":
+            mat[...] = 0
+        elif kind == "singular":
+            mat[1] = mat[0]
+    return stack, mask
+
+
+@given(banded_stacks())
+@settings(max_examples=30)
+def test_det_stack_slides_property(case):
+    # every lane in one chunk, whose buffer holds fewer rows than the band
+    stack, mask = case
+    n = stack.shape[1]
+    with pytest.MonkeyPatch.context() as mp:
+        dets, calls = _sliding_dets(stack, mask, mp)
+    assert dets == [det_bareiss(m.tolist()) for m in stack]
+    if calls:
+        [(w, span, lanes)] = calls
+        assert span < n
+
+
+def test_det_stack_falls_back_after_a_slide(monkeypatch):
+    # matrix 1's pivot block of rows 20 and 21 vanishes mod p0 once the
+    # rows above it are eliminated: over the rationals that block's
+    # determinant is D_22 / D_20, D_i the leading minors, and d_21 is chosen
+    # so that D_22 = d_21 D_21 - c^2 D_20 = 0 mod p0
+    p0 = linalg.crt_primes(1)[0]
+    stack = _scaled_paths()
+    c, d = 10 ** 3, stack[1].diagonal()
+    minors = [1, int(d[0])]
+    for i in range(1, 21):
+        minors.append(int(d[i]) * minors[-1] - c * c * minors[-2])
+    assert all(m % p0 for m in minors[::2])  # no earlier pivot block vanishes
+    stack[1, 21, 21] = c * c * minors[20] * pow(minors[21], -1, p0) % p0
+    seen = _spy_det_mod_p(monkeypatch, stack)
+    dets, calls = _sliding_dets(stack, _band_mask(50, 1), monkeypatch)
+    assert dets == [det_bareiss(m.tolist()) for m in stack]
+    assert seen == [(1, p0)]
+    [(w, span, lanes)] = calls
+    assert w == 1 and 20 + w + 2 > span  # pair 20 runs after a slide
+
+
+def test_count_of_729_vertex_cover_peaks_below_4_mib():
+    # the whole band of its 64 lanes would be 7 MiB; the kernel's buffer of
+    # 2 (w + 2) rows needs a few hundred kB
+    spec, n = TowerSpec(3, (5, 7, 11)), 6
+    cover = derived_cover(cayley_serre(3 ** n, spec.generators))
+    tracemalloc.start()
+    try:
+        count = spanning_tree_count(cover)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == kappa_exact(spec, n)
+    assert peak < 4 << 20
+
+
+def test_first_determinants_do_not_import_numpy_ma():
+    # np.unique without return_counts asks np.ma.is_masked, which imports
+    # numpy.ma inside the first determinant of a process
+    code = ("import sys; import graph_iwasawa as gi; "
+            "cover = gi.derived_cover(gi.cayley_serre(9, (1, 4))); "
+            "gi.spanning_tree_count(cover); gi.ihara_h(cover); "
+            "print('numpy' in sys.modules, 'numpy.ma' in sys.modules)")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["True", "False"]
