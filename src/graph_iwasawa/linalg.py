@@ -132,7 +132,9 @@ def _band_form(n: int, rows: np.ndarray, cols: np.ndarray,
     places, values): w is the half-bandwidth, reach the envelope, and
     places[e] = r (2w + 2) + (c - r + w) is the place of entry e, now at
     (r, c), in a row-major band of 2w + 2 columns.  The entries are sorted
-    by place, so by row, and values[:, e] holds vals at entry e."""
+    by place, so by row, and values[:, e] holds vals at entry e.  Apart
+    from det_residues so that its temporaries are freed before the kernel
+    allocates its band."""
     pos = np.empty(n, dtype=np.int64)
     pos[_cuthill_mckee(rows, cols, n)] = np.arange(n)
     prows, pcols = pos[rows], pos[cols]

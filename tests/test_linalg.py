@@ -491,11 +491,14 @@ def test_det_stack_falls_back_after_a_slide(monkeypatch):
     assert all(m % p0 for m in minors[::2])  # no earlier pivot block vanishes
     stack[1, 21, 21] = c * c * minors[20] * pow(minors[21], -1, p0) % p0
     seen = _spy_det_mod_p(monkeypatch, stack)
+    inverses = _spy_inverses(monkeypatch)
     dets, calls = _sliding_dets(stack, _band_mask(50, 1), monkeypatch)
     assert dets == [det_bareiss(m.tolist()) for m in stack]
     assert seen == [(1, p0)]
     [(w, span, lanes)] = calls
     assert w == 1 and 20 + w + 2 > span  # pair 20 runs after a slide
+    [(pairs, lanes, distinct, taken)] = inverses
+    assert taken <= pairs * distinct
 
 
 def test_count_of_729_vertex_cover_peaks_below_4_mib():
