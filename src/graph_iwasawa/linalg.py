@@ -17,13 +17,13 @@ The kernel reorders the pattern by Cuthill-McKee, which narrows the band of
 a circulant cover's reduced Laplacian, and eliminates inside that band
 without row swaps, two rows at a time: one vectorized update of the
 trailing block per 2 x 2 pivot block for every lane at once, with one
-reduction mod p (Dumas, Giorgi and Pernet, ACM TOMS 35(3), 2008).  It holds
-the whole band of every lane when that fits under ``BAND_BYTES_CAP``.
-Otherwise it slides a buffer of 2 (w + 2) band rows down the matrix, w the
-half-bandwidth, and rows enter it, reduced mod each lane's prime, as it
-reaches the pivot pairs that touch them.  A lane then needs O(w^2) memory,
-not O(n w), and the lanes are split into chunks only when the buffers and
-pair temporaries of all of them pass the cap.  A lane whose pivot block
+reduction mod p (Dumas, Giorgi and Pernet, ACM TOMS 35(3), 2008).  Every
+lane slides a buffer of 2 (w + 2) band rows down the matrix, w the
+half-bandwidth (all n + w + 1 band rows when there are fewer), and rows
+enter it, reduced mod each lane's prime, as it reaches the pivot pairs that
+touch them.  A lane needs O(w^2) memory, not O(n w), and the lanes are
+split into chunks only when the buffers and pair temporaries of all of them
+pass ``BAND_BYTES_CAP``.  A lane whose pivot block
 vanishes falls back to ``_det_mod_p``, a per-prime elimination with row
 swaps that densifies only its own matrix, so singular matrices and zero
 leading minors of even order stay exact.  Lanes are ordered prime by prime,
@@ -41,10 +41,9 @@ import numpy as np
 
 from .cyclotomic import is_prime
 
-# Byte cap on one chunk of prime lanes: on the whole band of every lane when
-# it fits, else on a chunk's working set, its sliding buffer and the
-# temporaries of a pivot pair (a chunk has at least one lane, whatever the
-# cap).
+# Byte cap on one chunk of prime lanes: on its working set, the sliding
+# buffers and the temporaries of a pivot pair (a chunk has at least one
+# lane, whatever the cap).
 BAND_BYTES_CAP = 8 << 20
 
 _PRIME_CACHE: list[int] = []
@@ -134,7 +133,7 @@ def _band_form(n: int, rows: np.ndarray, cols: np.ndarray,
     (r, c), in a row-major band of 2w + 2 columns.  The entries are sorted
     by place, so by row, and values[:, e] holds vals at entry e.  Apart
     from det_residues so that its temporaries are freed before the kernel
-    allocates its band."""
+    allocates its buffer."""
     pos = np.empty(n, dtype=np.int64)
     pos[_cuthill_mckee(rows, cols, n)] = np.arange(n)
     prows, pcols = pos[rows], pos[cols]
@@ -330,16 +329,13 @@ def det_residues(n: int, rows: np.ndarray, cols: np.ndarray,
     # prime-major lanes: a chunk of lanes shares few primes, so its pivots
     # take few inverses
     lanes = [(j, p) for p in primes for j in range(k)]
-    span = n + w + 1  # the whole band, padding rows included
-    lane_bytes = span * (2 * w + 2) * 4  # one lane of the int32 band
-    if lane_bytes * len(lanes) > BAND_BYTES_CAP:
-        # Slide a buffer of 2 (w + 2) rows, the fewest for which a slide
-        # moves fewer rows than it enters (under w + 2 against over w + 2),
-        # once per (w + 3) / 2 pivot pairs or more; a smaller buffer leaves
-        # more lanes to a chunk.  A lane's working set is then its buffer
-        # plus the two int64 temporaries of a pair's trailing update.
-        span = min(span, 2 * (w + 2))
-        lane_bytes = span * (2 * w + 2) * 4 + 2 * 8 * (w + 1) ** 2
+    # A buffer of 2 (w + 2) rows, the fewest for which a slide moves fewer
+    # rows than it enters (under w + 2 against over w + 2), once per
+    # (w + 3) / 2 pivot pairs or more; n + w + 1 rows, padding included,
+    # hold the whole band and never slide.  A lane's working set is its
+    # buffer plus the two int64 temporaries of a pair's trailing update.
+    span = min(n + w + 1, 2 * (w + 2))
+    lane_bytes = span * (2 * w + 2) * 4 + 2 * 8 * (w + 1) ** 2
     chunks = -(-len(lanes) // max(1, BAND_BYTES_CAP // lane_bytes))
     chunk = -(-len(lanes) // chunks)
     out = []

@@ -215,29 +215,25 @@ def betti1(x: Multigraph) -> int:
     return 1 - euler_characteristic(x)
 
 
-def spanning_tree_count(x: Multigraph, delete_index: int = 0,
+def spanning_tree_count(x: Multigraph, *,
                         cap: int = DEFAULT_VERTEX_CAP) -> int:
-    """Number of spanning trees (matrix-tree theorem), exact.
-
-    ``delete_index`` selects the row/column removed from the Laplacian; the
-    result does not depend on it.  Graphs with more than ``cap`` vertices
-    are refused before any other work.
+    """Number of spanning trees (matrix-tree theorem), exact: the
+    determinant of the Laplacian with row and column 0 removed.  Graphs
+    with more than ``cap`` vertices are refused before any other work.
     """
     n = x.num_vertices
     if n > cap:
         raise ValueError(f"graph has {n} vertices, beyond the cap of {cap}")
     require_valid(x)
-    if not (0 <= delete_index < n):
-        raise ValueError("delete_index out of range")
     if n == 1:
         return 1
     rows, cols, counts = _edge_pattern(n, x.origin, x.terminus)
     # D - A on A's pattern: valency minus twice the loops on the diagonal
     lap = np.where(rows == cols,
                    np.bincount(x.origin, minlength=n)[rows] - counts, -counts)
-    keep = (rows != delete_index) & (cols != delete_index)
-    # vertex v is row v, or row v - 1 past the deleted vertex
-    rows, cols = (v[keep] - (v[keep] > delete_index) for v in (rows, cols))
+    keep = (rows != 0) & (cols != 0)
+    # vertex v > 0 is row v - 1
+    rows, cols = rows[keep] - 1, cols[keep] - 1
     det = linalg.det_pattern(n - 1, rows, cols, lap[keep])
     if det <= 0:
         raise DisconnectedGraphError("reduced Laplacian is singular")
