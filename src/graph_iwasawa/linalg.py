@@ -23,14 +23,14 @@ half-bandwidth (all n + w + 1 band rows when there are fewer), and rows
 enter it, reduced mod each lane's prime, as it reaches the pivot pairs that
 touch them.  A lane needs O(w^2) memory, not O(n w), and the lanes are
 split into chunks only when the buffers and pair temporaries of all of them
-pass ``BAND_BYTES_CAP``.  A lane whose pivot block
-vanishes falls back to ``_det_mod_p``, a per-prime elimination with row
-swaps that densifies only its own matrix, so singular matrices and zero
-leading minors of even order stay exact.  Lanes are ordered prime by prime,
-so a chunk holds many matrices' lanes of few primes, and each pivot pair
-takes one modular inverse per prime of its chunk, not one per lane: the
-pivot block determinants of the lanes that share a prime are inverted
-together by Montgomery's trick (Montgomery, Math. Comp. 48, 1987).
+pass ``BAND_BYTES_CAP``.  A lane whose pivot block vanishes falls back to
+``_det_mod_p``, a per-prime elimination with row swaps that densifies only
+its own matrix, so singular matrices and zero leading minors of even order
+stay exact.  Lanes are ordered prime by prime, so a chunk holds many
+matrices' lanes of few primes, and each pivot pair takes one modular
+inverse per prime of its chunk, not one per lane: the pivot block
+determinants of the lanes that share a prime are inverted together by
+Montgomery's trick (Montgomery, Math. Comp. 48, 1987).
 """
 
 from __future__ import annotations
