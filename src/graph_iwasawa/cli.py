@@ -5,6 +5,9 @@ deterministic: identical invocations produce identical bytes.  Integers
 are printed in full decimal, however many digits they have.  tower's
 --parallel is accepted for compatibility and has no effect.
 Sizes (--budget-bits, --cap-vertices) are checked here, before any work.
+tower and kappa run on the pure-Python towers, cyclotomic and polys and
+never import numpy; zeta, cover-verify and export-dot import the
+numpy-backed zeta and voltage modules when they start.
 Exit codes: 0 success (tower: full fit verified), 1 invalid input, usage
 or size, 2 verification or internal consistency failure.
 """
@@ -16,7 +19,7 @@ import itertools
 import json
 import sys
 
-from . import serre, towers, voltage, zeta
+from . import serre, towers
 from .cyclotomic import ord_int
 from .polys import format_poly, poly_to_json, unlimited_digits
 
@@ -189,6 +192,8 @@ def cmd_kappa(args) -> int:
 
 
 def cmd_zeta(args) -> int:
+    from . import zeta
+
     with open(args.graph_file, encoding="utf-8") as fh:
         graph = serre.multigraph_from_json(json.load(fh))
     _cap("graph", graph.num_vertices, args.cap_vertices)
@@ -209,6 +214,8 @@ def cmd_zeta(args) -> int:
 
 
 def cmd_cover_verify(args) -> int:
+    from . import voltage
+
     with open(args.voltage_file, encoding="utf-8") as fh:
         vg = voltage.voltage_from_json(json.load(fh))
     _cap("derived cover", vg.base.num_vertices * vg.modulus, args.cap_vertices)
@@ -245,6 +252,8 @@ def cmd_cover_verify(args) -> int:
 
 
 def cmd_export_dot(args) -> int:
+    from . import voltage
+
     spec = _spec(args)
     if args.levels < 0:
         raise ValueError("level must be >= 0")

@@ -5,12 +5,14 @@ n x n positions (rows, cols), given as a k x nnz table of their values
 there and never as a dense matrix.  ``det_residues`` takes the determinant
 of every matrix mod each prime of one list shared by all k: the primes are
 lanes, the last axis of one array of residues, a lane per (matrix, prime)
-pair.  ``det_pattern`` is the exact determinant of one matrix (k = 1): the
-primes of its integer Hadamard bound (``_hadamard_bound``), then
-``det_residues``, then ``_crt``, the one CRT, which refuses a result past
-its bound.  So it is exact, not probabilistic.  ``zeta.pencil_det`` calls
+pair.  ``det_pattern`` is the exact determinant of one matrix (k = 1):
+each row divided by its content (the gcd of its values), the primes of the
+divided matrix's integer Hadamard bound (``_row_norms`` finds the row norms
+and contents in one pass), then ``det_residues``, then ``_crt``, the one
+CRT, which refuses a result past its bound, times the product of the
+contents.  So it is exact, not probabilistic.  ``zeta.pencil_det`` calls
 ``det_residues`` with its 2n + 1 node matrices and the primes of the
-pencil's unit-circle Hadamard bound, also from ``_hadamard_bound``, and
+pencil's unit-circle Hadamard bound, from ``_hadamard_bound``, and
 ``_crt`` after it has interpolated mod each prime.
 
 The kernel reorders the pattern by Cuthill-McKee, which narrows the band of
@@ -284,20 +286,31 @@ def _inverse_tree(primes: list[int]) -> tuple:
     return size, levels, np.array(roots), list(nodes)
 
 
+def _row_norms(n: int, rows: np.ndarray, vals: np.ndarray) -> tuple | None:
+    """(squared norms, contents) of the rows of the n x n matrix, n >= 1,
+    whose entries in row rows[e] are the integers vals[e], as lists in row
+    order: a row's content is the gcd of its values, 0 when they are all 0.
+    None for a matrix with a zero row."""
+    counts = np.bincount(rows, minlength=n)
+    if counts.min() == 0:
+        return None
+    starts = np.cumsum(counts) - counts
+    sq = vals[np.argsort(rows, kind="stable")]
+    contents = np.gcd.reduceat(sq, starts)
+    top = max(int(vals.max()), -int(vals.min()))
+    if top * top * int(counts.max()) >= 1 << 63:
+        sq = sq.astype(object)  # Python ints: an int64 row norm could overflow
+    norms = np.add.reduceat(sq * sq, starts)
+    return norms.tolist(), contents.tolist()
+
+
 def _hadamard_bound(n: int, rows: np.ndarray, vals: np.ndarray) -> int:
     """Row-norm Hadamard bound of the n x n matrix whose entries in row
     rows[e] are the integers vals[e]; 0 for a matrix with a zero row."""
     if n == 0:
         return 1
-    counts = np.bincount(rows, minlength=n)
-    if counts.min() == 0:
-        return 0
-    sq = vals[np.argsort(rows, kind="stable")]
-    top = max(int(vals.max()), -int(vals.min()))
-    if top * top * int(counts.max()) >= 1 << 63:
-        sq = sq.astype(object)  # Python ints: an int64 row norm could overflow
-    norms = np.add.reduceat(sq * sq, np.cumsum(counts) - counts)
-    return _isqrt_ceil(math.prod(norms.tolist()))
+    rowwise = _row_norms(n, rows, vals)
+    return 0 if rowwise is None else _isqrt_ceil(math.prod(rowwise[0]))
 
 
 def _isqrt_ceil(n: int) -> int:
@@ -381,12 +394,28 @@ def _crt(primes: list[int], residues: list[list[int]],
 
 def det_pattern(n: int, rows: np.ndarray, cols: np.ndarray,
                 vals: np.ndarray) -> int:
-    """Exact determinant of the n x n matrix whose nonzeros lie among the
-    distinct positions (rows[e], cols[e]), with int64 values vals[e]: the
-    primes of its Hadamard bound, one kernel run, one CRT."""
-    bound = _hadamard_bound(n, rows, vals)
-    if not bound:
+    """Exact determinant of the n x n matrix M whose nonzeros lie among the
+    distinct positions (rows[e], cols[e]), with int64 values vals[e].
+
+    det M = c_0 ... c_{n-1} det M', where c_r is the content of row r and
+    M' is M with each row r divided by c_r: the primes of M''s Hadamard
+    bound, one kernel run and one CRT give det M'.  A row with a common
+    factor, which uniform edge multiplicities (a repeated jump) give a
+    reduced Laplacian, takes that factor's bits off the bound, so fewer
+    primes are needed."""
+    if n == 0:
+        return 1
+    rowwise = _row_norms(n, rows, vals)
+    if rowwise is None:
         return 0
+    norms, contents = rowwise
+    if 0 in contents:
+        return 0  # a row whose values are all 0, before any division
+    scale = math.prod(contents)
+    if scale != 1:
+        vals = vals // np.array(contents)[rows]
+    # c_r^2 divides row r's squared norm, so this is M''s bound squared
+    bound = _isqrt_ceil(math.prod(norms) // (scale * scale))
     primes = _primes_above(2 * bound + 1)
     residues = det_residues(n, rows, cols, vals[None], primes)
-    return _crt(primes, residues, bound)[0]
+    return scale * _crt(primes, residues, bound)[0]

@@ -11,14 +11,12 @@ arrays (``_edge_pattern``): the adjacency matrix on its distinct positions
 plus the whole diagonal.  Spanning trees are counted exactly through the
 matrix-tree theorem: the determinant of the reduced Laplacian, given to the
 rigorous multi-modular CRT engine of ``linalg`` as its values on that
-pattern, never as a dense n x n array.
+pattern, never as a dense n x n array.  numpy and ``linalg`` are imported
+by those two functions only, so building, validating and rendering a graph
+loads neither.
 """
 
 from __future__ import annotations
-
-import numpy as np
-
-from . import linalg
 
 # Graphs beyond this many vertices are refused by the matrix-tree count
 # and by the voltage-graph checks built on it.
@@ -168,6 +166,8 @@ def _edge_pattern(n: int, origin, terminus) -> tuple:
     edges origin[e] -> terminus[e]: its distinct nonzero positions and
     every diagonal position, row-major, with the edge count at each (2 per
     loop on the diagonal, 0 where a vertex has none)."""
+    import numpy as np
+
     keys = np.concatenate([np.asarray(origin, dtype=np.int64) * n
                            + np.asarray(terminus, dtype=np.int64),
                            np.arange(n, dtype=np.int64) * (n + 1)])
@@ -227,6 +227,10 @@ def spanning_tree_count(x: Multigraph, *,
     require_valid(x)
     if n == 1:
         return 1
+    import numpy as np
+
+    from . import linalg
+
     rows, cols, counts = _edge_pattern(n, x.origin, x.terminus)
     # D - A on A's pattern: valency minus twice the loops on the diagonal
     lap = np.where(rows == cols,

@@ -1,3 +1,8 @@
+import sys
+import types
+
+import pytest
+
 import graph_iwasawa
 
 PUBLIC = [
@@ -25,3 +30,31 @@ def test_public_names():
     names = [n for n in dir(graph_iwasawa)
              if not n.startswith("__") and n != "cli"]
     assert names == PUBLIC
+
+
+# where each public name is defined, read off the object where it can be
+# (functions, classes) and named here where it cannot
+DEFINED_IN = {"INFINITY": "graph_iwasawa.cyclotomic"}
+
+
+@pytest.mark.parametrize("name", PUBLIC)
+def test_public_name_resolves_on_first_use(monkeypatch, name):
+    # drop the binding an earlier import left, so the import below goes
+    # through the package's __getattr__
+    monkeypatch.delattr(graph_iwasawa, name, raising=False)
+    namespace = {}
+    exec(f"from graph_iwasawa import {name}", namespace)
+    value = namespace[name]
+    if isinstance(value, types.ModuleType):
+        assert value is sys.modules[f"graph_iwasawa.{name}"]
+    else:
+        home = DEFINED_IN.get(name) or value.__module__
+        assert value is getattr(sys.modules[home], name)
+    assert vars(graph_iwasawa)[name] is value  # bound once resolved
+
+
+def test_unknown_attribute_is_named():
+    with pytest.raises(AttributeError, match="'no_such_name'"):
+        graph_iwasawa.no_such_name
+    with pytest.raises(ImportError, match="no_such_name"):
+        from graph_iwasawa import no_such_name  # noqa: F401

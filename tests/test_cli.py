@@ -1,5 +1,8 @@
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -441,3 +444,40 @@ def test_each_command_refuses_the_flags_it_does_not_read(
     code, out, err = run(capsys, command, *args, *flag)
     assert code == 1 and out == ""
     assert "unrecognized arguments" in err or "invalid choice" in err
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# the console script's entry, then a report of whether numpy was loaded
+NUMPY_PROBE = ("import sys; from graph_iwasawa.cli import main; "
+               "code = main(); sys.stdout.flush(); "
+               "print('numpy' in sys.modules, file=sys.stderr); "
+               "sys.exit(code)")
+
+
+def _python(*argv):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *argv], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
+@pytest.mark.parametrize("argv", [
+    ("tower", "-l", "2", "-a", "3,5", "-n", "6"),
+    ("tower", "-l", "3", "-a", "1,4,20", "-n", "4", "--format", "json"),
+    ("tower", "-l", "2", "-a", "1,1", "-n", "5", "--format", "csv"),
+    ("kappa", "-l", "2", "-a", "-3,5", "-n", "5"),
+    ("kappa", "-l", "3", "-a", "1,4,20", "-n", "3", "--format", "json"),
+], ids=["tower-text", "tower-json", "tower-csv", "kappa-text", "kappa-json"])
+def test_tower_and_kappa_never_import_numpy(capsys, argv):
+    proc = _python("-c", NUMPY_PROBE, *argv)
+    assert (proc.returncode, proc.stderr) == (0, "False\n")
+    code, out, _ = run(capsys, *argv)
+    assert (code, out) == (0, proc.stdout)
+
+
+def test_bare_package_import_loads_no_numpy():
+    proc = _python("-c", "import sys, graph_iwasawa; "
+                         "print('numpy' in sys.modules)")
+    assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr

@@ -285,6 +285,66 @@ def test_hadamard_bound_past_int64_squares():
         assert _det_crt(arr) == det
 
 
+def test_det_crt_divides_rows_by_their_contents():
+    # random rows times row factors of either sign, some of them 1, and
+    # some rows with a factor only in part of their entries
+    rng = random.Random(17)
+    for trial in range(20):
+        n = rng.randint(1, 12)
+        m = np.array([[rng.randint(-5, 5) for _ in range(n)]
+                      for _ in range(n)], dtype=np.int64)
+        m[np.arange(n), np.arange(n)] = rng.randint(1, 5)
+        factors = [rng.choice((1, -1, 2, -3, 6, 10 ** 6)) for _ in range(n)]
+        m *= np.array(factors, dtype=np.int64)[:, None]
+        assert _det_crt(m) == det_bareiss(m.tolist()), trial
+
+
+def test_det_crt_row_contents_shed_bound_bits(monkeypatch):
+    # 6 x the path Laplacian: every row has content 6, so the bound of the
+    # divided matrix is 6^-n times the bound of m
+    m = 6 * _path_laplacian_like(40, 2)
+    seen = []
+    real = linalg.det_residues
+
+    def spy(n, rows, cols, vals, primes):
+        seen.append((vals.copy(), len(primes)))
+        return real(n, rows, cols, vals, primes)
+
+    monkeypatch.setattr(linalg, "det_residues", spy)
+    assert _det_crt(m) == 6 ** 40 * 41
+    [(vals, count)] = seen
+    assert set(vals.ravel().tolist()) == {2, -1}
+    assert count == len(linalg._primes_above(2 * _hadamard_bound(m // 6) + 1))
+
+
+def test_det_crt_all_zero_pattern_row(monkeypatch):
+    # row 2 is in the pattern, with values 0 there: content 0, determinant
+    # 0, before any division or kernel run
+    m = _path_laplacian_like(6, 3)
+    rows, cols = np.nonzero(m)
+    vals = m[rows, cols]
+    vals[rows == 2] = 0
+    monkeypatch.setattr(linalg, "det_residues", None)
+    with np.errstate(all="raise"):
+        assert linalg.det_pattern(6, rows, cols, vals) == 0
+
+
+def test_det_crt_uniform_multiplicity_cover_takes_fewer_primes(monkeypatch):
+    # l = 2, a = (1, 1): every edge doubled, so the reduced Laplacian's rows
+    # (4, -2, -2) have content 2 and 2^1023 leaves the bound
+    cover = derived_cover(cayley_serre(2 ** 10, (1, 1)))
+    seen = []
+    real = linalg.det_residues
+
+    def spy(n, rows, cols, vals, primes):
+        seen.append(len(primes))
+        return real(n, rows, cols, vals, primes)
+
+    monkeypatch.setattr(linalg, "det_residues", spy)
+    assert spanning_tree_count(cover) == kappa_exact(TowerSpec(2, (1, 1)), 10)
+    assert seen == [43]
+
+
 def _stack_on_pattern(rng, k, n, density):
     pattern = [(i, j) for i in range(n) for j in range(n)
                if i == j or rng.random() < density]
