@@ -299,10 +299,8 @@ def test_det_crt_divides_rows_by_their_contents():
         assert _det_crt(m) == det_bareiss(m.tolist()), trial
 
 
-def test_det_crt_row_contents_shed_bound_bits(monkeypatch):
-    # 6 x the path Laplacian: every row has content 6, so the bound of the
-    # divided matrix is 6^-n times the bound of m
-    m = 6 * _path_laplacian_like(40, 2)
+def _spy_det_residues(monkeypatch):
+    """Record (values, prime count) of every det_residues call."""
     seen = []
     real = linalg.det_residues
 
@@ -311,6 +309,14 @@ def test_det_crt_row_contents_shed_bound_bits(monkeypatch):
         return real(n, rows, cols, vals, primes)
 
     monkeypatch.setattr(linalg, "det_residues", spy)
+    return seen
+
+
+def test_det_crt_row_contents_shed_bound_bits(monkeypatch):
+    # 6 x the path Laplacian: every row has content 6, so the bound of the
+    # divided matrix is 6^-n times the bound of m
+    m = 6 * _path_laplacian_like(40, 2)
+    seen = _spy_det_residues(monkeypatch)
     assert _det_crt(m) == 6 ** 40 * 41
     [(vals, count)] = seen
     assert set(vals.ravel().tolist()) == {2, -1}
@@ -333,16 +339,9 @@ def test_det_crt_uniform_multiplicity_cover_takes_fewer_primes(monkeypatch):
     # l = 2, a = (1, 1): every edge doubled, so the reduced Laplacian's rows
     # (4, -2, -2) have content 2 and 2^1023 leaves the bound
     cover = derived_cover(cayley_serre(2 ** 10, (1, 1)))
-    seen = []
-    real = linalg.det_residues
-
-    def spy(n, rows, cols, vals, primes):
-        seen.append(len(primes))
-        return real(n, rows, cols, vals, primes)
-
-    monkeypatch.setattr(linalg, "det_residues", spy)
+    seen = _spy_det_residues(monkeypatch)
     assert spanning_tree_count(cover) == kappa_exact(TowerSpec(2, (1, 1)), 10)
-    assert seen == [43]
+    assert [count for _, count in seen] == [43]
 
 
 def _stack_on_pattern(rng, k, n, density):
