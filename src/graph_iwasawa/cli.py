@@ -197,7 +197,6 @@ def cmd_zeta(args) -> int:
     with open(args.graph_file, encoding="utf-8") as fh:
         graph = serre.multigraph_from_json(json.load(fh))
     _cap("graph", graph.num_vertices, args.cap_vertices)
-    serre.require_valid(graph)
     exponent, h = zeta.ihara_Z(graph)
     kappa = serre.spanning_tree_count(graph, cap=args.cap_vertices)
     with unlimited_digits():

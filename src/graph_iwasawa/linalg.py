@@ -26,13 +26,13 @@ enter it, reduced mod each lane's prime, as it reaches the pivot pairs that
 touch them.  A lane needs O(w^2) memory, not O(n w), and the lanes are
 split into chunks only when the buffers and pair temporaries of all of them
 pass ``BAND_BYTES_CAP``.  A lane whose pivot block vanishes falls back to
-``_det_mod_p``, a per-prime elimination with row swaps that densifies only
-its own matrix, so singular matrices and zero leading minors of even order
-stay exact.  Lanes are ordered prime by prime, so a chunk holds many
-matrices' lanes of few primes, and each pivot pair takes one modular
-inverse per prime of its chunk, not one per lane: the pivot block
-determinants of the lanes that share a prime are inverted together by
-Montgomery's trick (Montgomery, Math. Comp. 48, 1987).
+``_det_swaps``, banded elimination with row swaps in a window of w + 1 by
+2w + 1 entries, so singular matrices and zero leading minors of even order
+stay exact in O(w^2) memory too.  Lanes are ordered prime by prime, so a
+chunk holds many matrices' lanes of few primes, and each pivot pair takes
+one modular inverse per prime of its chunk, not one per lane: the pivot
+block determinants of the lanes that share a prime are inverted together
+by Montgomery's trick (Montgomery, Math. Comp. 48, 1987).
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ _PRIME_CACHE: list[int] = []
 
 def _grow_primes(count: int) -> None:
     """Extend _PRIME_CACHE to at least count primes."""
-    cand = _PRIME_CACHE[-1] - 2 if _PRIME_CACHE else (1 << 31) - 1
+    cand = _PRIME_CACHE[-1] - 2 if _PRIME_CACHE else (1 << 31) - 19
     while len(_PRIME_CACHE) < count:
         if is_prime(cand):
             _PRIME_CACHE.append(cand)
@@ -61,36 +61,12 @@ def _grow_primes(count: int) -> None:
 
 
 def crt_primes(count: int) -> list[int]:
-    """Deterministic list of 31-bit primes, largest first."""
+    """Deterministic list of 31-bit primes, largest first, from 2^31 - 19.
+    2 has order 31 modulo the prime 2^31 - 1, so leading minors of pencil
+    node matrices at u = +-2^i vanish mod it (on a cycle such a minor is
+    (u^(2m + 2) - 1) / (u^2 - 1)), and their lanes would need the fallback."""
     _grow_primes(count)
     return _PRIME_CACHE[:count]
-
-
-def _det_mod_p(master: np.ndarray, p: int) -> int:
-    """Determinant mod p by elimination that skips zero rows/columns."""
-    m = (master % p).astype(np.int64)
-    n = m.shape[0]
-    det = 1
-    for k in range(n):
-        col = m[k:, k]
-        nz = np.flatnonzero(col)
-        if nz.size == 0:
-            return 0
-        if nz[0] != 0:
-            r = k + int(nz[0])
-            m[[k, r], k:] = m[[r, k], k:]
-            det = p - det
-        nz = nz[1:]
-        piv = int(m[k, k])
-        det = det * piv % p
-        if nz.size:
-            rows = k + nz
-            inv = pow(piv, -1, p)
-            f = (m[rows, k] * inv) % p
-            cols = k + np.flatnonzero(m[k, k:])
-            block = m[np.ix_(rows, cols)]
-            m[np.ix_(rows, cols)] = (block - f[:, None] * m[k, cols][None, :]) % p
-    return det
 
 
 def _cuthill_mckee(rows: np.ndarray, cols: np.ndarray, n: int) -> list[int]:
@@ -253,6 +229,35 @@ def _det_band(w: int, span: int, reach: list[int], places: np.ndarray,
     return [None if bad else d for bad, d in zip(failed.tolist(), det.tolist())]
 
 
+def _det_swaps(n: int, w: int, places: np.ndarray, vals: np.ndarray,
+               j: int, p: int) -> int:
+    """det(M_j) mod p from M_j's entries vals[j] at the band places of
+    ``_band_form``, by banded elimination with row swaps in O(n w^2) work
+    (LAPACK's xGBTRF; Golub and Van Loan, Matrix Computations, 4.3)."""
+    width = 2 * w + 2
+    # win[i, c] = M_j[k + i, k + c] mod p at pivot k = r - w, row r entered
+    # at its band offsets.  A swapped-up row, of index at most k + w, ends by
+    # column k + 2w; row w + 1 and column 2w + 1 stay 0 for a shift to enter.
+    win = np.zeros((w + 2, width), dtype=np.int64)
+    det = 1
+    for r in range(n + w):
+        win[:-1, :-1] = win[1:, 1:]
+        e0, e1 = np.searchsorted(places, (r * width, r * width + width))
+        win[w, places[e0:e1] - r * width] = vals[j, e0:e1] % p
+        if r < w:
+            continue
+        nz = np.flatnonzero(win[:, 0])
+        if nz.size == 0:
+            return 0
+        if nz[0]:
+            win[[0, nz[0]]] = win[[nz[0], 0]]
+            det = -det
+        det = det * int(win[0, 0]) % p
+        f = win[1:, 0] * pow(int(win[0, 0]), -1, p) % p
+        win[1:] = (win[1:] - f[:, None] * win[0]) % p
+    return det
+
+
 def _inverse_tree(primes: list[int]) -> tuple:
     """Shape of the product trees over the lanes that share each prime, one
     tree per distinct prime: (node count, levels, roots, root primes).
@@ -353,18 +358,11 @@ def det_residues(n: int, rows: np.ndarray, cols: np.ndarray,
     chunk = -(-len(lanes) // chunks)
     out = []
     for s in range(0, len(lanes), chunk):
-        part = lanes[s:s + chunk]
-        js = [j for j, _ in part]
-        ps = [p for _, p in part]
+        js, ps = map(list, zip(*lanes[s:s + chunk]))
         for j, p, rp in zip(js, ps, _det_band(w, span, reach, places,
                                               bvals, js, ps)):
-            if rp is None:
-                # only the matrix whose lane failed is densified, from the
-                # caller's entries
-                dense = np.zeros((n, n), dtype=np.int64)
-                dense[rows, cols] = vals[j]
-                rp = _det_mod_p(dense, p)
-            out.append(rp)
+            out.append(_det_swaps(n, w, places, bvals, j, p) if rp is None
+                       else rp)
     return [out[j::k] for j in range(k)]
 
 

@@ -52,7 +52,10 @@ def validate_voltage(vg: VoltageGraph) -> list[str]:
         ie = vg.base.inverse[e]
         if vg.voltage[ie] != (-vg.voltage[e]) % m:
             out.append(f"edge {e}: voltage not antisymmetric under inversion")
-    if not out and serre._components(derived_cover(vg, validate=False)) != 1:
+    try:
+        if not out:
+            derived_cover(vg)
+    except DisconnectedGraphError:
         out.append("voltages do not generate Z/mZ: derived cover disconnected")
     return out
 
@@ -84,7 +87,7 @@ def cayley_serre(m: int, generators) -> VoltageGraph:
     return VoltageGraph(base, m, volt)
 
 
-def derived_cover(vg: VoltageGraph, validate: bool = True) -> Multigraph:
+def derived_cover(vg: VoltageGraph) -> Multigraph:
     """The degree-m cyclic cover; vertex (v, k) has id k*g + v."""
     g = vg.base.num_vertices
     m = vg.modulus
@@ -98,9 +101,8 @@ def derived_cover(vg: VoltageGraph, validate: bool = True) -> Multigraph:
             terminus.append(kk * g + vg.base.terminus[e])
             inverse.append(vg.base.inverse[e] * m + kk)
     cover.origin, cover.terminus, cover.inverse = origin, terminus, inverse
-    if validate:
-        if serre._components(cover) != 1:
-            raise DisconnectedGraphError("derived cover is disconnected")
+    if serre._components(cover) != 1:
+        raise DisconnectedGraphError("derived cover is disconnected")
     return cover
 
 

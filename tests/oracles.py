@@ -21,9 +21,8 @@ import itertools
 import math
 from fractions import Fraction
 
-from graph_iwasawa import (Multigraph, VoltageGraph, cyc_from_poly, epsilon,
-                           polys)
-from graph_iwasawa.serre import _components
+from graph_iwasawa import (DisconnectedGraphError, Multigraph, VoltageGraph,
+                           cyc_from_poly, derived_cover, epsilon, polys)
 
 
 def det_leibniz(m) -> int:
@@ -495,6 +494,8 @@ def random_voltage_graph(rng, max_vertices=4, max_modulus=12,
         m = rng.randint(1, max_modulus)
         volts = {e: rng.randrange(m) for e in base.undirected_edges()}
         vg = voltage_graph(base, m, volts)
-        from graph_iwasawa.voltage import derived_cover
-        if _components(derived_cover(vg, validate=False)) == 1:
-            return vg
+        try:
+            derived_cover(vg)
+        except DisconnectedGraphError:
+            continue
+        return vg

@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
-from graph_iwasawa import (TowerSpec, cayley_serre, cyclotomic,
-                           derived_cover, kappa_exact, linalg,
+from graph_iwasawa import (TowerSpec, cayley_serre, cycle_graph, cyclotomic,
+                           derived_cover, ihara_h, kappa_exact, linalg,
                            spanning_tree_count, zeta)
 from graph_iwasawa.serre import adjacency_matrix
 from oracles import det_bareiss, det_leibniz
@@ -107,24 +107,6 @@ def test_det_crt_large_banded():
     assert _det_crt(m) == n + 1
 
 
-def _spy_det_mod_p(monkeypatch, stack=None):
-    """Record the prime of every fallback call, or (index in stack, prime)
-    when a stack is given."""
-    seen = []
-    real = linalg._det_mod_p
-
-    def spy(matrix, p):
-        if stack is None:
-            seen.append(p)
-        else:
-            seen.append(([np.array_equal(matrix, m) for m in stack].index(True),
-                         p))
-        return real(matrix, p)
-
-    monkeypatch.setattr(linalg, "_det_mod_p", spy)
-    return seen
-
-
 def _spy_inverses(monkeypatch):
     """Per _det_band call: (updating pivot pairs, lanes, distinct primes,
     modular inverses taken inside the call).  pow may never get a zero:
@@ -183,30 +165,29 @@ def test_det_crt_permuted_band_with_corner():
         assert _det_crt(m) == det_bareiss(m.tolist()), trial
 
 
-def test_det_crt_zero_pivot_falls_back_for_that_prime(monkeypatch):
+def test_det_crt_zero_pivot_falls_back_for_that_prime(monkeypatch,
+                                                        fallbacks):
     # Cuthill-McKee starts at row 0 (least degree, lowest index); the first
     # pivot block [[1, -1], [-1, p0 + 1]] has determinant p0, so it
     # vanishes mod the first CRT prime only
     p0 = linalg.crt_primes(1)[0]
     m = _path_laplacian_like(50, 3)
     m[0, 0], m[1, 1] = 1, p0 + 1
-    seen = _spy_det_mod_p(monkeypatch)
     inverses = _spy_inverses(monkeypatch)
     assert _det_crt(m) == det_bareiss(m.tolist())
-    assert seen == [p0]
+    assert fallbacks == [(0, p0)]
     assert inverses
 
 
-def test_det_crt_zero_scalar_pivot_needs_no_fallback(monkeypatch):
+def test_det_crt_zero_scalar_pivot_needs_no_fallback(monkeypatch, fallbacks):
     # m[0, 0] = p0 vanishes mod p0, but the first pivot block
     # [[p0, -1], [-1, 3]] does not
     p0 = linalg.crt_primes(1)[0]
     m = _path_laplacian_like(50, 3)
     m[0, 0] = p0
-    seen = _spy_det_mod_p(monkeypatch)
     inverses = _spy_inverses(monkeypatch)
     assert _det_crt(m) == det_bareiss(m.tolist())
-    assert seen == []
+    assert fallbacks == []
     assert inverses
 
 
@@ -223,7 +204,8 @@ def test_det_crt_odd_and_even_sizes(n):
 
 
 @pytest.mark.parametrize("corner", [1, linalg.crt_primes(1)[0] + 1])
-def test_det_crt_split_pivot_block_that_vanishes(monkeypatch, corner):
+def test_det_crt_split_pivot_block_that_vanishes(monkeypatch, fallbacks,
+                                                  corner):
     # rows 0 and 1 form a component of their own, where Cuthill-McKee
     # starts: reach[1] = 1, so their pivot block [[1, 1], [1, corner]]
     # updates no row.  Its determinant, 0 or p0, vanishes mod p0 and enters
@@ -231,31 +213,29 @@ def test_det_crt_split_pivot_block_that_vanishes(monkeypatch, corner):
     m = np.zeros((20, 20), dtype=np.int64)
     m[:2, :2] = [[1, 1], [1, corner]]
     m[2:, 2:] = _path_laplacian_like(18, 3)
-    seen = _spy_det_mod_p(monkeypatch)
     inverses = _spy_inverses(monkeypatch)
     assert _det_crt(m) == det_bareiss(m.tolist())
-    assert seen == []
+    assert fallbacks == []
     assert inverses
 
 
 @pytest.mark.parametrize("n", [5, 6, 12])
-def test_det_crt_worst_case_residues(monkeypatch, n):
-    # 3I - J mod p0 = 2^31 - 1: every off-diagonal residue is p0 - 1, and
-    # the first pivot block [[2, -1], [-1, 2]] gives F = (-1, -1), so both
-    # products of the first update are (p0 - 1)^2 on every entry
-    assert linalg.crt_primes(1)[0] == (1 << 31) - 1
+def test_det_crt_worst_case_residues(fallbacks, n):
+    # 3I - J mod p0 = 2 147 483 629, the largest CRT prime: every
+    # off-diagonal residue is p0 - 1, and the first pivot block [[2, -1],
+    # [-1, 2]] gives F = (-1, -1), so both products of the first update are
+    # (p0 - 1)^2 on every entry
+    assert linalg.crt_primes(1)[0] == 2147483629
     m = 3 * np.eye(n, dtype=np.int64) - 1
-    seen = _spy_det_mod_p(monkeypatch)
     assert _det_crt(m) == det_bareiss(m.tolist()) == 3 ** (n - 1) * (3 - n)
-    assert seen == []
+    assert fallbacks == []
 
 
-def test_corpus_cover_needs_no_fallback(monkeypatch):
+def test_corpus_cover_needs_no_fallback(fallbacks):
     spec, n = TowerSpec(2, (3, 5)), 8
     cover = derived_cover(cayley_serre(2 ** n, spec.generators))
-    seen = _spy_det_mod_p(monkeypatch)
     assert spanning_tree_count(cover) == kappa_exact(spec, n)
-    assert seen == []
+    assert fallbacks == []
 
 
 def _hadamard_bound(matrix):
@@ -370,29 +350,29 @@ def _scaled_paths():
                      for c in (1, 10 ** 3, 10 ** 6)])
 
 
-def test_det_stack_falls_back_for_one_matrix_and_prime(monkeypatch):
+def test_det_stack_falls_back_for_one_matrix_and_prime(monkeypatch,
+                                                        fallbacks):
     # only matrix 1's first pivot block (rows 0 and 1, where Cuthill-McKee
     # starts), [[1, -10^3], [-10^3, p0 + 10^6]], vanishes mod p0, inside
     # the product tree that inverts all three lanes of p0 together
     p0 = linalg.crt_primes(1)[0]
     stack = _scaled_paths()
     stack[1, 0, 0], stack[1, 1, 1] = 1, p0 + 10 ** 6
-    seen = _spy_det_mod_p(monkeypatch, stack)
     inverses = _spy_inverses(monkeypatch)
     assert _det_stack(stack) == [det_bareiss(m.tolist()) for m in stack]
-    assert seen == [(1, p0)]
+    assert fallbacks == [(1, p0)]
     assert len(inverses) == 1  # one chunk: the lanes of p0 share one tree
 
 
-def test_det_stack_zero_scalar_pivot_needs_no_fallback(monkeypatch):
+def test_det_stack_zero_scalar_pivot_needs_no_fallback(monkeypatch,
+                                                        fallbacks):
     # matrix 1's first entry vanishes mod p0, its first pivot block does not
     p0 = linalg.crt_primes(1)[0]
     stack = _scaled_paths()
     stack[1, 0, 0] = p0
-    seen = _spy_det_mod_p(monkeypatch, stack)
     inverses = _spy_inverses(monkeypatch)
     assert _det_stack(stack) == [det_bareiss(m.tolist()) for m in stack]
-    assert seen == []
+    assert fallbacks == []
     assert len(inverses) == 1
 
 
@@ -537,7 +517,7 @@ def test_det_stack_slides_property(case):
         assert span < n
 
 
-def test_det_stack_falls_back_after_a_slide(monkeypatch):
+def test_det_stack_falls_back_after_a_slide(monkeypatch, fallbacks):
     # matrix 1's pivot block of rows 20 and 21 vanishes mod p0 once the
     # rows above it are eliminated: over the rationals that block's
     # determinant is D_22 / D_20, D_i the leading minors, and d_21 is chosen
@@ -550,15 +530,117 @@ def test_det_stack_falls_back_after_a_slide(monkeypatch):
         minors.append(int(d[i]) * minors[-1] - c * c * minors[-2])
     assert all(m % p0 for m in minors[::2])  # no earlier pivot block vanishes
     stack[1, 21, 21] = c * c * minors[20] * pow(minors[21], -1, p0) % p0
-    seen = _spy_det_mod_p(monkeypatch, stack)
     inverses = _spy_inverses(monkeypatch)
     dets, _, calls = _sliding_dets(stack, _band_mask(50, 1), monkeypatch)
     assert dets == [det_bareiss(m.tolist()) for m in stack]
-    assert seen == [(1, p0)]
+    assert fallbacks == [(1, p0)]
     [(w, span, lanes)] = calls
     assert w == 1 and 20 + w + 2 > span  # pair 20 runs after a slide
     [(pairs, lanes, distinct, taken)] = inverses
     assert taken <= pairs * distinct
+
+
+def test_det_crt_zero_leading_minor_falls_back_on_every_prime(fallbacks):
+    # the first pivot block [[1, -1], [-1, 1]] is singular over Z, so it
+    # vanishes mod every prime and each lane ends in the pivoting fallback
+    m = _path_laplacian_like(50, 3)
+    m[0, 0] = m[1, 1] = 1
+    primes = linalg._primes_above(2 * _hadamard_bound(m) + 1)
+    assert _det_crt(m) == det_bareiss(m.tolist())
+    assert fallbacks == [(0, p) for p in primes]
+
+
+@st.composite
+def fallback_stacks(draw):
+    """(stack, mask): k <= 3 banded matrices of half-width b <= 3 on one
+    pattern mask, diagonal included, under one random symmetric
+    permutation.  Some have a leading minor of even order 2m <= 6, in the
+    Cuthill-McKee order the kernel eliminates in, that is 0 over Z, so
+    every prime fails them, and some are singular: their leading minor of
+    order n is 0."""
+    b = draw(st.integers(0, 3))
+    k, n = draw(st.integers(1, 3)), draw(st.integers(2, 18))
+    pattern = draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n))
+    perm = draw(st.permutations(range(n)))
+    mask = (np.array(pattern).reshape(n, n) & _band_mask(n, b)
+            | np.eye(n, dtype=bool))[np.ix_(perm, perm)]
+    order = linalg._cuthill_mckee(*np.nonzero(mask), n)
+    stack = np.zeros((k, n, n), dtype=np.int64)
+    for mat in stack:
+        values = draw(st.lists(st.integers(-3, 3), min_size=n * n,
+                               max_size=n * n))
+        mat[...] = np.array(values).reshape(n, n) * mask
+        kind = draw(st.sampled_from(("plain", "singular", "minor")))
+        if kind != "plain":
+            # row t enters the leading minor D_i, i = len(lead), linearly:
+            # with its other entries times D_i-1 and -C at (t, t), C the
+            # minor with (t, t) = 0, D_i = -C D_i-1 + D_i-1 C = 0
+            lead = order[:n if kind == "singular"
+                         else 2 * draw(st.integers(1, min(3, n // 2)))]
+            t = lead[-1]
+            mat[t, t] = 0
+            block = mat[np.ix_(lead, lead)].tolist()
+            minor = det_bareiss([row[:-1] for row in block[:-1]])
+            mat[t] *= minor
+            mat[t, t] = -det_bareiss(block)
+    return stack, mask
+
+
+@given(fallback_stacks())
+@settings(max_examples=60, phases=NO_SHRINK)
+def test_fallback_inputs_property(case):
+    # det_pattern per matrix, det_residues over all k with shared primes,
+    # and the fallback alone mod 5 and 7, where pivots often vanish
+    stack, mask = case
+    n = stack.shape[1]
+    expected = [det_bareiss(m.tolist()) for m in stack]
+    rows, cols = np.nonzero(mask)
+    vals = stack[:, rows, cols]
+    assert [linalg.det_pattern(n, rows, cols, v) for v in vals] == expected
+    with pytest.MonkeyPatch.context() as mp:
+        assert _sliding_dets(stack, mask, mp)[0] == expected
+    w, _, places, bvals = linalg._band_form(n, rows, cols, vals)
+    for j, det in enumerate(expected):
+        for p in (5, 7):
+            assert linalg._det_swaps(n, w, places, bvals, j, p) == det % p
+
+
+def test_fallback_lane_peaks_below_2_mib(monkeypatch):
+    # l = 2, a = (1, 3) at 2048 vertices: lane 0 of the first chunk is
+    # made to fail, and only the work between that chunk's kernel run and
+    # the next one, where the failed lane is redone, is traced
+    spec, n = TowerSpec(2, (1, 3)), 11
+    cover = derived_cover(cayley_serre(2 ** n, spec.generators))
+    peaks = []
+    real_band = linalg._det_band
+
+    def band(*args):
+        if tracemalloc.is_tracing():
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+        out = real_band(*args)
+        if not peaks:
+            out[0] = None
+            tracemalloc.start()
+        return out
+
+    monkeypatch.setattr(linalg, "_det_band", band)
+    try:
+        count = spanning_tree_count(cover)
+        if tracemalloc.is_tracing():
+            peaks.append(tracemalloc.get_traced_memory()[1])
+    finally:
+        tracemalloc.stop()
+    assert count == kappa_exact(spec, n)
+    assert len(peaks) == 1 and peaks[0] < 2 << 20
+
+
+def test_cycle_pencil_needs_no_fallback(fallbacks):
+    # on C_512, h = (1 - u^512)^2; the nodes u = +-2^i made leading minors
+    # (u^(2m + 2) - 1) / (u^2 - 1) vanish mod the Mersenne prime 2^31 - 1
+    h = ihara_h(cycle_graph(512))
+    assert h == [1] + [0] * 511 + [-2] + [0] * 511 + [1]
+    assert fallbacks == []
 
 
 @pytest.mark.parametrize("spec, n, mib", [

@@ -224,25 +224,17 @@ def test_pencil_det_within_its_coefficient_bound(pencil):
     _check_pencil(np.array(a, dtype=np.int64), np.array(delta, dtype=np.int64))
 
 
-def test_pencil_det_falls_back_on_a_node_pivot_block(monkeypatch):
-    # Cuthill-McKee starts the path 0 - 1 - 2 at vertex 0.  At u = +-1 the
-    # first pivot block of I - A u + diag(delta) u^2 is [[1, -+1], [-+1,
-    # 1 + p0]], of determinant p0: it vanishes mod the first CRT prime only,
-    # and those two node lanes fall back.  The bound asks for two primes,
-    # and h = 1 + (p0 - 1)(u^2 + u^4) needs both.
+def test_pencil_det_falls_back_on_a_node_pivot_block(fallbacks):
+    # Cuthill-McKee starts the path 0 - 1 - 2 at vertex 0.  At u = +-1, the
+    # node matrices 1 and 2, the first pivot block of I - A u + diag(delta)
+    # u^2 is [[1, -+1], [-+1, 1 + p0]], of determinant p0: it vanishes mod
+    # the first CRT prime only, and those two node lanes fall back.  The
+    # bound asks for two primes, and h = 1 + (p0 - 1)(u^2 + u^4) needs both.
     p0 = linalg.crt_primes(1)[0]
     a = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]])
     delta = np.array([0, p0, 1])
-    seen = []
-    real = linalg._det_mod_p
-
-    def spy(matrix, p):
-        seen.append(p)
-        return real(matrix, p)
-
-    monkeypatch.setattr(linalg, "_det_mod_p", spy)
     _check_pencil(a, delta)
-    assert seen == [p0, p0]
+    assert fallbacks == [(1, p0), (2, p0)]
 
 
 def test_ihara_h_stores_only_the_pattern_values(monkeypatch):
