@@ -221,7 +221,7 @@ def test_det_crt_split_pivot_block_that_vanishes(monkeypatch, fallbacks,
 
 @pytest.mark.parametrize("n", [5, 6, 12])
 def test_det_crt_worst_case_residues(fallbacks, n):
-    # 3I - J mod p0 = 2 147 483 629, the largest CRT prime: every
+    # 3I - J mod p0, the largest CRT prime 2 147 483 629: every
     # off-diagonal residue is p0 - 1, and the first pivot block [[2, -1],
     # [-1, 2]] gives F = (-1, -1), so both products of the first update are
     # (p0 - 1)^2 on every entry
