@@ -7,7 +7,8 @@ are printed in full decimal, however many digits they have.  tower's
 Sizes (--budget-bits, --cap-vertices) are checked here, before any work.
 tower and kappa run on the pure-Python towers, cyclotomic and polys and
 never import numpy; zeta, cover-verify and export-dot import the
-numpy-backed zeta and voltage modules when they start.
+numpy-backed zeta and voltage modules when they start.  Text output
+factors kappa_n by trial division to 10^6 on a wheel mod 210, no prime table.
 Exit codes: 0 success (tower: full fit verified), 1 invalid input, usage
 or size, 2 verification or internal consistency failure.
 """
@@ -17,6 +18,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import sys
 
 from . import serre, towers
@@ -26,44 +28,36 @@ from .polys import format_poly, poly_to_json, unlimited_digits
 DEFAULT_BUDGET_BITS = 1 << 26
 
 TRIAL_DIVISION_BOUND = 10 ** 6
+# the steps from 11 round to 221 = 11 + 210 over the numbers prime to 210
+_WHEEL = (2, 4, 2, 4, 6, 2, 6, 4, 2, 4, 6, 6, 2, 6, 4, 2, 6, 4, 6, 8, 4, 2, 4,
+          2, 4, 8, 6, 4, 6, 2, 4, 6, 2, 6, 6, 4, 2, 4, 6, 2, 6, 4, 2, 4, 2, 10,
+          2, 10)
 
 
 def _trial_factor(n: int) -> list[tuple[int, int]] | None:
-    """Factor by trial division up to 10^6; None if that cannot finish it."""
+    """Factor by trial division up to 10^6; None if that cannot finish it.
+    Tries 2, 3, 5, 7, then the wheel below isqrt(rem) + 1 for the part rem
+    left: a composite there never divides rem, its primes are divided out."""
     if n < 1:
         return None
-    if n == 1:
-        return []
     out = []
     rem = n
-    for p in _small_primes():
-        if p * p > rem:
+    stop = min(TRIAL_DIVISION_BOUND, math.isqrt(rem) + 1)
+    for p in itertools.chain((2, 3, 5, 7), itertools.accumulate(
+            itertools.cycle(_WHEEL), initial=11)):
+        if p >= stop:
             break
         if rem % p == 0:
             e = ord_int(rem, p)
             rem //= p ** e
             out.append((p, e))
+            stop = min(TRIAL_DIVISION_BOUND, math.isqrt(rem) + 1)
     if rem == 1:
         return out
     if rem < TRIAL_DIVISION_BOUND ** 2:
         out.append((rem, 1))  # no factor below 10^6, so rem is prime
         return out
     return None
-
-
-_SMALL_PRIMES: list[int] = []
-
-
-def _small_primes() -> list[int]:
-    if not _SMALL_PRIMES:
-        sieve = bytearray([1]) * TRIAL_DIVISION_BOUND
-        sieve[0:2] = b"\x00\x00"
-        for i in range(2, int(TRIAL_DIVISION_BOUND ** 0.5) + 1):
-            if sieve[i]:
-                sieve[i * i::i] = b"\x00" * len(sieve[i * i::i])
-        _SMALL_PRIMES.extend(itertools.compress(range(TRIAL_DIVISION_BOUND),
-                                                sieve))
-    return _SMALL_PRIMES
 
 
 def _render_factors(n: int, fac: list[tuple[int, int]] | None) -> str:
@@ -170,6 +164,14 @@ def cmd_tower(args) -> int:
 
 def cmd_kappa(args) -> int:
     spec = _spec(args)
+    # the chain starts with 2 max|a| - 1 coefficients; in tower Q's bound,
+    # (3B^2 + B)/2 >= 2B - 1 for B = max|a|, refuses such a jump first
+    jump = max(spec.generators, key=abs)
+    size = 2 * abs(jump) - 1
+    if size > args.budget:
+        raise towers.BudgetExceededError(
+            f"jump {jump} starts the chain with {size} coefficients, over "
+            f"the budget of {args.budget} bits")
     _admit(spec, args.levels, args.budget)
     kappa = towers.kappa_exact(spec, args.levels)
     with unlimited_digits():

@@ -103,10 +103,8 @@ def cycle_graph(n: int) -> Multigraph:
 def _components(x: Multigraph) -> int:
     n = x.num_vertices
     adj: list[list[int]] = [[] for _ in range(n)]
-    for e in range(len(x.origin)):
-        o, t = x.origin[e], x.terminus[e]
-        if 0 <= o < n and 0 <= t < n:
-            adj[o].append(t)
+    for o, t in zip(x.origin, x.terminus):
+        adj[o].append(t)
     seen = [False] * n
     comps = 0
     for s in range(n):

@@ -123,10 +123,10 @@ def artin_A_sigma(vg: VoltageGraph, sigma: int) -> list[list[int]]:
 
 def _orbit_pencil(vg: VoltageGraph, d: int) -> tuple:
     """(rows, cols, A's values there, delta) with h(u, Psi_d) =
-    det(I - A u + diag(delta) u^2), for a divisor d > 1 of the modulus:
+    det(I - A u + diag(delta) u^2), for a divisor d of the modulus:
     A = sum_sigma A(sigma) (x) C**sigma with C the companion matrix of
-    Phi_d, and delta = (D - I) (x) 1.  The pattern is A's nonzeros and
-    the whole diagonal."""
+    Phi_d (C = [[1]] for d = 1), and delta = (D - I) (x) 1.  The pattern
+    is A's nonzeros and the whole diagonal."""
     phi_d = polys.cyclotomic_polynomial(d)
     k = len(phi_d) - 1
     # C acts as multiplication by y on Z[y]/(Phi_d) in the basis 1..y^(k-1);
@@ -160,8 +160,7 @@ def orbit_h_poly(vg: VoltageGraph, d: int) -> list[int]:
     m = vg.modulus
     if d < 1 or m % d != 0:
         raise ValueError("d must divide the modulus")
-    if d == 1:
-        return zeta.ihara_h(vg.base)
+    serre.require_valid(vg.base)
     return zeta.pencil_det(*_orbit_pencil(vg, d))
 
 

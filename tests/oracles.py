@@ -11,12 +11,14 @@ elements and Q(eps) by Horner's rule with it (the reference for the level
 valuations, which the library takes of f(zeta)),
 Sylvester-matrix resultants over Fractions, and the subresultant PRS with
 its Res(Phi_{l^i}, f), the reference for the library's Graeffe norms and
-its division-by-(1 - zeta) valuations.  None of it shares code paths with the library
-implementations it checks.
+its division-by-(1 - zeta) valuations, and trial division by the primes
+of a sieve, the reference for the command line's wheel.  None of it
+shares code paths with the library implementations it checks.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -451,6 +453,42 @@ def q_at_epsilon(spec, i: int):
     for c in reversed(q_poly(spec)):
         acc = cyc_add(cyc_mul(acc, eps), cyc_from_poly(spec.ell, i, [c]))
     return acc
+
+
+@functools.lru_cache(maxsize=None)
+def primes_below(bound: int) -> tuple[int, ...]:
+    """The primes below bound, by a sieve of Eratosthenes."""
+    sieve = bytearray([1]) * bound
+    sieve[0:2] = b"\x00\x00"
+    for i in range(2, math.isqrt(bound - 1) + 1):
+        if sieve[i]:
+            sieve[i * i::i] = bytes(len(range(i * i, bound, i)))
+    return tuple(itertools.compress(range(bound), sieve))
+
+
+def trial_factor_sieve(n: int, bound: int = 10 ** 6):
+    """Factor n by trial division with the primes below bound; None if
+    that cannot finish it.  A cofactor with no prime factor below bound
+    and less than bound^2 is prime."""
+    if n < 1:
+        return None
+    out = []
+    rem = n
+    for p in primes_below(bound):
+        if p * p > rem:
+            break
+        e = 0
+        while rem % p == 0:
+            rem //= p
+            e += 1
+        if e:
+            out.append((p, e))
+    if rem == 1:
+        return out
+    if rem < bound * bound:
+        out.append((rem, 1))
+        return out
+    return None
 
 
 def random_base_multigraph(rng, max_vertices=4, max_edges=10) -> Multigraph:

@@ -1,11 +1,13 @@
 import json
+import math
+import operator
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from graph_iwasawa import multigraph_to_json, bouquet, cayley_serre, voltage_to_json
 from graph_iwasawa import (Multigraph, VoltageGraph, multigraph_from_json,
@@ -14,6 +16,8 @@ from graph_iwasawa import cycle_graph, report_from_json, report_to_json
 from graph_iwasawa import TowerSpec, cli, norm_bits_bound, polys, towers, zeta
 from graph_iwasawa.cli import main, _format_kappas, _trial_factor
 from graph_iwasawa.polys import unlimited_digits
+
+import oracles
 
 
 def run(capsys, *argv):
@@ -33,6 +37,35 @@ def test_trial_factoring():
     assert list(_format_kappas([n])) == [str(n)]
     # a single large cofactor below 10^12 is necessarily prime
     assert _trial_factor(1000003) == [(1000003, 1)]
+
+
+# the largest prime below 10^6, the first two above it, and the largest
+# prime below 10^12
+_BOUNDARY_PRIMES = (999983, 1000003, 1000033, 999999999989)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    st.integers(max_value=0),
+    st.integers(min_value=1, max_value=10 ** 15),
+    st.builds(lambda ps, k: math.prod(ps) * k,
+              st.lists(st.sampled_from(_BOUNDARY_PRIMES), min_size=1,
+                       max_size=3),
+              st.integers(min_value=1, max_value=10 ** 4)),
+    st.builds(operator.mul, st.sampled_from(oracles.primes_below(10 ** 6)),
+              st.sampled_from(_BOUNDARY_PRIMES[1:]))))
+@example(999983)
+@example(1000003)
+@example(999983 ** 2)
+@example(1000003 ** 2)
+@example(999983 * 1000003)
+@example(999999999989)
+@example(2 * 999999999989)
+@example(1)
+@example(0)
+@example(-7)
+def test_trial_factor_matches_the_sieve_oracle(n):
+    assert _trial_factor(n) == oracles.trial_factor_sieve(n)
 
 
 def test_tower_text(capsys):
@@ -372,6 +405,33 @@ def test_kappa_text_never_trial_divides_an_unfactorable_kappa(
         assert out == f"kappa_9 = {kappa}\n"
 
 
+def test_kappa_refuses_a_jump_whose_chain_is_over_the_budget(
+        monkeypatch, capsys):
+    # a = (10^20, 1) would start the chain with 2*10^20 - 1 coefficients
+    _forbid_chain(monkeypatch)
+    _forbid(monkeypatch, towers, "kappa_exact", "_jump_poly")
+    big = 10 ** 20
+    for level in ("0", "1"):
+        code, out, err = run(capsys, "kappa", "-l", "2", "-a", f"{big},1",
+                             "-n", level)
+        assert code == 1 and out == ""
+        assert f"jump {big} " in err and str(2 * big - 1) in err
+        assert str(1 << 26) in err
+    code, _, err = run(capsys, "kappa", "-l", "2", "-a", "1,-40", "-n", "2",
+                       "--budget-bits", "78")
+    assert code == 1 and "jump -40 " in err and "79" in err
+
+
+def test_kappa_admits_the_chain_it_bounds(capsys):
+    code, out, _ = run(capsys, "kappa", "-l", "2", "-a", "1,-40", "-n", "2",
+                       "--budget-bits", "79")
+    assert (code, out) == (0, "kappa_2 = 4 = 2^2\n")
+    # N_5's bound, 49 bits, admits the level and the chain's 9 coefficients
+    code, out, _ = run(capsys, "kappa", "-l", "2", "-a", "3,5", "-n", "5",
+                       "--budget-bits", "49")
+    assert code == 0 and "2^34 * 577^2" in out
+
+
 def test_budget_admits_the_level_it_bounds(capsys):
     estimate = norm_bits_bound(TowerSpec(2, (3, 5)), 5)
     code, out, _ = run(capsys, "kappa", "-l", "2", "-a", "3,5", "-n", "5",
@@ -475,6 +535,26 @@ def test_tower_and_kappa_never_import_numpy(capsys, argv):
     assert (proc.returncode, proc.stderr) == (0, "False\n")
     code, out, _ = run(capsys, *argv)
     assert (code, out) == (0, proc.stdout)
+
+
+# the console script's entry, then the peak of the Python allocations of
+# the whole process, imports included, in bytes
+TRACEMALLOC_PROBE = ("import sys, tracemalloc; tracemalloc.start(); "
+                     "from graph_iwasawa.cli import main; code = main(); "
+                     "sys.stdout.flush(); "
+                     "print(tracemalloc.get_traced_memory()[1], "
+                     "file=sys.stderr); sys.exit(code)")
+
+
+@pytest.mark.parametrize("argv", [
+    ("tower", "-l", "2", "-a", "3,5", "-n", "13"),
+    ("kappa", "-l", "2", "-a", "1,1", "-n", "14"),
+], ids=["tower-text", "kappa-text"])
+def test_text_factoring_keeps_no_prime_table(argv):
+    # a list of the 78 498 primes below 10^6 alone takes some 2.7 MiB
+    proc = _python("-c", TRACEMALLOC_PROBE, *argv)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stderr) < 3 * 2 ** 20
 
 
 def test_bare_package_import_loads_no_numpy():

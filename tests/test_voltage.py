@@ -4,6 +4,7 @@ import pytest
 
 from graph_iwasawa import (
     DisconnectedGraphError,
+    Multigraph,
     VoltageGraph,
     adjacency_matrix,
     artin_A_sigma,
@@ -116,6 +117,24 @@ def test_orbit_h_inflation():
     c = orbit_h_poly(cayley_serre(9, (1, 4, 20)), 3)
     d = orbit_h_poly(cayley_serre(3, (1, 4, 20)), 3)
     assert c == d
+
+
+def test_orbit_pencil_of_d_1_is_the_base_pencil():
+    # Phi_1's companion matrix is [[1]]: h(u, Psi_1) is the base's h(u)
+    rng = random.Random(5)
+    for _ in range(200):
+        vg = random_voltage_graph(rng)
+        assert orbit_h_poly(vg, 1) == ihara_h(vg.base)
+
+
+@pytest.mark.parametrize("d", [1, 2, 4])
+def test_orbit_h_validates_the_base_for_every_divisor(d):
+    # a lone edge between two vertices: valency 1 at each end
+    base = Multigraph(2)
+    base.add_edge(0, 1)
+    vg = voltage_graph(base, 4, {0: 1})
+    with pytest.raises(ValueError, match="valency 1 < 2"):
+        orbit_h_poly(vg, d)
 
 
 def test_orbit_h_rejects_bad_divisor():
