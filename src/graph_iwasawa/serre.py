@@ -266,8 +266,10 @@ def multigraph_to_json(x: Multigraph) -> dict:
 
 def multigraph_from_json(data: dict) -> Multigraph:
     try:
-        n = int(data["vertices"])
-        pairs = [(int(rec["u"]), int(rec["v"])) for rec in data["edges"]]
+        # via str: int() would truncate a float and take a bool as 0 or 1
+        n = int(str(data["vertices"]))
+        pairs = [(int(str(rec["u"])), int(str(rec["v"])))
+                 for rec in data["edges"]]
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed multigraph JSON: {exc!r}") from exc
     g = Multigraph(n)

@@ -4,7 +4,9 @@ A voltage graph is a base multigraph whose directed edges carry residues
 mod m, antisymmetric under edge inversion.  Its derived graph is the
 degree-m cyclic cover: fibers are copies of Z/mZ and an edge with voltage
 s connects fiber level k to k + s.  Cayley-Serre multigraphs are exactly
-the derived covers of bouquets.
+the derived covers of bouquets.  Every constructor goes through
+``voltage_graph``.  ``derived_cover`` only builds; what uses a cover checks
+its connectivity once (``validate_voltage``, or the count or h(u) of it).
 
 Character-twisted adjacency data is kept exact: characters are never
 evaluated numerically.  The orbit L-polynomial for the characters of
@@ -12,7 +14,9 @@ order d is the resultant of the d-th cyclotomic polynomial against the
 voltage-weighted determinant.  Substituting the companion matrix C of
 the cyclotomic polynomial for the voltage variable makes it one integer
 pencil, det(I - A u + diag(delta) u^2) with A = sum_sigma A(sigma) (x)
-C^sigma and delta = (D - I) (x) 1.  A is built dense, since it is only
+C^sigma and delta = (D - I) (x) 1.  The block C^s is read off one
+residue table, the rows y^e mod Phi_d: its columns are y^(s+j) mod Phi_d,
+j < phi(d).  A is built dense, since it is only
 g * phi(d) on a side, and handed on once as its pattern (its nonzeros and
 the diagonal): ``zeta.pencil_det`` evaluates the pencil there, and at
 u = 1 it is the single determinant det(D (x) 1 - A) of the same pattern's
@@ -21,6 +25,7 @@ values.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,10 +57,7 @@ def validate_voltage(vg: VoltageGraph) -> list[str]:
         ie = vg.base.inverse[e]
         if vg.voltage[ie] != (-vg.voltage[e]) % m:
             out.append(f"edge {e}: voltage not antisymmetric under inversion")
-    try:
-        if not out:
-            derived_cover(vg)
-    except DisconnectedGraphError:
+    if not out and serre._components(derived_cover(vg)) != 1:
         out.append("voltages do not generate Z/mZ: derived cover disconnected")
     return out
 
@@ -65,8 +67,7 @@ def voltage_graph(base: Multigraph, modulus: int,
     """Build from voltages on canonical undirected representatives."""
     volt = [0] * base.num_directed_edges
     for e, s in undirected_voltages.items():
-        volt[e] = s % modulus
-        volt[base.inverse[e]] = (-s) % modulus
+        volt[e], volt[base.inverse[e]] = s, -s
     return VoltageGraph(base, modulus, volt)
 
 
@@ -76,19 +77,16 @@ def cayley_serre(m: int, generators) -> VoltageGraph:
     gens = [int(a) for a in generators]
     if not gens:
         raise ValueError("need at least one generator")
-    import math
     if math.gcd(m, *[abs(a) for a in gens]) != 1:
         raise DisconnectedGraphError(
             "generators do not generate Z/mZ: derived cover is disconnected")
-    base = serre.bouquet(len(gens))
-    volt = []
-    for a in gens:
-        volt += [a % m, (-a) % m]
-    return VoltageGraph(base, m, volt)
+    base = Multigraph(1)
+    return voltage_graph(base, m, {base.add_loop(0)[0]: a for a in gens})
 
 
 def derived_cover(vg: VoltageGraph) -> Multigraph:
-    """The degree-m cyclic cover; vertex (v, k) has id k*g + v."""
+    """The degree-m cyclic cover; vertex (v, k) has id k*g + v.  Built
+    unchecked: disconnected when the voltages do not generate Z/mZ."""
     g = vg.base.num_vertices
     m = vg.modulus
     cover = Multigraph(g * m)
@@ -101,8 +99,6 @@ def derived_cover(vg: VoltageGraph) -> Multigraph:
             terminus.append(kk * g + vg.base.terminus[e])
             inverse.append(vg.base.inverse[e] * m + kk)
     cover.origin, cover.terminus, cover.inverse = origin, terminus, inverse
-    if serre._components(cover) != 1:
-        raise DisconnectedGraphError("derived cover is disconnected")
     return cover
 
 
@@ -129,19 +125,22 @@ def _orbit_pencil(vg: VoltageGraph, d: int) -> tuple:
     is A's nonzeros and the whole diagonal."""
     phi_d = polys.cyclotomic_polynomial(d)
     k = len(phi_d) - 1
-    # C acts as multiplication by y on Z[y]/(Phi_d) in the basis 1..y^(k-1);
-    # C**d = I, so a voltage s acts as C**(s mod d)
-    comp = np.eye(k, k, -1, dtype=np.int64)
-    comp[:, -1] = [-c for c in phi_d[:-1]]
-    powers = [np.eye(k, dtype=np.int64)]
-    for _ in range(1, d):
-        powers.append(powers[-1] @ comp)
+    # C acts as multiplication by y on Z[y]/(Phi_d) in the basis 1..y^(k-1),
+    # so column j of C**s is y^(s+j) mod Phi_d, and y^d = 1 there.  Row e of
+    # ys is y^e mod Phi_d, e < d + k - 1: y^(e-1) shifted up one place, less
+    # its top coefficient times Phi_d (monic)
+    ys = np.zeros((d + k - 1, k), dtype=np.int64)
+    ys[:k] = np.eye(k, dtype=np.int64)
+    low = np.array(phi_d[:-1], dtype=np.int64)
+    for e in range(k, d + k - 1):
+        ys[e, 1:] = ys[e - 1, :-1]
+        ys[e] -= ys[e - 1, -1] * low
     g = vg.base.num_vertices
     # dense, but only g * phi(d) on a side: each directed edge adds
     # C**voltage to the block of its origin and terminus
     a = np.zeros((g * k, g * k), dtype=np.int64)
     for o, t, s in zip(vg.base.origin, vg.base.terminus, vg.voltage):
-        a[o * k:(o + 1) * k, t * k:(t + 1) * k] += powers[s % d]
+        a[o * k:(o + 1) * k, t * k:(t + 1) * k] += ys[s % d:s % d + k].T
     mask = a != 0
     np.fill_diagonal(mask, True)
     rows, cols = np.nonzero(mask)
@@ -242,16 +241,14 @@ def voltage_to_json(vg: VoltageGraph) -> dict:
 
 def voltage_from_json(data: dict) -> VoltageGraph:
     try:
-        m = int(data["m"])
-        recs = [(int(rec["u"]), int(rec["v"]), int(rec["voltage"]))
-                for rec in data["edges"]]
+        # via str: int() would truncate a float and take a bool as 0 or 1
+        m = int(str(data["m"]))
+        recs = [(int(str(rec["u"])), int(str(rec["v"])),
+                 int(str(rec["voltage"]))) for rec in data["edges"]]
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed voltage JSON: {exc!r}") from exc
     if m < 1:
         raise ValueError(f"malformed voltage JSON: modulus {m} < 1")
     base = Multigraph(max((max(u, v) + 1 for u, v, _ in recs), default=0))
-    volt = []
-    for u, v, s in recs:
-        base.add_edge(u, v)
-        volt += [s % m, (-s) % m]
-    return VoltageGraph(base, m, volt)
+    return voltage_graph(base, m, {base.add_edge(u, v)[0]: s
+                                   for u, v, s in recs})

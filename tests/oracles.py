@@ -11,8 +11,10 @@ elements and Q(eps) by Horner's rule with it (the reference for the level
 valuations, which the library takes of f(zeta)),
 Sylvester-matrix resultants over Fractions, and the subresultant PRS with
 its Res(Phi_{l^i}, f), the reference for the library's Graeffe norms and
-its division-by-(1 - zeta) valuations, and trial division by the primes
-of a sieve, the reference for the command line's wheel.  None of it
+its division-by-(1 - zeta) valuations, trial division by the primes
+of a sieve, the reference for the command line's wheel, and the orbit
+pencils from every power of a companion matrix, the reference for the
+voltage module's residue table.  None of it
 shares code paths with the library implementations it checks.
 """
 
@@ -23,8 +25,8 @@ import itertools
 import math
 from fractions import Fraction
 
-from graph_iwasawa import (DisconnectedGraphError, Multigraph, VoltageGraph,
-                           cyc_from_poly, derived_cover, epsilon, polys)
+from graph_iwasawa import (Multigraph, VoltageGraph, cyc_from_poly,
+                           derived_cover, epsilon, polys, serre)
 
 
 def det_leibniz(m) -> int:
@@ -532,8 +534,30 @@ def random_voltage_graph(rng, max_vertices=4, max_modulus=12,
         m = rng.randint(1, max_modulus)
         volts = {e: rng.randrange(m) for e in base.undirected_edges()}
         vg = voltage_graph(base, m, volts)
-        try:
-            derived_cover(vg)
-        except DisconnectedGraphError:
-            continue
-        return vg
+        # derived_cover builds without checking; keep the connected ones
+        if serre._components(derived_cover(vg)) == 1:
+            return vg
+
+
+def orbit_pencil_by_powers(vg: VoltageGraph, d: int) -> tuple:
+    """``voltage._orbit_pencil`` built from every power of the companion
+    matrix C of Phi_d, C**0..C**(d-1) by repeated matrix products: the
+    reference for the library's table of residues y^e mod Phi_d."""
+    import numpy as np
+
+    phi_d = polys.cyclotomic_polynomial(d)
+    k = len(phi_d) - 1
+    comp = np.eye(k, k, -1, dtype=np.int64)
+    comp[:, -1] = [-c for c in phi_d[:-1]]
+    powers = [np.eye(k, dtype=np.int64)]
+    for _ in range(1, d):
+        powers.append(powers[-1] @ comp)
+    g = vg.base.num_vertices
+    a = np.zeros((g * k, g * k), dtype=np.int64)
+    for o, t, s in zip(vg.base.origin, vg.base.terminus, vg.voltage):
+        a[o * k:(o + 1) * k, t * k:(t + 1) * k] += powers[s % d]
+    mask = a != 0
+    np.fill_diagonal(mask, True)
+    rows, cols = np.nonzero(mask)
+    return (rows, cols, a[rows, cols],
+            np.repeat(np.array(vg.base.valencies(), dtype=np.int64) - 1, k))

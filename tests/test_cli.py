@@ -167,6 +167,18 @@ def test_zeta_malformed_file(tmp_path, capsys):
     ("cover-verify", {"m": 2, "edges": [{"u": 0, "voltage": 1}]}),
     ("cover-verify", {"m": 2, "edges": [[0, 0, 1]]}),
     ("cover-verify", {"m": 0, "edges": [{"u": 0, "v": 0, "voltage": 1}]}),
+    # int() would truncate a float and read a bool as 0 or 1
+    ("zeta", {"vertices": 1.7, "edges": [{"u": 0, "v": 0}]}),
+    ("zeta", {"vertices": 1, "edges": [{"u": 0, "v": 0.0}]}),
+    ("zeta", {"vertices": True, "edges": [{"u": 0, "v": 0}]}),
+    ("cover-verify", {"m": 4, "edges": [{"u": 0, "v": 0, "voltage": 1.9},
+                                        {"u": 0, "v": 0, "voltage": 1}]}),
+    ("cover-verify", {"m": 4.0, "edges": [{"u": 0, "v": 0, "voltage": 1},
+                                          {"u": 0, "v": 0, "voltage": 1}]}),
+    ("cover-verify", {"m": 4, "edges": [{"u": 0, "v": False, "voltage": 1},
+                                        {"u": 0, "v": 0, "voltage": 1}]}),
+    ("cover-verify", {"m": 4, "edges": [{"u": 0, "v": 0, "voltage": True},
+                                        {"u": 0, "v": 0, "voltage": 1}]}),
 ])
 def test_malformed_records_exit_1(tmp_path, capsys, command, payload):
     path = tmp_path / "bad.json"
@@ -213,6 +225,28 @@ def test_cover_verify(tmp_path, capsys):
     data = json.loads(out)
     assert data["product_formula"] is True
     assert data["cover_h"] == ["1", "0", "-10", "0", "9"]
+
+
+def test_loaders_read_digit_strings():
+    assert multigraph_to_json(multigraph_from_json(
+        {"vertices": "1", "edges": [{"u": "0", "v": "0"}]})) \
+        == multigraph_to_json(bouquet(1))
+    vg = voltage_from_json({"m": "4", "edges": [
+        {"u": "0", "v": "0", "voltage": "1"},
+        {"u": 0, "v": 0, "voltage": "-2"}]})
+    assert voltage_to_json(vg) == voltage_to_json(cayley_serre(4, (1, 2)))
+
+
+def test_cover_verify_refuses_a_disconnected_cover(tmp_path, capsys):
+    # every voltage even: the cover has two components
+    payload = {"m": 4, "edges": [{"u": 0, "v": 0, "voltage": 2},
+                                 {"u": 0, "v": 0, "voltage": 2}]}
+    path = tmp_path / "even.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run(capsys, "cover-verify", str(path))
+    assert code == 1 and out == ""
+    assert ("voltages do not generate Z/mZ: derived cover disconnected"
+            in err)
 
 
 def test_cover_verify_cycle_base_skips_decomposition(tmp_path, capsys):
@@ -460,6 +494,14 @@ def test_cover_verify_caps_the_derived_cover(tmp_path, capsys):
                          "--cap-vertices", "8")
     assert code == 1 and out == ""
     assert "40 vertices" in err and "cap of 8" in err
+
+
+def test_readme_tower_example(capsys):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    prompt = "$ graph-iwasawa tower -l 2 -a 3,5 -n 6\n"
+    shown = readme.split(prompt, 1)[1].split("```", 1)[0]
+    code, out, _ = run(capsys, "tower", "-l", "2", "-a", "3,5", "-n", "6")
+    assert code == 0 and out == shown
 
 
 def test_usage_errors_exit_1(capsys):

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -23,8 +24,8 @@ from graph_iwasawa import (
     voltage_graph,
     voltage_to_json,
 )
-from graph_iwasawa import polys
-from oracles import random_voltage_graph
+from graph_iwasawa import polys, serre, voltage
+from oracles import orbit_pencil_by_powers, random_voltage_graph
 
 
 def test_cayley_serre_level_one():
@@ -69,6 +70,30 @@ def test_derived_cover_structure():
         for k in range(m):
             for v in range(g):
                 assert cover_vals[k * g + v] == base_vals[v]
+
+
+def test_derived_cover_builds_and_its_counts_check_it():
+    # every voltage even: two components, which the counts refuse
+    cover = derived_cover(VoltageGraph(bouquet(2), 4, [2, 2, 2, 2]))
+    assert cover.num_vertices == 4
+    with pytest.raises(DisconnectedGraphError):
+        spanning_tree_count(cover)
+    with pytest.raises(DisconnectedGraphError):
+        ihara_h(cover)
+
+
+@pytest.mark.parametrize("count, m, gens", [
+    (spanning_tree_count, 2 ** 10, (1, 1)), (ihara_h, 2 ** 5, (3, 5))])
+def test_a_count_of_a_cover_traverses_it_once(monkeypatch, count, m, gens):
+    calls = []
+    components = serre._components
+
+    def spy(x):
+        calls.append(x.num_vertices)
+        return components(x)
+    monkeypatch.setattr(serre, "_components", spy)
+    count(derived_cover(cayley_serre(m, gens)))
+    assert calls == [m]
 
 
 def test_artin_matrices_bouquet():
@@ -125,6 +150,29 @@ def test_orbit_pencil_of_d_1_is_the_base_pencil():
     for _ in range(200):
         vg = random_voltage_graph(rng)
         assert orbit_h_poly(vg, 1) == ihara_h(vg.base)
+
+
+def test_orbit_pencils_match_the_companion_powers():
+    rng = random.Random(5)
+    for _ in range(200):
+        vg = random_voltage_graph(rng)
+        for d in range(1, vg.modulus + 1):
+            if vg.modulus % d == 0:
+                got = voltage._orbit_pencil(vg, d)
+                want = orbit_pencil_by_powers(vg, d)
+                assert [x.tolist() for x in got] == [x.tolist() for x in want]
+
+
+def test_orbit_pencil_memory_grows_with_the_blocks_used():
+    # two loops at d = 256: a 128 x 128 pencil, not 256 powers of C
+    vg = cayley_serre(256, (1, 3))
+    tracemalloc.start()
+    try:
+        voltage._orbit_pencil(vg, 256)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2 ** 20
 
 
 @pytest.mark.parametrize("d", [1, 2, 4])
