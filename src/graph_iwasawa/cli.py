@@ -164,16 +164,15 @@ def cmd_tower(args) -> int:
 
 def cmd_kappa(args) -> int:
     spec = _spec(args)
-    # the chain starts with 2 max|a| - 1 coefficients; in tower Q's bound,
-    # (3B^2 + B)/2 >= 2B - 1 for B = max|a|, refuses such a jump first
-    jump = max(spec.generators, key=abs)
-    size = 2 * abs(jump) - 1
-    if size > args.budget:
-        raise towers.BudgetExceededError(
-            f"jump {jump} starts the chain with {size} coefficients, over "
-            f"the budget of {args.budget} bits")
     _admit(spec, args.levels, args.budget)
-    kappa = towers.kappa_exact(spec, args.levels)
+    # level n is the Cayley graph of Z/l^n: kappa_0..kappa_n read each a
+    # mod l^n only, so the chain runs on least absolute residues (0 is a
+    # loop) and starts with under l^n coefficients: l^n <= phi(l^n) *
+    # bits(4t - 1) < N_n's bound, so _admit alone holds the chain in budget
+    mod = spec.ell ** max(args.levels, 1)
+    chain = towers.TowerSpec(spec.ell, tuple(
+        (a + mod // 2) % mod - mod // 2 for a in spec.generators))
+    kappa = towers.kappa_exact(chain, args.levels)
     with unlimited_digits():
         if args.format == "json":
             sys.stdout.write(json.dumps(
@@ -185,7 +184,7 @@ def cmd_kappa(args) -> int:
             # kappa_0..kappa_n come off the chain on the way to kappa_n, and
             # an unfactored one spares trial division of the rest
             *_, factored = _format_kappas(
-                towers.kappa_exact(spec, m) for m in range(args.levels + 1))
+                towers.kappa_exact(chain, m) for m in range(args.levels + 1))
             if factored != str(kappa):
                 print(f"kappa_{args.levels} = {kappa} = {factored}")
             else:

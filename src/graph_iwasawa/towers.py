@@ -304,10 +304,10 @@ def norm_bits_bound(spec: TowerSpec, i: int) -> int:
 
 def kappa_exact(spec: TowerSpec, n: int) -> int:
     """Spanning-tree count at level n, via the L-function decomposition:
-    l^n |g_n / g_0| off the Graeffe chain."""
+    l^n |g_n / g_0| off the Graeffe chain, and 1 at level 0, the bouquet."""
     if n < 0:
         raise ValueError("level must be >= 0")
-    return _tower(spec).kappa(n)
+    return _tower(spec).kappa(n) if n else 1
 
 
 def ord_kappa(spec: TowerSpec, n: int) -> int:

@@ -2,6 +2,7 @@ import json
 import math
 import operator
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +15,7 @@ from graph_iwasawa import (Multigraph, VoltageGraph, multigraph_from_json,
                            voltage_from_json)
 from graph_iwasawa import cycle_graph, report_from_json, report_to_json
 from graph_iwasawa import TowerSpec, cli, norm_bits_bound, polys, towers, zeta
+from graph_iwasawa import serre, voltage
 from graph_iwasawa.cli import main, _format_kappas, _trial_factor
 from graph_iwasawa.polys import unlimited_digits
 
@@ -225,6 +227,32 @@ def test_cover_verify(tmp_path, capsys):
     data = json.loads(out)
     assert data["product_formula"] is True
     assert data["cover_h"] == ["1", "0", "-10", "0", "9"]
+
+
+def test_cover_verify_checks_the_base_once(monkeypatch, tmp_path, capsys):
+    # the base of cayley_serre(8, (1, 3)) is checked by validate_voltage,
+    # once more by the product formula for all four divisors, and by the
+    # base count: 3 traversals of it and 3 of the 8-vertex cover
+    path = tmp_path / "v.json"
+    path.write_text(json.dumps(voltage_to_json(cayley_serre(8, (1, 3)))))
+    calls = []
+    real = serre._components
+
+    def spy(x):
+        calls.append(x.num_vertices)
+        return real(x)
+
+    monkeypatch.setattr(serre, "_components", spy)
+    code, out, _ = run(capsys, "cover-verify", str(path))
+    assert (code, out) == (0, "product formula: PASS\n"
+                              "integer decomposition: PASS\n")
+    assert sorted(calls) == [1, 1, 1, 8, 8, 8]
+    code, out, _ = run(capsys, "cover-verify", str(path), "--format", "json")
+    h = ["1", "0", "8", "0", "-36", "0", "-648", "0", "-2970", "0", "-5832",
+         "0", "-2916", "0", "5832", "0", "6561"]
+    assert code == 0 and json.loads(out) == {
+        "product_formula": True, "cover_h": h, "orbit_product": h,
+        "integer_decomposition": True}
 
 
 def test_loaders_read_digit_strings():
@@ -439,21 +467,100 @@ def test_kappa_text_never_trial_divides_an_unfactorable_kappa(
         assert out == f"kappa_9 = {kappa}\n"
 
 
-def test_kappa_refuses_a_jump_whose_chain_is_over_the_budget(
-        monkeypatch, capsys):
-    # a = (10^20, 1) would start the chain with 2*10^20 - 1 coefficients
-    _forbid_chain(monkeypatch)
-    _forbid(monkeypatch, towers, "kappa_exact", "_jump_poly")
+def test_kappa_runs_its_chain_on_the_jumps_mod_the_level(monkeypatch,
+                                                        capsys):
+    # level n reads each jump mod l^n, so the chain starts from least
+    # absolute residues: a = (10^20, 1) is (0, 1) at level 1, a loop and a
+    # 2-cycle, and no jump polynomial is longer than l^n + 1
+    lengths = []
+    real = towers._jump_poly
+
+    def spy(spec):
+        f = real(spec)
+        lengths.append(len(f))
+        return f
+
+    monkeypatch.setattr(towers, "_jump_poly", spy)
     big = 10 ** 20
-    for level in ("0", "1"):
-        code, out, err = run(capsys, "kappa", "-l", "2", "-a", f"{big},1",
-                             "-n", level)
-        assert code == 1 and out == ""
-        assert f"jump {big} " in err and str(2 * big - 1) in err
-        assert str(1 << 26) in err
-    code, _, err = run(capsys, "kappa", "-l", "2", "-a", "1,-40", "-n", "2",
-                       "--budget-bits", "78")
-    assert code == 1 and "jump -40 " in err and "79" in err
+    for level, ell, gens, budget, line in (
+            (0, 2, f"{big},1", 1 << 26, "kappa_0 = 1"),
+            (1, 2, f"{big},1", 1 << 26, "kappa_1 = 2"),
+            (2, 2, "1,-40", 78, "kappa_2 = 4 = 2^2"),
+            (2, 3, "1,4000", 1 << 26, "kappa_2 = 10404 = 2^2 * 3^2 * 17^2"),
+            (2, 3, "1,10000", 1 << 26, "kappa_2 = 2304 = 2^8 * 3^2")):
+        towers._tower.cache_clear()
+        lengths.clear()
+        code, out, _ = run(capsys, "kappa", "-l", str(ell), "-a", gens,
+                           "-n", str(level), "--budget-bits", str(budget))
+        assert (code, out) == (0, line + "\n")
+        assert all(k <= ell ** level + 1 for k in lengths)
+    towers._tower.cache_clear()
+    # level 0 is the bouquet, one tree: no level table at all
+    _forbid(monkeypatch, towers, "_tower")
+    code, out, _ = run(capsys, "kappa", "-l", "2", "-a", f"{big},1", "-n", "0")
+    assert (code, out) == (0, "kappa_0 = 1\n")
+
+
+def test_kappa_of_a_huge_jump_at_level_0_and_the_bound_of_level_1(capsys):
+    ell, gens = 2 ** 61 - 1, f"{10 ** 18},1"
+    code, out, _ = run(capsys, "kappa", "-l", str(ell), "-a", gens, "-n", "0")
+    assert (code, out) == (0, "kappa_0 = 1\n")
+    estimate = norm_bits_bound(TowerSpec(ell, (10 ** 18, 1)), 1)
+    code, out, err = run(capsys, "kappa", "-l", str(ell), "-a", gens,
+                         "-n", "1")
+    assert code == 1 and out == ""
+    assert "level 1 " in err and str(estimate) in err
+
+
+@pytest.mark.parametrize("ell, gens, n, kappa", [
+    (3, (1, 40), 2, 10404),
+    (2, (3, -70), 5, 151840963183392),
+    (5, (2, -60), 2, 1581318825025)])
+def test_kappa_of_jumps_past_the_level_is_the_cover_count(capsys, ell, gens,
+                                                          n, kappa):
+    # max|a| > l^n: the residues mod l^n give the same cover's count
+    cover = voltage.derived_cover(cayley_serre(ell ** n, gens))
+    assert serre.spanning_tree_count(cover) == kappa
+    code, out, _ = run(capsys, "kappa", "-l", str(ell), "-a",
+                       ",".join(map(str, gens)), "-n", str(n),
+                       "--format", "json")
+    assert code == 0 and json.loads(out)["kappa"] == str(kappa)
+
+
+def _kappa_specs(count, seed):
+    # l in {2, 3, 5, 7}, |a| <= 200, l^n <= 343 so that a large jump is
+    # often past l^n / 2
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        ell = rng.choice((2, 3, 5, 7))
+        n = rng.randrange(int(math.log(343.5, ell)) + 1)
+        gens = tuple(rng.randint(-200, 200)
+                     for _ in range(rng.randint(1, 3)))
+        if any(a % ell for a in gens):
+            out.append((ell, gens, n))
+    return out
+
+
+def test_kappa_output_is_the_unreduced_library_rendering(capsys):
+    specs = _kappa_specs(60, 24)
+    assert sum(2 * max(map(abs, gens)) > ell ** n
+               for ell, gens, n in specs) >= 20
+    for ell, gens, n in specs:
+        spec = TowerSpec(ell, gens)
+        kappas = [towers.kappa_exact(spec, m) for m in range(n + 1)]
+        *_, factored = _format_kappas(kappas)
+        with unlimited_digits():
+            text = f"kappa_{n} = {kappas[n]}"
+            if factored != str(kappas[n]):
+                text += f" = {factored}"
+            data = {"prime": str(ell), "generators": [str(a) for a in gens],
+                    "n": str(n), "kappa": str(kappas[n])}
+        argv = ("kappa", "-l", str(ell), "-a", ",".join(map(str, gens)),
+                "-n", str(n))
+        assert run(capsys, *argv) == (0, text + "\n", "")
+        assert run(capsys, *argv, "--format", "json") \
+            == (0, json.dumps(data, indent=2) + "\n", "")
 
 
 def test_kappa_admits_the_chain_it_bounds(capsys):
