@@ -32,7 +32,7 @@ _HOME = {
                      "report_from_json", "report_to_csv", "report_to_json",
                      "stabilization_level", "verify_bounds"), "towers"),
     **dict.fromkeys(("VoltageGraph", "artin_A_sigma", "cayley_serre",
-                     "derived_cover", "orbit_h_poly", "validate_voltage",
+                     "derived_cover", "orbit_h_poly",
                      "verify_integer_decomposition", "verify_product_formula",
                      "voltage_from_json", "voltage_graph", "voltage_to_json"),
                     "voltage"),

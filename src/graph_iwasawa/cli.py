@@ -10,7 +10,7 @@ never import numpy; zeta, cover-verify and export-dot import the
 numpy-backed zeta and voltage modules when they start.  Text output
 factors kappa_n by trial division to 10^6 on a wheel mod 210, no prime table.
 Exit codes: 0 success (tower: full fit verified), 1 invalid input, usage
-or size, 2 verification or internal consistency failure.
+or size, 2 verification failure, internal inconsistency or other fault.
 """
 
 from __future__ import annotations
@@ -219,10 +219,11 @@ def cmd_cover_verify(args) -> int:
     with open(args.voltage_file, encoding="utf-8") as fh:
         vg = voltage.voltage_from_json(json.load(fh))
     _cap("derived cover", vg.base.num_vertices * vg.modulus, args.cap_vertices)
-    problems = voltage.validate_voltage(vg)
-    if problems:
-        raise ValueError("invalid voltage graph: " + "; ".join(problems))
-    product = voltage.verify_product_formula(vg)
+    try:  # the base is valid, so only the cover's connectivity can fail
+        product = voltage.verify_product_formula(vg)
+    except serre.DisconnectedGraphError:
+        raise ValueError("invalid voltage graph: voltages do not generate "
+                         "Z/mZ: derived cover disconnected") from None
     chi = serre.euler_characteristic(vg.base)
     decomposition = (voltage.verify_integer_decomposition(
         vg, cap=args.cap_vertices) if chi != 0 else None)
@@ -354,6 +355,11 @@ def main(argv=None) -> int:
         return 1
     except ArithmeticError as exc:
         print(f"internal consistency failure: {exc}", file=sys.stderr)
+        return 2
+    except Exception as exc:  # a fault, not the input's: exit 2, not 1
+        import traceback
+        traceback.print_exc()
+        print(f"internal error: {exc!r}", file=sys.stderr)
         return 2
 
 

@@ -199,16 +199,20 @@ def graeffe_at_one(p: list[int], ell: int) -> int:
 
 
 def cyclotomic_polynomial(n: int) -> list[int]:
-    """The n-th cyclotomic polynomial, by exact division of y**n - 1."""
+    """The n-th cyclotomic polynomial from Phi_1 = y - 1, prime by prime:
+    Phi_mq(y) = Phi_m(y**q), divided exactly by Phi_m(y) if q is prime to m."""
     if n < 1:
         raise ValueError("n must be positive")
-    p = [-1] + [0] * (n - 1) + [1]
-    for d in range(1, n):
-        if n % d == 0:
-            q, r = divmod_exact(p, cyclotomic_polynomial(d))
-            if r:
-                raise ArithmeticError("cyclotomic division left a remainder")
-            p = q
+    p, m = [-1, 1], 1
+    for q in range(2, n + 1):
+        while n // m % q == 0:  # a composite q never divides: its primes did
+            up = [0] * (q * (len(p) - 1) + 1)
+            up[::q] = p
+            if m % q:
+                up, r = divmod_exact(up, p)
+                if r:
+                    raise ArithmeticError(f"Phi_{m * q} left a remainder")
+            p, m = up, m * q
     return p
 
 

@@ -237,8 +237,8 @@ def spanning_tree_count(x: Multigraph, *,
     # vertex v > 0 is row v - 1
     rows, cols = rows[keep] - 1, cols[keep] - 1
     det = linalg.det_pattern(n - 1, rows, cols, lap[keep])
-    if det <= 0:
-        raise DisconnectedGraphError("reduced Laplacian is singular")
+    if det <= 0:  # require_valid proved x connected: an engine fault
+        raise ArithmeticError("reduced Laplacian is singular")
     return det
 
 

@@ -5,8 +5,9 @@ mod m, antisymmetric under edge inversion.  Its derived graph is the
 degree-m cyclic cover: fibers are copies of Z/mZ and an edge with voltage
 s connects fiber level k to k + s.  Cayley-Serre multigraphs are exactly
 the derived covers of bouquets.  Every constructor goes through
-``voltage_graph``.  ``derived_cover`` only builds; what uses a cover checks
-its connectivity once (``validate_voltage``, or the count or h(u) of it).
+``voltage_graph``.  A ``VoltageGraph`` checks its base and voltages when it
+is built; ``derived_cover`` only builds, and the count or h(u) of a cover
+checks its connectivity.
 
 Character-twisted adjacency data is kept exact: characters are never
 evaluated numerically.  The orbit L-polynomial for the characters of
@@ -25,6 +26,7 @@ values.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -47,19 +49,15 @@ class VoltageGraph:
         self.voltage = [v % self.modulus for v in self.voltage]
         if len(self.voltage) != self.base.num_directed_edges:
             raise ValueError("one voltage per directed edge required")
-
-
-def validate_voltage(vg: VoltageGraph) -> list[str]:
-    """Violations of the voltage axioms; [] when valid."""
-    out = list(serre.validate_serre(vg.base))
-    m = vg.modulus
-    for e in range(vg.base.num_directed_edges):
-        ie = vg.base.inverse[e]
-        if vg.voltage[ie] != (-vg.voltage[e]) % m:
-            out.append(f"edge {e}: voltage not antisymmetric under inversion")
-    if not out and serre._components(derived_cover(vg)) != 1:
-        out.append("voltages do not generate Z/mZ: derived cover disconnected")
-    return out
+        problems = serre.validate_serre(self.base)
+        # an inverse out of range is a problem validate_serre names
+        for e, (s, ie) in enumerate(zip(self.voltage, self.base.inverse)):
+            if ie in range(len(self.voltage)) and \
+                    self.voltage[ie] != -s % self.modulus:
+                problems.append(
+                    f"edge {e}: voltage not antisymmetric under inversion")
+        if problems:
+            raise ValueError("invalid voltage graph: " + "; ".join(problems))
 
 
 def voltage_graph(base: Multigraph, modulus: int,
@@ -156,10 +154,8 @@ def orbit_h_poly(vg: VoltageGraph, d: int) -> list[int]:
     of Phi_d, which turns the resultant into one exact block determinant.
     For d = 1 this is just the zeta polynomial of the base.
     """
-    m = vg.modulus
-    if d < 1 or m % d != 0:
+    if d < 1 or vg.modulus % d != 0:
         raise ValueError("d must divide the modulus")
-    serre.require_valid(vg.base)
     return zeta.pencil_det(*_orbit_pencil(vg, d))
 
 
@@ -173,14 +169,9 @@ class ProductFormulaReport:
 
 def verify_product_formula(vg: VoltageGraph) -> ProductFormulaReport:
     """Check h_cover = prod over divisors d of m of h(u, Psi_d), exactly."""
-    cover = derived_cover(vg)
-    lhs = zeta.ihara_h(cover)
-    serre.require_valid(vg.base)  # one check serves every divisor
-    factors = {}
-    rhs = [1]
-    for d in sorted(_divisors(vg.modulus)):
-        factors[d] = hd = zeta.pencil_det(*_orbit_pencil(vg, d))
-        rhs = polys.mul(rhs, hd)
+    lhs = zeta.ihara_h(derived_cover(vg))
+    factors = {d: orbit_h_poly(vg, d) for d in _divisors(vg.modulus)}
+    rhs = functools.reduce(polys.mul, factors.values(), [1])
     return ProductFormulaReport(ok=(lhs == rhs), cover_h=lhs,
                                 orbit_product=rhs, orbit_factors=factors)
 
@@ -209,9 +200,7 @@ def verify_integer_decomposition(
     kappa_base = serre.spanning_tree_count(vg.base, cap=cap)
     values = {}
     rhs = kappa_base
-    for d in sorted(_divisors(vg.modulus)):
-        if d == 1:
-            continue
+    for d in _divisors(vg.modulus)[1:]:
         # h(1, Psi_d) = det(I - A + diag(delta)), the pencil at u = 1
         rows, cols, a, delta = _orbit_pencil(vg, d)
         at_one = zeta._pencil_values(rows, cols, a, delta, 1)

@@ -12,9 +12,10 @@ valuations, which the library takes of f(zeta)),
 Sylvester-matrix resultants over Fractions, and the subresultant PRS with
 its Res(Phi_{l^i}, f), the reference for the library's Graeffe norms and
 its division-by-(1 - zeta) valuations, trial division by the primes
-of a sieve, the reference for the command line's wheel, and the orbit
-pencils from every power of a companion matrix, the reference for the
-voltage module's residue table.  None of it
+of a sieve, the reference for the command line's wheel, cyclotomic
+polynomials by dividing y**n - 1 by those of every proper divisor, and
+the orbit pencils from every power of a companion matrix, the reference
+for the voltage module's residue table.  None of it
 shares code paths with the library implementations it checks.
 """
 
@@ -539,13 +540,34 @@ def random_voltage_graph(rng, max_vertices=4, max_modulus=12,
             return vg
 
 
+@functools.lru_cache(maxsize=None)
+def cyclotomic_by_division(n: int) -> tuple[int, ...]:
+    """Phi_n by its definition: y**n - 1 divided, one long division each,
+    by Phi_d for every proper divisor d of n (each monic), recursively.
+    The reference for ``polys.cyclotomic_polynomial``."""
+    p = [-1] + [0] * (n - 1) + [1]
+    for d in range(1, n):
+        if n % d == 0:
+            phi = cyclotomic_by_division(d)
+            k = len(phi) - 1
+            q = [0] * (len(p) - k)
+            for i in range(len(q) - 1, -1, -1):
+                c = q[i] = p[i + k]
+                if c:
+                    for j, e in enumerate(phi):
+                        p[i + j] -= c * e
+            assert not any(p[:k]), "cyclotomic division left a remainder"
+            p = q
+    return tuple(p)
+
+
 def orbit_pencil_by_powers(vg: VoltageGraph, d: int) -> tuple:
     """``voltage._orbit_pencil`` built from every power of the companion
     matrix C of Phi_d, C**0..C**(d-1) by repeated matrix products: the
     reference for the library's table of residues y^e mod Phi_d."""
     import numpy as np
 
-    phi_d = polys.cyclotomic_polynomial(d)
+    phi_d = cyclotomic_by_division(d)
     k = len(phi_d) - 1
     comp = np.eye(k, k, -1, dtype=np.int64)
     comp[:, -1] = [-c for c in phi_d[:-1]]

@@ -18,7 +18,7 @@ PUBLIC = [
     "p_poly", "polys", "q_bits_bound", "q_poly", "report_from_json",
     "report_to_csv", "report_to_json", "serre", "spanning_tree_count",
     "special_values", "stabilization_level", "to_dot", "towers",
-    "valency_matrix", "validate_serre", "validate_voltage", "verify_bounds",
+    "valency_matrix", "validate_serre", "verify_bounds",
     "verify_integer_decomposition", "verify_product_formula", "voltage",
     "voltage_from_json", "voltage_graph", "voltage_to_json", "zeta",
 ]

@@ -15,7 +15,7 @@ from graph_iwasawa import (Multigraph, VoltageGraph, multigraph_from_json,
                            voltage_from_json)
 from graph_iwasawa import cycle_graph, report_from_json, report_to_json
 from graph_iwasawa import TowerSpec, cli, norm_bits_bound, polys, towers, zeta
-from graph_iwasawa import serre, voltage
+from graph_iwasawa import linalg, serre, voltage
 from graph_iwasawa.cli import main, _format_kappas, _trial_factor
 from graph_iwasawa.polys import unlimited_digits
 
@@ -230,9 +230,9 @@ def test_cover_verify(tmp_path, capsys):
 
 
 def test_cover_verify_checks_the_base_once(monkeypatch, tmp_path, capsys):
-    # the base of cayley_serre(8, (1, 3)) is checked by validate_voltage,
-    # once more by the product formula for all four divisors, and by the
-    # base count: 3 traversals of it and 3 of the 8-vertex cover
+    # the base of cayley_serre(8, (1, 3)) is checked when the voltage graph
+    # is built and by the base count; the product formula and the integer
+    # decomposition each build the 8-vertex cover and check it once
     path = tmp_path / "v.json"
     path.write_text(json.dumps(voltage_to_json(cayley_serre(8, (1, 3)))))
     calls = []
@@ -242,11 +242,20 @@ def test_cover_verify_checks_the_base_once(monkeypatch, tmp_path, capsys):
         calls.append(x.num_vertices)
         return real(x)
 
+    builds = []
+    build = voltage.derived_cover
+
+    def build_spy(vg):
+        builds.append(vg.modulus)
+        return build(vg)
+
     monkeypatch.setattr(serre, "_components", spy)
+    monkeypatch.setattr(voltage, "derived_cover", build_spy)
     code, out, _ = run(capsys, "cover-verify", str(path))
     assert (code, out) == (0, "product formula: PASS\n"
                               "integer decomposition: PASS\n")
-    assert sorted(calls) == [1, 1, 1, 8, 8, 8]
+    assert sorted(calls) == [1, 1, 8, 8]
+    assert builds == [8, 8]
     code, out, _ = run(capsys, "cover-verify", str(path), "--format", "json")
     h = ["1", "0", "8", "0", "-36", "0", "-648", "0", "-2970", "0", "-5832",
          "0", "-2916", "0", "5832", "0", "6561"]
@@ -275,6 +284,28 @@ def test_cover_verify_refuses_a_disconnected_cover(tmp_path, capsys):
     assert code == 1 and out == ""
     assert ("voltages do not generate Z/mZ: derived cover disconnected"
             in err)
+
+
+@pytest.mark.parametrize("edges, message", [
+    # a lone edge: valency 1 at each end
+    ([(0, 1, 1)], "vertex 0: valency 1 < 2; vertex 1: valency 1 < 2"),
+    ([(0, 0, 1), (1, 1, 1)], "graph is not connected"),
+    ([(0, 1, 2), (0, 1, 0), (0, 0, 2)], "voltages do not generate Z/mZ: "
+                                        "derived cover disconnected"),
+    ([(0, 1, 2), (1, 2, 0), (2, 0, 0)], "voltages do not generate Z/mZ: "
+                                        "derived cover disconnected"),
+], ids=["valency-1-base", "disconnected-base", "even-2-vertex",
+        "even-cycle"])
+def test_cover_verify_names_an_invalid_voltage_graph(tmp_path, capsys, edges,
+                                                     message):
+    path = tmp_path / "v.json"
+    path.write_text(json.dumps({"m": 4, "edges": [
+        {"u": u, "v": v, "voltage": s} for u, v, s in edges]}))
+    for fmt in ("text", "json"):
+        code, out, err = run(capsys, "cover-verify", str(path), "--format",
+                             fmt)
+        assert (code, out, err) == (
+            1, "", f"error: invalid voltage graph: {message}\n")
 
 
 def test_cover_verify_cycle_base_skips_decomposition(tmp_path, capsys):
@@ -601,6 +632,31 @@ def test_cover_verify_caps_the_derived_cover(tmp_path, capsys):
                          "--cap-vertices", "8")
     assert code == 1 and out == ""
     assert "40 vertices" in err and "cap of 8" in err
+
+
+def test_a_singular_laplacian_is_a_fault_not_an_input_error(
+        monkeypatch, tmp_path, capsys):
+    # a theta graph is connected, so a zero count can only be the engine's
+    theta = Multigraph(2)
+    for _ in range(3):
+        theta.add_edge(0, 1)
+    path = tmp_path / "theta.json"
+    path.write_text(json.dumps(multigraph_to_json(theta)))
+    monkeypatch.setattr(linalg, "det_pattern", lambda *args: 0)
+    code, out, err = run(capsys, "zeta", str(path))
+    assert (code, out) == (2, "")
+    assert "reduced Laplacian is singular" in err
+
+
+def test_an_unexpected_exception_exits_2(monkeypatch, capsys):
+    def boom(spec):
+        raise RuntimeError("injected")
+    monkeypatch.setattr(towers, "_tower", boom)
+    code, out, err = run(capsys, "kappa", "-l", "2", "-a", "1,1", "-n", "3")
+    assert (code, out) == (2, "")
+    # the traceback names the route, the last line the fault
+    assert "in cmd_kappa" in err
+    assert err.endswith("internal error: RuntimeError('injected')\n")
 
 
 def test_readme_tower_example(capsys):

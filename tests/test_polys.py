@@ -2,8 +2,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from graph_iwasawa import polys
-from oracles import (interpolate, poly_eval, prem, resultant,
-                     sylvester_resultant)
+from oracles import (cyclotomic_by_division, interpolate, poly_eval, prem,
+                     resultant, sylvester_resultant)
 
 small_polys = st.lists(st.integers(-50, 50), max_size=8).map(polys.trim)
 
@@ -103,6 +103,28 @@ def test_interpolate_rejects_non_integer_interpolant(xs):
 ])
 def test_cyclotomic_polynomial(n, expected):
     assert polys.cyclotomic_polynomial(n) == expected
+
+
+@pytest.mark.parametrize("ns", [range(1, 401), (720, 2310, 4096, 5040)],
+                         ids=["n<=400", "large"])
+def test_cyclotomic_polynomial_matches_the_definition(ns):
+    for n in ns:
+        assert polys.cyclotomic_polynomial(n) == list(
+            cyclotomic_by_division(n)), n
+
+
+def test_cyclotomic_polynomial_divides_once_a_prime(monkeypatch):
+    # 5040 = 2^4 3^2 5 7: one exact division for each of its four primes
+    calls = []
+    divide = polys.divmod_exact
+
+    def spy(p, d):
+        calls.append(len(d) - 1)
+        return divide(p, d)
+    monkeypatch.setattr(polys, "divmod_exact", spy)
+    assert polys.cyclotomic_polynomial(5040) == list(
+        cyclotomic_by_division(5040))
+    assert len(calls) == 4
 
 
 def test_format_poly():
