@@ -175,12 +175,14 @@ def test_orbit_pencil_memory_grows_with_the_blocks_used():
     assert peak < 2 * 2 ** 20
 
 
-def test_a_voltage_graph_validates_its_base():
-    # a lone edge between two vertices: valency 1 at each end
+@pytest.mark.parametrize("d", [1, 2, 4])
+def test_orbit_h_validates_the_base_for_every_divisor(d):
+    # a lone edge between two vertices: valency 1 at each end; the voltage
+    # graph refuses it when built, so no divisor reaches the orbit factor
     base = Multigraph(2)
     base.add_edge(0, 1)
     with pytest.raises(ValueError, match="valency 1 < 2"):
-        voltage_graph(base, 4, {0: 1})
+        orbit_h_poly(voltage_graph(base, 4, {0: 1}), d)
 
 
 def test_orbit_h_rejects_bad_divisor():
