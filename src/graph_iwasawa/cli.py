@@ -4,11 +4,14 @@ Subcommands: tower, kappa, zeta, cover-verify, export-dot.  All output is
 deterministic: identical invocations produce identical bytes.  Integers
 are printed in full decimal, however many digits they have.  tower's
 --parallel is accepted for compatibility and has no effect.
-Sizes (--budget-bits, --cap-vertices) are checked here, before any work.
+Sizes (--budget-bits, --cap-vertices) are checked here, before any work;
+a negative one is a usage error.
 tower and kappa run on the pure-Python towers, cyclotomic and polys and
-never import numpy; zeta, cover-verify and export-dot import the
-numpy-backed zeta and voltage modules when they start.  Text output
-factors kappa_n by trial division to 10^6 on a wheel mod 210, no prime table.
+load no numpy, no serre and no dataclasses: importing this module loads
+only what they run.  zeta, cover-verify and export-dot import serre and
+the numpy-backed zeta and voltage modules when they start, and read the
+default --cap-vertices off serre then.  Text output factors kappa_n by
+trial division to 10^6 on a wheel mod 210, no prime table.
 Exit codes: 0 success (tower: full fit verified), 1 invalid input, usage
 or size, 2 verification failure, internal inconsistency or other fault.
 """
@@ -21,7 +24,7 @@ import json
 import math
 import sys
 
-from . import serre, towers
+from . import towers
 from .cyclotomic import ord_int
 from .polys import format_poly, poly_to_json, unlimited_digits
 
@@ -106,6 +109,15 @@ def _admit(spec: towers.TowerSpec, n: int, budget: int) -> None:
         raise towers.BudgetExceededError(
             f"level {n} norm may have {estimate} bits, over the budget of "
             f"{budget} bits")
+
+
+def _vertex_cap(args) -> int:
+    # --cap-vertices defaults to None, so that the parser, and tower and
+    # kappa with it, never import serre for its default
+    from . import serre
+
+    return (serre.DEFAULT_VERTEX_CAP if args.cap_vertices is None
+            else args.cap_vertices)
 
 
 def _cap(what: str, n: int, cap: int) -> None:
@@ -193,13 +205,14 @@ def cmd_kappa(args) -> int:
 
 
 def cmd_zeta(args) -> int:
-    from . import zeta
+    from . import serre, zeta
 
+    cap = _vertex_cap(args)
     with open(args.graph_file, encoding="utf-8") as fh:
         graph = serre.multigraph_from_json(json.load(fh))
-    _cap("graph", graph.num_vertices, args.cap_vertices)
+    _cap("graph", graph.num_vertices, cap)
     exponent, h = zeta.ihara_Z(graph)
-    kappa = serre.spanning_tree_count(graph, cap=args.cap_vertices)
+    kappa = serre.spanning_tree_count(graph, cap=cap)
     with unlimited_digits():
         if args.format == "json":
             sys.stdout.write(json.dumps(
@@ -214,19 +227,20 @@ def cmd_zeta(args) -> int:
 
 
 def cmd_cover_verify(args) -> int:
-    from . import voltage
+    from . import serre, voltage
 
+    cap = _vertex_cap(args)
     with open(args.voltage_file, encoding="utf-8") as fh:
         vg = voltage.voltage_from_json(json.load(fh))
-    _cap("derived cover", vg.base.num_vertices * vg.modulus, args.cap_vertices)
+    _cap("derived cover", vg.base.num_vertices * vg.modulus, cap)
     try:  # the base is valid, so only the cover's connectivity can fail
         product = voltage.verify_product_formula(vg)
     except serre.DisconnectedGraphError:
         raise ValueError("invalid voltage graph: voltages do not generate "
                          "Z/mZ: derived cover disconnected") from None
     chi = serre.euler_characteristic(vg.base)
-    decomposition = (voltage.verify_integer_decomposition(
-        vg, cap=args.cap_vertices) if chi != 0 else None)
+    decomposition = (voltage.verify_integer_decomposition(vg, cap=cap)
+                     if chi != 0 else None)
     ok = product.ok and (decomposition is None or decomposition.ok)
     with unlimited_digits():
         if args.format == "json":
@@ -253,18 +267,19 @@ def cmd_cover_verify(args) -> int:
 
 
 def cmd_export_dot(args) -> int:
-    from . import voltage
+    from . import serre, voltage
 
+    cap = _vertex_cap(args)
     spec = _spec(args)
     if args.levels < 0:
         raise ValueError("level must be >= 0")
     size = 1
     for _ in range(args.levels):  # stops at the cap, never builds a huge l^n
         size *= spec.ell
-        if size > args.cap_vertices:
+        if size > cap:
             raise ValueError(
                 f"level {args.levels} cover has {spec.ell}^{args.levels} "
-                f"vertices, beyond the cap of {args.cap_vertices}")
+                f"vertices, beyond the cap of {cap}")
     vg = voltage.cayley_serre(spec.ell ** args.levels, spec.generators)
     cover = voltage.derived_cover(vg)
     sys.stdout.write(serre.to_dot(cover, name=f"cover_level_{args.levels}"))
@@ -278,8 +293,19 @@ def _add_tower_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("-n", "--levels", type=int, required=True)
 
 
+def _size(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, not {value}")
+    return value
+
+
 def _add_budget_flag(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--budget-bits", type=int, dest="budget",
+    p.add_argument("--budget-bits", type=_size, dest="budget",
                    metavar="BUDGET_BITS", default=DEFAULT_BUDGET_BITS)
 
 
@@ -307,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("zeta", help="zeta polynomial of a multigraph file")
     p.add_argument("graph_file")
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--cap-vertices", type=int, default=serre.DEFAULT_VERTEX_CAP)
+    p.add_argument("--cap-vertices", type=_size)
     p.set_defaults(func=cmd_zeta)
 
     p = sub.add_parser("cover-verify",
@@ -315,12 +341,12 @@ def build_parser() -> argparse.ArgumentParser:
                             "graph file")
     p.add_argument("voltage_file")
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--cap-vertices", type=int, default=serre.DEFAULT_VERTEX_CAP)
+    p.add_argument("--cap-vertices", type=_size)
     p.set_defaults(func=cmd_cover_verify)
 
     p = sub.add_parser("export-dot", help="DOT of the level-n cover")
     _add_tower_flags(p)
-    p.add_argument("--cap-vertices", type=int, default=serre.DEFAULT_VERTEX_CAP)
+    p.add_argument("--cap-vertices", type=_size)
     p.set_defaults(func=cmd_export_dot)
 
     return top

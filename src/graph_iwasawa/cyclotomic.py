@@ -17,9 +17,9 @@ towers module's, off its l-Graeffe chain.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from . import polys
+from ._records import FrozenRecord
 
 INFINITY = math.inf
 
@@ -62,12 +62,13 @@ def euler_phi_prime_power(ell: int, i: int) -> int:
     return ell ** i - ell ** (i - 1)
 
 
-@dataclass(frozen=True)
-class CycElem:
+class CycElem(FrozenRecord):
     """Canonical residue in Z[y]/Phi_{l^i}(y); coeffs has length phi(l^i)."""
-    ell: int
-    level: int
-    coeffs: tuple
+
+    __slots__ = ("ell", "level", "coeffs")
+
+    def __init__(self, ell: int, level: int, coeffs: tuple):
+        self._set(ell, level, coeffs)
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)

@@ -36,28 +36,39 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+import operator
 
 from . import cyclotomic, polys
+from ._records import FrozenRecord, Record
 from .cyclotomic import INFINITY, ord_int
 
 
-@dataclass(frozen=True)
-class TowerSpec:
-    """Prime l and integer loop jumps defining the tower."""
-    ell: int
-    generators: tuple
+def _integer(value, what: str) -> int:
+    # an int or a numpy integer; never a bool, and no float or str is read
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{what} {value!r} is not an integer")
 
-    def __post_init__(self):
-        if not cyclotomic.is_prime(self.ell):
-            raise ValueError(f"{self.ell} is not prime")
-        gens = tuple(int(a) for a in self.generators)
-        object.__setattr__(self, "generators", gens)
+
+class TowerSpec(FrozenRecord):
+    """Prime l and integer loop jumps defining the tower."""
+
+    __slots__ = ("ell", "generators")
+
+    def __init__(self, ell: int, generators: tuple):
+        ell = _integer(ell, "prime")
+        if not cyclotomic.is_prime(ell):
+            raise ValueError(f"{ell} is not prime")
+        gens = tuple(_integer(a, "generator") for a in generators)
         if not gens:
             raise ValueError("need at least one generator")
-        if not any(math.gcd(a, self.ell) == 1 for a in gens):
+        if not any(math.gcd(a, ell) == 1 for a in gens):
             raise ValueError(
                 "no generator is coprime to the prime; covers are disconnected")
+        self._set(ell, gens)
 
     @property
     def t(self) -> int:
@@ -317,14 +328,13 @@ def ord_kappa(spec: TowerSpec, n: int) -> int:
     return _tower(spec).ords(n)[n]
 
 
-@dataclass(frozen=True)
-class IwasawaInvariants:
-    mu: int
-    lam: int
-    nu: int
-    n0_certified: int
-    n0_observed: int
-    cycle_case: bool = False
+class IwasawaInvariants(FrozenRecord):
+    __slots__ = ("mu", "lam", "nu", "n0_certified", "n0_observed",
+                 "cycle_case")
+
+    def __init__(self, mu: int, lam: int, nu: int, n0_certified: int,
+                 n0_observed: int, cycle_case: bool = False):
+        self._set(mu, lam, nu, n0_certified, n0_observed, cycle_case)
 
 
 def invariants(spec: TowerSpec) -> IwasawaInvariants:
@@ -352,15 +362,16 @@ def invariants(spec: TowerSpec) -> IwasawaInvariants:
 # Bound verification
 # ---------------------------------------------------------------------------
 
-@dataclass
-class BoundsReport:
-    spec: TowerSpec
-    n_max: int
-    upper_bound_ok: bool
-    lower_bound_ok: bool
-    divisibility_ok: bool
-    mu_bound_ok: bool
-    failures: list = field(default_factory=list)
+class BoundsReport(Record):
+    __slots__ = ("spec", "n_max", "upper_bound_ok", "lower_bound_ok",
+                 "divisibility_ok", "mu_bound_ok", "failures")
+
+    def __init__(self, spec: TowerSpec, n_max: int, upper_bound_ok: bool,
+                 lower_bound_ok: bool, divisibility_ok: bool,
+                 mu_bound_ok: bool, failures: list | None = None):
+        self._set(spec, n_max, upper_bound_ok, lower_bound_ok,
+                  divisibility_ok, mu_bound_ok,
+                  [] if failures is None else failures)
 
     @property
     def ok(self) -> bool:
@@ -407,25 +418,23 @@ def verify_bounds(spec: TowerSpec, n_max: int) -> BoundsReport:
 # Full tower report
 # ---------------------------------------------------------------------------
 
-@dataclass
-class LevelRecord:
-    n: int
-    kappa: int
-    ord_kappa: int
-    v: int | None
-    norm: int | None
-    fit: bool
+class LevelRecord(Record):
+    __slots__ = ("n", "kappa", "ord_kappa", "v", "norm", "fit")
+
+    def __init__(self, n: int, kappa: int, ord_kappa: int, v: int | None,
+                 norm: int | None, fit: bool):
+        self._set(n, kappa, ord_kappa, v, norm, fit)
 
 
-@dataclass
-class TowerReport:
-    spec: TowerSpec
-    n_max: int
-    q_coeffs: list
-    invariants: IwasawaInvariants
-    levels: list
-    consistency_ok: bool
-    fit_ok: bool
+class TowerReport(Record):
+    __slots__ = ("spec", "n_max", "q_coeffs", "invariants", "levels",
+                 "consistency_ok", "fit_ok")
+
+    def __init__(self, spec: TowerSpec, n_max: int, q_coeffs: list,
+                 invariants: IwasawaInvariants, levels: list,
+                 consistency_ok: bool, fit_ok: bool):
+        self._set(spec, n_max, q_coeffs, invariants, levels, consistency_ok,
+                  fit_ok)
 
 
 def build_tower_report(spec: TowerSpec, n_max: int) -> TowerReport:
@@ -500,32 +509,53 @@ def report_to_json(report: TowerReport) -> dict:
     }
 
 
+def _json_int(value) -> int:
+    # via str: int() would truncate a float and take a bool as 0 or 1
+    return int(str(value))
+
+
+def _json_ints(value) -> list[int]:
+    # a string would be read digit by digit
+    if not isinstance(value, list):
+        raise ValueError(f"{value!r} is not a JSON array")
+    return [_json_int(v) for v in value]
+
+
+def _json_flag(value) -> bool:
+    if not isinstance(value, bool):
+        raise ValueError(f"{value!r} is not a JSON boolean")
+    return value
+
+
 @polys.unlimited_digits()
 def report_from_json(data: dict) -> TowerReport:
-    spec = TowerSpec(int(data["prime"]), tuple(int(a) for a in data["generators"]))
-    inv = IwasawaInvariants(
-        mu=int(data["invariants"]["mu"]),
-        lam=int(data["invariants"]["lambda"]),
-        nu=int(data["invariants"]["nu"]),
-        n0_certified=int(data["invariants"]["n0_certified"]),
-        n0_observed=int(data["invariants"]["n0_observed"]),
-        cycle_case=bool(data["cycle_case"]),
-    )
-    levels = [
-        LevelRecord(
-            n=int(rec["n"]), kappa=int(rec["kappa"]),
-            ord_kappa=int(rec["ord_kappa"]),
-            v=None if rec["v"] is None else int(rec["v"]),
-            norm=None if rec["N"] is None else int(rec["N"]),
-            fit=bool(rec["fit"]))
-        for rec in data["levels"]
-    ]
-    return TowerReport(
-        spec=spec, n_max=int(data["n_max"]),
-        q_coeffs=[int(c) for c in data["q_poly"]],
-        invariants=inv, levels=levels,
-        consistency_ok=bool(data["consistency_ok"]),
-        fit_ok=bool(data["fit_ok"]))
+    try:
+        spec = TowerSpec(_json_int(data["prime"]),
+                         _json_ints(data["generators"]))
+        raw = data["invariants"]
+        inv = IwasawaInvariants(
+            mu=_json_int(raw["mu"]), lam=_json_int(raw["lambda"]),
+            nu=_json_int(raw["nu"]),
+            n0_certified=_json_int(raw["n0_certified"]),
+            n0_observed=_json_int(raw["n0_observed"]),
+            cycle_case=_json_flag(data["cycle_case"]))
+        levels = [
+            LevelRecord(
+                n=_json_int(rec["n"]), kappa=_json_int(rec["kappa"]),
+                ord_kappa=_json_int(rec["ord_kappa"]),
+                v=None if rec["v"] is None else _json_int(rec["v"]),
+                norm=None if rec["N"] is None else _json_int(rec["N"]),
+                fit=_json_flag(rec["fit"]))
+            for rec in data["levels"]
+        ]
+        return TowerReport(
+            spec=spec, n_max=_json_int(data["n_max"]),
+            q_coeffs=_json_ints(data["q_poly"]),
+            invariants=inv, levels=levels,
+            consistency_ok=_json_flag(data["consistency_ok"]),
+            fit_ok=_json_flag(data["fit_ok"]))
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"malformed tower report JSON: {exc!r}") from exc
 
 
 def report_to_csv(report: TowerReport) -> str:

@@ -682,6 +682,18 @@ _TOWER_ARGS = ("-l", "2", "-a", "1,1", "-n", "1")
 
 
 @pytest.mark.parametrize("command, flag", [
+    ("tower", ("--budget-bits", "-5")),
+    ("kappa", ("--budget-bits=-1",)),
+    ("export-dot", ("--cap-vertices", "-1")),
+])
+def test_negative_sizes_are_usage_errors(capsys, command, flag):
+    # refused by the parser, not as "over the budget of -5 bits"
+    code, out, err = run(capsys, command, *_TOWER_ARGS, *flag)
+    assert code == 1 and out == ""
+    assert f"argument {flag[0].split('=')[0]}: must be >= 0" in err
+
+
+@pytest.mark.parametrize("command, flag", [
     ("tower", ("--cap-vertices", "1")),
     ("kappa", ("--format", "csv")),
     ("kappa", ("--cap-vertices", "1")),
@@ -713,11 +725,15 @@ def test_each_command_refuses_the_flags_it_does_not_read(
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# the console script's entry, then a report of whether numpy was loaded
+# what tower and kappa never load: numpy, serre, and dataclasses with the
+# inspect it imports
+UNUSED_BY_TOWER = ("numpy", "dataclasses", "inspect", "graph_iwasawa.serre")
+
+# the console script's entry, then those of UNUSED_BY_TOWER it loaded
 NUMPY_PROBE = ("import sys; from graph_iwasawa.cli import main; "
                "code = main(); sys.stdout.flush(); "
-               "print('numpy' in sys.modules, file=sys.stderr); "
-               "sys.exit(code)")
+               f"print([m for m in {UNUSED_BY_TOWER} if m in sys.modules], "
+               "file=sys.stderr); sys.exit(code)")
 
 
 def _python(*argv):
@@ -737,7 +753,7 @@ def _python(*argv):
 ], ids=["tower-text", "tower-json", "tower-csv", "kappa-text", "kappa-json"])
 def test_tower_and_kappa_never_import_numpy(capsys, argv):
     proc = _python("-c", NUMPY_PROBE, *argv)
-    assert (proc.returncode, proc.stderr) == (0, "False\n")
+    assert (proc.returncode, proc.stderr) == (0, "[]\n")
     code, out, _ = run(capsys, *argv)
     assert (code, out) == (0, proc.stdout)
 
@@ -764,5 +780,6 @@ def test_text_factoring_keeps_no_prime_table(argv):
 
 def test_bare_package_import_loads_no_numpy():
     proc = _python("-c", "import sys, graph_iwasawa; "
-                         "print('numpy' in sys.modules)")
-    assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
+                         f"print([m for m in {UNUSED_BY_TOWER} "
+                         "if m in sys.modules])")
+    assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr

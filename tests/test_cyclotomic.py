@@ -26,6 +26,15 @@ def test_epsilon_examples():
     assert epsilon(2, 3, 8).is_zero()
 
 
+def test_cyc_elem_repr_and_hash():
+    x = cyc_from_poly(3, 2, [2, -1, 1, 0, 0, 1])
+    assert repr(x) == "CycElem(l=3, i=2, 2 - z + z^2 + z^5)"
+    assert x == epsilon(3, 2, 1) and hash(x) == hash(epsilon(3, 2, 1))
+    assert x != cyc_from_poly(3, 2, [2])
+    with pytest.raises(AttributeError):
+        x.level = 1
+
+
 def test_epsilon_symmetry():
     for ell, i in ((2, 3), (3, 2), (5, 1)):
         m = ell ** i

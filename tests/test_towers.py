@@ -109,6 +109,62 @@ def test_spec_validation():
     assert spec.q == 3 and spec.t == 2
 
 
+@pytest.mark.parametrize("ell, gens", [
+    (2, (1.5, 3)),    # was truncated to the a = (1, 3) tower
+    (2, (1.0, 3)),
+    (2, (True, 3)),   # was read as 1
+    (2, ("7", 3)),    # was parsed
+    (2, "13"),
+    (2.0, (1,)),      # was a TypeError out of is_prime
+    (True, (1,)),
+    ("2", (1,)),
+])
+def test_spec_refuses_non_integers(ell, gens):
+    with pytest.raises(ValueError, match="is not an integer"):
+        TowerSpec(ell, gens)
+
+
+def test_spec_takes_numpy_integers():
+    np = pytest.importorskip("numpy")
+    spec = TowerSpec(np.int64(2), np.array([3, 5]))
+    assert spec == TowerSpec(2, (3, 5))
+    assert [type(x) for x in (spec.ell, *spec.generators)] == [int] * 3
+
+
+def test_spec_equality_and_hash():
+    # the key of the level table: equal specs share one table
+    spec = TowerSpec(2, (3, 5))
+    assert repr(spec) == "TowerSpec(ell=2, generators=(3, 5))"
+    assert spec == TowerSpec(2, [3, 5]) and spec is not TowerSpec(2, (3, 5))
+    assert hash(spec) == hash(TowerSpec(2, [3, 5])) == hash((2, (3, 5)))
+    assert spec != TowerSpec(2, (5, 3)) and spec != TowerSpec(3, (3, 5))
+    assert spec != (2, (3, 5))
+    assert {spec: 1}[TowerSpec(2, (3, 5))] == 1
+    with pytest.raises(AttributeError):
+        spec.ell = 3
+    assert spec.ell == 2
+
+
+def test_records_compare_by_fields():
+    inv = IwasawaInvariants(0, 9, -11, 5, 4)
+    assert inv == IwasawaInvariants(mu=0, lam=9, nu=-11, n0_certified=5,
+                                    n0_observed=4, cycle_case=False)
+    assert hash(inv) == hash((0, 9, -11, 5, 4, False))
+    assert inv != IwasawaInvariants(0, 9, -11, 5, 4, cycle_case=True)
+    report = build_tower_report(TowerSpec(2, (1, 1)), 1)
+    assert report == build_tower_report(TowerSpec(2, (1, 1)), 1)
+    assert report != build_tower_report(TowerSpec(2, (1, 1)), 2)
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(report)
+    assert repr(report) == (
+        "TowerReport(spec=TowerSpec(ell=2, generators=(1, 1)), n_max=1, "
+        "q_coeffs=[0, 2], invariants=IwasawaInvariants(mu=1, lam=1, nu=-1, "
+        "n0_certified=1, n0_observed=1, cycle_case=False), "
+        "levels=[LevelRecord(n=0, kappa=1, ord_kappa=0, v=None, norm=None, "
+        "fit=True), LevelRecord(n=1, kappa=4, ord_kappa=2, v=3, norm=8, "
+        "fit=True)], consistency_ok=True, fit_ok=True)")
+
+
 def test_mu_lambda_examples():
     assert mu_lambda(q_poly(TowerSpec(2, (1, 1))), 2) == (1, 1)
     assert mu_lambda(q_poly(TowerSpec(2, (3, 5))), 2) == (0, 9)
@@ -235,6 +291,35 @@ def test_invariants_examples():
     assert (inv.mu, inv.lam, inv.nu, inv.n0_observed) == (0, 5, -2, 1)
 
 
+# repr(invariants(spec)) for the corpus, as the dataclass printed it: a
+# benchmark digest hashes these bytes
+CORPUS_INVARIANTS_REPR = [
+    "IwasawaInvariants(mu=1, lam=1, nu=-1, n0_certified=1, n0_observed=1, "
+    "cycle_case=False)",
+    "IwasawaInvariants(mu=0, lam=9, nu=-11, n0_certified=5, n0_observed=4, "
+    "cycle_case=False)",
+    "IwasawaInvariants(mu=0, lam=1, nu=0, n0_certified=1, n0_observed=1, "
+    "cycle_case=False)",
+    "IwasawaInvariants(mu=0, lam=5, nu=-2, n0_certified=2, n0_observed=1, "
+    "cycle_case=False)",
+    "IwasawaInvariants(mu=0, lam=1, nu=0, n0_certified=1, n0_observed=1, "
+    "cycle_case=False)",
+    "IwasawaInvariants(mu=0, lam=3, nu=0, n0_certified=2, n0_observed=1, "
+    "cycle_case=False)",
+    "IwasawaInvariants(mu=0, lam=1, nu=0, n0_certified=1, n0_observed=1, "
+    "cycle_case=False)",
+    "IwasawaInvariants(mu=0, lam=1, nu=0, n0_certified=1, n0_observed=1, "
+    "cycle_case=False)",
+    "IwasawaInvariants(mu=0, lam=1, nu=0, n0_certified=1, n0_observed=1, "
+    "cycle_case=False)",
+]
+
+
+def test_corpus_invariants_repr():
+    assert [repr(invariants(TowerSpec(ell, gens)))
+            for ell, gens in CORPUS] == CORPUS_INVARIANTS_REPR
+
+
 def test_invariants_coprime_sum_corollary():
     # l not dividing sum of squares: mu = 0, lambda = 1, nu = 0, ord = n
     for ell in (3, 5, 7):
@@ -349,6 +434,41 @@ def test_report_and_serialization():
     lines = csv.strip().splitlines()
     assert lines[0] == "n,ord_kappa,fit"
     assert lines[6] == "5,34,true"
+
+
+_BAD_REPORT_FIELDS = [
+    (("prime",), 2.9),                    # was read as 2
+    (("prime",), True),
+    (("generators",), "35"),              # was the a = (3, 5) tower
+    (("generators", 0), 3.0),
+    (("n_max",), "two"),
+    (("invariants", "mu"), 0.5),
+    (("invariants", "lambda"), False),
+    (("q_poly",), "0"),
+    (("q_poly", 1), 34.0),
+    (("levels", 1, "kappa"), 4.0),
+    (("levels", 1, "v"), True),
+    (("levels", 1, "fit"), "false"),      # was a true fit
+    (("cycle_case",), "false"),           # was a true cycle_case
+    (("consistency_ok",), 1),
+    (("fit_ok",), None),
+]
+
+
+@pytest.mark.parametrize(
+    "path, value", _BAD_REPORT_FIELDS,
+    ids=[f"{'.'.join(map(str, path))}={value!r}"
+         for path, value in _BAD_REPORT_FIELDS])
+def test_report_from_json_refuses_bad_types(path, value):
+    report = build_tower_report(TowerSpec(2, (3, 5)), 2)
+    data = report_to_json(report)
+    assert report_from_json(data) == report
+    node = data
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    with pytest.raises(ValueError, match="malformed tower report JSON"):
+        report_from_json(data)
 
 
 def _count_calls(monkeypatch, name):
