@@ -7,10 +7,11 @@ are printed in full decimal, however many digits they have.  tower's
 Sizes (--budget-bits, --cap-vertices) are checked here, before any work;
 a negative one is a usage error.
 tower and kappa run on the pure-Python towers, cyclotomic and polys and
-load no numpy, no serre and no dataclasses: importing this module loads
-only what they run.  zeta, cover-verify and export-dot import serre and
-the numpy-backed zeta and voltage modules when they start, and read the
-default --cap-vertices off serre then.  Text output factors kappa_n by
+load no numpy, no serre and no dataclasses, and their text and csv output
+loads no json: importing this module loads only what they run.  zeta,
+cover-verify and export-dot import serre and the numpy-backed zeta and
+voltage modules when they start, and read the default --cap-vertices off
+serre then.  Text output factors kappa_n by
 trial division to 10^6 on a wheel mod 210, no prime table.
 Exit codes: 0 success (tower: full fit verified), 1 invalid input, usage
 or size, 2 verification failure, internal inconsistency or other fault.
@@ -20,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import itertools
-import json
 import math
 import sys
 
@@ -144,6 +144,8 @@ def cmd_tower(args) -> int:
     report = towers.build_tower_report(spec, args.levels)
     with unlimited_digits():
         if args.format == "json":
+            import json
+
             sys.stdout.write(json.dumps(towers.report_to_json(report),
                                         indent=2))
             sys.stdout.write("\n")
@@ -187,6 +189,8 @@ def cmd_kappa(args) -> int:
     kappa = towers.kappa_exact(chain, args.levels)
     with unlimited_digits():
         if args.format == "json":
+            import json
+
             sys.stdout.write(json.dumps(
                 {"prime": str(spec.ell),
                  "generators": [str(a) for a in spec.generators],
@@ -205,6 +209,8 @@ def cmd_kappa(args) -> int:
 
 
 def cmd_zeta(args) -> int:
+    import json
+
     from . import serre, zeta
 
     cap = _vertex_cap(args)
@@ -227,6 +233,8 @@ def cmd_zeta(args) -> int:
 
 
 def cmd_cover_verify(args) -> int:
+    import json
+
     from . import serre, voltage
 
     cap = _vertex_cap(args)

@@ -24,15 +24,20 @@ lane slides a buffer of 2 (w + 2) band rows down the matrix, w the
 half-bandwidth (all n + w + 1 band rows when there are fewer), and rows
 enter it, reduced mod each lane's prime, as it reaches the pivot pairs that
 touch them.  A lane needs O(w^2) memory, not O(n w), and the lanes are
-split into chunks only when the buffers and pair temporaries of all of them
-pass ``BAND_BYTES_CAP``.  A lane whose pivot block vanishes falls back to
-``_det_swaps``, banded elimination with row swaps in a window of w + 1 by
-2w + 1 entries, so singular matrices and zero leading minors of even order
-stay exact in O(w^2) memory too.  Lanes are ordered prime by prime, so a
-chunk holds many matrices' lanes of few primes, and each pivot pair takes
-one modular inverse per prime of its chunk, not one per lane: the pivot
-block determinants of the lanes that share a prime are inverted together
-by Montgomery's trick (Montgomery, Math. Comp. 48, 1987).
+split into chunks only when the buffers, row factors and pair temporaries
+of all of them pass ``BAND_BYTES_CAP``.  A lane whose pivot block vanishes
+falls back to ``_det_swaps``, banded elimination with row swaps in a window
+of w + 1 by 2w + 1 entries, so singular matrices and zero leading minors of
+even order stay exact in O(w^2) memory too.
+
+The elimination divides by nothing: a pivot block of determinant delta
+multiplies the rows it updates by delta instead, and the determinant is
+the product of the pivots over the product of the factors their rows
+carry, so each lane takes one modular inverse, at the end of the run.  A
+row's factor applies to its columns up to the right edge of the windows
+so far; its columns past that edge were never updated, and they are
+scaled when a window first reaches them, so a pair never passes over a
+whole row.
 """
 
 from __future__ import annotations
@@ -134,21 +139,24 @@ def _det_band(w: int, span: int, reach: list[int], places: np.ndarray,
               vals: np.ndarray, js: list[int], primes: list[int]) -> list:
     """Determinant mod primes[q] of matrix js[q], for every lane q, from its
     entries vals[js[q]] at the band places of ``_band_form`` (all within w
-    of the diagonal), by block elimination without row swaps: the 2 x 2
-    pivot block of rows k, k + 1 (k = 0, 2, 4, ...) updates rows and
-    columns k + 2..reach[k + 1] <= k + 1 + w, and an odd n ends on one
+    of the diagonal), by block elimination without row swaps or division:
+    the 2 x 2 pivot block of rows k, k + 1 (k = 0, 2, 4, ...) updates rows
+    and columns k + 2..reach[k + 1] <= k + 1 + w, and an odd n ends on one
     single pivot.  None for a lane whose pivot block vanished with rows
     still to update.  Only span >= w + 2 band rows are held at a time."""
     n = len(reach)
     ps = np.array(primes, dtype=np.int64)
+    pu = ps.astype(np.uint64)
     js = np.array(js)
     width = 2 * w + 2
-    # buf[i, j - r + w] = A[r, j] mod p for the held row r = base + i, below
-    # 2^31, for j - r in -w..w + 1; products are formed in int64.  Column
-    # 2w + 1 is never written, so it reads as 0 both as A[r, r + w + 1] and,
-    # one row down through the stride, as A[r + 1, r - w].  Rows past n - 1
-    # are held as zeros, so every pair's window, w + 2 rows deep, fits.
-    buf = np.zeros((span, width, ps.size), dtype=np.int32)
+    # buf[i, j - r + w] = A[r, j] mod p for the held row r = base + i, times
+    # sig[i] in the columns j <= edge; products are formed in uint64.
+    # Column 2w + 1 is never written, so it reads as 0 both as A[r, r + w +
+    # 1] and, one row down through the stride, as A[r + 1, r - w].  Rows
+    # past n - 1 are held as zeros, so every pair's window, w + 2 rows
+    # deep, fits.
+    buf = np.zeros((span, width, ps.size), dtype=np.uint32)
+    sig = np.ones((span, ps.size), dtype=np.uint64)
     flat = buf.reshape(span * width, ps.size)
     s0, s1, s2 = buf.strides
     # window[k - base, r, c] = A[k + r, k + c]: the block that pair k updates
@@ -163,18 +171,14 @@ def _det_band(w: int, span: int, reach: list[int], places: np.ndarray,
         flat[places[e0:e1] - base * width] = np.remainder(entered, ps,
                                                           out=entered)
 
-    base = 0
+    base, edge = 0, -1
     load(0, span)
-    det = np.ones_like(ps)
-    failed = np.zeros(ps.size, dtype=bool)
-    # Montgomery's trick over the lanes that share a prime: multiply their
-    # pivot determinants up a product tree, invert each root, multiply back
-    # down.  A vanished one (its lane has failed) enters the tree as 1, so
-    # no root is 0; with no shared prime the roots are the lanes themselves.
-    size, levels, roots, root_primes = _inverse_tree(primes)
-    if levels:
-        up = np.empty(size, dtype=np.int64)
-        down = np.empty_like(up)
+    # dets[m - 1]: the product of the pivot block determinants of the pairs
+    # that update m - 1 rows, and in dets[0] the last single pivot
+    dets = np.ones((w + 1, ps.size), dtype=np.uint64)
+    # uint64 temporaries: two of a pair's update, of m - 1 <= w rows, and
+    # one of a scaling, of r rows and m + 1 - r columns
+    scratch = np.empty((2, (w + 1) ** 2 * ps.size), dtype=np.uint64)
     for k in range(0, n, 2):
         if k + w + 2 > base + span:
             # slide: the rows from k on, fewer than w + 2 since the rows
@@ -182,51 +186,63 @@ def _det_band(w: int, span: int, reach: list[int], places: np.ndarray,
             keep = base + span - k
             buf[:keep] = buf[k - base:]
             buf[keep:] = 0
+            sig[:keep] = sig[k - base:]
+            sig[keep:] = 1
             base = k
             load(k + keep, k + span)
+        i = k - base
         if k == n - 1:
-            det = det * buf[k - base, w] % ps
+            dets[0] = dets[0] * buf[i, w] % pu
             break
         m = reach[k + 1] - k
-        block = window[k - base, :m + 1, :m + 1]
-        (a, b), (c, d) = block[:2, :2].astype(np.int64)
-        delta = (a * d - b * c) % ps
-        det = det * delta % ps
+        block = window[i, :m + 1, :m + 1]
+        if k <= edge < k + m:
+            # rows k..edge carry their factors up to column edge, and the
+            # rows past edge carry none: scale the columns the window adds
+            added = block[:edge - k + 1, edge - k + 1:]
+            t = scratch[0, :added.size].reshape(added.shape)
+            np.multiply(added, sig[i:edge - base + 1, None], out=t)
+            added[...] = np.remainder(t, pu, out=t)
+        edge = k + m
+        # h = B (-adj(P)) mod p, B the pair's first two columns and P its
+        # pivot block: -adj(P) = [[-d, b], [c, -a]] for P = [[a, b], [c,
+        # d]], so h[0] = (-det P, 0), and the rows below give G = -C adj(P),
+        # C the pair's columns below it.  delta = det P, in 1..p.
+        neg = block[1::-1, 1::-1].astype(np.uint64)
+        diag = neg.reshape(4, -1)[::3]
+        np.subtract(pu, diag, out=diag)
+        h = block[:, :1] * neg[:, 0] + block[:, 1:2] * neg[:, 1]
+        h %= pu
+        delta = pu - h[0, 0]
+        np.multiply(dets[m - 1], delta, out=dets[m - 1])
+        np.remainder(dets[m - 1], pu, out=dets[m - 1])
         if m == 1:
             continue  # rows k, k + 1 touch no later row
-        failed |= delta == 0
-        tops = delta
-        if levels:
-            np.maximum(delta, 1, out=up[:ps.size])
-            for lo, left, right, lp in levels:
-                np.remainder(up[left] * up[right], lp,
-                             out=up[lo:lo + lp.size])
-            tops = up[roots]
-        inv = np.array([pow(x, -1, p) if x else 0
-                        for x, p in zip(tops.tolist(), root_primes)],
-                       dtype=np.int64)
-        if levels:
-            down[roots] = inv
-            for lo, left, right, lp in reversed(levels):
-                node = down[lo:lo + lp.size]
-                down[left] = node * up[right] % lp
-                down[right] = node * up[left] % lp
-            inv = down[:ps.size]
-        # F = C adj(P) / delta, with C the pair's columns below it and
-        # adj(P) = [[d, -b], [-c, a]]
-        c0, c1 = block[2:, 0], block[2:, 1]
-        f0 = (c0 * d - c1 * c) % ps * inv % ps
-        f1 = (c1 * a - c0 * b) % ps * inv % ps
-        # rest -= F0 (x) R0 + F1 (x) R1, with R the pair's rows right of
-        # it.  Exact in int64 with one reduction: each product is at most
-        # (p - 1)^2 < 2^62, so two of them sum below 2^63 and rest minus
-        # that sum stays above -2^63.
+        # rest <- delta rest + G0 (x) R0 + G1 (x) R1, R the pair's rows
+        # right of it: each product is below p^2, so their sum is below
+        # 3 p^2 < 2^64.  The m - 1 rows updated gain the factor delta.
         rest = block[2:, 2:]
-        t = f0[:, None] * block[0, 2:]
-        t += f1[:, None] * block[1, 2:]
-        np.subtract(rest, t, out=t)
-        rest[...] = np.remainder(t, ps, out=t)
-    return [None if bad else d for bad, d in zip(failed.tolist(), det.tolist())]
+        t, u = scratch[:, :rest.size].reshape(2, *rest.shape)
+        np.multiply(rest, delta, out=t)
+        np.multiply(h[2:, :1], block[0, 2:], out=u)
+        t += u
+        np.multiply(h[2:, 1:], block[1, 2:], out=u)
+        t += u
+        rest[...] = np.remainder(t, pu, out=t)
+        scaled = sig[i + 2:i + m + 1]
+        np.multiply(scaled, delta, out=scaled)
+        np.remainder(scaled, pu, out=scaled)
+    # det = the product of the pivots over the factors their rows carry,
+    # which is each pair's delta once for every row it updated: dets[0] /
+    # prod_{m >= 3} dets[m - 1]^(m - 2), the divisor being the product of
+    # the suffix products of dets from m = 3
+    den = suffix = np.ones_like(pu)
+    for m in range(w + 1, 2, -1):
+        suffix = suffix * dets[m - 1] % pu
+        den = den * suffix % pu
+    failed = (dets[1:] == 0).any(axis=0)
+    return [None if bad else x * pow(y, -1, p) % p for bad, x, y, p
+            in zip(failed.tolist(), dets[0].tolist(), den.tolist(), primes)]
 
 
 def _det_swaps(n: int, w: int, places: np.ndarray, vals: np.ndarray,
@@ -256,39 +272,6 @@ def _det_swaps(n: int, w: int, places: np.ndarray, vals: np.ndarray,
         f = win[1:, 0] * pow(int(win[0, 0]), -1, p) % p
         win[1:] = (win[1:] - f[:, None] * win[0]) % p
     return det
-
-
-def _inverse_tree(primes: list[int]) -> tuple:
-    """Shape of the product trees over the lanes that share each prime, one
-    tree per distinct prime: (node count, levels, roots, root primes).
-
-    Nodes are numbered from the lanes 0..len(primes) - 1 up.  A level is
-    (lo, left, right, level primes): node lo + i is the product of nodes
-    left[i] and right[i] of prime lp[i], so a level's nodes come after
-    their children.  With no repeated prime there is no level and the roots
-    are the lanes, in order."""
-    nodes: dict[int, list[int]] = {}
-    for q, p in enumerate(primes):
-        nodes.setdefault(p, []).append(q)
-    size, levels = len(primes), []
-    while True:
-        left: list[int] = []
-        right: list[int] = []
-        lp: list[int] = []
-        for p, group in nodes.items():
-            pairs, first = len(group) // 2, size + len(left)
-            # an odd node out waits, unchanged, for a later level
-            nodes[p] = list(range(first, first + pairs)) + group[2 * pairs:]
-            left += group[0:2 * pairs:2]
-            right += group[1:2 * pairs:2]
-            lp += [p] * pairs
-        if not left:
-            break
-        levels.append((size, np.array(left), np.array(right),
-                       np.array(lp, dtype=np.int64)))
-        size += len(left)
-    roots = [group[0] for group in nodes.values()]
-    return size, levels, np.array(roots), list(nodes)
 
 
 def _row_norms(n: int, rows: np.ndarray, vals: np.ndarray) -> tuple | None:
@@ -344,16 +327,16 @@ def det_residues(n: int, rows: np.ndarray, cols: np.ndarray,
     if n == 0:
         return [[1] * len(primes) for _ in range(k)]
     w, reach, places, bvals = _band_form(n, rows, cols, vals)
-    # prime-major lanes: a chunk of lanes shares few primes, so its pivots
-    # take few inverses
+    # lane q: matrix q mod k, prime q // k
     lanes = [(j, p) for p in primes for j in range(k)]
     # A buffer of 2 (w + 2) rows, the fewest for which a slide moves fewer
     # rows than it enters (under w + 2 against over w + 2), once per
     # (w + 3) / 2 pivot pairs or more; n + w + 1 rows, padding included,
     # hold the whole band and never slide.  A lane's working set is its
-    # buffer plus the two int64 temporaries of a pair's trailing update.
+    # buffer, the uint64 factors of its rows and the two uint64 temporaries
+    # of a pair's trailing update.
     span = min(n + w + 1, 2 * (w + 2))
-    lane_bytes = span * (2 * w + 2) * 4 + 2 * 8 * (w + 1) ** 2
+    lane_bytes = span * ((2 * w + 2) * 4 + 8) + 2 * 8 * (w + 1) ** 2
     chunks = -(-len(lanes) // max(1, BAND_BYTES_CAP // lane_bytes))
     chunk = -(-len(lanes) // chunks)
     out = []

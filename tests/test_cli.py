@@ -726,8 +726,9 @@ def test_each_command_refuses_the_flags_it_does_not_read(
 ROOT = Path(__file__).resolve().parents[1]
 
 # what tower and kappa never load: numpy, serre, and dataclasses with the
-# inspect it imports
-UNUSED_BY_TOWER = ("numpy", "dataclasses", "inspect", "graph_iwasawa.serre")
+# inspect it imports; and json, but for their json output
+UNUSED_BY_TOWER = ("numpy", "dataclasses", "inspect", "graph_iwasawa.serre",
+                   "json")
 
 # the console script's entry, then those of UNUSED_BY_TOWER it loaded
 NUMPY_PROBE = ("import sys; from graph_iwasawa.cli import main; "
@@ -752,8 +753,10 @@ def _python(*argv):
     ("kappa", "-l", "3", "-a", "1,4,20", "-n", "3", "--format", "json"),
 ], ids=["tower-text", "tower-json", "tower-csv", "kappa-text", "kappa-json"])
 def test_tower_and_kappa_never_import_numpy(capsys, argv):
+    # json only for the json output
+    loaded = ["json"] if "json" in argv else []
     proc = _python("-c", NUMPY_PROBE, *argv)
-    assert (proc.returncode, proc.stderr) == (0, "[]\n")
+    assert (proc.returncode, proc.stderr) == (0, f"{loaded}\n")
     code, out, _ = run(capsys, *argv)
     assert (code, out) == (0, proc.stdout)
 

@@ -222,9 +222,9 @@ def test_det_crt_split_pivot_block_that_vanishes(monkeypatch, fallbacks,
 @pytest.mark.parametrize("n", [5, 6, 12])
 def test_det_crt_worst_case_residues(fallbacks, n):
     # 3I - J mod p0, the largest CRT prime 2 147 483 629: every
-    # off-diagonal residue is p0 - 1, and the first pivot block [[2, -1],
-    # [-1, 2]] gives F = (-1, -1), so both products of the first update are
-    # (p0 - 1)^2 on every entry
+    # off-diagonal residue is p0 - 1, and the first pivot block P = [[2,
+    # -1], [-1, 2]] has -adj(P) = [[-2, -1], [-1, -2]], so the two products
+    # of each entry of -C adj(P) are (p0 - 1)(p0 - 2) and (p0 - 1)^2
     assert linalg.crt_primes(1)[0] == 2147483629
     m = 3 * np.eye(n, dtype=np.int64) - 1
     assert _det_crt(m) == det_bareiss(m.tolist()) == 3 ** (n - 1) * (3 - n)
@@ -353,15 +353,16 @@ def _scaled_paths():
 def test_det_stack_falls_back_for_one_matrix_and_prime(monkeypatch,
                                                         fallbacks):
     # only matrix 1's first pivot block (rows 0 and 1, where Cuthill-McKee
-    # starts), [[1, -10^3], [-10^3, p0 + 10^6]], vanishes mod p0, inside
-    # the product tree that inverts all three lanes of p0 together
+    # starts), [[1, -10^3], [-10^3, p0 + 10^6]], vanishes mod p0, beside
+    # the two other lanes of p0
     p0 = linalg.crt_primes(1)[0]
     stack = _scaled_paths()
     stack[1, 0, 0], stack[1, 1, 1] = 1, p0 + 10 ** 6
     inverses = _spy_inverses(monkeypatch)
     assert _det_stack(stack) == [det_bareiss(m.tolist()) for m in stack]
     assert fallbacks == [(1, p0)]
-    assert len(inverses) == 1  # one chunk: the lanes of p0 share one tree
+    [(pairs, lanes, distinct, taken)] = inverses  # one chunk
+    assert taken <= lanes - 1  # none for the failed lane
 
 
 def test_det_stack_zero_scalar_pivot_needs_no_fallback(monkeypatch,
@@ -400,25 +401,30 @@ def test_det_stack_singular_node_at_u_equal_1():
     assert dets == [det_bareiss(m.tolist()) for m in stack]
 
 
-def test_pencil_stack_takes_one_inverse_per_prime_and_pivot_pair(monkeypatch):
+def test_pencil_stack_takes_at_most_one_inverse_per_lane(monkeypatch,
+                                                         fallbacks):
+    # the pencil's node matrices share each prime, and each lane that did
+    # not fail takes one inverse, at the end of the call: none is taken at
+    # a pivot pair
     cover = derived_cover(cayley_serre(2 ** 4, (3, 5)))
     inverses = _spy_inverses(monkeypatch)
     zeta.ihara_h(cover)
-    assert inverses
-    for pairs, lanes, distinct, taken in inverses:
-        assert distinct < lanes
-        assert taken <= pairs * distinct
+    [(pairs, lanes, distinct, taken)] = inverses
+    assert distinct < lanes
+    assert taken == lanes - len(fallbacks)
 
 
-def test_det_crt_takes_one_inverse_per_lane_and_pivot_pair(monkeypatch):
-    # one matrix: no prime repeats, so no product tree and no saving
-    cover = derived_cover(cayley_serre(2 ** 9, (3, 5)))
+def test_det_crt_takes_at_most_one_inverse_per_lane(monkeypatch, fallbacks):
+    # the 1024-vertex l = 2, a = (1, 1) count: one matrix on 43 primes, and
+    # 511 pivot pairs that update rows
+    spec, n = TowerSpec(2, (1, 1)), 10
+    cover = derived_cover(cayley_serre(2 ** n, spec.generators))
     inverses = _spy_inverses(monkeypatch)
-    assert spanning_tree_count(cover) == kappa_exact(TowerSpec(2, (3, 5)), 9)
-    assert inverses
-    for pairs, lanes, distinct, taken in inverses:
-        assert distinct == lanes
-        assert taken == pairs * lanes
+    assert spanning_tree_count(cover) == kappa_exact(spec, n)
+    assert fallbacks == []
+    [(pairs, lanes, distinct, taken)] = inverses
+    assert (pairs, lanes, distinct) == (511, 43, 43)
+    assert taken == lanes
 
 
 @st.composite
@@ -537,7 +543,119 @@ def test_det_stack_falls_back_after_a_slide(monkeypatch, fallbacks):
     [(w, span, lanes)] = calls
     assert w == 1 and 20 + w + 2 > span  # pair 20 runs after a slide
     [(pairs, lanes, distinct, taken)] = inverses
-    assert taken <= pairs * distinct
+    assert taken <= lanes - 1  # none for the failed lane
+
+
+@st.composite
+def envelopes(draw):
+    """(w, reach, matrices): k <= 3 matrices of size n, odd or even, whose
+    nonzeros lie in the symmetric envelope reach, in the order the kernel
+    eliminates: (r, c) with max(r, c) <= reach[min(r, c)].  Between pivot
+    pairs reach grows by 0 to w columns (at least to the diagonal, at most
+    to the band of half-width w), so a pair's window adds columns to rows
+    that earlier pairs have scaled, by uneven steps.  n > 2 (w + 2), so the
+    kernel's buffer of 2 (w + 2) rows slides.  The steps and values come
+    from one drawn Random, so that every example differs."""
+    w = draw(st.integers(1, 5))
+    k, n = draw(st.integers(1, 3)), draw(st.integers(2 * w + 5, 2 * w + 14))
+    rng = draw(st.randoms(use_true_random=False))
+    reach = []
+    for r in range(0, n, 2):
+        # rows r, r + 1: reach[r + 1] is the edge of pair r's window
+        lo = reach[-1] if reach else 0
+        edge = min(r + 1 + w, max(r + 1, lo + rng.randint(0, w)))
+        reach += [rng.randint(max(r, lo), min(edge, r + w)), edge]
+    reach = [min(r, n - 1) for r in reach[:n]]
+    inside = np.array([[max(r, c) <= reach[min(r, c)] for c in range(n)]
+                       for r in range(n)])
+    mats = np.array([[[rng.randint(-9, 9) for _ in range(n)]
+                      for _ in range(n)] for _ in range(k)]) * inside
+    return w, reach, mats
+
+
+@given(envelopes())
+@settings(max_examples=60, phases=NO_SHRINK)
+def test_row_factors_follow_an_uneven_reach(case):
+    # the kernel alone, on the band places of the envelope in its own
+    # order, on two 31-bit primes and 7, where pivot blocks often vanish:
+    # every lane that does not fail is det mod p
+    w, reach, mats = case
+    k, n = len(mats), mats.shape[1]
+    rows, cols = np.nonzero(np.ones((n, n), dtype=bool))
+    keep = np.maximum(rows, cols) <= np.array(reach)[np.minimum(rows, cols)]
+    rows, cols = rows[keep], cols[keep]
+    places = rows * (2 * w + 1) + cols + w  # row by row, so sorted
+    span = min(n + w + 1, 2 * (w + 2))
+    assert span < n  # the buffer slides
+    primes = linalg.crt_primes(2) + [7]
+    js, ps = zip(*[(j, p) for p in primes for j in range(k)])
+    got = linalg._det_band(w, span, reach, places, mats[:, rows, cols],
+                           list(js), list(ps))
+    dets = [det_bareiss(m.tolist()) for m in mats]
+    for j, p, residue in zip(js, ps, got):
+        assert residue is None or residue == dets[j] % p
+
+
+def test_band_update_at_its_largest_products():
+    # the kernel alone, in the natural order, on a dense matrix whose first
+    # pivot block is P = [[1, 0], [0, -1]]: delta = p0 - 1 mod p0, and the
+    # columns C = (-1, 1) below P give -C adj(P) = (p0 - 1, p0 - 1).  The
+    # rest is -1 off the diagonal, so there each of the three products of
+    # the first update is (p0 - 1)^2, and their sum passes 2^63
+    p0 = linalg.crt_primes(1)[0]
+    assert 3 * (p0 - 1) ** 2 >= 1 << 63
+    n = w = 7
+    m = -np.ones((n, n), dtype=np.int64)
+    m[:2, :2] = [[1, 0], [0, -1]]
+    m[2:, :2] = [-1, 1]
+    m[range(2, n), range(2, n)] = range(2, n)
+    rows, cols = np.nonzero(np.ones((n, n), dtype=bool))
+    places = rows * (2 * w + 1) + cols + w  # row by row, so sorted
+    got = linalg._det_band(w, n + w + 1, [n - 1] * n, places,
+                           m[rows, cols][None], [0], [p0])
+    assert got == [det_bareiss(m.tolist()) % p0]
+
+
+def test_pivot_block_vanishes_after_rows_are_scaled(fallbacks):
+    # a pentadiagonal matrix, which Cuthill-McKee leaves in its order: each
+    # pivot pair updates the two rows below it, so rows 20 and 21 have been
+    # scaled before their own pivot block.  Over the rationals that block's
+    # determinant is D_22 / D_20, D_i the leading minors, and m[21, 21] is
+    # chosen so that D_22 = 0 mod p0: the lane of p0 ends in the pivoting
+    # fallback, which must give det mod p0 from the unscaled entries
+    p0 = linalg.crt_primes(1)[0]
+    n = 40
+    m = sum(c * np.eye(n, k=d, dtype=np.int64)
+            for d, c in ((-2, -2), (-1, -1), (0, 7), (1, -1), (2, -3)))
+    rows, cols = np.nonzero(m)
+    assert linalg._cuthill_mckee(rows, cols, n) == list(range(n))
+    lead = [det_bareiss(m[:i, :i].tolist()) for i in range(23)]
+    assert all(d % p0 for d in lead[2:21:2]) and lead[21] % p0
+    m[21, 21] = 0
+    base = det_bareiss(m[:22, :22].tolist())
+    m[21, 21] = -base * pow(lead[21], -1, p0) % p0
+    assert det_bareiss(m[:22, :22].tolist()) % p0 == 0
+    det = det_bareiss(m.tolist())
+    primes = linalg._primes_above(2 * _hadamard_bound(m) + 1)
+    got = linalg.det_residues(n, rows, cols, m[rows, cols][None], primes)
+    assert got == [[det % p for p in primes]]
+    assert fallbacks == [(0, p0)]
+    assert _det_crt(m) == det
+
+
+def test_one_lane_per_chunk(monkeypatch, fallbacks):
+    # at a cap below one lane's working set every chunk holds one lane,
+    # with its own buffer, row factors and inverse
+    p0 = linalg.crt_primes(1)[0]
+    stack = _scaled_paths()
+    stack[1, 0, 0], stack[1, 1, 1] = 1, p0 + 10 ** 6
+    monkeypatch.setattr(linalg, "BAND_BYTES_CAP", 1)
+    inverses = _spy_inverses(monkeypatch)
+    dets, total, calls = _sliding_dets(stack, _band_mask(50, 1), monkeypatch)
+    assert dets == [det_bareiss(m.tolist()) for m in stack]
+    assert fallbacks == [(1, p0)]
+    assert len(calls) == total and all(lanes == 1 for *_, lanes in calls)
+    assert [taken for *_, taken in inverses].count(0) == 1
 
 
 def test_det_crt_zero_leading_minor_falls_back_on_every_prime(fallbacks):
