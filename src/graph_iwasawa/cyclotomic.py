@@ -4,9 +4,9 @@ at the prime above l.
 Elements of Z[y]/Phi(y), with Phi the (l^i)-th cyclotomic polynomial, are
 stored as canonical coefficient vectors of length phi(l^i):
 ``cyc_from_poly`` reduces any integer polynomial to one.  The module keeps
-no ring arithmetic: the towers need only the building blocks
-eps(a) = (1 - zeta^a)(1 - zeta^(-a)), which ``epsilon`` constructs
-canonically, and the valuation ``ord_L``.
+no ring arithmetic: the towers need only ``cyc_from_poly``, applied to the
+jump polynomial, and the valuation ``ord_L``.  ``epsilon`` builds
+eps(a) = (1 - zeta^a)(1 - zeta^(-a)) canonically; the towers never call it.
 
 ``ord_L`` takes no norm: the prime above l is pi = 1 - zeta, unique and
 totally ramified, and the valuation there is read off by dividing out l
@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 
 from . import polys
-from ._records import FrozenRecord
+from ._records import Record
 
 INFINITY = math.inf
 
@@ -62,7 +62,7 @@ def euler_phi_prime_power(ell: int, i: int) -> int:
     return ell ** i - ell ** (i - 1)
 
 
-class CycElem(FrozenRecord):
+class CycElem(Record):
     """Canonical residue in Z[y]/Phi_{l^i}(y); coeffs has length phi(l^i)."""
 
     __slots__ = ("ell", "level", "coeffs")

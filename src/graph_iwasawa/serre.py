@@ -18,6 +18,8 @@ loads neither.
 
 from __future__ import annotations
 
+from ._records import json_int
+
 # Graphs beyond this many vertices are refused by the matrix-tree count
 # and by the voltage-graph checks built on it.
 DEFAULT_VERTEX_CAP = 1 << 15
@@ -266,9 +268,8 @@ def multigraph_to_json(x: Multigraph) -> dict:
 
 def multigraph_from_json(data: dict) -> Multigraph:
     try:
-        # via str: int() would truncate a float and take a bool as 0 or 1
-        n = int(str(data["vertices"]))
-        pairs = [(int(str(rec["u"])), int(str(rec["v"])))
+        n = json_int(data["vertices"])
+        pairs = [(json_int(rec["u"]), json_int(rec["v"]))
                  for rec in data["edges"]]
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed multigraph JSON: {exc!r}") from exc

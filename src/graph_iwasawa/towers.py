@@ -39,7 +39,7 @@ import math
 import operator
 
 from . import cyclotomic, polys
-from ._records import FrozenRecord, Record
+from ._records import Record, json_int
 from .cyclotomic import INFINITY, ord_int
 
 
@@ -53,7 +53,7 @@ def _integer(value, what: str) -> int:
     raise ValueError(f"{what} {value!r} is not an integer")
 
 
-class TowerSpec(FrozenRecord):
+class TowerSpec(Record):
     """Prime l and integer loop jumps defining the tower."""
 
     __slots__ = ("ell", "generators")
@@ -183,11 +183,10 @@ def level_valuation(spec: TowerSpec, i: int):
 
 
 def _jump_poly(spec: TowerSpec) -> list[int]:
-    # y**B * sum_j (2 - y**b_j - y**(-b_j)), B = max |a_j|
+    # y**B * sum_j (2 - y**b_j - y**(-b_j)), B = max |a_j| >= 1: a spec
+    # has a generator prime to l
     bs = spec.magnitudes
     big = max(bs)
-    if big == 0:
-        raise ValueError("all generators are zero")
     f = [0] * (2 * big + 1)
     for b in bs:
         f[big] += 2
@@ -328,7 +327,7 @@ def ord_kappa(spec: TowerSpec, n: int) -> int:
     return _tower(spec).ords(n)[n]
 
 
-class IwasawaInvariants(FrozenRecord):
+class IwasawaInvariants(Record):
     __slots__ = ("mu", "lam", "nu", "n0_certified", "n0_observed",
                  "cycle_case")
 
@@ -392,26 +391,25 @@ def verify_bounds(spec: TowerSpec, n_max: int) -> BoundsReport:
         raise ValueError("n_max must be >= 1")
     ell, q, t = spec.ell, spec.q, spec.t
     kappas = [kappa_exact(spec, n) for n in range(n_max + 2)]
-    rpt = BoundsReport(spec=spec, n_max=n_max, upper_bound_ok=True,
-                       lower_bound_ok=True, divisibility_ok=True,
-                       mu_bound_ok=True)
+    upper_ok = lower_ok = divisibility_ok = True
+    failures = []
     for n in range(n_max + 1):
         lhs = 4 * (t - 1) * (q + 1) * ell ** n * kappas[n]
         rhs = (q - 1) * (2 * (q + 1)) ** (ell ** n)
         if lhs > rhs:
-            rpt.upper_bound_ok = False
-            rpt.failures.append(f"upper bound fails at n={n}")
+            upper_ok = False
+            failures.append(f"upper bound fails at n={n}")
         if ord_int(kappas[n], ell) < n:
-            rpt.lower_bound_ok = False
-            rpt.failures.append(f"ord_l(kappa_{n}) < {n}")
+            lower_ok = False
+            failures.append(f"ord_l(kappa_{n}) < {n}")
         if kappas[n + 1] % kappas[n] != 0:
-            rpt.divisibility_ok = False
-            rpt.failures.append(f"kappa_{n} does not divide kappa_{n + 1}")
-    inv = invariants(spec)
-    if ell ** inv.mu > 2 * (q + 1):
-        rpt.mu_bound_ok = False
-        rpt.failures.append("mu exceeds log_l(2(q+1))")
-    return rpt
+            divisibility_ok = False
+            failures.append(f"kappa_{n} does not divide kappa_{n + 1}")
+    mu_ok = ell ** invariants(spec).mu <= 2 * (q + 1)
+    if not mu_ok:
+        failures.append("mu exceeds log_l(2(q+1))")
+    return BoundsReport(spec, n_max, upper_ok, lower_ok, divisibility_ok,
+                        mu_ok, failures)
 
 
 # ---------------------------------------------------------------------------
@@ -509,16 +507,11 @@ def report_to_json(report: TowerReport) -> dict:
     }
 
 
-def _json_int(value) -> int:
-    # via str: int() would truncate a float and take a bool as 0 or 1
-    return int(str(value))
-
-
 def _json_ints(value) -> list[int]:
     # a string would be read digit by digit
     if not isinstance(value, list):
         raise ValueError(f"{value!r} is not a JSON array")
-    return [_json_int(v) for v in value]
+    return [json_int(v) for v in value]
 
 
 def _json_flag(value) -> bool:
@@ -530,26 +523,26 @@ def _json_flag(value) -> bool:
 @polys.unlimited_digits()
 def report_from_json(data: dict) -> TowerReport:
     try:
-        spec = TowerSpec(_json_int(data["prime"]),
+        spec = TowerSpec(json_int(data["prime"]),
                          _json_ints(data["generators"]))
         raw = data["invariants"]
         inv = IwasawaInvariants(
-            mu=_json_int(raw["mu"]), lam=_json_int(raw["lambda"]),
-            nu=_json_int(raw["nu"]),
-            n0_certified=_json_int(raw["n0_certified"]),
-            n0_observed=_json_int(raw["n0_observed"]),
+            mu=json_int(raw["mu"]), lam=json_int(raw["lambda"]),
+            nu=json_int(raw["nu"]),
+            n0_certified=json_int(raw["n0_certified"]),
+            n0_observed=json_int(raw["n0_observed"]),
             cycle_case=_json_flag(data["cycle_case"]))
         levels = [
             LevelRecord(
-                n=_json_int(rec["n"]), kappa=_json_int(rec["kappa"]),
-                ord_kappa=_json_int(rec["ord_kappa"]),
-                v=None if rec["v"] is None else _json_int(rec["v"]),
-                norm=None if rec["N"] is None else _json_int(rec["N"]),
+                n=json_int(rec["n"]), kappa=json_int(rec["kappa"]),
+                ord_kappa=json_int(rec["ord_kappa"]),
+                v=None if rec["v"] is None else json_int(rec["v"]),
+                norm=None if rec["N"] is None else json_int(rec["N"]),
                 fit=_json_flag(rec["fit"]))
             for rec in data["levels"]
         ]
         return TowerReport(
-            spec=spec, n_max=_json_int(data["n_max"]),
+            spec=spec, n_max=json_int(data["n_max"]),
             q_coeffs=_json_ints(data["q_poly"]),
             invariants=inv, levels=levels,
             consistency_ok=_json_flag(data["consistency_ok"]),

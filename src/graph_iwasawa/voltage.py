@@ -28,36 +28,37 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import linalg, polys, serre, zeta
+from ._records import Record, json_int
 from .serre import DisconnectedGraphError, Multigraph
 
 
-@dataclass
-class VoltageGraph:
-    """Base multigraph plus a residue mod m on every directed edge."""
-    base: Multigraph
-    modulus: int
-    voltage: list
+class VoltageGraph(Record):
+    """Base multigraph plus a residue mod m on every directed edge, checked
+    when built and kept as a tuple.  The base is a ``Multigraph``, which
+    stays mutable and is not copied: it must not be edited once the
+    voltage graph is built."""
 
-    def __post_init__(self):
-        if self.modulus < 1:
+    __slots__ = ("base", "modulus", "voltage")
+
+    def __init__(self, base: Multigraph, modulus: int, voltage):
+        if modulus < 1:
             raise ValueError("modulus must be >= 1")
-        self.voltage = [v % self.modulus for v in self.voltage]
-        if len(self.voltage) != self.base.num_directed_edges:
+        voltage = tuple(v % modulus for v in voltage)
+        if len(voltage) != base.num_directed_edges:
             raise ValueError("one voltage per directed edge required")
-        problems = serre.validate_serre(self.base)
+        problems = serre.validate_serre(base)
         # an inverse out of range is a problem validate_serre names
-        for e, (s, ie) in enumerate(zip(self.voltage, self.base.inverse)):
-            if ie in range(len(self.voltage)) and \
-                    self.voltage[ie] != -s % self.modulus:
+        for e, (s, ie) in enumerate(zip(voltage, base.inverse)):
+            if ie in range(len(voltage)) and voltage[ie] != -s % modulus:
                 problems.append(
                     f"edge {e}: voltage not antisymmetric under inversion")
         if problems:
             raise ValueError("invalid voltage graph: " + "; ".join(problems))
+        self._set(base, modulus, voltage)
 
 
 def voltage_graph(base: Multigraph, modulus: int,
@@ -159,12 +160,12 @@ def orbit_h_poly(vg: VoltageGraph, d: int) -> list[int]:
     return zeta.pencil_det(*_orbit_pencil(vg, d))
 
 
-@dataclass
-class ProductFormulaReport:
-    ok: bool
-    cover_h: list
-    orbit_product: list
-    orbit_factors: dict
+class ProductFormulaReport(Record):
+    __slots__ = ("ok", "cover_h", "orbit_product", "orbit_factors")
+
+    def __init__(self, ok: bool, cover_h: list, orbit_product: list,
+                 orbit_factors: dict):
+        self._set(ok, cover_h, orbit_product, orbit_factors)
 
 
 def verify_product_formula(vg: VoltageGraph) -> ProductFormulaReport:
@@ -176,13 +177,13 @@ def verify_product_formula(vg: VoltageGraph) -> ProductFormulaReport:
                                 orbit_product=rhs, orbit_factors=factors)
 
 
-@dataclass
-class DecompositionReport:
-    ok: bool
-    modulus: int
-    kappa_cover: int
-    kappa_base: int
-    orbit_values: dict
+class DecompositionReport(Record):
+    __slots__ = ("ok", "modulus", "kappa_cover", "kappa_base",
+                 "orbit_values")
+
+    def __init__(self, ok: bool, modulus: int, kappa_cover: int,
+                 kappa_base: int, orbit_values: dict):
+        self._set(ok, modulus, kappa_cover, kappa_base, orbit_values)
 
 
 def verify_integer_decomposition(
@@ -230,10 +231,9 @@ def voltage_to_json(vg: VoltageGraph) -> dict:
 
 def voltage_from_json(data: dict) -> VoltageGraph:
     try:
-        # via str: int() would truncate a float and take a bool as 0 or 1
-        m = int(str(data["m"]))
-        recs = [(int(str(rec["u"])), int(str(rec["v"])),
-                 int(str(rec["voltage"]))) for rec in data["edges"]]
+        m = json_int(data["m"])
+        recs = [(json_int(rec["u"]), json_int(rec["v"]),
+                 json_int(rec["voltage"])) for rec in data["edges"]]
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed voltage JSON: {exc!r}") from exc
     if m < 1:

@@ -26,11 +26,10 @@ spanning-tree count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import linalg, polys, serre
+from ._records import Record
 from .serre import Multigraph
 
 
@@ -156,12 +155,12 @@ def ihara_Z(x: Multigraph) -> tuple[int, list[int]]:
     return -serre.euler_characteristic(x), ihara_h(x)
 
 
-@dataclass(frozen=True)
-class SpecialValues:
-    h_at_1: int
-    dh_at_1: int
-    d2h_at_1: int
-    kappa_implied: int | None
+class SpecialValues(Record):
+    __slots__ = ("h_at_1", "dh_at_1", "d2h_at_1", "kappa_implied")
+
+    def __init__(self, h_at_1: int, dh_at_1: int, d2h_at_1: int,
+                 kappa_implied: int | None):
+        self._set(h_at_1, dh_at_1, d2h_at_1, kappa_implied)
 
 
 def special_values(h: list[int], x: Multigraph) -> SpecialValues:

@@ -268,7 +268,7 @@ def test_a_voltage_graph_validates_its_voltages():
     with pytest.raises(ValueError, match="antisymmetric"):
         VoltageGraph(bouquet(2), 4, [1, 2, 1, 3])
     # even voltages build: the counts of the cover refuse it (above)
-    assert VoltageGraph(bouquet(2), 4, [2, 2, 2, 2]).voltage == [2, 2, 2, 2]
+    assert VoltageGraph(bouquet(2), 4, [2, 2, 2, 2]).voltage == (2, 2, 2, 2)
 
 
 def test_a_voltage_graph_names_an_inverse_out_of_range():
