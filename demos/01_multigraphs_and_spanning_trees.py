@@ -32,9 +32,7 @@ print("spanning trees:", spanning_tree_count(b2))
 
 print()
 print("== two vertices joined by four parallel edges ==")
-x1 = Multigraph(2)
-for _ in range(4):
-    x1.add_edge(0, 1)
+x1 = Multigraph(2, [(0, 1)] * 4)
 print("adjacency:", adjacency_matrix(x1))
 print("spanning trees:", spanning_tree_count(x1), "(one per connecting edge)")
 

@@ -49,6 +49,16 @@ class Record:
         return self.__class__, self._fields
 
 
+def integer(value, what: str) -> int:
+    # an int or a numpy integer; never a bool, and no float or str is read
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{what} {value!r} is not an integer")
+
+
 def json_int(value) -> int:
     # via str: int() would truncate a float and take a bool as 0 or 1
     return int(str(value))

@@ -239,8 +239,10 @@ def cmd_cover_verify(args) -> int:
 
     cap = _vertex_cap(args)
     with open(args.voltage_file, encoding="utf-8") as fh:
-        vg = voltage.voltage_from_json(json.load(fh))
-    _cap("derived cover", vg.base.num_vertices * vg.modulus, cap)
+        base, m, volts = voltage._read_voltage_json(json.load(fh))
+    # before the base's checks, which take time and memory per vertex
+    _cap("derived cover", base.num_vertices * m, cap)
+    vg = voltage.voltage_graph(base, m, volts)
     try:  # the base is valid, so only the cover's connectivity can fail
         product = voltage.verify_product_formula(vg)
     except serre.DisconnectedGraphError:

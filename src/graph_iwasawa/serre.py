@@ -2,9 +2,11 @@
 
 A multigraph is a set of directed edges together with a fixed-point-free
 inversion pairing each directed edge with its reverse.  Loops and parallel
-edges are allowed; an undirected edge is an orbit {e, inverse(e)}.  All
-graphs handled here are expected to be finite, connected, and free of
-degree-one vertices; ``validate_serre`` reports every violation.
+edges are allowed; an undirected edge is an orbit {e, inverse(e)}.  A
+``Multigraph`` is a frozen record of its undirected edges, so the inversion
+axioms hold by construction.  All graphs handled here are expected to be
+finite, connected, and free of degree-one vertices; ``validate_serre``
+reports every violation of those two.
 
 Every matrix of a graph is built from one sparse pattern of its edge
 arrays (``_edge_pattern``): the adjacency matrix on its distinct positions
@@ -18,7 +20,9 @@ loads neither.
 
 from __future__ import annotations
 
-from ._records import json_int
+from itertools import chain
+
+from ._records import Record, integer, json_int
 
 # Graphs beyond this many vertices are refused by the matrix-tree count
 # and by the voltage-graph checks built on it.
@@ -29,52 +33,56 @@ class DisconnectedGraphError(ValueError):
     """The operation requires a connected multigraph."""
 
 
-class Multigraph:
+class Multigraph(Record):
     """Serre-form multigraph with dense 0-based vertex and edge ids.
 
-    Directed edges are stored as parallel arrays ``origin``, ``terminus``,
-    ``inverse``.  Use ``add_edge``/``add_loop`` to build; both synthesize
-    the directed pair.  Treat instances as frozen once built.
+    ``edges`` holds the undirected edges as (u, v) pairs.  Pair i is the
+    directed edge 2i from u to v and 2i + 1 from v to u, so the inverse of
+    directed edge e is e ^ 1: the inversion has no fixed point, is an
+    involution and swaps the ends of every edge by construction.  The
+    directed arrays ``origin``, ``terminus`` and ``inverse`` are derived.
     """
 
-    __slots__ = ("num_vertices", "origin", "terminus", "inverse")
+    __slots__ = ("num_vertices", "edges")
 
-    def __init__(self, num_vertices: int):
-        if num_vertices < 1:
+    def __init__(self, num_vertices: int, edges=()):
+        n = integer(num_vertices, "vertex count")
+        if n < 1:
             raise ValueError("a multigraph needs at least one vertex")
-        self.num_vertices = num_vertices
-        self.origin: list[int] = []
-        self.terminus: list[int] = []
-        self.inverse: list[int] = []
-
-    def add_edge(self, u: int, v: int) -> tuple[int, int]:
-        """Add an undirected edge between u and v; returns the directed pair."""
-        if not (0 <= u < self.num_vertices and 0 <= v < self.num_vertices):
+        edges = tuple((integer(u, "vertex"), integer(v, "vertex"))
+                      for u, v in edges)
+        ends = list(chain.from_iterable(edges))
+        if ends and not 0 <= min(ends) <= max(ends) < n:
             raise ValueError("vertex id out of range")
-        e = len(self.origin)
-        self.origin += [u, v]
-        self.terminus += [v, u]
-        self.inverse += [e + 1, e]
-        return e, e + 1
+        self._set(n, edges)
 
-    def add_loop(self, v: int) -> tuple[int, int]:
-        return self.add_edge(v, v)
+    @property
+    def origin(self) -> tuple:
+        return tuple(chain.from_iterable(self.edges))
+
+    @property
+    def terminus(self) -> tuple:
+        return tuple(w for u, v in self.edges for w in (v, u))
+
+    @property
+    def inverse(self) -> tuple:
+        return tuple(e ^ 1 for e in range(2 * len(self.edges)))
 
     @property
     def num_directed_edges(self) -> int:
-        return len(self.origin)
+        return 2 * len(self.edges)
 
     @property
     def num_undirected_edges(self) -> int:
-        return len(self.origin) // 2
+        return len(self.edges)
 
     def undirected_edges(self) -> list[int]:
         """Canonical representatives: the smaller id of each orbit."""
-        return [e for e in range(len(self.origin)) if e < self.inverse[e]]
+        return list(range(0, 2 * len(self.edges), 2))
 
     def valencies(self) -> list[int]:
         out = [0] * self.num_vertices
-        for o in self.origin:
+        for o in chain.from_iterable(self.edges):
             out[o] += 1
         return out
 
@@ -85,28 +93,20 @@ class Multigraph:
 
 def bouquet(t: int) -> Multigraph:
     """B_t: one vertex carrying t loops."""
-    g = Multigraph(1)
-    for _ in range(t):
-        g.add_loop(0)
-    return g
+    return Multigraph(1, [(0, 0)] * t)
 
 
 def cycle_graph(n: int) -> Multigraph:
     """C_n.  C_1 is a single loop and C_2 a doubled edge."""
-    g = Multigraph(n)
-    if n == 1:
-        g.add_loop(0)
-    else:
-        for v in range(n):
-            g.add_edge(v, (v + 1) % n)
-    return g
+    return Multigraph(n, [(v, (v + 1) % n) for v in range(n)])
 
 
 def _components(x: Multigraph) -> int:
     n = x.num_vertices
     adj: list[list[int]] = [[] for _ in range(n)]
-    for o, t in zip(x.origin, x.terminus):
-        adj[o].append(t)
+    for u, v in x.edges:
+        adj[u].append(v)
+        adj[v].append(u)
     seen = [False] * n
     comps = 0
     for s in range(n):
@@ -125,32 +125,11 @@ def _components(x: Multigraph) -> int:
 
 
 def validate_serre(x: Multigraph) -> list[str]:
-    """Every axiom violation, as human-readable strings; [] when valid."""
-    out = []
-    ne = len(x.origin)
-    if not (len(x.terminus) == len(x.inverse) == ne):
-        return ["edge arrays have inconsistent lengths"]
-    for e in range(ne):
-        if not (0 <= x.origin[e] < x.num_vertices
-                and 0 <= x.terminus[e] < x.num_vertices):
-            out.append(f"edge {e}: endpoint out of range")
-        ie = x.inverse[e]
-        if not (0 <= ie < ne):
-            out.append(f"edge {e}: inverse id out of range")
-            continue
-        if ie == e:
-            out.append(f"edge {e}: inversion has a fixed point")
-        if x.inverse[ie] != e:
-            out.append(f"edge {e}: inversion is not an involution")
-        if x.origin[ie] != x.terminus[e] or x.terminus[ie] != x.origin[e]:
-            out.append(f"edge {e}: inverse does not swap origin and terminus")
-    if not out:
-        if _components(x) != 1:
-            out.append("graph is not connected")
-        for v, val in enumerate(x.valencies()):
-            if val < 2:
-                out.append(f"vertex {v}: valency {val} < 2")
-    return out
+    """Every violation of connectivity and of valency >= 2, as
+    human-readable strings; [] when valid."""
+    out = [] if _components(x) == 1 else ["graph is not connected"]
+    return out + [f"vertex {v}: valency {val} < 2"
+                  for v, val in enumerate(x.valencies()) if val < 2]
 
 
 def require_valid(x: Multigraph) -> None:
@@ -231,10 +210,11 @@ def spanning_tree_count(x: Multigraph, *,
 
     from . import linalg
 
-    rows, cols, counts = _edge_pattern(n, x.origin, x.terminus)
+    origin = x.origin
+    rows, cols, counts = _edge_pattern(n, origin, x.terminus)
     # D - A on A's pattern: valency minus twice the loops on the diagonal
     lap = np.where(rows == cols,
-                   np.bincount(x.origin, minlength=n)[rows] - counts, -counts)
+                   np.bincount(origin, minlength=n)[rows] - counts, -counts)
     keep = (rows != 0) & (cols != 0)
     # vertex v > 0 is row v - 1
     rows, cols = rows[keep] - 1, cols[keep] - 1
@@ -249,10 +229,7 @@ def to_dot(x: Multigraph, name: str = "multigraph") -> str:
     lines = [f"graph {name} {{"]
     for v in range(x.num_vertices):
         lines.append(f"  {v};")
-    pairs = sorted((min(x.origin[e], x.terminus[e]),
-                    max(x.origin[e], x.terminus[e]), e)
-                   for e in x.undirected_edges())
-    for u, v, _ in pairs:
+    for u, v in sorted((min(u, v), max(u, v)) for u, v in x.edges):
         lines.append(f"  {u} -- {v};")
     lines.append("}")
     return "\n".join(lines) + "\n"
@@ -261,8 +238,7 @@ def to_dot(x: Multigraph, name: str = "multigraph") -> str:
 def multigraph_to_json(x: Multigraph) -> dict:
     return {
         "vertices": x.num_vertices,
-        "edges": [{"u": x.origin[e], "v": x.terminus[e]}
-                  for e in x.undirected_edges()],
+        "edges": [{"u": u, "v": v} for u, v in x.edges],
     }
 
 
@@ -273,7 +249,4 @@ def multigraph_from_json(data: dict) -> Multigraph:
                  for rec in data["edges"]]
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed multigraph JSON: {exc!r}") from exc
-    g = Multigraph(n)
-    for u, v in pairs:
-        g.add_edge(u, v)
-    return g
+    return Multigraph(n, pairs)

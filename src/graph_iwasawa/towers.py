@@ -36,21 +36,10 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 
 from . import cyclotomic, polys
-from ._records import Record, json_int
+from ._records import Record, integer, json_int
 from .cyclotomic import INFINITY, ord_int
-
-
-def _integer(value, what: str) -> int:
-    # an int or a numpy integer; never a bool, and no float or str is read
-    if not isinstance(value, bool):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise ValueError(f"{what} {value!r} is not an integer")
 
 
 class TowerSpec(Record):
@@ -59,10 +48,10 @@ class TowerSpec(Record):
     __slots__ = ("ell", "generators")
 
     def __init__(self, ell: int, generators: tuple):
-        ell = _integer(ell, "prime")
+        ell = integer(ell, "prime")
         if not cyclotomic.is_prime(ell):
             raise ValueError(f"{ell} is not prime")
-        gens = tuple(_integer(a, "generator") for a in generators)
+        gens = tuple(integer(a, "generator") for a in generators)
         if not gens:
             raise ValueError("need at least one generator")
         if not any(math.gcd(a, ell) == 1 for a in gens):

@@ -38,9 +38,7 @@ from .serre import DisconnectedGraphError, Multigraph
 
 class VoltageGraph(Record):
     """Base multigraph plus a residue mod m on every directed edge, checked
-    when built and kept as a tuple.  The base is a ``Multigraph``, which
-    stays mutable and is not copied: it must not be edited once the
-    voltage graph is built."""
+    when built and kept as a tuple."""
 
     __slots__ = ("base", "modulus", "voltage")
 
@@ -51,9 +49,8 @@ class VoltageGraph(Record):
         if len(voltage) != base.num_directed_edges:
             raise ValueError("one voltage per directed edge required")
         problems = serre.validate_serre(base)
-        # an inverse out of range is a problem validate_serre names
-        for e, (s, ie) in enumerate(zip(voltage, base.inverse)):
-            if ie in range(len(voltage)) and voltage[ie] != -s % modulus:
+        for e, s in enumerate(voltage):
+            if voltage[e ^ 1] != -s % modulus:
                 problems.append(
                     f"edge {e}: voltage not antisymmetric under inversion")
         if problems:
@@ -66,7 +63,7 @@ def voltage_graph(base: Multigraph, modulus: int,
     """Build from voltages on canonical undirected representatives."""
     volt = [0] * base.num_directed_edges
     for e, s in undirected_voltages.items():
-        volt[e], volt[base.inverse[e]] = s, -s
+        volt[e], volt[e ^ 1] = s, -s
     return VoltageGraph(base, modulus, volt)
 
 
@@ -79,26 +76,19 @@ def cayley_serre(m: int, generators) -> VoltageGraph:
     if math.gcd(m, *[abs(a) for a in gens]) != 1:
         raise DisconnectedGraphError(
             "generators do not generate Z/mZ: derived cover is disconnected")
-    base = Multigraph(1)
-    return voltage_graph(base, m, {base.add_loop(0)[0]: a for a in gens})
+    base = serre.bouquet(len(gens))
+    return voltage_graph(base, m, dict(zip(base.undirected_edges(), gens)))
 
 
 def derived_cover(vg: VoltageGraph) -> Multigraph:
-    """The degree-m cyclic cover; vertex (v, k) has id k*g + v.  Built
-    unchecked: disconnected when the voltages do not generate Z/mZ."""
-    g = vg.base.num_vertices
-    m = vg.modulus
-    cover = Multigraph(g * m)
-    ne = vg.base.num_directed_edges
-    origin, terminus, inverse = [], [], []
-    for e in range(ne):
-        for k in range(m):
-            kk = (k + vg.voltage[e]) % m
-            origin.append(k * g + vg.base.origin[e])
-            terminus.append(kk * g + vg.base.terminus[e])
-            inverse.append(vg.base.inverse[e] * m + kk)
-    cover.origin, cover.terminus, cover.inverse = origin, terminus, inverse
-    return cover
+    """The degree-m cyclic cover; vertex (v, k) has id k*g + v, and base
+    edge i from fiber level k is the cover's undirected edge i*m + k.
+    Built unchecked: disconnected when the voltages do not generate Z/mZ."""
+    g, m = vg.base.num_vertices, vg.modulus
+    return Multigraph(g * m, [(k * g + u, (k + s) % m * g + v)
+                              for (u, v), s in zip(vg.base.edges,
+                                                   vg.voltage[::2])
+                              for k in range(m)])
 
 
 def artin_A_sigma(vg: VoltageGraph, sigma: int) -> list[list[int]]:
@@ -111,9 +101,10 @@ def artin_A_sigma(vg: VoltageGraph, sigma: int) -> list[list[int]]:
     """
     s = sigma % vg.modulus
     on = [e for e, v in enumerate(vg.voltage) if v == s]
+    origin, terminus = vg.base.origin, vg.base.terminus
     return serre._adjacency_lists(vg.base.num_vertices,
-                                  [vg.base.origin[e] for e in on],
-                                  [vg.base.terminus[e] for e in on])
+                                  [origin[e] for e in on],
+                                  [terminus[e] for e in on])
 
 
 def _orbit_pencil(vg: VoltageGraph, d: int) -> tuple:
@@ -223,13 +214,18 @@ def _divisors(m: int) -> list[int]:
 def voltage_to_json(vg: VoltageGraph) -> dict:
     return {
         "m": vg.modulus,
-        "edges": [{"u": vg.base.origin[e], "v": vg.base.terminus[e],
-                   "voltage": vg.voltage[e]}
-                  for e in vg.base.undirected_edges()],
+        "edges": [{"u": u, "v": v, "voltage": s}
+                  for (u, v), s in zip(vg.base.edges, vg.voltage[::2])],
     }
 
 
 def voltage_from_json(data: dict) -> VoltageGraph:
+    return voltage_graph(*_read_voltage_json(data))
+
+
+def _read_voltage_json(data: dict) -> tuple:
+    """(base, m, voltages of its undirected edges) of a voltage file:
+    ``voltage_graph``'s arguments, not yet checked."""
     try:
         m = json_int(data["m"])
         recs = [(json_int(rec["u"]), json_int(rec["v"]),
@@ -238,6 +234,7 @@ def voltage_from_json(data: dict) -> VoltageGraph:
         raise ValueError(f"malformed voltage JSON: {exc!r}") from exc
     if m < 1:
         raise ValueError(f"malformed voltage JSON: modulus {m} < 1")
-    base = Multigraph(max((max(u, v) + 1 for u, v, _ in recs), default=0))
-    return voltage_graph(base, m, {base.add_edge(u, v)[0]: s
-                                   for u, v, s in recs})
+    base = Multigraph(max((max(u, v) + 1 for u, v, _ in recs), default=0),
+                      [(u, v) for u, v, _ in recs])
+    return base, m, dict(zip(base.undirected_edges(),
+                             [s for _, _, s in recs]))

@@ -144,9 +144,9 @@ def _nodes(k: int) -> list[int]:
 def ihara_h(x: Multigraph) -> list[int]:
     """h_X(u) = det(I - Au + (D - I)u^2), an integer polynomial of degree 2g."""
     serre.require_valid(x)
-    n = x.num_vertices
-    return pencil_det(*serre._edge_pattern(n, x.origin, x.terminus),
-                      np.bincount(x.origin, minlength=n) - 1)
+    n, origin = x.num_vertices, x.origin
+    return pencil_det(*serre._edge_pattern(n, origin, x.terminus),
+                      np.bincount(origin, minlength=n) - 1)
 
 
 def ihara_Z(x: Multigraph) -> tuple[int, list[int]]:

@@ -498,27 +498,25 @@ def random_base_multigraph(rng, max_vertices=4, max_edges=10) -> Multigraph:
     """Random connected multigraph, min valency 2, chi != 0."""
     while True:
         g = rng.randint(1, max_vertices)
-        graph = Multigraph(g)
-        for v in range(1, g):
-            graph.add_edge(v, rng.randrange(v))
+        edges = [(v, rng.randrange(v)) for v in range(1, g)]
         # top up valency with loops or parallel edges
         guard = 0
-        while graph.num_undirected_edges < max_edges and guard < 50:
+        while len(edges) < max_edges and guard < 50:
             guard += 1
-            vals = graph.valencies()
+            vals = Multigraph(g, edges).valencies()
             low = [v for v in range(g) if vals[v] < 2]
             if low:
                 v = low[0]
                 if rng.random() < 0.5:
-                    graph.add_loop(v)
+                    edges.append((v, v))
                 else:
-                    graph.add_edge(v, rng.randrange(g))
-            elif graph.num_undirected_edges == g or rng.random() < 0.35:
+                    edges.append((v, rng.randrange(g)))
+            elif len(edges) == g or rng.random() < 0.35:
                 # ensure chi != 0, then add a little extra at random
-                u, v = rng.randrange(g), rng.randrange(g)
-                graph.add_edge(u, v)
+                edges.append((rng.randrange(g), rng.randrange(g)))
             else:
                 break
+        graph = Multigraph(g, edges)
         from graph_iwasawa import validate_serre, euler_characteristic
         if (not validate_serre(graph)
                 and euler_characteristic(graph) != 0

@@ -179,10 +179,7 @@ def _zeta_corpus():
             n += 1
     for t in (2, 3, 4):
         graphs.append(gi.bouquet(t))
-    x1 = gi.Multigraph(2)
-    for _ in range(4):
-        x1.add_edge(0, 1)
-    graphs.append(x1)
+    graphs.append(gi.Multigraph(2, [(0, 1)] * 4))
     return graphs
 
 

@@ -634,12 +634,24 @@ def test_cover_verify_caps_the_derived_cover(tmp_path, capsys):
     assert "40 vertices" in err and "cap of 8" in err
 
 
+def test_cover_verify_caps_before_validating_the_base(monkeypatch, tmp_path,
+                                                     capsys):
+    # the base's checks take time and memory per vertex: a file naming
+    # vertex 100 000 is refused by the size of its cover alone
+    _forbid(monkeypatch, serre, "validate_serre")
+    payload = {"m": 4, "edges": [{"u": 0, "v": 100000, "voltage": 1}]}
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run(capsys, "cover-verify", str(path))
+    assert (code, out) == (1, "")
+    assert err == ("error: derived cover has 400004 vertices, beyond the "
+                   "cap of 32768\n")
+
+
 def test_a_singular_laplacian_is_a_fault_not_an_input_error(
         monkeypatch, tmp_path, capsys):
     # a theta graph is connected, so a zero count can only be the engine's
-    theta = Multigraph(2)
-    for _ in range(3):
-        theta.add_edge(0, 1)
+    theta = Multigraph(2, [(0, 1)] * 3)
     path = tmp_path / "theta.json"
     path.write_text(json.dumps(multigraph_to_json(theta)))
     monkeypatch.setattr(linalg, "det_pattern", lambda *args: 0)

@@ -32,7 +32,7 @@ def _records():
     vg = cayley_serre(8, (1, 3))
     cover = derived_cover(vg)
     return [epsilon(3, 2, 1), spec, invariants(spec), verify_bounds(spec, 2),
-            report.levels[1], report, vg, verify_product_formula(vg),
+            report.levels[1], report, cover, vg, verify_product_formula(vg),
             verify_integer_decomposition(vg),
             special_values(ihara_h(cover), cover)]
 
@@ -57,6 +57,18 @@ def test_a_checked_voltage_graph_stays_checked():
         del vg.voltage
     assert (vg.modulus, vg.voltage) == (4, (1, 3, 2, 2))
     assert orbit_h_poly(vg, 4) == [1, 4, 10, 12, 9]
+    # nor through its base, which has no builder left to grow it
+    assert not hasattr(vg.base, "add_loop")
+    with pytest.raises(AttributeError):
+        vg.base.edges += ((0, 0),)
+    assert orbit_h_poly(vg, 4) == [1, 4, 10, 12, 9]
+
+
+def test_a_copied_voltage_graph_equals_the_original():
+    vg = cayley_serre(4, (1, 2))
+    for twin in (copy.deepcopy(vg), pickle.loads(pickle.dumps(vg))):
+        assert twin == vg and hash(twin) == hash(vg)
+        assert twin.base == vg.base and twin.base is not vg.base
 
 
 @pytest.mark.parametrize("record", _records(), ids=lambda r: type(r).__name__)
@@ -70,22 +82,12 @@ def test_every_record_refuses_assignment(record):
     assert getattr(record, name) is value
 
 
-def _value(record):
-    # a Multigraph compares by identity, so a voltage graph rebuilt on a
-    # copy of its base is compared by the base's edge arrays
-    if isinstance(record, VoltageGraph):
-        base = record.base
-        return (base.num_vertices, base.origin, base.terminus, base.inverse,
-                record.modulus, record.voltage)
-    return record
-
-
 @pytest.mark.parametrize("record", _records(), ids=lambda r: type(r).__name__)
 def test_copy_and_pickle_rebuild_an_equal_record(record):
     assert copy.copy(record) == record
     for twin in (copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
         assert type(twin) is type(record)
-        assert _value(twin) == _value(record)
+        assert twin == record
         assert repr(twin) == repr(record)
 
 

@@ -30,10 +30,7 @@ from oracles import (det_bareiss, random_base_multigraph,
 
 def four_edge_join() -> Multigraph:
     # two vertices joined by four parallel edges
-    g = Multigraph(2)
-    for _ in range(4):
-        g.add_edge(0, 1)
-    return g
+    return Multigraph(2, [(0, 1)] * 4)
 
 
 def loop_graphs() -> list[Multigraph]:
@@ -41,15 +38,8 @@ def loop_graphs() -> list[Multigraph]:
     Laplacian: a vertex with two loops (which the seeded random graphs
     below never draw on two or more vertices), and a loop beside parallel
     edges."""
-    two_loops = Multigraph(3)
-    two_loops.add_loop(0)
-    two_loops.add_loop(0)
-    for u, v in ((0, 1), (1, 2), (1, 2), (2, 0)):
-        two_loops.add_edge(u, v)
-    beside = Multigraph(3)
-    beside.add_loop(1)
-    for u, v in ((0, 1), (0, 1), (1, 2), (2, 0)):
-        beside.add_edge(u, v)
+    two_loops = Multigraph(3, [(0, 0), (0, 0), (0, 1), (1, 2), (1, 2), (2, 0)])
+    beside = Multigraph(3, [(1, 1), (0, 1), (0, 1), (1, 2), (2, 0)])
     return [two_loops, beside]
 
 
@@ -57,31 +47,60 @@ def test_validate_bouquet_ok():
     assert validate_serre(bouquet(2)) == []
 
 
-def test_validate_fixed_point():
-    g = Multigraph(1)
-    g.origin, g.terminus, g.inverse = [0], [0], [0]
-    problems = validate_serre(g)
-    assert any("fixed point" in p for p in problems)
+def test_the_inversion_has_no_fixed_point_by_construction():
+    g = bouquet(2)
+    assert g.inverse == (1, 0, 3, 2)
+    assert (g.origin, g.terminus) == ((0, 0, 0, 0), (0, 0, 0, 0))
+    for name in ("edges", "num_vertices"):
+        with pytest.raises(AttributeError):
+            setattr(g, name, [0])
+    assert not hasattr(g, "add_edge") and not hasattr(g, "add_loop")
+    assert g == bouquet(2) and g.edges == ((0, 0), (0, 0))
 
 
 def test_validate_disconnected():
-    g = Multigraph(2)
-    g.add_loop(0)
-    g.add_loop(1)
-    problems = validate_serre(g)
+    problems = validate_serre(Multigraph(2, [(0, 0), (1, 1)]))
     assert any("not connected" in p for p in problems)
 
 
 def test_validate_low_valency():
-    g = Multigraph(2)
-    g.add_edge(0, 1)
-    assert any("valency" in p for p in validate_serre(g))
+    assert any("valency" in p for p in validate_serre(Multigraph(2, [(0, 1)])))
 
 
-def test_validate_bad_involution():
-    g = Multigraph(1)
-    g.origin, g.terminus, g.inverse = [0, 0, 0, 0], [0, 0, 0, 0], [1, 0, 3, 0]
-    assert any("involution" in p for p in validate_serre(g))
+def test_the_inversion_is_an_involution_swapping_ends_by_construction():
+    rng = random.Random(3)
+    graphs = [random_base_multigraph(rng) for _ in range(20)]
+    for g in graphs + loop_graphs() + [cycle_graph(1), cycle_graph(5)]:
+        inv, o, t = g.inverse, g.origin, g.terminus
+        assert len(inv) == len(o) == len(t) == g.num_directed_edges
+        for e in range(g.num_directed_edges):
+            assert inv[e] != e and inv[inv[e]] == e
+            assert (o[inv[e]], t[inv[e]]) == (t[e], o[e])
+        assert g.edges == tuple(zip(o[::2], t[::2]))
+
+
+def test_multigraph_refuses_bad_vertices():
+    for n, edges in ((0, ()), (-1, ()), (2, [(0, 2)]), (2, [(-1, 0)])):
+        with pytest.raises(ValueError, match="at least one vertex|range"):
+            Multigraph(n, edges)
+    for n, edges in ((True, ()), (2.0, ()), (2, [(0, True)]),
+                     (2, [(0, 1.0)]), (2, [("0", 1)])):
+        with pytest.raises(ValueError, match="is not an integer"):
+            Multigraph(n, edges)
+    with pytest.raises(ValueError):
+        Multigraph(2, [(0, 1, 1)])
+
+
+def test_multigraph_compares_and_hashes_by_value():
+    import numpy as np
+
+    g = Multigraph(np.int64(2), [[np.int64(0), 1], (1, np.int32(0))])
+    assert g == Multigraph(2, [(0, 1), (1, 0)]) == cycle_graph(2)
+    assert hash(g) == hash(cycle_graph(2))
+    assert type(g.num_vertices) is int
+    assert {type(w) for pair in g.edges for w in pair} == {int}
+    assert g != Multigraph(2, [(1, 0), (0, 1)])
+    assert repr(g) == "Multigraph(vertices=2, undirected_edges=2)"
 
 
 def test_adjacency_examples():
@@ -179,11 +198,8 @@ def test_spanning_trees_deletion_independent():
 
 
 def test_spanning_trees_requires_connected():
-    g = Multigraph(2)
-    g.add_loop(0)
-    g.add_loop(1)
     with pytest.raises(DisconnectedGraphError):
-        spanning_tree_count(g)
+        spanning_tree_count(Multigraph(2, [(0, 0), (1, 1)]))
 
 
 def test_vertex_cap():
@@ -220,10 +236,7 @@ def test_dot_export():
     dot = to_dot(derived_cover(cayley_serre(2, (1, 1))), name="x1")
     assert dot == ("graph x1 {\n  0;\n  1;\n"
                    + "  0 -- 1;\n" * 4 + "}\n")
-    g = Multigraph(1)
-    g.add_loop(0)
-    g.add_loop(0)
-    assert to_dot(g).count("0 -- 0;") == 2
+    assert to_dot(bouquet(2)).count("0 -- 0;") == 2
 
 
 def test_json_roundtrip():

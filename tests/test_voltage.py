@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 import tracemalloc
 
@@ -14,8 +16,10 @@ from graph_iwasawa import (
     cycle_graph,
     derived_cover,
     ihara_h,
+    multigraph_to_json,
     orbit_h_poly,
     spanning_tree_count,
+    to_dot,
     validate_serre,
     verify_integer_decomposition,
     verify_product_formula,
@@ -179,8 +183,7 @@ def test_orbit_pencil_memory_grows_with_the_blocks_used():
 def test_orbit_h_validates_the_base_for_every_divisor(d):
     # a lone edge between two vertices: valency 1 at each end; the voltage
     # graph refuses it when built, so no divisor reaches the orbit factor
-    base = Multigraph(2)
-    base.add_edge(0, 1)
+    base = Multigraph(2, [(0, 1)])
     with pytest.raises(ValueError, match="valency 1 < 2"):
         orbit_h_poly(voltage_graph(base, 4, {0: 1}), d)
 
@@ -271,11 +274,29 @@ def test_a_voltage_graph_validates_its_voltages():
     assert VoltageGraph(bouquet(2), 4, [2, 2, 2, 2]).voltage == (2, 2, 2, 2)
 
 
-def test_a_voltage_graph_names_an_inverse_out_of_range():
-    base = bouquet(1)
-    base.inverse = [1, 5]
-    with pytest.raises(ValueError, match="edge 1: inverse id out of range"):
-        VoltageGraph(base, 4, [1, 3])
+def test_the_criterion_5_covers_keep_their_json_and_dot():
+    # sha256 of the JSON and DOT of acceptance criterion 5's 200 covers:
+    # the cover's edges keep their order, base edge first, then fiber
+    rng = random.Random(20240801)
+    digest = hashlib.sha256()
+    for _ in range(200):
+        cover = derived_cover(random_voltage_graph(
+            rng, max_vertices=4, max_modulus=12, max_edges=10))
+        digest.update(json.dumps(multigraph_to_json(cover)).encode())
+        digest.update(to_dot(cover).encode())
+    assert digest.hexdigest() == ("30657808662c9bfee25f53eeb2cc0710"
+                                  "e5c216d33707cc9d6fc9bd99c6da5f28")
+
+
+def test_a_voltage_graph_base_cannot_be_edited():
+    vg = cayley_serre(4, (1, 2))
+    with pytest.raises(AttributeError):
+        vg.base.edges = ((0, 5), (0, 0))
+    assert vg.base.inverse == (1, 0, 3, 2)
+    # antisymmetry is read against e ^ 1, the only inversion there is
+    with pytest.raises(ValueError, match="edge 1: voltage not antisymmetric"):
+        VoltageGraph(bouquet(1), 4, [1, 1])
+    assert orbit_h_poly(vg, 4) == [1, 4, 10, 12, 9]
 
 
 def test_voltage_json_roundtrip():

@@ -23,10 +23,7 @@ from oracles import det_poly_matrix, poly_pow, random_base_multigraph
 
 def four_edge_join():
     from graph_iwasawa import Multigraph
-    g = Multigraph(2)
-    for _ in range(4):
-        g.add_edge(0, 1)
-    return g
+    return Multigraph(2, [(0, 1)] * 4)
 
 
 def test_h_bouquet2():
