@@ -126,10 +126,15 @@ def _components(x: Multigraph) -> int:
 
 def validate_serre(x: Multigraph) -> list[str]:
     """Every violation of connectivity and of valency >= 2, as
-    human-readable strings; [] when valid."""
+    human-readable strings; [] when valid.  The first three vertices of
+    valency < 2 are named and any more only counted, so that a refusal
+    stays short however many vertices fail."""
     out = [] if _components(x) == 1 else ["graph is not connected"]
-    return out + [f"vertex {v}: valency {val} < 2"
-                  for v, val in enumerate(x.valencies()) if val < 2]
+    low = [(v, val) for v, val in enumerate(x.valencies()) if val < 2]
+    out += [f"vertex {v}: valency {val} < 2" for v, val in low[:3]]
+    if len(low) > 3:
+        out.append(f"{len(low)} vertices of valency < 2 in all")
+    return out
 
 
 def require_valid(x: Multigraph) -> None:

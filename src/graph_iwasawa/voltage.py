@@ -63,6 +63,9 @@ def voltage_graph(base: Multigraph, modulus: int,
     """Build from voltages on canonical undirected representatives."""
     volt = [0] * base.num_directed_edges
     for e, s in undirected_voltages.items():
+        if not 0 <= e < len(volt):
+            raise ValueError(f"voltage key {e!r} is not a directed edge of "
+                             f"the base (0..{len(volt) - 1})")
         volt[e], volt[e ^ 1] = s, -s
     return VoltageGraph(base, modulus, volt)
 

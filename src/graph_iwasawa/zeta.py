@@ -85,14 +85,20 @@ def _interpolate_mod(values: np.ndarray, primes: list[int]) -> np.ndarray:
     ps = np.array(primes, dtype=np.int64)
     n = (len(values) - 1) // 2
     h = values % ps
-    # inverse[d] = 1 / d and inv_fact[j] = 1 / j! mod each prime
-    inv_rows = [[0] * len(primes)] + [[pow(d, -1, p) for p in primes]
-                                      for d in range(1, 2 * n + 1)]
-    inv_fact = [[1] * len(primes)]
-    for j in range(1, n):
-        inv_fact.append([f * i % p for f, i, p
-                         in zip(inv_fact[-1], inv_rows[j], primes)])
-    inverse = np.array(inv_rows, dtype=np.int64)
+    # fact[d] = d! and inv_fact[d] = 1 / d! mod each prime, d <= 2n < p:
+    # the running products of 1..2n and of 2n..1, and one inverse of (2n)!
+    # per prime, with 1 / d! = (2n)! / d! / (2n)!; then inverse[d] =
+    # (d - 1)! / d! = 1 / d, and inverse[0] = 0
+    m = 2 * n
+    fact = np.ones((m + 1, len(primes)), dtype=np.int64)
+    fact[1:] = _running_products(np.arange(1, m + 1)[:, None] % ps, ps)
+    down = _running_products(np.arange(m, 0, -1)[:, None] % ps, ps)
+    inv_fact = np.empty_like(fact)
+    inv_fact[m] = [pow(f, -1, p) for f, p in zip(fact[m].tolist(), primes)]
+    inv_fact[:m] = down[::-1] * inv_fact[m] % ps
+    inverse = np.zeros_like(fact)
+    inverse[1:] = inv_fact[1:] * fact[:-1] % ps
+    inv_fact = inv_fact[:n]
     inv_v = inverse[1:n + 1]
     at0, plus, minus = h[0], h[1::2], h[2::2]
     even = (plus + minus) * inverse[2] % ps  # E(v^2)
@@ -106,7 +112,7 @@ def _interpolate_mod(values: np.ndarray, primes: list[int]) -> np.ndarray:
         step = c[:, j:] - c[:, j - 1:-1]
         step *= inverse[j + 2:2 * n - j + 1:2]
         np.remainder(step, ps, out=c[:, j:])
-    c = c * np.array(inv_fact, dtype=np.int64) % ps
+    c = c * inv_fact % ps
     # Newton form to coefficients: p = c[i] + (t - v^2) p, innermost
     # first, with p in out[:, 1:] and out[:, 0] = c[i] to shift it in;
     # -v^2 is reduced first, so each product stays below p^2
@@ -120,6 +126,16 @@ def _interpolate_mod(values: np.ndarray, primes: list[int]) -> np.ndarray:
         np.remainder(step, ps, out=out[:, 1:top + 1])
     h[2::2], h[1::2] = out[:, 1:]
     return h
+
+
+def _running_products(a: np.ndarray, ps: np.ndarray) -> np.ndarray:
+    """a[i] times every row above it mod ps, in place, in log2(len(a))
+    array steps (Hillis and Steele's scan)."""
+    s = 1
+    while s < len(a):
+        a[s:] = a[s:] * a[:-s] % ps
+        s *= 2
+    return a
 
 
 def _pencil_values(rows: np.ndarray, cols: np.ndarray, a: np.ndarray,

@@ -308,6 +308,21 @@ def test_cover_verify_names_an_invalid_voltage_graph(tmp_path, capsys, edges,
             1, "", f"error: invalid voltage graph: {message}\n")
 
 
+def test_cover_verify_refusal_stays_short_on_a_large_base(tmp_path, capsys):
+    # a 55-byte file: a base of 32 768 vertices with one edge, within the
+    # cap, where every vertex has valency < 2.  Naming each of them made a
+    # 939 215-byte error line
+    path = tmp_path / "far.json"
+    path.write_text('{"m": 1, "edges": [{"u": 0, "v": 32767, "voltage": 0}]}')
+    code, out, err = run(capsys, "cover-verify", str(path))
+    assert (code, out) == (1, "")
+    assert err == ("error: invalid voltage graph: graph is not connected; "
+                   "vertex 0: valency 1 < 2; vertex 1: valency 0 < 2; "
+                   "vertex 2: valency 0 < 2; 32768 vertices of valency < 2 "
+                   "in all\n")
+    assert len(err) < 200
+
+
 def test_cover_verify_cycle_base_skips_decomposition(tmp_path, capsys):
     payload = {"m": 2, "edges": [
         {"u": 0, "v": 1, "voltage": 1}, {"u": 1, "v": 2, "voltage": 0},

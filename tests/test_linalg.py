@@ -1,3 +1,4 @@
+import math
 import os
 import random
 import subprocess
@@ -11,7 +12,8 @@ from hypothesis import Phase, given, settings, strategies as st
 
 from graph_iwasawa import (TowerSpec, cayley_serre, cycle_graph, cyclotomic,
                            derived_cover, ihara_h, kappa_exact, linalg,
-                           spanning_tree_count, zeta)
+                           spanning_tree_count, verify_integer_decomposition,
+                           zeta)
 from graph_iwasawa.serre import adjacency_matrix
 from oracles import det_bareiss, det_leibniz
 
@@ -108,31 +110,50 @@ def test_det_crt_large_banded():
 
 
 def _spy_inverses(monkeypatch):
-    """Per _det_band call: (updating pivot pairs, lanes, distinct primes,
-    modular inverses taken inside the call).  pow may never get a zero:
-    ValueError would reach the CLI as "invalid input"."""
+    """Per det_residues call: [runs, lanes, inverses], with runs the
+    (pivot steps, updating pivot pairs, lanes, distinct primes) of each
+    _det_band call in it, lanes its count of (matrix, prime) lanes and
+    inverses the modular inverses it took outside the pivoting fallback.
+    pow may never get a zero: ValueError would reach the CLI as "invalid
+    input"."""
     calls = []
-    inside = [False]
-    real_band = linalg._det_band
+    counting = [False]
+    real_residues = linalg.det_residues
+    real_band, real_swaps = linalg._det_band, linalg._det_swaps
 
     def counting_pow(base, exp, mod=None):
         if exp == -1:
             assert base % mod, "pow asked to invert 0"
-            if inside[0]:
-                calls[-1][3] += 1
+            if counting[0]:
+                calls[-1][2] += 1
         return pow(base, exp, mod)
 
-    def band(w, span, reach, places, vals, js, primes):
-        pairs = sum(reach[k + 1] > k + 1 for k in range(0, len(reach) - 1, 2))
-        calls.append([pairs, len(primes), len(set(primes)), 0])
-        inside[0] = True
+    def residues(n, rows, cols, vals, primes):
+        calls.append([[], len(vals) * len(primes), 0])
+        counting[0] = True
         try:
-            return real_band(w, span, reach, places, vals, js, primes)
+            return real_residues(n, rows, cols, vals, primes)
         finally:
-            inside[0] = False
+            counting[0] = False
+
+    def band(w, span, reach, places, vals, js, primes, held=0):
+        top = len(reach) - held
+        pairs = sum(reach[k + 1] > k + 1 for k in range(0, top - 1, 2))
+        calls[-1][0].append((-(-top // 2), pairs, len(primes),
+                             len(set(primes))))
+        return real_band(w, span, reach, places, vals, js, primes, held)
+
+    def swaps(*args):
+        counting[0] = False
+        try:
+            return real_swaps(*args)
+        finally:
+            counting[0] = True
 
     monkeypatch.setattr(linalg, "pow", counting_pow, raising=False)
+    monkeypatch.setattr(linalg, "det_residues", residues)
     monkeypatch.setattr(linalg, "_det_band", band)
+    monkeypatch.setattr(linalg, "_det_swaps", swaps)
     return calls
 
 
@@ -176,7 +197,8 @@ def test_det_crt_zero_pivot_falls_back_for_that_prime(monkeypatch,
     inverses = _spy_inverses(monkeypatch)
     assert _det_crt(m) == det_bareiss(m.tolist())
     assert fallbacks == [(0, p0)]
-    assert inverses
+    [(runs, lanes, taken)] = inverses
+    assert taken == lanes - 1  # none for the failed lane
 
 
 def test_det_crt_zero_scalar_pivot_needs_no_fallback(monkeypatch, fallbacks):
@@ -188,7 +210,8 @@ def test_det_crt_zero_scalar_pivot_needs_no_fallback(monkeypatch, fallbacks):
     inverses = _spy_inverses(monkeypatch)
     assert _det_crt(m) == det_bareiss(m.tolist())
     assert fallbacks == []
-    assert inverses
+    [(runs, lanes, taken)] = inverses
+    assert taken == lanes
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 9, 10])
@@ -216,7 +239,8 @@ def test_det_crt_split_pivot_block_that_vanishes(monkeypatch, fallbacks,
     inverses = _spy_inverses(monkeypatch)
     assert _det_crt(m) == det_bareiss(m.tolist())
     assert fallbacks == []
-    assert inverses
+    [(runs, lanes, taken)] = inverses
+    assert taken == lanes
 
 
 @pytest.mark.parametrize("n", [5, 6, 12])
@@ -280,12 +304,12 @@ def test_det_crt_divides_rows_by_their_contents():
 
 
 def _spy_det_residues(monkeypatch):
-    """Record (values, prime count) of every det_residues call."""
+    """Record (rows, cols, values, prime count) of every det_residues call."""
     seen = []
     real = linalg.det_residues
 
     def spy(n, rows, cols, vals, primes):
-        seen.append((vals.copy(), len(primes)))
+        seen.append((rows.copy(), cols.copy(), vals.copy(), len(primes)))
         return real(n, rows, cols, vals, primes)
 
     monkeypatch.setattr(linalg, "det_residues", spy)
@@ -298,9 +322,10 @@ def test_det_crt_row_contents_shed_bound_bits(monkeypatch):
     m = 6 * _path_laplacian_like(40, 2)
     seen = _spy_det_residues(monkeypatch)
     assert _det_crt(m) == 6 ** 40 * 41
-    [(vals, count)] = seen
+    [(_, _, vals, count)] = seen
     assert set(vals.ravel().tolist()) == {2, -1}
-    assert count == len(linalg._primes_above(2 * _hadamard_bound(m // 6) + 1))
+    # m is symmetric with a dominant diagonal: the bound is that of m // 6
+    assert count == len(linalg._primes_above(2 * 2 ** 40 + 1))
 
 
 def test_det_crt_all_zero_pattern_row(monkeypatch):
@@ -317,11 +342,81 @@ def test_det_crt_all_zero_pattern_row(monkeypatch):
 
 def test_det_crt_uniform_multiplicity_cover_takes_fewer_primes(monkeypatch):
     # l = 2, a = (1, 1): every edge doubled, so the reduced Laplacian's rows
-    # (4, -2, -2) have content 2 and 2^1023 leaves the bound
+    # (4, -2, -2) have content 2, and the divided diagonal bounds det by
+    # 2^1023, where the undivided one would bound it by 4^1023
     cover = derived_cover(cayley_serre(2 ** 10, (1, 1)))
     seen = _spy_det_residues(monkeypatch)
     assert spanning_tree_count(cover) == kappa_exact(TowerSpec(2, (1, 1)), 10)
-    assert [count for _, count in seen] == [43]
+    assert [count for *_, count in seen] == [34]
+    assert len(linalg._primes_above(2 * 4 ** 1023 + 1)) == 67
+
+
+@pytest.mark.parametrize("spec, n, hadamard, primes", [
+    # every edge doubled: the rows (4, -2, -2) have content 2, so the bound
+    # is 2^1023 against a Hadamard bound of 6^(1023 / 2)
+    (TowerSpec(2, (1, 1)), 10, 43, 34),
+    # the rows (4, -1, -1, -1, -1): 4^511 against 20^(511 / 2)
+    (TowerSpec(2, (3, 5)), 9, 36, 34),
+])
+def test_reduced_laplacian_takes_the_primes_of_its_diagonal(
+        monkeypatch, spec, n, hadamard, primes):
+    # a reduced Laplacian is symmetric with a nonnegative, weakly dominant
+    # diagonal, so 0 <= det <= the product of its content-divided diagonal
+    cover = derived_cover(cayley_serre(spec.ell ** n, spec.generators))
+    seen = _spy_det_residues(monkeypatch)
+    assert spanning_tree_count(cover) == kappa_exact(spec, n)
+    [(rows, _, vals, count)] = seen
+    assert count == primes
+    bound = linalg._hadamard_bound(2 ** n - 1, rows, vals[0])
+    assert len(linalg._primes_above(2 * bound + 1)) == hadamard
+
+
+def test_unsymmetric_matrix_keeps_the_hadamard_bound(monkeypatch):
+    # a dominant diagonal of 4, with -2 above it and -1 below: not
+    # symmetric, so the primes are those of the Hadamard bound 21^30, five,
+    # not the four of 4^60; its transpose is the same case.  Made symmetric
+    # with -2 both sides, content 2 leaves 2^60, two primes
+    m = (4 * np.eye(60, dtype=np.int64) - 2 * np.eye(60, k=1, dtype=np.int64)
+         - np.eye(60, k=-1, dtype=np.int64))
+    sym = m - np.eye(60, k=-1, dtype=np.int64)
+    seen = _spy_det_residues(monkeypatch)
+    for matrix in (m, m.T, sym):
+        assert _det_crt(matrix) == det_bareiss(matrix.tolist())
+    assert [count for *_, count in seen] == [5, 5, 2]
+    assert len(linalg._primes_above(2 * 4 ** 60 + 1)) == 4
+
+
+@pytest.mark.parametrize("matrix, psd", [
+    ([[2, -1], [-1, 2]], True),
+    ([[1, -1], [-1, 1]], True),  # weakly dominant, singular
+    ([[1, -2], [-2, 5]], False),  # PSD, but row 0 is not dominated
+    ([[2, -1], [1, 2]], False),  # dominant, not symmetric
+    ([[-2, 1], [1, -2]], False),  # negative diagonal
+])
+def test_psd_diagonal_recognises_only_symmetric_dominant_matrices(matrix,
+                                                                  psd):
+    m = np.array(matrix, dtype=np.int64)
+    rows, cols = np.nonzero(m)
+    diag = linalg._psd_diagonal(2, rows, cols, m[rows, cols])
+    assert diag == (m.diagonal().tolist() if psd else None)
+
+
+def test_orbit_values_keep_their_bound(monkeypatch):
+    # h(1, Psi_7) of the voltage bouquet with jumps (1, 2) mod 7: a block of
+    # companion matrix powers that is not symmetric, so it keeps the
+    # Hadamard bound; the count of its 7-vertex cover takes its diagonal's
+    vg = cayley_serre(7, (1, 2))
+    seen = _spy_det_residues(monkeypatch)
+    assert verify_integer_decomposition(vg).ok
+    for rows, cols, vals, count in seen:
+        n = int(rows.max()) + 1
+        if linalg._psd_diagonal(n, rows, cols, vals[0]) is None:
+            bound = linalg._hadamard_bound(n, rows, vals[0])
+        else:
+            bound = math.prod(vals[0][rows == cols].tolist())
+        assert count == len(linalg._primes_above(2 * bound + 1))
+    assert [linalg._psd_diagonal(int(r.max()) + 1, r, c, v[0]) is None
+            for r, c, v, _ in seen] == [False, True]
 
 
 def _stack_on_pattern(rng, k, n, density):
@@ -361,8 +456,8 @@ def test_det_stack_falls_back_for_one_matrix_and_prime(monkeypatch,
     inverses = _spy_inverses(monkeypatch)
     assert _det_stack(stack) == [det_bareiss(m.tolist()) for m in stack]
     assert fallbacks == [(1, p0)]
-    [(pairs, lanes, distinct, taken)] = inverses  # one chunk
-    assert taken <= lanes - 1  # none for the failed lane
+    [(runs, lanes, taken)] = inverses
+    assert taken == lanes - 1  # none for the failed lane
 
 
 def test_det_stack_zero_scalar_pivot_needs_no_fallback(monkeypatch,
@@ -374,7 +469,8 @@ def test_det_stack_zero_scalar_pivot_needs_no_fallback(monkeypatch,
     inverses = _spy_inverses(monkeypatch)
     assert _det_stack(stack) == [det_bareiss(m.tolist()) for m in stack]
     assert fallbacks == []
-    assert len(inverses) == 1
+    [(runs, lanes, taken)] = inverses
+    assert taken == lanes
 
 
 def test_det_stack_with_zero_matrices():
@@ -409,22 +505,27 @@ def test_pencil_stack_takes_at_most_one_inverse_per_lane(monkeypatch,
     cover = derived_cover(cayley_serre(2 ** 4, (3, 5)))
     inverses = _spy_inverses(monkeypatch)
     zeta.ihara_h(cover)
-    [(pairs, lanes, distinct, taken)] = inverses
-    assert distinct < lanes
+    [(runs, lanes, taken)] = inverses
+    assert all(distinct < run_lanes for *_, run_lanes, distinct in runs)
     assert taken == lanes - len(fallbacks)
 
 
 def test_det_crt_takes_at_most_one_inverse_per_lane(monkeypatch, fallbacks):
-    # the 1024-vertex l = 2, a = (1, 1) count: one matrix on 43 primes, and
-    # 511 pivot pairs that update rows
+    # the 1024-vertex l = 2, a = (1, 1) count: one matrix of n = 1023 rows
+    # and w = 1 on 34 primes, cut into 510 rows from each end and g = 3
+    # between.  The ends run takes 255 pivot pairs, all updating rows, on 68
+    # lanes, and the middle run 2 steps on 34, so 257 sequential steps,
+    # about n / 4 + g / 2, where one run from the top took 511 updating
+    # pairs; then one inverse a lane
     spec, n = TowerSpec(2, (1, 1)), 10
     cover = derived_cover(cayley_serre(2 ** n, spec.generators))
     inverses = _spy_inverses(monkeypatch)
     assert spanning_tree_count(cover) == kappa_exact(spec, n)
     assert fallbacks == []
-    [(pairs, lanes, distinct, taken)] = inverses
-    assert (pairs, lanes, distinct) == (511, 43, 43)
-    assert taken == lanes
+    [(runs, lanes, taken)] = inverses
+    assert runs == [(255, 255, 68, 34), (2, 1, 34, 34)]
+    assert sum(steps for steps, *_ in runs) <= 1023 / 4 + 3 / 2
+    assert taken == lanes == 34
 
 
 @st.composite
@@ -457,7 +558,8 @@ def test_det_stack_property(stack):
 def _sliding_dets(stack, mask, monkeypatch):
     """The determinants of a (k, n, n) stack on the pattern mask (with the
     stack's own nonzeros) by linalg.det_residues, then linalg._crt; the
-    lane count k len(primes); and (w, span, lanes) of each kernel call."""
+    lane count k len(primes); and (w, span, lanes, held, rows) of each
+    kernel call."""
     n = stack.shape[1]
     rows, cols = np.nonzero(mask | stack.any(axis=0))
     vals = stack[:, rows, cols]
@@ -468,9 +570,9 @@ def _sliding_dets(stack, mask, monkeypatch):
     calls = []
     real_band = linalg._det_band
 
-    def band(w, span, reach, places, vals, js, primes):
-        calls.append((w, span, len(primes)))
-        return real_band(w, span, reach, places, vals, js, primes)
+    def band(w, span, reach, places, vals, js, primes, held=0):
+        calls.append((w, span, len(primes), held, len(reach)))
+        return real_band(w, span, reach, places, vals, js, primes, held)
 
     monkeypatch.setattr(linalg, "_det_band", band)
     residues = linalg.det_residues(n, rows, cols, vals, primes)
@@ -484,19 +586,21 @@ def _band_mask(n, b):
 @st.composite
 def banded_stacks(draw):
     """(stack, mask): k <= 4 matrices on one random pattern mask inside the
-    band of half-width b <= 3, diagonal included, of odd or even size
-    n >= 6 (b + 2), each scaled by 1, 10^3 or 10^6, some of them zero or
-    with two equal rows."""
-    b = draw(st.integers(0, 3))
-    k, n = draw(st.integers(1, 4)), draw(st.integers(6 * (b + 2),
-                                                      6 * (b + 2) + 7))
-    pattern = draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n))
+    band of half-width 1 <= b <= 3 that holds the diagonals next to the
+    main one, of size 66 <= n <= 73, each scaled by 1, 10^3 or 10^6, some
+    of them zero or with two equal rows.  So the band is cut into its two
+    ends and a middle, and each end, of 32 rows or more, is longer than the
+    kernel's buffer, of 32 rows at w = 1 and fewer for wider bands.  The
+    pattern and values come from a Random of drawn seed."""
+    b = draw(st.integers(1, 3))
+    k, n = draw(st.integers(1, 4)), draw(st.integers(66, 73))
+    rng = random.Random(draw(st.integers(0, 1 << 32)))
+    pattern = [rng.random() < 0.5 for _ in range(n * n)]
     mask = (np.array(pattern).reshape(n, n) & _band_mask(n, b)
-            | np.eye(n, dtype=bool))
+            | _band_mask(n, 1))
     stack = np.zeros((k, n, n), dtype=np.int64)
     for mat in stack:
-        values = draw(st.lists(st.integers(-9, 9), min_size=n * n,
-                               max_size=n * n))
+        values = [rng.randint(-9, 9) for _ in range(n * n)]
         mat[...] = np.array(values).reshape(n, n) * mask
         mat *= draw(st.sampled_from((1, 10 ** 3, 10 ** 6)))
         kind = draw(st.sampled_from(("plain", "zero", "singular")))
@@ -510,40 +614,124 @@ def banded_stacks(draw):
 @given(banded_stacks())
 @settings(max_examples=30, phases=NO_SHRINK)
 def test_det_stack_slides_property(case):
-    # every lane in one chunk at the real cap, whose buffer holds fewer
-    # rows than the band
+    # the two ends of every lane in one chunk at the real cap, with a
+    # buffer that holds fewer rows than each end, and the middles in another
     stack, mask = case
-    n = stack.shape[1]
     with pytest.MonkeyPatch.context() as mp:
         dets, total, calls = _sliding_dets(stack, mask, mp)
     assert dets == [det_bareiss(m.tolist()) for m in stack]
     if calls:
-        [(w, span, lanes)] = calls
-        assert lanes == total
-        assert span < n
+        [(w, span, lanes, held, rows), middle] = calls
+        assert lanes == 2 * total and held and span < rows
+        assert middle[2:4] == (total, 0)
+
+
+def _vanish_mod(mat, lead, t, p):
+    """Set mat[t, t], t in lead, so that the principal minor of mat on the
+    rows and columns lead vanishes mod p: it is mat[t, t] C + R, C the
+    minor without t and R the minor with mat[t, t] = 0.  Left as it is
+    when C vanishes mod p."""
+    without = [r for r in lead if r != t]
+    minor = det_bareiss(mat[np.ix_(without, without)].tolist()) % p
+    if minor:
+        mat[t, t] = 0
+        rest = det_bareiss(mat[np.ix_(lead, lead)].tolist())
+        mat[t, t] = -rest * pow(minor, -1, p) % p
+
+
+@st.composite
+def split_bands(draw):
+    """(w, stack, ends): k <= 3 matrices on the whole band of half-width
+    1 <= w <= 6, which Cuthill-McKee leaves in its order, with entries in
+    -9..9, of size n >= 35 + w past the split for every n mod 4: 16 rows or
+    more at each end, with g = w + (n - w) mod 4 rows between.  One pivot
+    block of each may be made to vanish mod p0: a pair of the top (a
+    leading minor), of the bottom (a trailing minor) or the first of the
+    middle (the minor on the ends and its first two rows); ends holds the
+    matrices so made to fail at an end."""
+    w = draw(st.integers(1, 6))
+    k, n = draw(st.integers(1, 3)), draw(st.integers(35 + w, 38 + w))
+    rng = random.Random(draw(st.integers(0, 1 << 32)))
+    g = w + (n - w) % 4
+    c = (n - g) // 2
+    p0 = linalg.crt_primes(1)[0]
+    stack = np.array([[[rng.randint(-9, 9) for _ in range(n)]
+                       for _ in range(n)] for _ in range(k)])
+    stack *= _band_mask(n, w)
+    ends = []
+    for j, mat in enumerate(stack):
+        where = draw(st.sampled_from(("none", "top", "bottom", "middle")))
+        pair = 2 * draw(st.integers(0, c // 2 - 1))
+        if where == "top":
+            _vanish_mod(mat, range(pair + 2), pair + 1, p0)
+        elif where == "bottom":
+            _vanish_mod(mat, range(n - pair - 2, n), n - pair - 2, p0)
+        elif where == "middle":
+            lead = [*range(c + min(g, 2)), *range(c + g, n)]
+            _vanish_mod(mat, lead, c + min(g, 2) - 1, p0)
+        if where in ("top", "bottom"):
+            ends.append(j)
+    return w, stack, ends
+
+
+@given(split_bands())
+@settings(max_examples=40, phases=NO_SHRINK)
+def test_two_ended_residues_property(case):
+    # det_residues on the band cut in two ends and a middle, mod p0 and mod
+    # 7, where pivot blocks vanish in all three by chance too: every lane
+    # is det mod p, by the kernel or by the pivoting fallback, and a lane
+    # made to fail at an end falls back
+    w, stack, ends = case
+    n = stack.shape[1]
+    rows, cols = np.nonzero(_band_mask(n, w))
+    assert linalg._cuthill_mckee(rows, cols, n) == list(range(n))
+    p0 = linalg.crt_primes(1)[0]
+    held, fell = [], []
+    real_band, real_swaps = linalg._det_band, linalg._det_swaps
+
+    def band(*args):
+        held.append(args[7])
+        return real_band(*args)
+
+    def swaps(n, w, places, vals, j, p):
+        fell.append((j, p))
+        return real_swaps(n, w, places, vals, j, p)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "_det_band", band)
+        mp.setattr(linalg, "_det_swaps", swaps)
+        got = linalg.det_residues(n, rows, cols, stack[:, rows, cols],
+                                  [p0, 7])
+    assert got == [[det_bareiss(m.tolist()) % p for p in (p0, 7)]
+                   for m in stack]
+    assert held[0] and not held[-1]
+    assert {(j, p0) for j in ends} <= set(fell)
 
 
 def test_det_stack_falls_back_after_a_slide(monkeypatch, fallbacks):
-    # matrix 1's pivot block of rows 20 and 21 vanishes mod p0 once the
-    # rows above it are eliminated: over the rationals that block's
-    # determinant is D_22 / D_20, D_i the leading minors, and d_21 is chosen
-    # so that D_22 = d_21 D_21 - c^2 D_20 = 0 mod p0
+    # 100 x 100 paths, cut into 48 rows at each end and 4 between: matrix
+    # 1's pivot block of rows 40 and 41 vanishes mod p0 once the rows above
+    # it are eliminated.  Over the rationals that block's determinant is
+    # D_42 / D_40, D_i the leading minors, and d_41 is chosen so that
+    # D_42 = d_41 D_41 - c^2 D_40 = 0 mod p0
     p0 = linalg.crt_primes(1)[0]
-    stack = _scaled_paths()
+    stack = np.stack([_path_laplacian_like(100, 3) * c
+                      for c in (1, 10 ** 3, 10 ** 6)])
     c, d = 10 ** 3, stack[1].diagonal()
     minors = [1, int(d[0])]
-    for i in range(1, 21):
+    for i in range(1, 41):
         minors.append(int(d[i]) * minors[-1] - c * c * minors[-2])
     assert all(m % p0 for m in minors[::2])  # no earlier pivot block vanishes
-    stack[1, 21, 21] = c * c * minors[20] * pow(minors[21], -1, p0) % p0
+    stack[1, 41, 41] = c * c * minors[40] * pow(minors[41], -1, p0) % p0
     inverses = _spy_inverses(monkeypatch)
-    dets, _, calls = _sliding_dets(stack, _band_mask(50, 1), monkeypatch)
+    dets, _, calls = _sliding_dets(stack, _band_mask(100, 1), monkeypatch)
     assert dets == [det_bareiss(m.tolist()) for m in stack]
     assert fallbacks == [(1, p0)]
-    [(w, span, lanes)] = calls
-    assert w == 1 and 20 + w + 2 > span  # pair 20 runs after a slide
-    [(pairs, lanes, distinct, taken)] = inverses
-    assert taken <= lanes - 1  # none for the failed lane
+    [(w, span, _, held, rows), _] = calls
+    assert (w, held, rows) == (1, 4, 52)
+    assert 40 + w + 2 > span  # pair 40 runs after a slide
+    [(runs, lanes, taken)] = inverses
+    assert taken == lanes - 1  # none for the failed lane
 
 
 @st.composite
@@ -555,7 +743,8 @@ def envelopes(draw):
     to the band of half-width w), so a pair's window adds columns to rows
     that earlier pairs have scaled, by uneven steps.  n > 2 (w + 2), so the
     kernel's buffer of 2 (w + 2) rows slides.  The steps and values come
-    from one drawn Random, so that every example differs."""
+    from one drawn Random, so that every example differs.  The kernel may
+    hold the last 0 to 3 rows, an even count before them."""
     w = draw(st.integers(1, 5))
     k, n = draw(st.integers(1, 3)), draw(st.integers(2 * w + 5, 2 * w + 14))
     rng = draw(st.randoms(use_true_random=False))
@@ -570,7 +759,14 @@ def envelopes(draw):
                        for r in range(n)])
     mats = np.array([[[rng.randint(-9, 9) for _ in range(n)]
                       for _ in range(n)] for _ in range(k)]) * inside
-    return w, reach, mats
+    return w, reach, mats, draw(st.sampled_from(
+        [g for g in range(4) if (n - g) % 2 == 0 or g == 0]))
+
+
+def _band_residues(num, den, primes):
+    """num / den mod each lane's prime, None where den = 0."""
+    return [x * pow(y, -1, p) % p if y else None
+            for x, y, p in zip(num.tolist(), den.tolist(), primes)]
 
 
 @given(envelopes())
@@ -578,8 +774,11 @@ def envelopes(draw):
 def test_row_factors_follow_an_uneven_reach(case):
     # the kernel alone, on the band places of the envelope in its own
     # order, on two 31-bit primes and 7, where pivot blocks often vanish:
-    # every lane that does not fail is det mod p
-    w, reach, mats = case
+    # every lane that does not fail is det mod p, or with g rows held, the
+    # leading block's det D over prod(sig), and sig[a] S[a, b] in the rows
+    # held, S[a, b] D being the leading block bordered by rows and columns
+    # L + a and L + b, L = n - g (Schur)
+    w, reach, mats, g = case
     k, n = len(mats), mats.shape[1]
     rows, cols = np.nonzero(np.ones((n, n), dtype=bool))
     keep = np.maximum(rows, cols) <= np.array(reach)[np.minimum(rows, cols)]
@@ -589,11 +788,25 @@ def test_row_factors_follow_an_uneven_reach(case):
     assert span < n  # the buffer slides
     primes = linalg.crt_primes(2) + [7]
     js, ps = zip(*[(j, p) for p in primes for j in range(k)])
-    got = linalg._det_band(w, span, reach, places, mats[:, rows, cols],
-                           list(js), list(ps))
-    dets = [det_bareiss(m.tolist()) for m in mats]
-    for j, p, residue in zip(js, ps, got):
-        assert residue is None or residue == dets[j] % p
+    num, den, *held = linalg._det_band(
+        w, span, reach, places, mats[:, rows, cols], list(js), list(ps), g)
+    rest, sig = held or (None, np.ones((0, len(ps)), dtype=np.uint64))
+    lead = n - g
+    for q, (j, p, residue) in enumerate(zip(js, ps, _band_residues(num, den,
+                                                                    ps))):
+        if residue is None:
+            continue
+        m = mats[j].tolist()
+        dets = det_bareiss([row[:lead] for row in m[:lead]])
+        assert residue * math.prod(sig[:, q].tolist()) % p == dets % p
+        if dets % p:
+            for a in range(g):
+                for b in range(g):
+                    keep = [*range(lead), lead + b]
+                    border = det_bareiss([[m[r][c] for c in keep]
+                                          for r in [*range(lead), lead + a]])
+                    assert (int(rest[a, b, q]) * dets
+                            - int(sig[a, q]) * border) % p == 0
 
 
 def test_band_update_at_its_largest_products():
@@ -611,20 +824,21 @@ def test_band_update_at_its_largest_products():
     m[range(2, n), range(2, n)] = range(2, n)
     rows, cols = np.nonzero(np.ones((n, n), dtype=bool))
     places = rows * (2 * w + 1) + cols + w  # row by row, so sorted
-    got = linalg._det_band(w, n + w + 1, [n - 1] * n, places,
-                           m[rows, cols][None], [0], [p0])
-    assert got == [det_bareiss(m.tolist()) % p0]
+    num, den = linalg._det_band(w, n + w + 1, [n - 1] * n, places,
+                                m[rows, cols][None], [0], [p0])
+    assert _band_residues(num, den, [p0]) == [det_bareiss(m.tolist()) % p0]
 
 
 def test_pivot_block_vanishes_after_rows_are_scaled(fallbacks):
-    # a pentadiagonal matrix, which Cuthill-McKee leaves in its order: each
-    # pivot pair updates the two rows below it, so rows 20 and 21 have been
-    # scaled before their own pivot block.  Over the rationals that block's
+    # a pentadiagonal matrix, which Cuthill-McKee leaves in its order, cut
+    # into 24 rows at each end and 2 between: each pivot pair updates the
+    # two rows below it, so rows 20 and 21 have been scaled before their own
+    # pivot block.  Over the rationals that block's
     # determinant is D_22 / D_20, D_i the leading minors, and m[21, 21] is
     # chosen so that D_22 = 0 mod p0: the lane of p0 ends in the pivoting
     # fallback, which must give det mod p0 from the unscaled entries
     p0 = linalg.crt_primes(1)[0]
-    n = 40
+    n = 50
     m = sum(c * np.eye(n, k=d, dtype=np.int64)
             for d, c in ((-2, -2), (-1, -1), (0, 7), (1, -1), (2, -3)))
     rows, cols = np.nonzero(m)
@@ -645,7 +859,8 @@ def test_pivot_block_vanishes_after_rows_are_scaled(fallbacks):
 
 def test_one_lane_per_chunk(monkeypatch, fallbacks):
     # at a cap below one lane's working set every chunk holds one lane,
-    # with its own buffer, row factors and inverse
+    # with its own buffer and row factors: two at the ends of a lane, one
+    # in its middle
     p0 = linalg.crt_primes(1)[0]
     stack = _scaled_paths()
     stack[1, 0, 0], stack[1, 1, 1] = 1, p0 + 10 ** 6
@@ -654,8 +869,10 @@ def test_one_lane_per_chunk(monkeypatch, fallbacks):
     dets, total, calls = _sliding_dets(stack, _band_mask(50, 1), monkeypatch)
     assert dets == [det_bareiss(m.tolist()) for m in stack]
     assert fallbacks == [(1, p0)]
-    assert len(calls) == total and all(lanes == 1 for *_, lanes in calls)
-    assert [taken for *_, taken in inverses].count(0) == 1
+    assert len(calls) == 3 * total
+    assert all(lanes == 1 for _, _, lanes, _, _ in calls)
+    [(runs, lanes, taken)] = inverses
+    assert taken == lanes - 1
 
 
 def test_det_crt_zero_leading_minor_falls_back_on_every_prime(fallbacks):
@@ -717,40 +934,40 @@ def test_fallback_inputs_property(case):
     assert [linalg.det_pattern(n, rows, cols, v) for v in vals] == expected
     with pytest.MonkeyPatch.context() as mp:
         assert _sliding_dets(stack, mask, mp)[0] == expected
-    w, _, places, bvals = linalg._band_form(n, rows, cols, vals)
+    w, brows, bcols = linalg._band_order(n, rows, cols)
+    _, places, bvals = linalg._band_form(n, w, brows, bcols, vals)
     for j, det in enumerate(expected):
         for p in (5, 7):
             assert linalg._det_swaps(n, w, places, bvals, j, p) == det % p
 
 
 def test_fallback_lane_peaks_below_2_mib(monkeypatch):
-    # l = 2, a = (1, 3) at 2048 vertices: lane 0 of the first chunk is
-    # made to fail, and only the work between that chunk's kernel run and
-    # the next one, where the failed lane is redone, is traced
+    # l = 2, a = (1, 3) at 2048 vertices: lane 0 of the first kernel run is
+    # made to fail, and only its fallback, on the whole matrix, is traced
     spec, n = TowerSpec(2, (1, 3)), 11
     cover = derived_cover(cayley_serre(2 ** n, spec.generators))
     peaks = []
-    real_band = linalg._det_band
+    real_band, real_swaps = linalg._det_band, linalg._det_swaps
 
     def band(*args):
-        if tracemalloc.is_tracing():
-            peaks.append(tracemalloc.get_traced_memory()[1])
-            tracemalloc.stop()
         out = real_band(*args)
         if not peaks:
-            out[0] = None
-            tracemalloc.start()
+            out[1][0] = 0
+            peaks.append(None)
         return out
 
-    monkeypatch.setattr(linalg, "_det_band", band)
-    try:
-        count = spanning_tree_count(cover)
-        if tracemalloc.is_tracing():
+    def swaps(*args):
+        tracemalloc.start()
+        try:
+            return real_swaps(*args)
+        finally:
             peaks.append(tracemalloc.get_traced_memory()[1])
-    finally:
-        tracemalloc.stop()
-    assert count == kappa_exact(spec, n)
-    assert len(peaks) == 1 and peaks[0] < 2 << 20
+            tracemalloc.stop()
+
+    monkeypatch.setattr(linalg, "_det_band", band)
+    monkeypatch.setattr(linalg, "_det_swaps", swaps)
+    assert spanning_tree_count(cover) == kappa_exact(spec, n)
+    assert len(peaks) == 2 and peaks[1] < 2 << 20
 
 
 def test_cycle_pencil_needs_no_fallback(fallbacks):

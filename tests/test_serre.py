@@ -67,6 +67,19 @@ def test_validate_low_valency():
     assert any("valency" in p for p in validate_serre(Multigraph(2, [(0, 1)])))
 
 
+def test_validate_names_three_low_vertices_and_counts_the_rest():
+    # one edge on 32 768 vertices: the refusal names vertices 0..2 and
+    # counts all 32 768, in a few dozen bytes, not one line per vertex
+    problems = validate_serre(Multigraph(32768, [(0, 32767)]))
+    assert problems == ["graph is not connected",
+                        "vertex 0: valency 1 < 2", "vertex 1: valency 0 < 2",
+                        "vertex 2: valency 0 < 2",
+                        "32768 vertices of valency < 2 in all"]
+    assert validate_serre(Multigraph(3, [(0, 1)]))[1:] == [
+        "vertex 0: valency 1 < 2", "vertex 1: valency 1 < 2",
+        "vertex 2: valency 0 < 2"]
+
+
 def test_the_inversion_is_an_involution_swapping_ends_by_construction():
     rng = random.Random(3)
     graphs = [random_base_multigraph(rng) for _ in range(20)]

@@ -274,6 +274,17 @@ def test_a_voltage_graph_validates_its_voltages():
     assert VoltageGraph(bouquet(2), 4, [2, 2, 2, 2]).voltage == (2, 2, 2, 2)
 
 
+@pytest.mark.parametrize("key", [2, 5, -1, -2])
+def test_a_voltage_key_must_name_a_directed_edge(key):
+    # bouquet(1) has the directed edges 0 and 1: a key past them used to
+    # raise IndexError, and a negative one wrapped round to an edge
+    message = (rf"voltage key {key} is not a directed edge of the base "
+               r"\(0\.\.1\)")
+    with pytest.raises(ValueError, match=message):
+        voltage_graph(bouquet(1), 4, {key: 1})
+    assert voltage_graph(bouquet(1), 4, {0: 1}).voltage == (1, 3)
+
+
 def test_the_criterion_5_covers_keep_their_json_and_dot():
     # sha256 of the JSON and DOT of acceptance criterion 5's 200 covers:
     # the cover's edges keep their order, base edge first, then fiber

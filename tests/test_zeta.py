@@ -271,6 +271,26 @@ def test_pencil_takes_the_primes_of_its_unit_circle_bound(monkeypatch, m,
     assert seen == [(2 * m + 1, primes)]
 
 
+@pytest.mark.parametrize("m,primes", [(32, 3), (128, 9)])
+def test_interpolation_takes_one_inverse_per_prime(monkeypatch, m, primes):
+    # the 2m + 1 nodes need 1 / d mod p for d <= 2m: one inverse of (2m)!
+    # per prime gives them all, where one pow per d and prime took
+    # 2m primes
+    from graph_iwasawa import zeta
+
+    cover = derived_cover(cayley_serre(m, (3, 5)))
+    expected = ihara_h(cover)
+    taken = []
+
+    def counting_pow(base, exp, mod=None):
+        taken.append(exp)
+        return pow(base, exp, mod)
+
+    monkeypatch.setattr(zeta, "pow", counting_pow, raising=False)
+    assert ihara_h(cover) == expected
+    assert taken == [-1] * primes
+
+
 def test_special_values_signals_inexact_division():
     g = bouquet(2)
     # a polynomial that vanishes at 1 but is not the true h: the implied
