@@ -26,7 +26,8 @@ _HOME = {
                      "validate_serre"), "serre"),
     **dict.fromkeys(("BudgetExceededError", "IwasawaInvariants",
                      "TowerReport", "TowerSpec", "build_tower_report",
-                     "invariants", "kappa_exact", "level_norm",
+                     "invariants", "kappa_exact", "kappa_levels",
+                     "level_norm",
                      "level_valuation", "mu_lambda", "norm_bits_bound",
                      "ord_kappa", "p_poly", "q_bits_bound", "q_poly",
                      "report_from_json", "report_to_csv", "report_to_json",

@@ -12,7 +12,8 @@ loads no json: importing this module loads only what they run.  zeta,
 cover-verify and export-dot import serre and the numpy-backed zeta and
 voltage modules when they start, and read the default --cap-vertices off
 serre then.  Text output factors kappa_n by
-trial division to 10^6 on a wheel mod 210, no prime table.
+trial division to 10^6 on a wheel mod 210, no prime table, and renders in
+decimal only the kappas it prints, each once.
 Exit codes: 0 success (tower: full fit verified), 1 invalid input, usage
 or size, 2 verification failure, internal inconsistency or other fault.
 """
@@ -63,28 +64,32 @@ def _trial_factor(n: int) -> list[tuple[int, int]] | None:
     return None
 
 
-def _render_factors(n: int, fac: list[tuple[int, int]] | None) -> str:
-    if fac is None:
-        return str(n)
+def _decimal(n: int) -> str:
+    """A kappa in decimal: every kappa printed passes here once, and no
+    other is rendered."""
+    return str(n)
+
+
+def _render_factors(fac: list[tuple[int, int]]) -> str:
     if not fac:
         return "1"
     return " * ".join(f"{p}^{e}" if e > 1 else str(p) for p, e in fac)
 
 
-def _format_kappas(kappas):
-    """Each kappa_n in turn, factored when trial division up to 10^6
-    finishes it and in decimal otherwise, without the trial division that
-    cannot succeed: once kappa_m is left unfactored its 10^6-rough part is
-    at least 10^12, and so is that of every multiple of it."""
+def _factor_kappas(kappas):
+    """Each kappa_n's factors in turn, or None where trial division up to
+    10^6 cannot finish them, without the trial division that cannot
+    succeed: once kappa_m is left unfactored its 10^6-rough part is at
+    least 10^12, and so is that of every multiple of it."""
     unfactored = None
     for n in kappas:
         if unfactored is not None and n % unfactored == 0:
-            yield str(n)
+            yield None
             continue
         fac = _trial_factor(n)
         if fac is None:
             unfactored = n
-        yield _render_factors(n, fac)
+        yield fac
 
 
 def _parse_generators(text: str) -> tuple:
@@ -163,10 +168,12 @@ def cmd_tower(args) -> int:
                   f"n0_certified={inv.n0_certified} "
                   f"n0_observed={inv.n0_observed}")
             print(f"{'n':>3} {'ord':>6} {'v_n':>6} {'fit':>5}  kappa_n")
-            kappas = _format_kappas(rec.kappa for rec in report.levels)
-            for rec, kappa in zip(report.levels, kappas):
+            factors = _factor_kappas(rec.kappa for rec in report.levels)
+            for rec, fac in zip(report.levels, factors):
                 v = "-" if rec.v is None else str(rec.v)
                 fit = "yes" if rec.fit else "no"
+                kappa = (_decimal(rec.kappa) if fac is None
+                         else _render_factors(fac))
                 print(f"{rec.n:>3} {rec.ord_kappa:>6} {v:>6} {fit:>5}  "
                       f"{kappa}")
             print("consistency: "
@@ -182,29 +189,31 @@ def cmd_kappa(args) -> int:
     # level n is the Cayley graph of Z/l^n: kappa_0..kappa_n read each a
     # mod l^n only, so the chain runs on least absolute residues (0 is a
     # loop) and starts with under l^n coefficients: l^n <= phi(l^n) *
-    # bits(4t - 1) < N_n's bound, so _admit alone holds the chain in budget
+    # bits(4t - 1) < N_n's bound, so _admit alone holds the chain in budget.
+    # Reading no level past n, the chain then folds each later step to
+    # l^(n - k) coefficients at depth k (towers.kappa_levels)
     mod = spec.ell ** max(args.levels, 1)
     chain = towers.TowerSpec(spec.ell, tuple(
         (a + mod // 2) % mod - mod // 2 for a in spec.generators))
-    kappa = towers.kappa_exact(chain, args.levels)
+    kappas = towers.kappa_levels(chain, args.levels)
     with unlimited_digits():
+        decimal = _decimal(kappas[-1])
         if args.format == "json":
             import json
 
             sys.stdout.write(json.dumps(
                 {"prime": str(spec.ell),
                  "generators": [str(a) for a in spec.generators],
-                 "n": str(args.levels), "kappa": str(kappa)}, indent=2))
+                 "n": str(args.levels), "kappa": decimal}, indent=2))
             sys.stdout.write("\n")
         else:
-            # kappa_0..kappa_n come off the chain on the way to kappa_n, and
-            # an unfactored one spares trial division of the rest
-            *_, factored = _format_kappas(
-                towers.kappa_exact(chain, m) for m in range(args.levels + 1))
-            if factored != str(kappa):
-                print(f"kappa_{args.levels} = {kappa} = {factored}")
+            # an unfactored kappa_m below n spares trial division of the rest
+            *_, fac = _factor_kappas(kappas)
+            factored = None if fac is None else _render_factors(fac)
+            if factored not in (None, decimal):
+                print(f"kappa_{args.levels} = {decimal} = {factored}")
             else:
-                print(f"kappa_{args.levels} = {kappa}")
+                print(f"kappa_{args.levels} = {decimal}")
     return 0
 
 

@@ -198,6 +198,13 @@ def graeffe_at_one(p: list[int], ell: int) -> int:
     return sign * det
 
 
+def fold(p: list[int], width: int) -> list[int]:
+    """p mod y^width - 1.  A Graeffe step takes p mod y^(l*width) - 1 to
+    G mod z^width - 1: every y with y^l = z is an (l*width)-th root of
+    unity when z is a width-th one."""
+    return trim([sum(p[r::width]) for r in range(width)])
+
+
 def cyclotomic_polynomial(n: int) -> list[int]:
     """The n-th cyclotomic polynomial from Phi_1 = y - 1, prime by prime:
     Phi_mq(y) = Phi_m(y**q), divided exactly by Phi_m(y) if q is prime to m."""

@@ -27,7 +27,11 @@ P_a(eps(1)) = eps(a).  This module computes everything exactly:
   ultrametric minimum is attained by a single term, so the affine formula
   provably holds for every larger level, not just the inspected ones.
 
-One level table per spec (``_tower``), grown on demand, holds all three.
+One level table per spec (``_tower``) holds all three.  ``kappa_exact``,
+``level_norm`` and the valuations grow it on demand along the true chain;
+``build_tower_report``, ``verify_bounds`` and ``kappa_levels`` name the
+deepest level N they read, which needs G~^k only mod z^(l^(N-k)) - 1, and
+the chain folds a longer G~^k to that.
 The cycle tower (t = 1) takes the same route: Q = P_|a| has the l-unit a^2
 as its linear coefficient, so mu = 0, lambda = 1 and n0_certified = 1.
 """
@@ -193,12 +197,19 @@ def _reduced_jump_poly(spec: TowerSpec) -> list[int]:
 
 
 class _Tower:
-    """One tower's level table, grown on demand: the Graeffe chain
-    g_k = G~^k(1) = prod over the l^k-th roots of unity w of f~(w), for
-    G~^0 = f~ and G~^k = Graeffe_l(G~^(k-1)) (the l-th roots of the
-    l^(k-1)-th roots of unity are the l^k-th ones), Q's law, and
-    ord_l(kappa_n) from the valuations alone.  The deepest g_k asked for is
-    read at z = 1 without its step; only the deepest polynomial is kept."""
+    """One tower's level table: the Graeffe chain g_k = G~^k(1) = prod
+    over the l^k-th roots of unity w of f~(w), for G~^0 = f~ and G~^k =
+    Graeffe_l(G~^(k-1)) (the l-th roots of the l^(k-1)-th roots of unity
+    are the l^k-th ones), Q's law, and ord_l(kappa_n) from the valuations
+    alone.
+
+    For j >= k, g_j is the product of G~^k over the l^(j-k)-th roots of
+    unity, so a caller that reads no level past N needs G~^k only mod
+    z^(l^(N-k)) - 1, and ``grow`` folds a longer one to that (``polys.fold``).
+    The g values read off a folded polynomial are exact and kept; the
+    polynomial is not.  The one polynomial kept is the deepest true
+    G~^depth, from which a deeper read steps on.  The deepest g_k read is
+    taken at z = 1 without its step."""
 
     def __init__(self, spec: TowerSpec):
         self.spec = spec
@@ -208,25 +219,37 @@ class _Tower:
         self.values = [sum(self.poly)]
         self._ords = [0]
 
-    def value(self, k: int) -> int:
-        while len(self.values) <= k:
+    def grow(self, n: int, deepest: int | None = None) -> None:
+        """Read g_0..g_n into the table.  A caller that will read no level
+        past ``deepest`` lets a polynomial at depth k fold to l^(deepest - k)
+        coefficients; without one, every step is the true one."""
+        poly, depth = self.poly, self.depth
+        while len(self.values) <= n:
             level = len(self.values)
-            while self.depth < level - 1:
-                step = polys.graeffe(self.poly, self.ell)
+            while depth < level - 1:
+                if deepest is not None:
+                    width = self.ell ** (deepest - depth)
+                    if len(poly) > width:
+                        poly = polys.fold(poly, width)
+                step = polys.graeffe(poly, self.ell)
                 # two routes to g_(depth+1): the step's G~(1), the z = 1
                 # rule; a step that fails is never kept
-                if sum(step) != self.values[self.depth + 1]:
+                if sum(step) != self.values[depth + 1]:
                     raise ArithmeticError(
-                        f"level {self.depth + 1}: the Graeffe step and its "
+                        f"level {depth + 1}: the Graeffe step and its "
                         "value at z = 1 disagree")
-                self.poly = step
-                self.depth += 1
-            g = polys.graeffe_at_one(self.poly, self.ell)
+                if poly is self.poly:  # unfolded: the true G~^(depth+1)
+                    self.poly, self.depth = step, depth + 1
+                poly, depth = step, depth + 1
+            g = polys.graeffe_at_one(poly, self.ell)
             if g == 0:
                 raise ArithmeticError(
                     f"level {level} norm vanished; tower invariants are "
                     "violated")
             self.values.append(g)
+
+    def value(self, k: int) -> int:
+        self.grow(k)
         return self.values[k]
 
     def quotient(self, k: int, j: int) -> int:
@@ -309,6 +332,19 @@ def kappa_exact(spec: TowerSpec, n: int) -> int:
     return _tower(spec).kappa(n) if n else 1
 
 
+def kappa_levels(spec: TowerSpec, n: int) -> list[int]:
+    """[kappa_0, ..., kappa_n] off one Graeffe chain that reads no level
+    past n, so that its steps fold (``_Tower.grow``); level 0 takes no
+    chain."""
+    if n < 0:
+        raise ValueError("level must be >= 0")
+    if not n:
+        return [1]
+    tower = _tower(spec)
+    tower.grow(n, deepest=n)
+    return [tower.kappa(m) for m in range(n + 1)]
+
+
 def ord_kappa(spec: TowerSpec, n: int) -> int:
     """ord_l(kappa_n) as -n + sum of level valuations (no big kappa built)."""
     if n < 0:
@@ -379,7 +415,7 @@ def verify_bounds(spec: TowerSpec, n_max: int) -> BoundsReport:
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     ell, q, t = spec.ell, spec.q, spec.t
-    kappas = [kappa_exact(spec, n) for n in range(n_max + 2)]
+    kappas = kappa_levels(spec, n_max + 1)
     upper_ok = lower_ok = divisibility_ok = True
     failures = []
     for n in range(n_max + 1):
@@ -436,6 +472,7 @@ def build_tower_report(spec: TowerSpec, n_max: int) -> TowerReport:
         raise ValueError("n_max must be >= 0")
     inv = invariants(spec)
     tower = _tower(spec)
+    tower.grow(n_max, deepest=n_max)
     ords = tower.ords(n_max)
 
     levels = []

@@ -12,7 +12,8 @@ PUBLIC = [
     "betti1", "bouquet", "build_tower_report", "cayley_serre",
     "cyc_from_poly", "cycle_graph", "cyclotomic", "derived_cover", "epsilon",
     "euler_characteristic", "ihara_Z", "ihara_h", "invariants",
-    "kappa_exact", "laplacian", "level_norm", "level_valuation", "linalg",
+    "kappa_exact", "kappa_levels", "laplacian", "level_norm",
+    "level_valuation", "linalg",
     "mu_lambda", "multigraph_from_json", "multigraph_to_json",
     "norm_bits_bound", "orbit_h_poly", "ord_L", "ord_int", "ord_kappa",
     "p_poly", "polys", "q_bits_bound", "q_poly", "report_from_json",

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import operator
@@ -5,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -16,7 +18,7 @@ from graph_iwasawa import (Multigraph, VoltageGraph, multigraph_from_json,
 from graph_iwasawa import cycle_graph, report_from_json, report_to_json
 from graph_iwasawa import TowerSpec, cli, norm_bits_bound, polys, towers, zeta
 from graph_iwasawa import linalg, serre, voltage
-from graph_iwasawa.cli import main, _format_kappas, _trial_factor
+from graph_iwasawa.cli import main, _factor_kappas, _trial_factor
 from graph_iwasawa.polys import unlimited_digits
 
 import oracles
@@ -31,12 +33,12 @@ def run(capsys, *argv):
 def test_trial_factoring():
     assert _trial_factor(1) == []
     assert _trial_factor(2 ** 34 * 577 ** 2) == [(2, 34), (577, 2)]
-    assert list(_format_kappas([2 ** 6 * 3 ** 13 * 176417 ** 2])) \
-        == ["2^6 * 3^13 * 176417^2"]
-    # two > 10^6 prime factors cannot be completed: raw decimal
+    assert list(_factor_kappas([2 ** 6 * 3 ** 13 * 176417 ** 2])) \
+        == [[(2, 6), (3, 13), (176417, 2)]]
+    # two > 10^6 prime factors cannot be completed: printed raw
     n = 1000003 * 1000033
     assert _trial_factor(n) is None
-    assert list(_format_kappas([n])) == [str(n)]
+    assert list(_factor_kappas([n])) == [None]
     # a single large cofactor below 10^12 is necessarily prime
     assert _trial_factor(1000003) == [(1000003, 1)]
 
@@ -595,11 +597,11 @@ def test_kappa_output_is_the_unreduced_library_rendering(capsys):
     for ell, gens, n in specs:
         spec = TowerSpec(ell, gens)
         kappas = [towers.kappa_exact(spec, m) for m in range(n + 1)]
-        *_, factored = _format_kappas(kappas)
+        *_, fac = _factor_kappas(kappas)
         with unlimited_digits():
             text = f"kappa_{n} = {kappas[n]}"
-            if factored != str(kappas[n]):
-                text += f" = {factored}"
+            if fac is not None and cli._render_factors(fac) != str(kappas[n]):
+                text += f" = {cli._render_factors(fac)}"
             data = {"prime": str(ell), "generators": [str(a) for a in gens],
                     "n": str(n), "kappa": str(kappas[n])}
         argv = ("kappa", "-l", str(ell), "-a", ",".join(map(str, gens)),
@@ -607,6 +609,55 @@ def test_kappa_output_is_the_unreduced_library_rendering(capsys):
         assert run(capsys, *argv) == (0, text + "\n", "")
         assert run(capsys, *argv, "--format", "json") \
             == (0, json.dumps(data, indent=2) + "\n", "")
+
+
+# A jump far past l^n / 2 at a depth whose unfolded chain took 9-11 s a
+# command: each must finish in under a second with the same bytes
+@pytest.mark.parametrize("argv, digest", [
+    (("kappa", "--format", "text"),
+     "c35b0109f45a888bb2bfdb08762f5e3c5b9b183117adb1e08e16dc1c3b84f7b9"),
+    (("kappa", "--format", "json"),
+     "36002091b31206178ddc5088ea382e941d6e200e1140b76fb57e2d3fa519e8de"),
+    (("tower", "--format", "csv"),
+     "2b417c7bc77bb7a74d113f36e95da32a20373ce2d484473ad9c4dc136fe61090")],
+    ids=["kappa-text", "kappa-json", "tower-csv"])
+def test_a_big_jump_folds_its_chain(capsys, argv, digest):
+    command, *flags = argv
+    towers._tower.cache_clear()
+    start = time.perf_counter()
+    code, out, _ = run(capsys, command, "-l", "2", "-a", "1,2000", "-n", "12",
+                       *flags)
+    elapsed = time.perf_counter() - start
+    towers._tower.cache_clear()
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    assert elapsed < 1.0
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_kappa_renders_its_kappa_once(monkeypatch, capsys, fmt):
+    # kappa_9 is left unfactored and so are some kappa_m below it: only
+    # kappa_9 goes to decimal, once
+    rendered = []
+    real = cli._decimal
+
+    def spy(n):
+        rendered.append(n)
+        return real(n)
+
+    monkeypatch.setattr(cli, "_decimal", spy)
+    code, out, _ = run(capsys, "kappa", "-l", "3", "-a", "1,4,20", "-n", "9",
+                       "--format", fmt)
+    kappa = towers.kappa_exact(TowerSpec(3, (1, 4, 20)), 9)
+    assert code == 0 and rendered == [kappa]
+    with unlimited_digits():
+        assert str(kappa) in out
+    # the tower table renders each unfactored level once, and only those
+    rendered.clear()
+    code, out, _ = run(capsys, "tower", "-l", "3", "-a", "1,4,20", "-n", "6")
+    kappas = towers.kappa_levels(TowerSpec(3, (1, 4, 20)), 6)
+    raw = [k for k, fac in zip(kappas, _factor_kappas(kappas)) if fac is None]
+    assert code == 0 and raw and rendered == raw
 
 
 def test_kappa_admits_the_chain_it_bounds(capsys):

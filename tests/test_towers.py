@@ -576,6 +576,90 @@ def test_chain_raises_on_a_bad_step(monkeypatch, fresh_table):
             kappa_exact(TowerSpec(3, (1, 4, 20)), 3)
 
 
+# Specs whose chain folds toward the level N given: each jump polynomial
+# here is longer than l^(N - k) at some depth k < N - 1, which steps
+_FOLDING = [(2, (1, 2000), 12), (2, (1, 60), 9), (3, (1, 4, 20), 7),
+            (5, (2, -25), 5), (2, (3, 5), 6), (7, (3, 30), 3)]
+
+
+def test_fold_keeps_the_true_chain_and_its_values(fresh_table):
+    spec = TowerSpec(3, (1, 4, 20))
+    n = 7
+    folded = build_tower_report(spec, n)
+    table = towers._tower(spec)
+    # f~ has 39 coefficients, over 3^(7 - 4) = 27 from depth 4 on: the
+    # table keeps the true G~^4, folded before its step, and nothing deeper
+    assert table.depth == 4 and len(table.poly) == 39
+    values = list(table.values)
+    towers._tower.cache_clear()
+    assert build_tower_report(spec, n) == folded
+    kappas = [kappa_exact(spec, m) for m in range(n + 1)]
+    assert towers._tower(spec).values == values
+    assert [rec.kappa for rec in folded.levels] == kappas
+    assert towers.kappa_levels(spec, n) == kappas
+
+
+def test_a_deeper_read_after_a_fold_is_the_true_chain(monkeypatch,
+                                                      fresh_table):
+    # reach level n folded, then ask level n + 2 on demand: both must be
+    # what a table that never folded gives
+    for ell, gens, n in ((2, (1, 60), 9), (3, (1, 4, 20), 5),
+                         (5, (2, -25), 3), (2, (3, 5), 4)):
+        spec = TowerSpec(ell, gens)
+        build_tower_report(spec, n)
+        kept = towers._tower(spec).depth
+        steps = _spy(monkeypatch, "graeffe", polys)
+        deeper = (kappa_exact(spec, n + 2), level_norm(spec, n + 2),
+                  level_norm(spec, n + 1))
+        # the deeper read steps on from the kept polynomial, unfolded
+        assert len(steps) == n + 1 - kept
+        assert all(len(p) == len(steps[0][0]) for p, _ in steps)
+        monkeypatch.undo()
+        towers._tower.cache_clear()
+        fresh = (kappa_exact(spec, n + 2), level_norm(spec, n + 2),
+                 level_norm(spec, n + 1))
+        assert deeper == fresh, (ell, gens, n)
+        towers._tower.cache_clear()
+
+
+@pytest.mark.parametrize("command", ["tower", "kappa"])
+@pytest.mark.parametrize("ell, gens, n", _FOLDING)
+def test_no_step_is_longer_than_the_depth_reads(monkeypatch, fresh_table,
+                                                capsys, command, ell, gens,
+                                                n):
+    # on a fresh table the k-th step runs from depth k: a command that
+    # reads no level past n steps no polynomial longer than l^(n - k) there
+    steps = _spy(monkeypatch, "graeffe", polys)
+    argv = [command, "-l", str(ell),
+            f"--generators={','.join(map(str, gens))}", "-n", str(n),
+            "--format", "json"]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert len(steps) == n - 1
+    assert all(len(p) <= ell ** (n - k) for k, (p, _) in enumerate(steps))
+    # and the fold did happen: a true step keeps its length
+    assert len(steps[-1][0]) < len(steps[0][0])
+
+
+@given(st.sampled_from((2, 3, 5)), st.data())
+def test_a_folded_report_is_the_report_of_a_grown_table(ell, data):
+    # a report read off a fresh table, which folds toward n_max, against one
+    # read off a table first grown on demand, to below or past n_max
+    coprime = data.draw(st.sampled_from([a for a in range(-60, 61)
+                                         if a % ell]))
+    rest = data.draw(st.lists(st.integers(-60, 60), max_size=2))
+    spec = TowerSpec(ell, (coprime, *rest))
+    levels = _shallow_levels(ell)
+    n = data.draw(st.sampled_from(levels))
+    grown = data.draw(st.integers(1, levels[-1] + 1))
+    towers._tower.cache_clear()
+    folded = build_tower_report(spec, n)
+    towers._tower.cache_clear()
+    kappa_exact(spec, grown)
+    assert build_tower_report(spec, n) == folded
+    towers._tower.cache_clear()
+
+
 def _prs_norm(spec, i):
     return abs(resultant_with_phi(spec.ell, i, _jump_poly(spec)))
 
