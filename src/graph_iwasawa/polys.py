@@ -5,10 +5,10 @@ always kept trimmed (no trailing zeros); the zero polynomial is the empty
 list.  Every operation stays in the integers: a division that is not exact
 raises instead of leaving Z.
 
-``graeffe`` and ``graeffe_at_one`` are the one norm kernel of the package:
-the l-Graeffe step G(z) = prod over y^l = z of p(y), and its value at
-z = 1, each an l x l fraction-free determinant.  The towers module runs a
-chain of them per tower.
+``graeffe`` and ``graeffe_norm`` are the one norm kernel of the package:
+the l-Graeffe step G(z) = prod over y^l = z of p(y), and the norm
+G(1) / p(1) of p(zeta_l), each an l x l fraction-free determinant.  The
+towers module runs a chain of them per tower.
 """
 
 from __future__ import annotations
@@ -168,33 +168,29 @@ def _divexact_poly(p: list[int], d: list[int]) -> list[int]:
     return q
 
 
-def _multiplication_matrix(sections: list, z) -> list[list]:
-    # multiplication by p on Z[z][y]/(y^l - z) in the basis 1, y, ...,
-    # y^(l-1): entry (i, j) is F_(i-j) for i >= j and z*F_(i-j+l) above the
-    # diagonal, where F_r(z) = sum_m p_(m*l+r) z^m; z times an entry is
-    # given by the function z
-    ell = len(sections)
-    return [[sections[i - j] if i >= j else z(sections[i - j + ell])
-             for j in range(ell)] for i in range(ell)]
-
-
 def graeffe(p: list[int], ell: int) -> list[int]:
     """G(z) = prod over y^l = z of p(y), of the same degree as p: the
     determinant of multiplication by p on Z[z][y]/(y^l - z), by
     fraction-free elimination over Z[z].  For l = 2 it is
     F_0^2 - z*F_1^2 = p(y)*p(-y)."""
-    sections = [trim(p[r::ell]) for r in range(ell)]
-    sign, det = _det(_multiplication_matrix(sections, lambda x: shift(x, 1)),
-                     mul, sub, _divexact_poly)
+    # in the basis 1, y, ..., y^(l-1): entry (i, j) is F_(i-j) for i >= j
+    # and z*F_(i-j+l) above the diagonal, F_r(z) = sum_m p_(m*l+r) z^m
+    f = [trim(p[r::ell]) for r in range(ell)]
+    m = [[f[i - j] if i >= j else shift(f[i - j + ell], 1)
+          for j in range(ell)] for i in range(ell)]
+    sign, det = _det(m, mul, sub, _divexact_poly)
     return scale(det, sign)
 
 
-def graeffe_at_one(p: list[int], ell: int) -> int:
-    """G(1) = prod over y^l = 1 of p(y), without the step: the same matrix
-    at z = 1, an l x l integer circulant."""
-    sections = [sum(p[r::ell]) for r in range(ell)]
-    sign, det = _det(_multiplication_matrix(sections, lambda x: x),
-                     operator.mul, operator.sub, _divexact_int)
+def graeffe_norm(p: list[int], ell: int) -> int:
+    """prod over y^l = 1, y != 1 of p(y), the norm of p(zeta_l): G(1) / p(1)
+    with no division.  G(1) is graeffe's matrix at z = 1, the circulant of
+    the sums F_r(1); adding every column to the first makes that column
+    p(1), so this is the circulant with its first column set to ones.  For
+    l = 2 it is p(-1)."""
+    s = [sum(p[r::ell]) for r in range(ell)]
+    m = [[1] + [s[i - j] for j in range(1, ell)] for i in range(ell)]
+    sign, det = _det(m, operator.mul, operator.sub, _divexact_int)
     return sign * det
 
 

@@ -13,12 +13,12 @@ P_a(eps(1)) = eps(a).  This module computes everything exactly:
 * kappa_n and the per-level norms N_i from one l-Graeffe chain per spec.
   With f the jump polynomial and f = (y - 1)^2 f~, each step takes G~ to
   the polynomial whose roots are the l-th powers of G~'s, so
-  g_k = G~^k(1) is the product of f~ over the l^k-th roots of unity, and
-  N_i = l^2 |g_i / g_(i-1)|, kappa_n = l^n |g_n / g_0| (Bostan, Flajolet,
-  Salvy and Schost, "Fast computation of special resultants", 2006).
-  A step is one l x l fraction-free determinant (``polys.graeffe``); the
-  deepest level asked for is the same determinant at z = 1, an integer
-  circulant (``polys.graeffe_at_one``).
+  g_k = G~^k(1) is the product of f~ over the l^k-th roots of unity
+  (Bostan, Flajolet, Salvy and Schost, "Fast computation of special
+  resultants", 2006).  A step is one l x l fraction-free determinant
+  (``polys.graeffe``); the norm r_i of G~^(i-1)(zeta_l) is another, an
+  integer circulant (``polys.graeffe_norm``).  N_i = l^2 |r_i|, g_i =
+  g_(i-1) r_i and kappa_n = l^n |g_n / g_0|, g_0 = f~(1) of a few bits.
 * the per-level valuation v_i = ord_L(Q(eps)) = ord_L(f(zeta)), read off
   Q's coefficients as mu * phi(l^i) + lambda + 1 from the certified level
   on and below it by dividing f(zeta) by 1 - zeta inside Z[zeta], with no
@@ -206,10 +206,10 @@ class _Tower:
     For j >= k, g_j is the product of G~^k over the l^(j-k)-th roots of
     unity, so a caller that reads no level past N needs G~^k only mod
     z^(l^(N-k)) - 1, and ``grow`` folds a longer one to that (``polys.fold``).
-    The g values read off a folded polynomial are exact and kept; the
-    polynomial is not.  The one polynomial kept is the deepest true
-    G~^depth, from which a deeper read steps on.  The deepest g_k read is
-    taken at z = 1 without its step."""
+    The r and g values read off a folded polynomial are exact and kept;
+    the polynomial is not.  The one polynomial kept is the deepest true
+    G~^depth, from which a deeper read steps on.  Each step's G~(1) is
+    checked against g_k = g_(k-1) r_k, which took no step."""
 
     def __init__(self, spec: TowerSpec):
         self.spec = spec
@@ -217,10 +217,11 @@ class _Tower:
         self.poly = _reduced_jump_poly(spec)  # G~^depth
         self.depth = 0
         self.values = [sum(self.poly)]
+        self.ratios = [None]
         self._ords = [0]
 
     def grow(self, n: int, deepest: int | None = None) -> None:
-        """Read g_0..g_n into the table.  A caller that will read no level
+        """Read levels 0..n into the table.  A caller that will read no level
         past ``deepest`` lets a polynomial at depth k fold to l^(deepest - k)
         coefficients; without one, every step is the true one."""
         poly, depth = self.poly, self.depth
@@ -232,42 +233,36 @@ class _Tower:
                     if len(poly) > width:
                         poly = polys.fold(poly, width)
                 step = polys.graeffe(poly, self.ell)
-                # two routes to g_(depth+1): the step's G~(1), the z = 1
-                # rule; a step that fails is never kept
+                # two routes to g_(depth+1): the step's G~(1), the product
+                # g_depth r_(depth+1); a step that fails is never kept
                 if sum(step) != self.values[depth + 1]:
                     raise ArithmeticError(
-                        f"level {depth + 1}: the Graeffe step and its "
-                        "value at z = 1 disagree")
+                        f"level {depth + 1}: the Graeffe step's G~(1) and "
+                        "the product of the level norms disagree")
                 if poly is self.poly:  # unfolded: the true G~^(depth+1)
                     self.poly, self.depth = step, depth + 1
                 poly, depth = step, depth + 1
-            g = polys.graeffe_at_one(poly, self.ell)
-            if g == 0:
+            r = polys.graeffe_norm(poly, self.ell)
+            if r == 0:
                 raise ArithmeticError(
                     f"level {level} norm vanished; tower invariants are "
                     "violated")
-            self.values.append(g)
+            self.ratios.append(r)
+            self.values.append(self.values[-1] * r)
 
     def value(self, k: int) -> int:
         self.grow(k)
         return self.values[k]
 
-    def quotient(self, k: int, j: int) -> int:
-        """|g_k / g_j|, an integer for j <= k; raises if it is not."""
-        q, r = divmod(self.value(k), self.value(j))
-        if r:
-            raise ArithmeticError(
-                f"level {k}: g_{k} / g_{j} of the Graeffe chain is inexact")
-        return abs(q)
-
     def norm(self, i: int) -> int:
         # conjugates of f over the primitive l^i-th roots: (w - 1)^2 gives
-        # l^2 from the level, f~ gives g_i / g_(i-1)
-        return self.ell ** 2 * self.quotient(i, i - 1)
+        # l^2 from the level, f~ gives r_i
+        self.grow(i)
+        return self.ell ** 2 * abs(self.ratios[i])
 
     def kappa(self, n: int) -> int:
-        # l^n kappa_n = prod_(i<=n) N_i = l^(2n) |g_n / g_0|
-        return self.ell ** n * self.quotient(n, 0)
+        # l^n kappa_n = prod_(i<=n) N_i = l^(2n) |g_n / g_0|, g_0 = f~(1)
+        return self.ell ** n * abs(self.value(n)) // abs(self.value(0))
 
     @functools.cached_property
     def law(self) -> tuple[tuple, int, int, int]:
@@ -301,8 +296,8 @@ def level_norm(spec: TowerSpec, i: int) -> int:
     """N_i: the positive integer with l^n * kappa_n = prod_{i<=n} N_i.
 
     The norm of the jump polynomial over the primitive l^i-th roots of
-    unity, |Res(Phi_{l^i}, f)|, read off the Graeffe chain as
-    l^2 * |g_i / g_(i-1)|.
+    unity, |Res(Phi_{l^i}, f)|, read off the Graeffe chain as l^2 * |r_i|,
+    r_i the norm of G~^(i-1)(zeta_l).
     """
     if i < 1:
         raise ValueError("level must be >= 1")
@@ -326,7 +321,8 @@ def norm_bits_bound(spec: TowerSpec, i: int) -> int:
 
 def kappa_exact(spec: TowerSpec, n: int) -> int:
     """Spanning-tree count at level n, via the L-function decomposition:
-    l^n |g_n / g_0| off the Graeffe chain, and 1 at level 0, the bouquet."""
+    l^n |g_n / g_0| off the Graeffe chain, g_n = g_0 r_1 ... r_n a product
+    of level norms, and 1 at level 0, the bouquet."""
     if n < 0:
         raise ValueError("level must be >= 0")
     return _tower(spec).kappa(n) if n else 1

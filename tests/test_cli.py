@@ -398,7 +398,7 @@ def _forbid(monkeypatch, module, *names):
 def _forbid_chain(monkeypatch):
     # the level table's Graeffe chain and the kernel it steps with
     _forbid(monkeypatch, towers, "_tower")
-    _forbid(monkeypatch, polys, "graeffe", "graeffe_at_one")
+    _forbid(monkeypatch, polys, "graeffe", "graeffe_norm")
 
 
 @pytest.mark.parametrize("command", ["kappa", "tower"])
@@ -632,6 +632,21 @@ def test_a_big_jump_folds_its_chain(capsys, argv, digest):
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
     assert elapsed < 1.0
+
+
+def test_a_deep_tower_takes_no_big_division(capsys):
+    # 22 levels of norms of up to 2.9 M bits: one quadratic division per
+    # level would take over 20 s
+    towers._tower.cache_clear()
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "tower", "-l", "2", "-a", "1,2", "-n", "22",
+                       "--format", "csv")
+    elapsed = time.perf_counter() - start
+    towers._tower.cache_clear()
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "168460e495e241d3952a44c51f000f10821636b6696f04749a6163a9c6649ac6")
+    assert elapsed < 5.0
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])

@@ -156,8 +156,8 @@ def test_ord_L_takes_no_norm(monkeypatch):
     def forbidden(*args):
         raise AssertionError("ord_L took a norm")
 
-    for name in ("graeffe", "graeffe_at_one"):
-        monkeypatch.setattr(polys, name, forbidden, raising=False)
+    for name in ("graeffe", "graeffe_norm"):
+        monkeypatch.setattr(polys, name, forbidden)
     assert ord_L(epsilon(3, 3, 9)) == 18
     assert ord_L(cyc_from_poly(5, 2, [7, 1, 0, 3])) == 0
     assert ord_L(cyc_pow(_one_minus_zeta(5, 2), 7)) == 7

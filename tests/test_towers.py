@@ -499,7 +499,7 @@ def test_one_level_table(monkeypatch, fresh_table):
     spec = TowerSpec(2, (3, 5))
     n = 7
     steps = _spy(monkeypatch, "graeffe", polys)
-    at_one = _spy(monkeypatch, "graeffe_at_one", polys)
+    norms = _spy(monkeypatch, "graeffe_norm", polys)
     valuation_calls = _count_calls(monkeypatch, "level_valuation")
     for k in range(n + 1):
         kappa_exact(spec, k)
@@ -510,9 +510,9 @@ def test_one_level_table(monkeypatch, fresh_table):
     for i in range(1, n + 1):
         level_norm(spec, i)
     # one chain for the spec: G~^1..G~^(n-1) stepped once each, and
-    # g_1..g_n each read at z = 1 once
+    # r_1..r_n each read once
     assert len(steps) == n - 1
-    assert len(at_one) == n
+    assert len(norms) == n
     assert valuation_calls
     assert all(i < inv.n0_certified for i in valuation_calls)
 
@@ -574,6 +574,36 @@ def test_chain_raises_on_a_bad_step(monkeypatch, fresh_table):
     for _ in range(2):
         with pytest.raises(ArithmeticError, match="level 1"):
             kappa_exact(TowerSpec(3, (1, 4, 20)), 3)
+
+
+def _corrupt_norm(monkeypatch, level):
+    # the call that reads r_level returns l * r_level
+    real, calls = polys.graeffe_norm, []
+
+    def corrupted(p, ell):
+        calls.append(p)
+        return real(p, ell) * (ell if len(calls) == level else 1)
+
+    monkeypatch.setattr(polys, "graeffe_norm", corrupted)
+
+
+def test_chain_raises_on_a_bad_level_norm(monkeypatch, fresh_table, capsys):
+    # r_2 gains a factor l: the step to G~^2 disagrees with g_1 r_2, and the
+    # error names level 2
+    _corrupt_norm(monkeypatch, 2)
+    with pytest.raises(ArithmeticError, match="level 2:"):
+        kappa_exact(TowerSpec(3, (1, 4, 20)), 4)
+    towers._tower.cache_clear()
+    _corrupt_norm(monkeypatch, 3)
+    assert cli.main(["tower", "-l", "2", "-a", "3,5", "-n", "6"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "internal consistency failure: level 3:" in captured.err
+    # and a norm that vanishes is refused where it is read
+    towers._tower.cache_clear()
+    monkeypatch.setattr(polys, "graeffe_norm", lambda p, ell: 0)
+    with pytest.raises(ArithmeticError, match="level 1 norm vanished"):
+        level_norm(TowerSpec(2, (3, 5)), 1)
 
 
 # Specs whose chain folds toward the level N given: each jump polynomial
@@ -690,8 +720,24 @@ def test_graeffe_step_is_a_resultant(ell, gens):
         for z0 in (-3, -1, 1, 2, 5):
             x = [-z0] + [0] * (ell - 1) + [1]
             assert poly_eval(g, z0) == sylvester_resultant(x, p), z0
-        assert poly_eval(g, 1) == polys.graeffe_at_one(p, ell)
+        assert poly_eval(g, 1) == poly_eval(p, 1) * polys.graeffe_norm(p, ell)
         p = g
+
+
+@pytest.mark.parametrize("ell", [2, 3, 5, 7, 11, 13])
+def test_graeffe_norm_is_the_norm_of_p_at_zeta(ell):
+    # prod over the primitive l-th roots of p, Res(Phi_l, p) by the PRS, on
+    # f~, its first two steps and f~ folded to l coefficients
+    p = towers._reduced_jump_poly(TowerSpec(ell, (1, 4, 20)))
+    chain = [p, polys.fold(p, ell)]
+    for _ in range(2):
+        p = polys.graeffe(p, ell)
+        chain.append(p)
+    for p in chain:
+        assert polys.graeffe_norm(p, ell) == resultant_with_phi(ell, 1, p)
+    # and where p(1) = 0, so that G(1) / p(1) is no quotient at all:
+    # 1 - y gives Phi_l(1)
+    assert polys.graeffe_norm([1, -1], ell) == ell
 
 
 def test_q_bits_bound():
