@@ -27,11 +27,9 @@ P_a(eps(1)) = eps(a).  This module computes everything exactly:
   ultrametric minimum is attained by a single term, so the affine formula
   provably holds for every larger level, not just the inspected ones.
 
-One level table per spec (``_tower``) holds all three.  ``kappa_exact``,
-``level_norm`` and the valuations grow it on demand along the true chain;
-``build_tower_report``, ``verify_bounds`` and ``kappa_levels`` name the
-deepest level N they read, which needs G~^k only mod z^(l^(N-k)) - 1, and
-the chain folds a longer G~^k to that.
+One level table per spec (``_tower``) holds all three, grown on demand.
+A read of level N needs G~^k only mod z^(l^(N-k)) - 1, and the chain folds
+a longer G~^k to that.
 The cycle tower (t = 1) takes the same route: Q = P_|a| has the l-unit a^2
 as its linear coefficient, so mu = 0, lambda = 1 and n0_certified = 1.
 """
@@ -204,12 +202,12 @@ class _Tower:
     alone.
 
     For j >= k, g_j is the product of G~^k over the l^(j-k)-th roots of
-    unity, so a caller that reads no level past N needs G~^k only mod
-    z^(l^(N-k)) - 1, and ``grow`` folds a longer one to that (``polys.fold``).
-    The r and g values read off a folded polynomial are exact and kept;
-    the polynomial is not.  The one polynomial kept is the deepest true
-    G~^depth, from which a deeper read steps on.  Each step's G~(1) is
-    checked against g_k = g_(k-1) r_k, which took no step."""
+    unity, so a read of level N needs G~^k only mod z^(l^(N-k)) - 1, and
+    ``grow`` folds a longer one to that (``polys.fold``).  The r and g
+    values read off a folded polynomial are exact and kept; the polynomial
+    is not.  The one polynomial kept is the deepest unfolded G~^depth, from
+    which a deeper read steps on.  Each step's G~(1) is checked against
+    g_k = g_(k-1) r_k, which took no step."""
 
     def __init__(self, spec: TowerSpec):
         self.spec = spec
@@ -220,18 +218,20 @@ class _Tower:
         self.ratios = [None]
         self._ords = [0]
 
-    def grow(self, n: int, deepest: int | None = None) -> None:
-        """Read levels 0..n into the table.  A caller that will read no level
-        past ``deepest`` lets a polynomial at depth k fold to l^(deepest - k)
-        coefficients; without one, every step is the true one."""
+    def grow(self, n: int) -> None:
+        """Read levels 0..n into the table, the polynomial at depth k folded
+        to l^(n - k) coefficients before its step.  A fold does not raise the
+        l1 norm and a step raises it at most to the power l, so each of those
+        coefficients has at most l^k log2 ||f~||_1 bits.  A caller reading
+        several levels grows to the deepest first, or a deeper read steps
+        again the depths that a shallower one folded."""
         poly, depth = self.poly, self.depth
         while len(self.values) <= n:
             level = len(self.values)
             while depth < level - 1:
-                if deepest is not None:
-                    width = self.ell ** (deepest - depth)
-                    if len(poly) > width:
-                        poly = polys.fold(poly, width)
+                width = self.ell ** (n - depth)
+                if len(poly) > width:
+                    poly = polys.fold(poly, width)
                 step = polys.graeffe(poly, self.ell)
                 # two routes to g_(depth+1): the step's G~(1), the product
                 # g_depth r_(depth+1); a step that fails is never kept
@@ -329,15 +329,15 @@ def kappa_exact(spec: TowerSpec, n: int) -> int:
 
 
 def kappa_levels(spec: TowerSpec, n: int) -> list[int]:
-    """[kappa_0, ..., kappa_n] off one Graeffe chain that reads no level
-    past n, so that its steps fold (``_Tower.grow``); level 0 takes no
-    chain."""
+    """[kappa_0, ..., kappa_n] off one Graeffe chain, grown to level n
+    before any level is read so that every step folds toward n
+    (``_Tower.grow``); level 0 takes no chain."""
     if n < 0:
         raise ValueError("level must be >= 0")
     if not n:
         return [1]
     tower = _tower(spec)
-    tower.grow(n, deepest=n)
+    tower.grow(n)
     return [tower.kappa(m) for m in range(n + 1)]
 
 
@@ -468,7 +468,7 @@ def build_tower_report(spec: TowerSpec, n_max: int) -> TowerReport:
         raise ValueError("n_max must be >= 0")
     inv = invariants(spec)
     tower = _tower(spec)
-    tower.grow(n_max, deepest=n_max)
+    tower.grow(n_max)
     ords = tower.ords(n_max)
 
     levels = []

@@ -634,6 +634,34 @@ def test_a_big_jump_folds_its_chain(capsys, argv, digest):
     assert elapsed < 1.0
 
 
+def test_the_library_folds_a_big_jump_too(capsys):
+    # kappa_exact and then level_norm of the true jumps, on a fresh table,
+    # in under a second: kappa_12 is the command's gated json, and
+    # l kappa_12 = kappa_11 N_12 with kappa_11 from the command, whose
+    # chain runs on the jumps mod 2^11
+    spec = TowerSpec(2, (1, 2000))
+    towers._tower.cache_clear()
+    start = time.perf_counter()
+    kappa = towers.kappa_exact(spec, 12)
+    norm = towers.level_norm(spec, 12)
+    elapsed = time.perf_counter() - start
+    printed = []
+    for n in (12, 11):
+        towers._tower.cache_clear()
+        code, out, _ = run(capsys, "kappa", "-l", "2", "-a", "1,2000",
+                           "-n", str(n), "--format", "json")
+        assert code == 0
+        printed.append(out)
+    towers._tower.cache_clear()
+    assert hashlib.sha256(printed[0].encode()).hexdigest() \
+        == "36002091b31206178ddc5088ea382e941d6e200e1140b76fb57e2d3fa519e8de"
+    with unlimited_digits():
+        kappa_12, kappa_11 = (int(json.loads(out)["kappa"]) for out in printed)
+    assert kappa == kappa_12
+    assert 2 * kappa == kappa_11 * norm
+    assert elapsed < 1.0
+
+
 def test_a_deep_tower_takes_no_big_division(capsys):
     # 22 levels of norms of up to 2.9 M bits: one quadratic division per
     # level would take over 20 s

@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import io
 import json
 import math
@@ -495,6 +496,17 @@ def _spy(monkeypatch, name, module=towers):
     return calls
 
 
+def _read(steps, spec, read, level):
+    # run read(), whose deepest level is ``level``: it steps on from the
+    # table's kept depth, and every polynomial it steps at depth k must have
+    # at most l^(level - k) coefficients
+    start, before = towers._tower(spec).depth, len(steps)
+    value = read()
+    assert all(len(p) <= spec.ell ** (level - k)
+               for k, (p, _) in enumerate(steps[before:], start)), level
+    return value
+
+
 def test_one_level_table(monkeypatch, fresh_table):
     spec = TowerSpec(2, (3, 5))
     n = 7
@@ -502,16 +514,20 @@ def test_one_level_table(monkeypatch, fresh_table):
     norms = _spy(monkeypatch, "graeffe_norm", polys)
     valuation_calls = _count_calls(monkeypatch, "level_valuation")
     for k in range(n + 1):
-        kappa_exact(spec, k)
+        _read(steps, spec, lambda: kappa_exact(spec, k), k)
         ord_kappa(spec, k)
     inv = invariants(spec)
-    verify_bounds(spec, n - 1)
-    build_tower_report(spec, n)
+    _read(steps, spec, lambda: verify_bounds(spec, n - 1), n)
+    _read(steps, spec, lambda: build_tower_report(spec, n), n)
     for i in range(1, n + 1):
-        level_norm(spec, i)
-    # one chain for the spec: G~^1..G~^(n-1) stepped once each, and
-    # r_1..r_n each read once
-    assert len(steps) == n - 1
+        _read(steps, spec, lambda: level_norm(spec, i), i)
+    # one chain for the spec, r_1..r_n each read once.  f~ has 9
+    # coefficients, so a step at depth j during the read of level k is
+    # unfolded, and kept, only when 2^(k - j) >= 9: the reads of levels 2
+    # and 3 step from depth 0 (1 + 2 steps), and each read of level
+    # k = 4..7 steps from the kept depth k - 4 up to k - 1 (4 x 3 steps),
+    # 15 in all; the later reads take none
+    assert len(steps) == 15
     assert len(norms) == n
     assert valuation_calls
     assert all(i < inv.n0_certified for i in valuation_calls)
@@ -632,39 +648,42 @@ def test_fold_keeps_the_true_chain_and_its_values(fresh_table):
 def test_a_deeper_read_after_a_fold_is_the_true_chain(monkeypatch,
                                                       fresh_table):
     # reach level n folded, then ask level n + 2 on demand: both must be
-    # what a table that never folded gives
+    # the true values, the PRS oracle's
     for ell, gens, n in ((2, (1, 60), 9), (3, (1, 4, 20), 5),
                          (5, (2, -25), 3), (2, (3, 5), 4)):
         spec = TowerSpec(ell, gens)
         build_tower_report(spec, n)
         kept = towers._tower(spec).depth
         steps = _spy(monkeypatch, "graeffe", polys)
-        deeper = (kappa_exact(spec, n + 2), level_norm(spec, n + 2),
-                  level_norm(spec, n + 1))
-        # the deeper read steps on from the kept polynomial, unfolded
+        deeper = (_read(steps, spec, lambda: kappa_exact(spec, n + 2), n + 2),
+                  level_norm(spec, n + 2), level_norm(spec, n + 1))
+        # the deeper read steps on from the kept polynomial, folded toward
+        # level n + 2 (checked in _read)
         assert len(steps) == n + 1 - kept
-        assert all(len(p) == len(steps[0][0]) for p, _ in steps)
         monkeypatch.undo()
-        towers._tower.cache_clear()
-        fresh = (kappa_exact(spec, n + 2), level_norm(spec, n + 2),
-                 level_norm(spec, n + 1))
-        assert deeper == fresh, (ell, gens, n)
+        norms = [_prs_norm(spec, i) for i in range(1, n + 3)]
+        kappa = _kappa_of_norms(ell, norms)
+        assert deeper == (kappa, norms[-1], norms[-2]), (ell, gens, n)
         towers._tower.cache_clear()
 
 
-@pytest.mark.parametrize("command", ["tower", "kappa"])
+@pytest.mark.parametrize("command",
+                         ["tower", "kappa", "kappa_exact", "level_norm"])
 @pytest.mark.parametrize("ell, gens, n", _FOLDING)
 def test_no_step_is_longer_than_the_depth_reads(monkeypatch, fresh_table,
                                                 capsys, command, ell, gens,
                                                 n):
-    # on a fresh table the k-th step runs from depth k: a command that
-    # reads no level past n steps no polynomial longer than l^(n - k) there
+    # on a fresh table the k-th step runs from depth k: a command or a
+    # library read of level n steps no polynomial longer than l^(n - k) there
     steps = _spy(monkeypatch, "graeffe", polys)
-    argv = [command, "-l", str(ell),
-            f"--generators={','.join(map(str, gens))}", "-n", str(n),
-            "--format", "json"]
-    assert cli.main(argv) == 0
-    capsys.readouterr()
+    if command in ("tower", "kappa"):
+        argv = [command, "-l", str(ell),
+                f"--generators={','.join(map(str, gens))}", "-n", str(n),
+                "--format", "json"]
+        assert cli.main(argv) == 0
+        capsys.readouterr()
+    else:
+        getattr(towers, command)(TowerSpec(ell, gens), n)
     assert len(steps) == n - 1
     assert all(len(p) <= ell ** (n - k) for k, (p, _) in enumerate(steps))
     # and the fold did happen: a true step keeps its length
@@ -690,8 +709,62 @@ def test_a_folded_report_is_the_report_of_a_grown_table(ell, data):
     towers._tower.cache_clear()
 
 
+_READS = ("kappa_exact", "level_norm", "kappa_levels", "build_tower_report",
+          "verify_bounds")
+
+
+@given(st.sampled_from((2, 3, 5)), st.data())
+def test_any_read_order_gives_the_prs_norms(ell, data):
+    # 1 to 5 reads of a fresh table, each of its own deepest level, in any
+    # order: whatever each read folds, every N_i is the PRS oracle's and
+    # every kappa_n is prod N_i / l^n
+    coprime = data.draw(st.sampled_from([a for a in range(-60, 61)
+                                         if a % ell]))
+    rest = data.draw(st.lists(st.integers(-60, 60), max_size=2))
+    spec = TowerSpec(ell, (coprime, *rest))
+    deepest = _shallow_levels(ell)[-1] + 1
+
+    @functools.cache
+    def norm(i):
+        return _prs_norm(spec, i) if i else None
+
+    def kappa(n):
+        return _kappa_of_norms(ell, [norm(i) for i in range(1, n + 1)])
+
+    towers._tower.cache_clear()
+    for read in data.draw(st.lists(st.sampled_from(_READS), min_size=1,
+                                   max_size=5)):
+        n = data.draw(st.integers(1, deepest))
+        if read == "kappa_exact":
+            assert kappa_exact(spec, n) == kappa(n)
+        elif read == "level_norm":
+            assert level_norm(spec, n) == norm(n)
+        elif read == "kappa_levels":
+            assert towers.kappa_levels(spec, n) == [kappa(m)
+                                                     for m in range(n + 1)]
+        elif read == "build_tower_report":
+            report = build_tower_report(spec, n)
+            assert report.consistency_ok
+            assert [(rec.kappa, rec.norm) for rec in report.levels] \
+                == [(kappa(m), norm(m)) for m in range(n + 1)]
+        else:  # verify_bounds reads n_max + 1
+            assert verify_bounds(spec, max(n - 1, 1)).ok
+    table = towers._tower(spec)
+    for m in range(1, len(table.values)):
+        assert table.norm(m) == norm(m)
+        assert table.kappa(m) == kappa(m)
+    towers._tower.cache_clear()
+
+
 def _prs_norm(spec, i):
     return abs(resultant_with_phi(spec.ell, i, _jump_poly(spec)))
+
+
+def _kappa_of_norms(ell, norms):
+    # l^n kappa_n = N_1 ... N_n
+    kappa, rem = divmod(math.prod(norms), ell ** len(norms))
+    assert not rem
+    return kappa
 
 
 def test_chain_norms_match_the_prs_on_the_corpus():
