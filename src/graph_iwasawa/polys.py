@@ -5,16 +5,16 @@ always kept trimmed (no trailing zeros); the zero polynomial is the empty
 list.  Every operation stays in the integers: a division that is not exact
 raises instead of leaving Z.
 
-``graeffe`` and ``graeffe_norm`` are the one norm kernel of the package:
-the l-Graeffe step G(z) = prod over y^l = z of p(y), and the norm
-G(1) / p(1) of p(zeta_l), each an l x l fraction-free determinant.  The
-towers module runs a chain of them per tower.
+``norm``, N(alpha) in Z[zeta_l] by O(log l) products of Galois conjugates
+and no division, is the one norm kernel of the package: the l-Graeffe step
+G(z) = prod over y^l = z of p(y) (``graeffe``) and the norm G(1) / p(1) of
+p(zeta_l) (``graeffe_norm``) are each one norm.  The towers module runs a
+chain of them per tower.
 """
 
 from __future__ import annotations
 
 import contextlib
-import operator
 import sys
 
 def trim(p: list[int]) -> list[int]:
@@ -79,29 +79,33 @@ def _mul_school(p, q):
 
 
 def _mul_kronecker(p, q):
-    # Pack coefficients into one big integer (evaluation at 2**b), multiply,
-    # unpack with an offset so no borrow propagation is needed.
-    mp = max(abs(c) for c in p)
-    mq = max(abs(c) for c in q)
-    b = (mp.bit_length() + mq.bit_length()
-         + min(len(p), len(q)).bit_length() + 2)
-    b = ((b + 7) // 8) * 8
-    prod = _pack(p, b) * _pack(q, b)
-    nout = len(p) + len(q) - 1
-    half = 1 << (b - 1)
-    ones = ((1 << (b * nout)) - 1) // ((1 << b) - 1)
-    prod += half * ones
-    raw = prod.to_bytes(nout * (b // 8) + 16, "little")
-    w = b // 8
-    out = [int.from_bytes(raw[i * w:(i + 1) * w], "little") - half
-           for i in range(nout)]
-    return trim(out)
+    # evaluate at X = 2**(8w), multiply, read the signed digits back
+    w = (max(map(abs, p)).bit_length() + max(map(abs, q)).bit_length()
+         + min(len(p), len(q)).bit_length() + 9) // 8
+    return _digits(_evaluate(p, w) * _evaluate(q, w), w, len(p) + len(q) - 1)
 
 
-def _pack(p, b):
-    pos = sum(c << (b * i) for i, c in enumerate(p) if c > 0)
-    negv = sum((-c) << (b * i) for i, c in enumerate(p) if c < 0)
-    return pos - negv
+# p(X) and its inverse, X = 2**(8w), for digits |c| < X / 2: each digit
+# offset by X / 2 is a w-byte unsigned field, so either direction is one
+# linear pass over bytes, with no division of big integers.
+def _evaluate(p: list[int], w: int) -> int:
+    half, halves = _halves(w, len(p))
+    raw = b"".join((c + half).to_bytes(w, "little") for c in p)
+    return int.from_bytes(raw, "little") - halves
+
+
+def _digits(x: int, w: int, n: int) -> list[int]:
+    """The n signed base-2**(8w) digits of x, each of size below 2**(8w - 1)."""
+    half, halves = _halves(w, n)
+    raw = (x + halves).to_bytes(n * w, "little")
+    return trim([int.from_bytes(raw[i:i + w], "little") - half
+                 for i in range(0, n * w, w)])
+
+
+def _halves(w: int, n: int) -> tuple[int, int]:
+    # X / 2 and the sum over i < n of X^i X / 2
+    field = bytes(w - 1) + b"\x80"
+    return 1 << (8 * w - 1), int.from_bytes(field * n, "little")
 
 
 def divmod_exact(p: list[int], d: list[int]) -> tuple[list[int], list[int]]:
@@ -129,69 +133,65 @@ def divmod_exact(p: list[int], d: list[int]) -> tuple[list[int], list[int]]:
     return trim(q), trim(r)
 
 
-def _det(m: list, mul, sub, divexact):
-    """(sign, d) with det m = sign * d, for a square matrix over an integral
-    domain given by its mul, sub and exact division: fraction-free
-    (Bareiss) elimination, swapping rows past a zero pivot."""
-    n = len(m)
-    sign, prev = 1, None
-    for k in range(n - 1):
-        if not m[k][k]:
-            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
-            if swap is None:  # a zero column: det m is m[k][k], zero
-                return 1, m[k][k]
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        pivot, pivot_row = m[k][k], m[k]
-        for row in m[k + 1:]:
-            lead = row[k]
-            for j in range(k + 1, n):
-                x = mul(pivot, row[j])
-                if lead:
-                    x = sub(x, mul(lead, pivot_row[j]))
-                row[j] = x if prev is None else divexact(x, prev)
-        prev = pivot
-    return sign, m[-1][-1]
-
-
-def _divexact_int(x: int, d: int) -> int:
-    q, r = divmod(x, d)
-    if r:
-        raise ArithmeticError("inexact division in fraction-free elimination")
-    return q
-
-
-def _divexact_poly(p: list[int], d: list[int]) -> list[int]:
-    q, r = divmod_exact(p, d)
-    if r:
-        raise ArithmeticError("inexact division in fraction-free elimination")
-    return q
-
-
 def graeffe(p: list[int], ell: int) -> list[int]:
-    """G(z) = prod over y^l = z of p(y), of the same degree as p: the
-    determinant of multiplication by p on Z[z][y]/(y^l - z), by
-    fraction-free elimination over Z[z].  For l = 2 it is
-    F_0^2 - z*F_1^2 = p(y)*p(-y)."""
-    # in the basis 1, y, ..., y^(l-1): entry (i, j) is F_(i-j) for i >= j
-    # and z*F_(i-j+l) above the diagonal, F_r(z) = sum_m p_(m*l+r) z^m
-    f = [trim(p[r::ell]) for r in range(ell)]
-    m = [[f[i - j] if i >= j else shift(f[i - j + ell], 1)
-          for j in range(ell)] for i in range(ell)]
-    sign, det = _det(m, mul, sub, _divexact_poly)
-    return scale(det, sign)
+    """G(z) = prod over y^l = z of p(y), of the same degree as p.
+
+    With X = 2^(8w) and F_r(z) = sum_m p_(m*l+r) z^m, alpha = sum_r
+    X^r F_r(X^l) zeta^r in Z[zeta_l] has sigma_j(alpha) = p(zeta^j X), so
+    G(X^l) = p(X) norm(alpha), whose base-X^l signed digits are G's.  They
+    fit: G(y^l) = prod_j p(zeta^j y), and the l1 norm of a product is at
+    most the product of the l1 norms, each ||p||_1 as |zeta^j| = 1, so
+    ||G||_inf <= ||p||_1^l < X^l / 2 once 8w > log2 ||p||_1 + 1.  For
+    l = 2 the norm from Q(zeta_2) = Q is trivial: G = F_0^2 - z*F_1^2."""
+    if ell == 2:
+        return sub(mul(p[0::2], p[0::2]), shift(mul(p[1::2], p[1::2]), 1))
+    w = sum(map(abs, p)).bit_length() // 8 + 1
+    alpha = [_evaluate(p[r::ell], w * ell) << (8 * w * r) for r in range(ell)]
+    return _digits(sum(alpha) * norm(alpha, ell), w * ell, len(p))
 
 
 def graeffe_norm(p: list[int], ell: int) -> int:
-    """prod over y^l = 1, y != 1 of p(y), the norm of p(zeta_l): G(1) / p(1)
-    with no division.  G(1) is graeffe's matrix at z = 1, the circulant of
-    the sums F_r(1); adding every column to the first makes that column
-    p(1), so this is the circulant with its first column set to ones.  For
-    l = 2 it is p(-1)."""
-    s = [sum(p[r::ell]) for r in range(ell)]
-    m = [[1] + [s[i - j] for j in range(1, ell)] for i in range(ell)]
-    sign, det = _det(m, operator.mul, operator.sub, _divexact_int)
-    return sign * det
+    """prod over y^l = 1, y != 1 of p(y), the norm of p(zeta_l) = sum_r s_r
+    zeta^r, s_r = sum_m p_(m*l+r): graeffe's G(1) / p(1) with no division,
+    |G(1)| <= ||p||_1^l by the same argument.  For l = 2 it is p(-1)."""
+    return norm([sum(p[r::ell]) for r in range(ell)], ell)
+
+
+def norm(a: list[int], ell: int) -> int:
+    """N(alpha) = prod over j = 1..l-1 of sigma_j(alpha), sigma_j: zeta ->
+    zeta^j, for alpha = sum_r a_r zeta^r in Z[zeta_l], l prime.
+
+    Elements are kept in Z[x]/(x^l - 1), which maps onto Z[zeta_l].  With g
+    a generator of (Z/l)^x and P_k = prod over i < k of sigma_(g^i)(alpha),
+    P_2k = P_k sigma_(g^k)(P_k) and P_(k+1) = alpha sigma_g(P_k).  Every
+    sigma_j fixes P_(l-1), so its coordinates past c_0 are one c and its
+    image in Z[zeta] is c_0 - c: the last product forms only that."""
+    g = _generator(ell)
+
+    def conjugates(k):  # P_k, k >= 1
+        prod = mul(*factors(k)) if k > 1 else a
+        return [sum(prod[r::ell]) for r in range(ell)]
+
+    def factors(k):  # two elements whose product is P_k, k >= 2
+        if k % 2:
+            return a, _sigma(conjugates(k - 1), g, ell)
+        half = conjugates(k // 2)
+        return half, _sigma(half, pow(g, k // 2, ell), ell)
+
+    u, v = factors(ell - 1) if ell > 2 else (a, [1, 0])  # l = 2: alpha * 1
+    return sum(c * (v[-r] - v[1 - r]) for r, c in enumerate(u))
+
+
+def _generator(ell: int) -> int:
+    """The least g whose powers mod l run through every unit, l prime."""
+    return next(g for g in range(1, ell)
+                if len({pow(g, i, ell) for i in range(1, ell)}) == ell - 1)
+
+
+def _sigma(a: list[int], j: int, ell: int) -> list[int]:
+    # x -> x^j on Z[x]/(x^l - 1): coordinate j*r is a's coordinate r
+    inverse = pow(j, -1, ell)
+    return [a[s * inverse % ell] for s in range(ell)]
 
 
 def fold(p: list[int], width: int) -> list[int]:

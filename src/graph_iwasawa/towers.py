@@ -15,10 +15,10 @@ P_a(eps(1)) = eps(a).  This module computes everything exactly:
   the polynomial whose roots are the l-th powers of G~'s, so
   g_k = G~^k(1) is the product of f~ over the l^k-th roots of unity
   (Bostan, Flajolet, Salvy and Schost, "Fast computation of special
-  resultants", 2006).  A step is one l x l fraction-free determinant
-  (``polys.graeffe``); the norm r_i of G~^(i-1)(zeta_l) is another, an
-  integer circulant (``polys.graeffe_norm``).  N_i = l^2 |r_i|, g_i =
-  g_(i-1) r_i and kappa_n = l^n |g_n / g_0|, g_0 = f~(1) of a few bits.
+  resultants", 2006).  A step (``polys.graeffe``) and the norm r_i of
+  G~^(i-1)(zeta_l) (``polys.graeffe_norm``) are each one norm in
+  Z[zeta_l], O(log l) products of Galois conjugates with no division.
+  N_i = l^2 |r_i|, g_i = g_(i-1) r_i and kappa_n = l^n |g_n / g_0|.
 * the per-level valuation v_i = ord_L(Q(eps)) = ord_L(f(zeta)), read off
   Q's coefficients as mu * phi(l^i) + lambda + 1 from the certified level
   on and below it by dividing f(zeta) by 1 - zeta inside Z[zeta], with no
@@ -206,8 +206,8 @@ class _Tower:
     ``grow`` folds a longer one to that (``polys.fold``).  The r and g
     values read off a folded polynomial are exact and kept; the polynomial
     is not.  The one polynomial kept is the deepest unfolded G~^depth, from
-    which a deeper read steps on.  Each step's G~(1) is checked against
-    g_k = g_(k-1) r_k, which took no step."""
+    which a deeper read steps on.  Each step, one norm in Z[zeta_l], has
+    its G~(1) checked against g_k = g_(k-1) r_k, which took no step."""
 
     def __init__(self, spec: TowerSpec):
         self.spec = spec

@@ -677,6 +677,21 @@ def test_a_deep_tower_takes_no_big_division(capsys):
     assert elapsed < 5.0
 
 
+def test_a_large_prime_steps_without_bareiss(capsys):
+    # l = 53: each step is one norm in Z[zeta_53], six products; a 53 x 53
+    # fraction-free determinant over Z[z] took about 2 s
+    towers._tower.cache_clear()
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "kappa", "-l", "53", "-a", "1,4,20", "-n", "2",
+                       "--format", "json")
+    elapsed = time.perf_counter() - start
+    towers._tower.cache_clear()
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "0756d297f8afba1de97b3e409c14fc9f9d6a1a761cce47362ff659b0702f1e6d")
+    assert elapsed < 1.5
+
+
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_kappa_renders_its_kappa_once(monkeypatch, capsys, fmt):
     # kappa_9 is left unfactored and so are some kappa_m below it: only

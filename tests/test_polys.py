@@ -1,9 +1,12 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from graph_iwasawa import polys
 from oracles import (cyclotomic_by_division, interpolate, poly_eval, prem,
-                     resultant, sylvester_resultant)
+                     primes_below, resultant, resultant_with_phi,
+                     sylvester_resultant)
 
 small_polys = st.lists(st.integers(-50, 50), max_size=8).map(polys.trim)
 
@@ -34,6 +37,79 @@ def test_kronecker_matches_schoolbook(p, q):
     if len(p) < 40 or len(q) < 40:
         return
     assert polys._mul_kronecker(p, q) == polys._mul_school(p, q)
+
+
+def test_kronecker_matches_schoolbook_on_wide_coefficients():
+    # one draw of 10^4 to 12 000-bit digits, with the extremes of each sign
+    rng = random.Random(10 ** 4)
+    p, q = ([rng.getrandbits(rng.randrange(10 ** 4, 12000))
+             * rng.choice((1, -1)) for _ in range(rng.randrange(32, 40))]
+            for _ in range(2))
+    p[0], q[-1] = -(1 << 12000) + 1, (1 << 12000) - 1
+    assert polys._mul_kronecker(p, q) == polys._mul_school(p, q)
+
+
+def _check_step(p, ell):
+    # G(z0) = Res_x(x^l - z0, p) and the norm of p(zeta_l) = Res(Phi_l, p),
+    # both by oracles that share no code with the kernel
+    g = polys.graeffe(p, ell)
+    assert len(g) == len(p)
+    for z0 in (-3, -1, 1, 2, 5):
+        x = [-z0] + [0] * (ell - 1) + [1]
+        assert poly_eval(g, z0) == sylvester_resultant(x, p), z0
+    assert polys.graeffe_norm(p, ell) == resultant_with_phi(ell, 1, p)
+
+
+KERNEL_PRIMES = (2, 3, 5, 7, 11, 13)
+
+
+@given(st.sampled_from(KERNEL_PRIMES),
+       st.lists(st.integers(-2 ** 70, 2 ** 70), min_size=1, max_size=40)
+       .map(polys.trim).filter(bool))
+@settings(max_examples=40, deadline=None)
+def test_graeffe_kernel_matches_the_resultants(ell, p):
+    _check_step(p, ell)
+
+
+def _one_signed(total, n):
+    # n positive coefficients summing to total, the largest first
+    return [total - (n - 1)] + [1] * (n - 1)
+
+
+@pytest.mark.parametrize("ell", KERNEL_PRIMES)
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("edge", [-1, 0])
+def test_graeffe_kernel_at_the_edge_of_its_digit_width(ell, k, edge):
+    # ||p||_1 = 2^(8k) - 1 and 2^(8k): X = 2^(8k + 8) for both, and a byte
+    # less would not hold G = c^l of a single coefficient c, which is the
+    # bound ||G||_inf <= ||p||_1^l itself
+    total = (1 << (8 * k)) + edge
+    for sign in (1, -1):
+        for n in (1, 2, 5):
+            p = [sign * c for c in _one_signed(total, n)]
+            _check_step(p, ell)
+        assert polys.graeffe([sign * total], ell) == [(sign * total) ** ell]
+        assert polys.graeffe([0, sign * total], ell) == [
+            0, (-1) ** (ell - 1) * (sign * total) ** ell]
+
+
+@pytest.mark.parametrize("ell", KERNEL_PRIMES)
+def test_graeffe_kernel_where_p_of_1_vanishes(ell):
+    # G(1) = p(1) r with p(1) = 0: r comes from no quotient
+    rng = random.Random(ell)
+    for _ in range(3):
+        q = [rng.randint(-2 ** 70, 2 ** 70) for _ in range(rng.randrange(1, 12))]
+        p = polys.mul([-1, 1], q)
+        assert sum(polys.graeffe(p, ell)) == 0
+        _check_step(p, ell)
+
+
+def test_generator_has_full_order_below_1000():
+    for ell in primes_below(1000):
+        g = polys._generator(ell)
+        assert len({pow(g, i, ell) for i in range(ell - 1)}) == ell - 1, ell
+    for ell in primes_below(300):  # and the walk it drives: N(1 - zeta)
+        assert polys.norm([1, -1] + [0] * (ell - 2), ell) == ell
 
 
 def test_divmod_exact():
