@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Subcommands: tower, kappa, zeta, cover-verify, export-dot.  All output is
-deterministic: identical invocations produce identical bytes.  Integers
-are printed in full decimal, however many digits they have.  tower's
+deterministic: identical invocations produce identical bytes.  Every
+kappa, N_i and polynomial coefficient is printed in full decimal, however
+many digits it has, by the one renderer ``polys.decimal``.  tower's
 --parallel is accepted for compatibility and has no effect.
 Sizes (--budget-bits, --cap-vertices) are checked here, before any work;
 a negative one is a usage error.
@@ -13,7 +14,7 @@ cover-verify and export-dot import serre and the numpy-backed zeta and
 voltage modules when they start, and read the default --cap-vertices off
 serre then.  Text output factors kappa_n by
 trial division to 10^6 on a wheel mod 210, no prime table, and renders in
-decimal only the kappas it prints, each once.
+decimal only the kappas it prints, each once; no kappa is ever a divisor.
 Exit codes: 0 success (tower: full fit verified), 1 invalid input, usage
 or size, 2 verification failure, internal inconsistency or other fault.
 """
@@ -25,9 +26,8 @@ import itertools
 import math
 import sys
 
-from . import towers
+from . import polys, towers
 from .cyclotomic import ord_int
-from .polys import format_poly, poly_to_json, unlimited_digits
 
 DEFAULT_BUDGET_BITS = 1 << 26
 
@@ -64,12 +64,6 @@ def _trial_factor(n: int) -> list[tuple[int, int]] | None:
     return None
 
 
-def _decimal(n: int) -> str:
-    """A kappa in decimal: every kappa printed passes here once, and no
-    other is rendered."""
-    return str(n)
-
-
 def _render_factors(fac: list[tuple[int, int]]) -> str:
     if not fac:
         return "1"
@@ -77,19 +71,20 @@ def _render_factors(fac: list[tuple[int, int]]) -> str:
 
 
 def _factor_kappas(kappas):
-    """Each kappa_n's factors in turn, or None where trial division up to
-    10^6 cannot finish them, without the trial division that cannot
-    succeed: once kappa_m is left unfactored its 10^6-rough part is at
-    least 10^12, and so is that of every multiple of it."""
-    unfactored = None
+    """The factors of a tower's kappa_0, kappa_1, ... in turn, or None where
+    trial division up to 10^6 cannot finish them, without the trial division
+    that cannot succeed.  kappa_n = l^n |r_1 ... r_n| (towers.kappa_exact)
+    is a multiple of every kappa_m below it, so once kappa_m is left
+    unfactored its 10^6-rough part is at least 10^12, and so is every later
+    one's."""
+    kappas = iter(kappas)
     for n in kappas:
-        if unfactored is not None and n % unfactored == 0:
-            yield None
-            continue
         fac = _trial_factor(n)
-        if fac is None:
-            unfactored = n
         yield fac
+        if fac is None:
+            break
+    for _ in kappas:
+        yield None
 
 
 def _parse_generators(text: str) -> tuple:
@@ -147,39 +142,35 @@ def cmd_tower(args) -> int:
     _admit(spec, args.levels, args.budget)
     _admit_q(spec, args.budget)
     report = towers.build_tower_report(spec, args.levels)
-    with unlimited_digits():
-        if args.format == "json":
-            import json
+    if args.format == "json":
+        import json
 
-            sys.stdout.write(json.dumps(towers.report_to_json(report),
-                                        indent=2))
-            sys.stdout.write("\n")
-        elif args.format == "csv":
-            sys.stdout.write(towers.report_to_csv(report))
-        else:
-            inv = report.invariants
-            print(f"tower: l={spec.ell} "
-                  f"a={','.join(map(str, spec.generators))} "
-                  f"t={spec.t} q={spec.q}")
-            print(f"Q(T) = {format_poly(report.q_coeffs, 'T')}")
-            if inv.cycle_case:
-                print("cycle case: chi = 0, kappa_n = l^n exactly")
-            print(f"invariants: mu={inv.mu} lambda={inv.lam} nu={inv.nu} "
-                  f"n0_certified={inv.n0_certified} "
-                  f"n0_observed={inv.n0_observed}")
-            print(f"{'n':>3} {'ord':>6} {'v_n':>6} {'fit':>5}  kappa_n")
-            factors = _factor_kappas(rec.kappa for rec in report.levels)
-            for rec, fac in zip(report.levels, factors):
-                v = "-" if rec.v is None else str(rec.v)
-                fit = "yes" if rec.fit else "no"
-                kappa = (_decimal(rec.kappa) if fac is None
-                         else _render_factors(fac))
-                print(f"{rec.n:>3} {rec.ord_kappa:>6} {v:>6} {fit:>5}  "
-                      f"{kappa}")
-            print("consistency: "
-                  f"{'OK' if report.consistency_ok else 'FAILED'}")
-            print(f"fit for n >= {inv.n0_observed}: "
-                  f"{'OK' if report.fit_ok else 'FAILED'}")
+        sys.stdout.write(json.dumps(towers.report_to_json(report), indent=2))
+        sys.stdout.write("\n")
+    elif args.format == "csv":
+        sys.stdout.write(towers.report_to_csv(report))
+    else:
+        inv = report.invariants
+        print(f"tower: l={spec.ell} "
+              f"a={','.join(map(str, spec.generators))} "
+              f"t={spec.t} q={spec.q}")
+        print(f"Q(T) = {polys.format_poly(report.q_coeffs, 'T')}")
+        if inv.cycle_case:
+            print("cycle case: chi = 0, kappa_n = l^n exactly")
+        print(f"invariants: mu={inv.mu} lambda={inv.lam} nu={inv.nu} "
+              f"n0_certified={inv.n0_certified} "
+              f"n0_observed={inv.n0_observed}")
+        print(f"{'n':>3} {'ord':>6} {'v_n':>6} {'fit':>5}  kappa_n")
+        factors = _factor_kappas(rec.kappa for rec in report.levels)
+        for rec, fac in zip(report.levels, factors):
+            v = "-" if rec.v is None else str(rec.v)
+            fit = "yes" if rec.fit else "no"
+            kappa = (polys.decimal(rec.kappa) if fac is None
+                     else _render_factors(fac))
+            print(f"{rec.n:>3} {rec.ord_kappa:>6} {v:>6} {fit:>5}  {kappa}")
+        print(f"consistency: {'OK' if report.consistency_ok else 'FAILED'}")
+        print(f"fit for n >= {inv.n0_observed}: "
+              f"{'OK' if report.fit_ok else 'FAILED'}")
     return 0 if (report.consistency_ok and report.fit_ok) else 2
 
 
@@ -196,24 +187,23 @@ def cmd_kappa(args) -> int:
     chain = towers.TowerSpec(spec.ell, tuple(
         (a + mod // 2) % mod - mod // 2 for a in spec.generators))
     kappas = towers.kappa_levels(chain, args.levels)
-    with unlimited_digits():
-        decimal = _decimal(kappas[-1])
-        if args.format == "json":
-            import json
+    decimal = polys.decimal(kappas[-1])
+    if args.format == "json":
+        import json
 
-            sys.stdout.write(json.dumps(
-                {"prime": str(spec.ell),
-                 "generators": [str(a) for a in spec.generators],
-                 "n": str(args.levels), "kappa": decimal}, indent=2))
-            sys.stdout.write("\n")
+        sys.stdout.write(json.dumps(
+            {"prime": str(spec.ell),
+             "generators": [str(a) for a in spec.generators],
+             "n": str(args.levels), "kappa": decimal}, indent=2))
+        sys.stdout.write("\n")
+    else:
+        # an unfactored kappa_m below n spares trial division of the rest
+        *_, fac = _factor_kappas(kappas)
+        factored = None if fac is None else _render_factors(fac)
+        if factored not in (None, decimal):
+            print(f"kappa_{args.levels} = {decimal} = {factored}")
         else:
-            # an unfactored kappa_m below n spares trial division of the rest
-            *_, fac = _factor_kappas(kappas)
-            factored = None if fac is None else _render_factors(fac)
-            if factored not in (None, decimal):
-                print(f"kappa_{args.levels} = {decimal} = {factored}")
-            else:
-                print(f"kappa_{args.levels} = {decimal}")
+            print(f"kappa_{args.levels} = {decimal}")
     return 0
 
 
@@ -228,16 +218,15 @@ def cmd_zeta(args) -> int:
     _cap("graph", graph.num_vertices, cap)
     exponent, h = zeta.ihara_Z(graph)
     kappa = serre.spanning_tree_count(graph, cap=cap)
-    with unlimited_digits():
-        if args.format == "json":
-            sys.stdout.write(json.dumps(
-                {"h": poly_to_json(h), "z_exponent": str(exponent),
-                 "kappa": str(kappa)}, indent=2))
-            sys.stdout.write("\n")
-        else:
-            print(f"h(u) = {format_poly(h)}")
-            print(f"Z(u) = (1 - u^2)^{exponent} * h(u)")
-            print(f"kappa = {kappa}")
+    if args.format == "json":
+        sys.stdout.write(json.dumps(
+            {"h": polys.poly_to_json(h), "z_exponent": str(exponent),
+             "kappa": polys.decimal(kappa)}, indent=2))
+        sys.stdout.write("\n")
+    else:
+        print(f"h(u) = {polys.format_poly(h)}")
+        print(f"Z(u) = (1 - u^2)^{exponent} * h(u)")
+        print(f"kappa = {polys.decimal(kappa)}")
     return 0
 
 
@@ -261,27 +250,26 @@ def cmd_cover_verify(args) -> int:
     decomposition = (voltage.verify_integer_decomposition(vg, cap=cap)
                      if chi != 0 else None)
     ok = product.ok and (decomposition is None or decomposition.ok)
-    with unlimited_digits():
-        if args.format == "json":
-            payload = {
-                "product_formula": product.ok,
-                "cover_h": poly_to_json(product.cover_h),
-                "orbit_product": poly_to_json(product.orbit_product),
-                "integer_decomposition":
-                    None if decomposition is None else decomposition.ok,
-            }
-            sys.stdout.write(json.dumps(payload, indent=2))
-            sys.stdout.write("\n")
+    if args.format == "json":
+        payload = {
+            "product_formula": product.ok,
+            "cover_h": polys.poly_to_json(product.cover_h),
+            "orbit_product": polys.poly_to_json(product.orbit_product),
+            "integer_decomposition":
+                None if decomposition is None else decomposition.ok,
+        }
+        sys.stdout.write(json.dumps(payload, indent=2))
+        sys.stdout.write("\n")
+    else:
+        print(f"product formula: {'PASS' if product.ok else 'FAIL'}")
+        if not product.ok:
+            print(f"  cover h:  {polys.format_poly(product.cover_h)}")
+            print(f"  product:  {polys.format_poly(product.orbit_product)}")
+        if decomposition is None:
+            print("integer decomposition: skipped (chi = 0)")
         else:
-            print(f"product formula: {'PASS' if product.ok else 'FAIL'}")
-            if not product.ok:
-                print(f"  cover h:  {format_poly(product.cover_h)}")
-                print(f"  product:  {format_poly(product.orbit_product)}")
-            if decomposition is None:
-                print("integer decomposition: skipped (chi = 0)")
-            else:
-                print("integer decomposition: "
-                      f"{'PASS' if decomposition.ok else 'FAIL'}")
+            print("integer decomposition: "
+                  f"{'PASS' if decomposition.ok else 'FAIL'}")
     return 0 if ok else 2
 
 

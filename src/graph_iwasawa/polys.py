@@ -41,12 +41,6 @@ def sub(p: list[int], q: list[int]) -> list[int]:
     return add(p, neg(q))
 
 
-def scale(p: list[int], c: int) -> list[int]:
-    if c == 0:
-        return []
-    return [c * a for a in p]
-
-
 def shift(p: list[int], k: int) -> list[int]:
     """Multiply by y**k."""
     if not p:
@@ -229,11 +223,11 @@ def format_poly(p: list[int], var: str = "u") -> str:
             continue
         mag = abs(c)
         if i == 0:
-            term = str(mag)
+            term = decimal(mag)
         elif i == 1:
-            term = f"{var}" if mag == 1 else f"{mag}*{var}"
+            term = f"{var}" if mag == 1 else f"{decimal(mag)}*{var}"
         else:
-            term = f"{var}^{i}" if mag == 1 else f"{mag}*{var}^{i}"
+            term = f"{var}^{i}" if mag == 1 else f"{decimal(mag)}*{var}^{i}"
         if not parts:
             parts.append(term if c > 0 else f"-{term}")
         else:
@@ -247,8 +241,8 @@ def unlimited_digits():
 
     CPython refuses int/str conversions past 4300 digits, to bound the cost
     of parsing untrusted text.  Exact results outgrow that at modest depth,
-    so the limit is lifted around rendering output and around re-reading
-    this package's own reports, never around parsing input files.
+    so the limit is lifted around ``decimal`` and around re-reading this
+    package's own reports, never around parsing input files.
     """
     if not hasattr(sys, "set_int_max_str_digits"):  # no limit before 3.10.7
         yield
@@ -261,5 +255,12 @@ def unlimited_digits():
         sys.set_int_max_str_digits(old)
 
 
+def decimal(n: int) -> str:
+    """n in decimal, however many digits it has: the one renderer of every
+    kappa, N_i and polynomial coefficient the package prints or writes."""
+    with unlimited_digits():
+        return str(n)
+
+
 def poly_to_json(p: list[int]) -> list[str]:
-    return [str(c) for c in p]
+    return [decimal(c) for c in p]

@@ -18,7 +18,8 @@ P_a(eps(1)) = eps(a).  This module computes everything exactly:
   resultants", 2006).  A step (``polys.graeffe``) and the norm r_i of
   G~^(i-1)(zeta_l) (``polys.graeffe_norm``) are each one norm in
   Z[zeta_l], O(log l) products of Galois conjugates with no division.
-  N_i = l^2 |r_i|, g_i = g_(i-1) r_i and kappa_n = l^n |g_n / g_0|.
+  N_i = l^2 |r_i|, g_n = g_0 r_1 ... r_n and kappa_n = l^n |r_1 ... r_n|:
+  every value is a product, and the chain divides nothing.
 * the per-level valuation v_i = ord_L(Q(eps)) = ord_L(f(zeta)), read off
   Q's coefficients as mu * phi(l^i) + lambda + 1 from the certified level
   on and below it by dividing f(zeta) by 1 - zeta inside Z[zeta], with no
@@ -201,21 +202,25 @@ class _Tower:
     are the l^k-th ones), Q's law, and ord_l(kappa_n) from the valuations
     alone.
 
+    The table keeps g_0 = f~(1), the level norms r_k = g_k / g_(k-1) and
+    their prefix products h_k = r_1 ... r_k, so g_k = g_0 h_k and kappa_n =
+    l^n |h_n|: every value is a product and none is divided.
     For j >= k, g_j is the product of G~^k over the l^(j-k)-th roots of
     unity, so a read of level N needs G~^k only mod z^(l^(N-k)) - 1, and
-    ``grow`` folds a longer one to that (``polys.fold``).  The r and g
+    ``grow`` folds a longer one to that (``polys.fold``).  The r and h
     values read off a folded polynomial are exact and kept; the polynomial
     is not.  The one polynomial kept is the deepest unfolded G~^depth, from
     which a deeper read steps on.  Each step, one norm in Z[zeta_l], has
-    its G~(1) checked against g_k = g_(k-1) r_k, which took no step."""
+    its G~(1) checked against g_k = g_0 h_k, which took no step."""
 
     def __init__(self, spec: TowerSpec):
         self.spec = spec
         self.ell = spec.ell
         self.poly = _reduced_jump_poly(spec)  # G~^depth
         self.depth = 0
-        self.values = [sum(self.poly)]
+        self.g0 = sum(self.poly)
         self.ratios = [None]
+        self.products = [1]  # h_k
         self._ords = [0]
 
     def grow(self, n: int) -> None:
@@ -226,16 +231,16 @@ class _Tower:
         several levels grows to the deepest first, or a deeper read steps
         again the depths that a shallower one folded."""
         poly, depth = self.poly, self.depth
-        while len(self.values) <= n:
-            level = len(self.values)
+        while len(self.products) <= n:
+            level = len(self.products)
             while depth < level - 1:
                 width = self.ell ** (n - depth)
                 if len(poly) > width:
                     poly = polys.fold(poly, width)
                 step = polys.graeffe(poly, self.ell)
                 # two routes to g_(depth+1): the step's G~(1), the product
-                # g_depth r_(depth+1); a step that fails is never kept
-                if sum(step) != self.values[depth + 1]:
+                # g_0 h_(depth+1); a step that fails is never kept
+                if sum(step) != self.g0 * self.products[depth + 1]:
                     raise ArithmeticError(
                         f"level {depth + 1}: the Graeffe step's G~(1) and "
                         "the product of the level norms disagree")
@@ -248,11 +253,7 @@ class _Tower:
                     f"level {level} norm vanished; tower invariants are "
                     "violated")
             self.ratios.append(r)
-            self.values.append(self.values[-1] * r)
-
-    def value(self, k: int) -> int:
-        self.grow(k)
-        return self.values[k]
+            self.products.append(self.products[-1] * r)
 
     def norm(self, i: int) -> int:
         # conjugates of f over the primitive l^i-th roots: (w - 1)^2 gives
@@ -261,8 +262,9 @@ class _Tower:
         return self.ell ** 2 * abs(self.ratios[i])
 
     def kappa(self, n: int) -> int:
-        # l^n kappa_n = prod_(i<=n) N_i = l^(2n) |g_n / g_0|, g_0 = f~(1)
-        return self.ell ** n * abs(self.value(n)) // abs(self.value(0))
+        # l^n kappa_n = prod_(i<=n) N_i = l^(2n) |h_n|
+        self.grow(n)
+        return self.ell ** n * abs(self.products[n])
 
     @functools.cached_property
     def law(self) -> tuple[tuple, int, int, int]:
@@ -321,8 +323,9 @@ def norm_bits_bound(spec: TowerSpec, i: int) -> int:
 
 def kappa_exact(spec: TowerSpec, n: int) -> int:
     """Spanning-tree count at level n, via the L-function decomposition:
-    l^n |g_n / g_0| off the Graeffe chain, g_n = g_0 r_1 ... r_n a product
-    of level norms, and 1 at level 0, the bouquet."""
+    l^n kappa_n = N_1 ... N_n, N_i = l^2 |r_i|, so kappa_n = l^n |r_1 ...
+    r_n|, a product of the Graeffe chain's level norms with no division,
+    and 1 at level 0, the bouquet."""
     if n < 0:
         raise ValueError("level must be >= 0")
     return _tower(spec).kappa(n) if n else 1
@@ -495,7 +498,6 @@ def build_tower_report(spec: TowerSpec, n_max: int) -> TowerReport:
 # Serialization: every integer as a decimal string
 # ---------------------------------------------------------------------------
 
-@polys.unlimited_digits()
 def report_to_json(report: TowerReport) -> dict:
     inv = report.invariants
     return {
@@ -507,7 +509,7 @@ def report_to_json(report: TowerReport) -> dict:
                                    report.spec.zero_generator_indices],
         "cycle_case": inv.cycle_case,
         "n_max": str(report.n_max),
-        "q_poly": [str(c) for c in report.q_coeffs],
+        "q_poly": polys.poly_to_json(report.q_coeffs),
         "invariants": {
             "mu": str(inv.mu), "lambda": str(inv.lam), "nu": str(inv.nu),
             "n0_certified": str(inv.n0_certified),
@@ -516,10 +518,10 @@ def report_to_json(report: TowerReport) -> dict:
         "levels": [
             {
                 "n": str(rec.n),
-                "kappa": str(rec.kappa),
+                "kappa": polys.decimal(rec.kappa),
                 "ord_kappa": str(rec.ord_kappa),
                 "v": None if rec.v is None else str(rec.v),
-                "N": None if rec.norm is None else str(rec.norm),
+                "N": None if rec.norm is None else polys.decimal(rec.norm),
                 "fit": rec.fit,
             }
             for rec in report.levels

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import math
 import operator
@@ -692,30 +693,202 @@ def test_a_large_prime_steps_without_bareiss(capsys):
     assert elapsed < 1.5
 
 
-@pytest.mark.parametrize("fmt", ["text", "json"])
-def test_kappa_renders_its_kappa_once(monkeypatch, capsys, fmt):
-    # kappa_9 is left unfactored and so are some kappa_m below it: only
-    # kappa_9 goes to decimal, once
+def _renders(monkeypatch):
+    # every integer the one renderer turns into decimal, in call order
     rendered = []
-    real = cli._decimal
+    real = polys.decimal
 
     def spy(n):
         rendered.append(n)
         return real(n)
 
-    monkeypatch.setattr(cli, "_decimal", spy)
+    monkeypatch.setattr(polys, "decimal", spy)
+    return rendered
+
+
+def _terms(p):
+    # the coefficients format_poly writes out: every nonzero one but a 1 or
+    # -1 in front of a power of the variable
+    return [abs(c) for i, c in enumerate(p) if c and (i == 0 or abs(c) != 1)]
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_kappa_renders_its_kappa_once(monkeypatch, tmp_path, capsys, fmt):
+    # every kappa, N_i and coefficient that kappa, tower and zeta print goes
+    # through polys.decimal exactly once, and nothing else does
+    rendered = _renders(monkeypatch)
+    spec = TowerSpec(3, (1, 4, 20))
+    # kappa_9 is left unfactored and so are some kappa_m below it: only
+    # kappa_9 goes to decimal
     code, out, _ = run(capsys, "kappa", "-l", "3", "-a", "1,4,20", "-n", "9",
                        "--format", fmt)
-    kappa = towers.kappa_exact(TowerSpec(3, (1, 4, 20)), 9)
+    kappa = towers.kappa_exact(spec, 9)
     assert code == 0 and rendered == [kappa]
     with unlimited_digits():
         assert str(kappa) in out
-    # the tower table renders each unfactored level once, and only those
+    # the tower table renders Q's coefficients and each unfactored level,
+    # and only those; the json report renders Q, then each level's kappa
+    # and N
     rendered.clear()
-    code, out, _ = run(capsys, "tower", "-l", "3", "-a", "1,4,20", "-n", "6")
-    kappas = towers.kappa_levels(TowerSpec(3, (1, 4, 20)), 6)
-    raw = [k for k, fac in zip(kappas, _factor_kappas(kappas)) if fac is None]
-    assert code == 0 and raw and rendered == raw
+    code, out, _ = run(capsys, "tower", "-l", "3", "-a", "1,4,20", "-n", "6",
+                       "--format", fmt)
+    report = towers.build_tower_report(spec, 6)
+    kappas = [rec.kappa for rec in report.levels]
+    if fmt == "text":
+        raw = [k for k, fac in zip(kappas, _factor_kappas(kappas))
+               if fac is None]
+        assert raw and rendered == _terms(report.q_coeffs) + raw
+    else:
+        norms = [rec.norm for rec in report.levels[1:]]
+        assert rendered == [*report.q_coeffs, kappas[0],
+                            *itertools.chain(*zip(kappas[1:], norms))]
+    assert code == 0
+    # zeta renders h's coefficients, then kappa
+    rendered.clear()
+    graph = voltage.derived_cover(cayley_serre(8, (1, 3)))
+    path = tmp_path / "cover.json"
+    path.write_text(json.dumps(multigraph_to_json(graph)))
+    code, out, _ = run(capsys, "zeta", str(path), "--format", fmt)
+    _, h = zeta.ihara_Z(graph)
+    printed = _terms(h) if fmt == "text" else list(h)
+    assert code == 0
+    assert rendered == printed + [serre.spanning_tree_count(graph)]
+
+
+def _watch_divisions(monkeypatch):
+    """Make every level norm, and every value built from them by products,
+    quotients and remainders, an int whose //, % and divmod are logged as
+    (dividend, divisor); returns the log and the class."""
+    log = []
+
+    class Watched(int):
+        def __mul__(self, other):
+            return Watched(int.__mul__(self, other))
+
+        __rmul__ = __mul__
+
+        def __abs__(self):
+            return Watched(int.__abs__(self))
+
+    def logged(name):
+        op = getattr(int, name)
+        reflected = name.startswith("__r")
+
+        def method(self, other):
+            log.append((other, self) if reflected else (self, other))
+            out = op(self, other)
+            return (tuple(map(Watched, out)) if isinstance(out, tuple)
+                    else Watched(out))
+        return method
+
+    for name in ("__floordiv__", "__rfloordiv__", "__mod__", "__rmod__",
+                 "__divmod__", "__rdivmod__"):
+        setattr(Watched, name, logged(name))
+    real = polys.graeffe_norm
+    monkeypatch.setattr(polys, "graeffe_norm",
+                        lambda p, ell: Watched(real(p, ell)))
+    return log, Watched
+
+
+def test_the_level_table_and_its_renderers_take_no_division(monkeypatch,
+                                                             capsys):
+    # kappa_n = l^n |r_1 ... r_n|: tower json and csv and kappa json build
+    # and print every kappa and N_i with no //, % or divmod at all (ord_2
+    # reads bits)
+    log, watched = _watch_divisions(monkeypatch)
+    for argv in (("tower", "--format", "csv"), ("tower", "--format", "json"),
+                 ("kappa", "--format", "json")):
+        towers._tower.cache_clear()
+        code, _, _ = run(capsys, argv[0], "-l", "2", "-a", "1,-2,7,25",
+                         "-n", "9", *argv[1:])
+        assert code == 0 and log == [], argv
+    report = towers.build_tower_report(TowerSpec(2, (1, -2, 7, 25)), 9)
+    assert all(isinstance(rec.kappa, watched) for rec in report.levels[1:])
+    # the text tables trial-divide kappas but never divide by one: a kappa
+    # left unfactored is known to divide every later one
+    for argv in (("tower", "-n", "6"), ("kappa", "-n", "9")):
+        towers._tower.cache_clear()
+        log.clear()
+        code, out, _ = run(capsys, argv[0], "-l", "3", "-a", "1,4,20",
+                           *argv[1:])
+        assert code == 0 and log, argv
+        assert not any(isinstance(divisor, watched) for _, divisor in log)
+    towers._tower.cache_clear()
+
+
+# sha256 of stdout for every route that prints a kappa, an N_i or a
+# polynomial coefficient; (2, (1, 1), 14) prints 2^16397, of 4937 digits
+_BYTE_TABLE = {
+    "tower 2 1,1 14 text":
+        "50a62858e9c8907338fb5e0149bd6a0d3ba4fe5994175c8736320c3f1e64f2b3",
+    "tower 2 1,1 14 json":
+        "79661e1c4d041379b3ff9d538f4d937616060e9bed11bf8b1c1fc2bcf24b2c5a",
+    "tower 2 1,1 14 csv":
+        "a7008c37f37d0acf35903155ee89caf0bf7e324f28be8cb13daabc8af018246a",
+    "kappa 2 1,1 14 text":
+        "89959c3919b8e7b1b976b678a1a3c4abf851862d53b164e84c22f73f2503ca2e",
+    "kappa 2 1,1 14 json":
+        "e708f36507362ef6bc63b5efe7934e0bc2784d55360fba90581e301860bf6397",
+    "tower 2 3,5 8 text":
+        "db7496d33e242c2ad09516785377854e52e0fea21ef33c18331ef76d0aae6f0d",
+    "tower 2 3,5 8 json":
+        "88392498066cee35701da338e3634f835cbf97cb81ba4779720503a0a69c7d0a",
+    "tower 2 3,5 8 csv":
+        "ece839f5556ec1cf7f05c099cf318d8fac5d06b1df27ea8865a0bb6031a7f6b3",
+    "kappa 2 3,5 8 text":
+        "9d99b6bfc2386ffe5ef583c74b37f1c052eab8da85b525bc00e2fb021c4f7079",
+    "kappa 2 3,5 8 json":
+        "b8280f979ec0f93ff3f3f5b1ac496076e1e827f4dbe51573f28228d6a6f2df15",
+    "tower 3 1,4,20 6 text":
+        "ccd8617c119659906b9336265a4c51af8690d618d9d53aeedc329adca4472454",
+    "tower 3 1,4,20 6 json":
+        "85be8379bc034c79ef7ef886a18c2f0288bc6d18cb4ecad948870e840dd65617",
+    "tower 3 1,4,20 6 csv":
+        "c7b277b45bbf922d87caa586cabbfcb7b66ebd10c5d8c41cb93c6f62559d1908",
+    "kappa 3 1,4,20 6 text":
+        "953b2ac9601f9d305944abe86fded9a862f69c3506161527f1d2f1c6190c2e1c",
+    "kappa 3 1,4,20 6 json":
+        "dc9b21c12d3cb728f8e3589c8a8eb8a781d6c1f75e607703f674bc6f9c699291",
+    "tower 5 2,-25 3 text":
+        "bf8bc7a36c354e2fc9c43340deec2f862a856a12d0291fbcd3e1cbecb4bfb0fb",
+    "tower 5 2,-25 3 json":
+        "db34cc7d71b48899af2a378ba979d82b83f46abd2081b1f49f47667d9bee1456",
+    "tower 5 2,-25 3 csv":
+        "a932a37389c7c5470e9f3a1fda1beb3d58a25cd90efb3c2ec5250ff3378902ac",
+    "kappa 5 2,-25 3 text":
+        "90525227e6eddb257969d2186d294664d55944c28b567bb6c0b8a0be0cf5b873",
+    "kappa 5 2,-25 3 json":
+        "87a61b629e4ff7689ecd9880b96438ec99d38b966087428ff7099fdd545f011c",
+    # the 8-vertex cover of cayley_serre(8, (1, 3)), and that voltage graph
+    "zeta text":
+        "a85d2beae2da3cfd8e7caa27402a808494e225cfb19ec46fb425203e595edd2b",
+    "zeta json":
+        "68c95b0e36c048c48de922d6010033ae3fa8a37fd688bd026b2bddde338da9d1",
+    "cover-verify text":
+        "f4ac1b8b83d22458d78b06e063fab442ada69db394a436f125d532e224b0e9b3",
+    "cover-verify json":
+        "d97d3104dc481bec1abed521fb1e0813106716a7688b1c9fdbe678121ab7f7a8",
+}
+
+
+@pytest.mark.parametrize("case", _BYTE_TABLE)
+def test_byte_table(tmp_path, capsys, case):
+    *args, fmt = case.split()
+    if args[0] in ("tower", "kappa"):
+        command, ell, gens, n = args
+        argv = [command, "-l", ell, "-a", gens, "-n", n]
+    else:
+        vg = cayley_serre(8, (1, 3))
+        payload = (voltage_to_json(vg) if args[0] == "cover-verify"
+                   else multigraph_to_json(voltage.derived_cover(vg)))
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(payload))
+        argv = [args[0], str(path)]
+    towers._tower.cache_clear()
+    code, out, _ = run(capsys, *argv, "--format", fmt)
+    towers._tower.cache_clear()
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == _BYTE_TABLE[case]
 
 
 def test_kappa_admits_the_chain_it_bounds(capsys):

@@ -19,8 +19,6 @@ def test_trim():
 def test_add_sub_scale():
     assert polys.add([1, 2], [3, -2]) == [4]
     assert polys.sub([1, 2], [1, 2]) == []
-    assert polys.scale([1, -3], -2) == [-2, 6]
-    assert polys.scale([1, 2], 0) == []
 
 
 @given(small_polys, small_polys)

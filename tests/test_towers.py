@@ -563,14 +563,14 @@ def test_q_built_once_per_spec(monkeypatch, capsys):
 def test_consistency_ok_is_a_real_check(monkeypatch, fresh_table, capsys):
     spec = TowerSpec(2, (3, 5))
     istar = invariants(spec).n0_certified
-    real = towers._Tower.value
+    real = towers._Tower.kappa
 
-    def corrupted(tower, k):
-        return real(tower, k) * (tower.ell if k == istar else 1)
+    def corrupted(tower, n):
+        return real(tower, n) * (tower.ell if n == istar else 1)
 
-    # g_istar gains a factor l: so do N_istar and kappa_istar, but not the
-    # valuations, which never read the chain
-    monkeypatch.setattr(towers._Tower, "value", corrupted)
+    # kappa_istar gains a factor l, but not the valuations, which never
+    # read the chain
+    monkeypatch.setattr(towers._Tower, "kappa", corrupted)
     assert not build_tower_report(spec, istar + 1).consistency_ok
     code = cli.main(["tower", "-l", "2", "-a", "3,5", "-n", str(istar + 1)])
     assert code == 2
@@ -636,11 +636,11 @@ def test_fold_keeps_the_true_chain_and_its_values(fresh_table):
     # f~ has 39 coefficients, over 3^(7 - 4) = 27 from depth 4 on: the
     # table keeps the true G~^4, folded before its step, and nothing deeper
     assert table.depth == 4 and len(table.poly) == 39
-    values = list(table.values)
+    products = list(table.products)
     towers._tower.cache_clear()
     assert build_tower_report(spec, n) == folded
     kappas = [kappa_exact(spec, m) for m in range(n + 1)]
-    assert towers._tower(spec).values == values
+    assert towers._tower(spec).products == products
     assert [rec.kappa for rec in folded.levels] == kappas
     assert towers.kappa_levels(spec, n) == kappas
 
@@ -750,7 +750,7 @@ def test_any_read_order_gives_the_prs_norms(ell, data):
         else:  # verify_bounds reads n_max + 1
             assert verify_bounds(spec, max(n - 1, 1)).ok
     table = towers._tower(spec)
-    for m in range(1, len(table.values)):
+    for m in range(1, len(table.products)):
         assert table.norm(m) == norm(m)
         assert table.kappa(m) == kappa(m)
     towers._tower.cache_clear()

@@ -106,7 +106,7 @@ def _regular_h_via_charpoly(g):
     base = [1, 0, q]  # 1 + q u^2
     acc = []
     for k, ck in enumerate(char):
-        term = polys.scale(polys.shift(poly_pow(base, k), n - k), ck)
+        term = [ck * c for c in polys.shift(poly_pow(base, k), n - k)]
         acc = polys.add(acc, term)
     return acc
 
