@@ -177,16 +177,7 @@ def cmd_tower(args) -> int:
 def cmd_kappa(args) -> int:
     spec = _spec(args)
     _admit(spec, args.levels, args.budget)
-    # level n is the Cayley graph of Z/l^n: kappa_0..kappa_n read each a
-    # mod l^n only, so the chain runs on least absolute residues (0 is a
-    # loop) and starts with under l^n coefficients: l^n <= phi(l^n) *
-    # bits(4t - 1) < N_n's bound, so _admit alone holds the chain in budget.
-    # Reading no level past n, the chain then folds each later step to
-    # l^(n - k) coefficients at depth k (towers.kappa_levels)
-    mod = spec.ell ** max(args.levels, 1)
-    chain = towers.TowerSpec(spec.ell, tuple(
-        (a + mod // 2) % mod - mod // 2 for a in spec.generators))
-    kappas = towers.kappa_levels(chain, args.levels)
+    kappas = towers.kappa_levels(spec, args.levels)
     decimal = polys.decimal(kappas[-1])
     if args.format == "json":
         import json

@@ -10,10 +10,10 @@ each row divided by its content (the gcd of its values), the primes of a
 bound on the divided matrix's determinant, then ``det_residues``, then
 ``_crt``, the one CRT, which refuses a result past its bound, times the
 product of the contents.  So it is exact, not probabilistic.  The bound is
-the product of the divided diagonal when the matrix is symmetric with a
-nonnegative, weakly dominant diagonal (``_psd_diagonal``: a reduced
-Laplacian), and the integer Hadamard bound of the divided rows otherwise
-(``_row_norms`` finds the row norms and contents in one pass).
+the Hadamard bound of the divided rows (``_row_norms``), or one stated by
+the code that built the matrix through ``_det_bounded``, the tail of
+``det_pattern``, as ``serre.spanning_tree_count`` does: no matrix is
+inspected for its shape, and no float is computed.
 ``zeta.pencil_det`` calls ``det_residues`` with its 2n + 1 node matrices
 and the primes of the pencil's unit-circle Hadamard bound, from
 ``_hadamard_bound``, and ``_crt`` after it has interpolated mod each prime.
@@ -80,7 +80,9 @@ def crt_primes(count: int) -> list[int]:
     """Deterministic list of 31-bit primes, largest first, from 2^31 - 19.
     2 has order 31 modulo the prime 2^31 - 1, so leading minors of pencil
     node matrices at u = +-2^i vanish mod it (on a cycle such a minor is
-    (u^(2m + 2) - 1) / (u^2 - 1)), and their lanes would need the fallback."""
+    (u^(2m + 2) - 1) / (u^2 - 1)), and their lanes would need the fallback.
+    No product code calls it: perfbench/tracer.py reads it to count the
+    primes of each CRT it traces."""
     _grow_primes(count)
     return _PRIME_CACHE[:count]
 
@@ -331,30 +333,6 @@ def _row_norms(n: int, rows: np.ndarray, vals: np.ndarray) -> tuple | None:
     return norms.tolist(), contents.tolist()
 
 
-def _psd_diagonal(n: int, rows: np.ndarray, cols: np.ndarray,
-                  vals: np.ndarray) -> list[int] | None:
-    """The diagonal d of the n x n matrix M with the values vals at the
-    distinct positions (rows, cols), when M is symmetric and d is
-    nonnegative and weakly dominant, d_r >= the sum of |M_rc| over c != r:
-    then M is positive semidefinite (Gershgorin), so 0 <= det M <= prod(d)
-    (Hadamard).  None otherwise."""
-    top = max(int(vals.max()), -int(vals.min()))
-    if top * len(vals) >= 1 << 52:
-        return None  # a float64 row sum could be rounded
-    diag = np.zeros(n, dtype=np.int64)
-    on = rows == cols
-    diag[rows[on]] = vals[on]
-    # sum |M_rc| over the row, d_r included: at most 2 d_r, and so d_r >= 0
-    if (np.bincount(rows, np.abs(vals), n) > 2 * diag).any():
-        return None
-    keys, turned = rows * n + cols, cols * n + rows
-    order, back = keys.argsort(), turned.argsort()
-    if ((keys[order] != turned[back]).any()
-            or (vals[order] != vals[back]).any()):
-        return None
-    return diag.tolist()
-
-
 def _hadamard_bound(n: int, rows: np.ndarray, vals: np.ndarray) -> int:
     """Row-norm Hadamard bound of the n x n matrix whose entries in row
     rows[e] are the integers vals[e]; 0 for a matrix with a zero row."""
@@ -529,14 +507,22 @@ def _crt(primes: list[int], residues: list[list[int]],
 def det_pattern(n: int, rows: np.ndarray, cols: np.ndarray,
                 vals: np.ndarray) -> int:
     """Exact determinant of the n x n matrix M whose nonzeros lie among the
-    distinct positions (rows[e], cols[e]), with int64 values vals[e].
+    distinct positions (rows[e], cols[e]), with int64 values vals[e], under
+    Hadamard's bound of M's rows divided by their contents
+    (``_det_bounded``)."""
+    return _det_bounded(n, rows, cols, vals)
+
+
+def _det_bounded(n: int, rows: np.ndarray, cols: np.ndarray,
+                 vals: np.ndarray, bound: int | None = None) -> int:
+    """det M for the matrix M of ``det_pattern``, given bound >= |det M| by
+    the code that built M, or under Hadamard's bound when bound is None.
 
     det M = c_0 ... c_{n-1} det M', where c_r is the content of row r and
-    M' is M with each row r divided by c_r: the primes of a bound on
-    |det M'|, one kernel run and one CRT give det M'.  The bound is the
-    product of M''s diagonal when M is symmetric with a nonnegative, weakly
-    dominant diagonal, as a reduced Laplacian is, and M''s Hadamard bound
-    otherwise.  A row with a common factor, which uniform edge
+    M' is M with each row r divided by c_r: the primes above twice a bound
+    on |det M'|, one kernel run and one CRT give det M'.  That bound is
+    bound // (c_0 ... c_{n-1}), det M' being an integer, or the Hadamard
+    bound of M''s rows.  A row with a common factor, which uniform edge
     multiplicities (a repeated jump) give a reduced Laplacian, takes that
     factor's bits off the bound, so fewer primes are needed."""
     if n == 0:
@@ -548,12 +534,10 @@ def det_pattern(n: int, rows: np.ndarray, cols: np.ndarray,
     if 0 in contents:
         return 0  # a row whose values are all 0, before any division
     scale = math.prod(contents)
-    diag = _psd_diagonal(n, rows, cols, vals)
-    if diag is not None:
-        bound = math.prod(diag) // scale  # c_r divides d_r
-    else:
-        # c_r^2 divides row r's squared norm, so this is M''s bound squared
-        bound = _isqrt_ceil(math.prod(norms) // (scale * scale))
+    # c_r^2 divides row r's squared norm: prod(norms) // scale^2 is the
+    # square of M''s Hadamard bound
+    bound = (_isqrt_ceil(math.prod(norms) // (scale * scale))
+             if bound is None else bound // scale)
     if scale != 1:
         vals = vals // np.array(contents)[rows]
     primes = _primes_above(2 * bound + 1)

@@ -20,6 +20,7 @@ loads neither.
 
 from __future__ import annotations
 
+import math
 from itertools import chain
 
 from ._records import Record, integer, json_int
@@ -204,6 +205,12 @@ def spanning_tree_count(x: Multigraph, *,
     """Number of spanning trees (matrix-tree theorem), exact: the
     determinant of the Laplacian with row and column 0 removed.  Graphs
     with more than ``cap`` vertices are refused before any other work.
+
+    The determinant's CRT is bounded by the product of the reduced
+    Laplacian's diagonal, each vertex's valency minus twice its loops.  The
+    Laplacian is positive semidefinite, and so is its principal submatrix
+    the reduced Laplacian, whose determinant Hadamard's inequality then
+    puts between 0 and the product of its diagonal.
     """
     n = x.num_vertices
     if n > cap:
@@ -222,8 +229,9 @@ def spanning_tree_count(x: Multigraph, *,
                    np.bincount(origin, minlength=n)[rows] - counts, -counts)
     keep = (rows != 0) & (cols != 0)
     # vertex v > 0 is row v - 1
-    rows, cols = rows[keep] - 1, cols[keep] - 1
-    det = linalg.det_pattern(n - 1, rows, cols, lap[keep])
+    rows, cols, lap = rows[keep] - 1, cols[keep] - 1, lap[keep]
+    bound = math.prod(lap[rows == cols].tolist())
+    det = linalg._det_bounded(n - 1, rows, cols, lap, bound)
     if det <= 0:  # require_valid proved x connected: an engine fault
         raise ArithmeticError("reduced Laplacian is singular")
     return det

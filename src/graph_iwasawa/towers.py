@@ -334,12 +334,20 @@ def kappa_exact(spec: TowerSpec, n: int) -> int:
 def kappa_levels(spec: TowerSpec, n: int) -> list[int]:
     """[kappa_0, ..., kappa_n] off one Graeffe chain, grown to level n
     before any level is read so that every step folds toward n
-    (``_Tower.grow``); level 0 takes no chain."""
+    (``_Tower.grow``); level 0 takes no chain.
+
+    Level m is the Cayley graph of Z/l^m, so kappa_0..kappa_n read each
+    jump mod l^n only: the chain runs on the least absolute residues (0 is
+    a loop), and starts with under l^n coefficients.  A jump within
+    +-l^n / 2 is kept as it is, so such a spec reads its own table."""
     if n < 0:
         raise ValueError("level must be >= 0")
     if not n:
         return [1]
-    tower = _tower(spec)
+    mod = spec.ell ** n
+    tower = _tower(TowerSpec(spec.ell, tuple(
+        a if 2 * abs(a) <= mod else (a + mod // 2) % mod - mod // 2
+        for a in spec.generators)))
     tower.grow(n)
     return [tower.kappa(m) for m in range(n + 1)]
 
@@ -408,13 +416,17 @@ def verify_bounds(spec: TowerSpec, n_max: int) -> BoundsReport:
     (a) l^n kappa_n <= (1/(4|chi|)) ((q-1)/(q+1)) (2(q+1))**(l^n), cleared
         of denominators (0 <= 0 for the cycle tower, where chi = 0);
     (b) ord_l(kappa_n) >= n;
-    (c) kappa_n divides kappa_{n+1};
-    and l**mu <= 2(q+1) for the computed mu.
+    (c) kappa_n divides kappa_{n+1}, as kappa_{n+1} = kappa_n l |r_{n+1}|
+        for the level norm r_{n+1} of the table, a product, not a remainder;
+    and l**mu <= 2(q+1) for the computed mu.  The spec's one level table
+    is grown to n_max + 1 before any level is read.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     ell, q, t = spec.ell, spec.q, spec.t
-    kappas = kappa_levels(spec, n_max + 1)
+    tower = _tower(spec)
+    tower.grow(n_max + 1)
+    kappas = [tower.kappa(m) for m in range(n_max + 2)]
     upper_ok = lower_ok = divisibility_ok = True
     failures = []
     for n in range(n_max + 1):
@@ -426,7 +438,7 @@ def verify_bounds(spec: TowerSpec, n_max: int) -> BoundsReport:
         if ord_int(kappas[n], ell) < n:
             lower_ok = False
             failures.append(f"ord_l(kappa_{n}) < {n}")
-        if kappas[n + 1] % kappas[n] != 0:
+        if kappas[n + 1] != kappas[n] * ell * abs(tower.ratios[n + 1]):
             divisibility_ok = False
             failures.append(f"kappa_{n} does not divide kappa_{n + 1}")
     mu_ok = ell ** invariants(spec).mu <= 2 * (q + 1)

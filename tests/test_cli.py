@@ -816,6 +816,19 @@ def test_the_level_table_and_its_renderers_take_no_division(monkeypatch,
     towers._tower.cache_clear()
 
 
+def test_verify_bounds_takes_no_division(monkeypatch):
+    # (c) reads kappa_(n+1) = kappa_n l |r_(n+1)| off the table, a product,
+    # not a remainder of kappa_19 (728 k bits) by kappa_18; (a) compares and
+    # ord_2 in (b) reads bits
+    log, _ = _watch_divisions(monkeypatch)
+    towers._tower.cache_clear()
+    spec = TowerSpec(2, (1, 2))
+    towers.kappa_exact(spec, 19)
+    assert towers.verify_bounds(spec, 18).ok
+    assert log == []
+    towers._tower.cache_clear()
+
+
 # sha256 of stdout for every route that prints a kappa, an N_i or a
 # polynomial coefficient; (2, (1, 1), 14) prints 2^16397, of 4937 digits
 _BYTE_TABLE = {
@@ -951,7 +964,7 @@ def test_a_singular_laplacian_is_a_fault_not_an_input_error(
     theta = Multigraph(2, [(0, 1)] * 3)
     path = tmp_path / "theta.json"
     path.write_text(json.dumps(multigraph_to_json(theta)))
-    monkeypatch.setattr(linalg, "det_pattern", lambda *args: 0)
+    monkeypatch.setattr(linalg, "_det_bounded", lambda *args: 0)
     code, out, err = run(capsys, "zeta", str(path))
     assert (code, out) == (2, "")
     assert "reduced Laplacian is singular" in err

@@ -13,9 +13,9 @@ from hypothesis import Phase, given, settings, strategies as st
 from graph_iwasawa import (TowerSpec, cayley_serre, cycle_graph, cyclotomic,
                            derived_cover, ihara_h, kappa_exact, linalg,
                            spanning_tree_count, verify_integer_decomposition,
-                           zeta)
+                           verify_product_formula, zeta)
 from graph_iwasawa.serre import adjacency_matrix
-from oracles import det_bareiss, det_leibniz
+from oracles import det_bareiss, det_leibniz, random_voltage_graph
 
 ROOT = Path(__file__).resolve().parents[1]
 # Properties of the lane kernel report their first failing example as it
@@ -324,8 +324,18 @@ def test_det_crt_row_contents_shed_bound_bits(monkeypatch):
     assert _det_crt(m) == 6 ** 40 * 41
     [(_, _, vals, count)] = seen
     assert set(vals.ravel().tolist()) == {2, -1}
-    # m is symmetric with a dominant diagonal: the bound is that of m // 6
-    assert count == len(linalg._primes_above(2 * 2 ** 40 + 1))
+    # the bound is the Hadamard bound of m // 6, 5 6^19, two primes, where
+    # that of m itself, 6^40 times it, would take six
+    bound = _hadamard_bound(m // 6)
+    assert bound == 5 * 6 ** 19
+    assert count == len(linalg._primes_above(2 * bound + 1)) == 2
+    assert len(linalg._primes_above(2 * _hadamard_bound(m) + 1)) == 6
+    # a bound stated by the caller, m's diagonal product 12^40, sheds the
+    # contents too: 2^40 is left
+    rows, cols = np.nonzero(m)
+    assert linalg._det_bounded(40, rows, cols, m[rows, cols],
+                               12 ** 40) == 6 ** 40 * 41
+    assert seen[-1][-1] == len(linalg._primes_above(2 * 2 ** 40 + 1))
 
 
 def test_det_crt_all_zero_pattern_row(monkeypatch):
@@ -372,51 +382,78 @@ def test_reduced_laplacian_takes_the_primes_of_its_diagonal(
 
 
 def test_unsymmetric_matrix_keeps_the_hadamard_bound(monkeypatch):
-    # a dominant diagonal of 4, with -2 above it and -1 below: not
-    # symmetric, so the primes are those of the Hadamard bound 21^30, five,
-    # not the four of 4^60; its transpose is the same case.  Made symmetric
-    # with -2 both sides, content 2 leaves 2^60, two primes
+    # a dominant diagonal of 4, with -2 above it and -1 below: the primes
+    # are those of the Hadamard bound 21^30, five, not the four of 4^60;
+    # its transpose is the same case.  Made symmetric with -2 both sides,
+    # content 2 leaves rows (2, -1, -1): det_pattern takes the three primes
+    # of their Hadamard bound 5 6^29 whatever the matrix's shape, and the
+    # diagonal 4^60, stated by its caller, leaves 2^60, two primes
     m = (4 * np.eye(60, dtype=np.int64) - 2 * np.eye(60, k=1, dtype=np.int64)
          - np.eye(60, k=-1, dtype=np.int64))
     sym = m - np.eye(60, k=-1, dtype=np.int64)
     seen = _spy_det_residues(monkeypatch)
     for matrix in (m, m.T, sym):
         assert _det_crt(matrix) == det_bareiss(matrix.tolist())
-    assert [count for *_, count in seen] == [5, 5, 2]
+    rows, cols = np.nonzero(sym)
+    assert linalg._det_bounded(60, rows, cols, sym[rows, cols],
+                               4 ** 60) == det_bareiss(sym.tolist())
+    assert [count for *_, count in seen] == [5, 5, 3, 2]
+    assert _hadamard_bound(m) == linalg._isqrt_ceil(20 * 21 ** 58 * 17)
+    assert _hadamard_bound(sym // 2) == 5 * 6 ** 29
     assert len(linalg._primes_above(2 * 4 ** 60 + 1)) == 4
-
-
-@pytest.mark.parametrize("matrix, psd", [
-    ([[2, -1], [-1, 2]], True),
-    ([[1, -1], [-1, 1]], True),  # weakly dominant, singular
-    ([[1, -2], [-2, 5]], False),  # PSD, but row 0 is not dominated
-    ([[2, -1], [1, 2]], False),  # dominant, not symmetric
-    ([[-2, 1], [1, -2]], False),  # negative diagonal
-])
-def test_psd_diagonal_recognises_only_symmetric_dominant_matrices(matrix,
-                                                                  psd):
-    m = np.array(matrix, dtype=np.int64)
-    rows, cols = np.nonzero(m)
-    diag = linalg._psd_diagonal(2, rows, cols, m[rows, cols])
-    assert diag == (m.diagonal().tolist() if psd else None)
 
 
 def test_orbit_values_keep_their_bound(monkeypatch):
     # h(1, Psi_7) of the voltage bouquet with jumps (1, 2) mod 7: a block of
-    # companion matrix powers that is not symmetric, so it keeps the
-    # Hadamard bound; the count of its 7-vertex cover takes its diagonal's
+    # companion matrix powers, under the Hadamard bound of its divided
+    # rows; the count of its 7-vertex cover takes its diagonal's primes
     vg = cayley_serre(7, (1, 2))
     seen = _spy_det_residues(monkeypatch)
     assert verify_integer_decomposition(vg).ok
-    for rows, cols, vals, count in seen:
-        n = int(rows.max()) + 1
-        if linalg._psd_diagonal(n, rows, cols, vals[0]) is None:
-            bound = linalg._hadamard_bound(n, rows, vals[0])
-        else:
-            bound = math.prod(vals[0][rows == cols].tolist())
-        assert count == len(linalg._primes_above(2 * bound + 1))
-    assert [linalg._psd_diagonal(int(r.max()) + 1, r, c, v[0]) is None
-            for r, c, v, _ in seen] == [False, True]
+    [(rows, cols, vals, count), (o_rows, _, o_vals, o_count)] = seen
+    diagonal = math.prod(vals[0][rows == cols].tolist())
+    assert diagonal == 4 ** 6
+    assert count == len(linalg._primes_above(2 * diagonal + 1))
+    bound = linalg._hadamard_bound(int(o_rows.max()) + 1, o_rows, o_vals[0])
+    assert o_count == len(linalg._primes_above(2 * bound + 1))
+
+
+# The primes each det_residues call takes on the benchmark's cover-oracle
+# inputs at seed 0: the matrix-tree counts of five corpus covers, (l, a, n)
+# of 243-1024 vertices, under their diagonals' bounds ...
+_MATRIX_TREE_PRIMES = [((3, (1, 4, 20), 5), 21), ((2, (3, 5), 9), 34),
+                       ((5, (3, 5, 7, 11), 4), 61), ((3, (5, 7, 11), 6), 61),
+                       ((2, (1, 1), 10), 34)]
+# ... and the product formula's and the integer decomposition's calls on
+# the first ten criterion-5 voltage graphs whose covers have 24-32
+# vertices: the cover's pencil or count, then the base's, then one a
+# nontrivial orbit, orbit values under the Hadamard bound
+_VOLTAGE_PRIMES = [([2, 1, 1, 1, 1], [2, 1, 1, 1, 1])] * 5 + [
+    ([2, 1, 2], [2, 1, 2]), ([2, 1, 1, 1, 1], [2, 1, 1, 1, 1]),
+    ([2, 1, 2], [2, 1, 2]), ([2, 1, 1, 1, 1], [2, 1, 1, 1, 1]),
+    ([2, 1, 2], [1, 1, 2])]
+
+
+def test_cover_oracle_calls_keep_their_primes(monkeypatch):
+    seen = _spy_det_residues(monkeypatch)
+    for (ell, gens, n), primes in _MATRIX_TREE_PRIMES:
+        seen.clear()
+        spanning_tree_count(derived_cover(cayley_serre(ell ** n, gens)))
+        assert [count for *_, count in seen] == [primes], (ell, gens, n)
+    rng = random.Random(20240801)
+    graphs = []
+    while len(graphs) < len(_VOLTAGE_PRIMES):
+        vg = random_voltage_graph(rng, max_vertices=4, max_modulus=12,
+                                  max_edges=10)
+        if 24 <= vg.base.num_vertices * vg.modulus <= 32:
+            graphs.append(vg)
+    for i, (vg, expected) in enumerate(zip(graphs, _VOLTAGE_PRIMES)):
+        counts = []
+        for verify in (verify_product_formula, verify_integer_decomposition):
+            seen.clear()
+            assert verify(vg).ok, i
+            counts.append([count for *_, count in seen])
+        assert tuple(counts) == expected, i
 
 
 def _stack_on_pattern(rng, k, n, density):

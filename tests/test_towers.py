@@ -628,6 +628,21 @@ _FOLDING = [(2, (1, 2000), 12), (2, (1, 60), 9), (3, (1, 4, 20), 7),
             (5, (2, -25), 5), (2, (3, 5), 6), (7, (3, 30), 3)]
 
 
+def test_kappa_levels_reads_each_jump_mod_l_to_the_n(fresh_table):
+    # kappa_0..kappa_4 read each jump mod 2^4, where 10^20 + 1 is 1: no
+    # jump polynomial of degree 2 10^20 is built
+    huge = (10 ** 20 + 1, 3)
+    kappas = towers.kappa_levels(TowerSpec(2, huge), 4)
+    assert kappas == towers.kappa_levels(TowerSpec(2, (1, 3)), 4)
+    assert kappas == [spanning_tree_count(derived_cover(cayley_serre(
+        2 ** m, huge))) for m in range(5)]
+    # a jump within +-2^4 / 2 is kept, so the spec reads its own table
+    spec = TowerSpec(2, (-8, 3))
+    towers.kappa_levels(spec, 4)
+    assert len(towers._tower(spec).products) == 5
+    assert towers._tower.cache_info().currsize == 2
+
+
 def test_fold_keeps_the_true_chain_and_its_values(fresh_table):
     spec = TowerSpec(3, (1, 4, 20))
     n = 7
