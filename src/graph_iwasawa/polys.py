@@ -2,8 +2,8 @@
 
 Polynomials are plain lists of int coefficients in ascending degree,
 always kept trimmed (no trailing zeros); the zero polynomial is the empty
-list.  Every operation stays in the integers: a division that is not exact
-raises instead of leaving Z.
+list.  Every operation stays in the integers, and no polynomial is divided:
+the one quotient, by 1 - y^d in ``cyclotomic_polynomial``, is a running sum.
 
 ``norm``, N(alpha) in Z[zeta_l] by O(log l) products of Galois conjugates
 and no division, is the one norm kernel of the package: the l-Graeffe step
@@ -49,9 +49,10 @@ def shift(p: list[int], k: int) -> list[int]:
 
 
 # Schoolbook below this length, Kronecker from it on; either alone is slower
-# (kappa_exact to level n, one Xeon core, Python 3.11, median of 7): always
-# Kronecker, (2, (3, 5)) n = 13 1.0 -> 4.1 ms and (3, (1, 4, 20)) n = 8
-# 24 -> 76 ms; always schoolbook, (2, (1, 1000)) n = 2 11 -> 297 ms.
+# (kappa_exact to level n on a fresh table, one Xeon core, Python 3.11, best
+# of 5): always Kronecker, (2, (3, 5)) n = 13 0.75 -> 1.8 ms and (5, (1, 7))
+# n = 6 8.8 -> 11.6 ms; always schoolbook, (2, (1, 2000)) n = 12 31 -> 1720
+# ms and (2, (1, 300)) n = 12 9.8 -> 100 ms.  Cutoffs of 8 to 64 tie.
 _KRONECKER_CUTOFF = 32
 
 
@@ -100,31 +101,6 @@ def _halves(w: int, n: int) -> tuple[int, int]:
     # X / 2 and the sum over i < n of X^i X / 2
     field = bytes(w - 1) + b"\x80"
     return 1 << (8 * w - 1), int.from_bytes(field * n, "little")
-
-
-def divmod_exact(p: list[int], d: list[int]) -> tuple[list[int], list[int]]:
-    """Quotient and remainder of p by d where every division by lc(d) is exact.
-
-    Suitable for monic d or when exact divisibility is known (e.g. computing
-    cyclotomic polynomials from y**n - 1).
-    """
-    if not d:
-        raise ZeroDivisionError("polynomial division by zero")
-    r = list(p)
-    dd = len(d) - 1
-    lc = d[-1]
-    q = [0] * max(len(p) - dd, 0)
-    for k in range(len(r) - 1 - dd, -1, -1):
-        c = r[k + dd]
-        if c == 0:
-            continue
-        cq, rem = divmod(c, lc)
-        if rem:
-            raise ArithmeticError("inexact polynomial division")
-        q[k] = cq
-        for i, dc in enumerate(d):
-            r[k + i] -= cq * dc
-    return trim(q), trim(r)
 
 
 def graeffe(p: list[int], ell: int) -> list[int]:
@@ -196,21 +172,38 @@ def fold(p: list[int], width: int) -> list[int]:
 
 
 def cyclotomic_polynomial(n: int) -> list[int]:
-    """The n-th cyclotomic polynomial from Phi_1 = y - 1, prime by prime:
-    Phi_mq(y) = Phi_m(y**q), divided exactly by Phi_m(y) if q is prime to m."""
+    """The n-th cyclotomic polynomial: Phi_1 = y - 1, and Phi_n(y) =
+    Phi_r(y^(n/r)) for r the product of n's primes.  For r > 1, Phi_r is
+    the product over d | r of (1 - y^d)^mu(r/d), the Moebius inversion of
+    y^r - 1 = prod over d | r of Phi_d(y) (the signs cancel, as the mu(r/d)
+    sum to 0), taken as a power series cut at degree phi(r): multiplying
+    by 1 - y^d is one pass down the coefficients, dividing by it one
+    running-sum pass up, d places apart.  The cut is exact because the
+    product is a polynomial of degree phi(r)."""
     if n < 1:
         raise ValueError("n must be positive")
-    p, m = [-1, 1], 1
-    for q in range(2, n + 1):
-        while n // m % q == 0:  # a composite q never divides: its primes did
-            up = [0] * (q * (len(p) - 1) + 1)
-            up[::q] = p
-            if m % q:
-                up, r = divmod_exact(up, p)
-                if r:
-                    raise ArithmeticError(f"Phi_{m * q} left a remainder")
-            p, m = up, m * q
-    return p
+    if n == 1:
+        return [-1, 1]
+    divisors, top, m, q = [(1, 1)], 1, n, 2  # (d, mu(d)) for d | r; phi(r)
+    while m > 1:  # trial division
+        if m % q == 0:
+            divisors += [(d * q, -mu) for d, mu in divisors]
+            top *= q - 1
+            while m % q == 0:
+                m //= q
+        q += 1
+    r, sign = divisors[-1]
+    p = [1] + [0] * top
+    for d, mu in divisors:
+        if mu == sign:  # mu(r/d) = mu(r) mu(d) = 1: times 1 - y^d
+            for i in range(top, d - 1, -1):
+                p[i] -= p[i - d]
+        else:  # over 1 - y^d
+            for i in range(d, top + 1):
+                p[i] += p[i - d]
+    out = [0] * (top * (n // r) + 1)
+    out[::n // r] = p
+    return out
 
 
 def format_poly(p: list[int], var: str = "u") -> str:

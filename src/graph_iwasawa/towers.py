@@ -38,6 +38,7 @@ as its linear coefficient, so mu = 0, lambda = 1 and n0_certified = 1.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 
 from . import cyclotomic, polys
@@ -188,11 +189,14 @@ def _jump_poly(spec: TowerSpec) -> list[int]:
 
 
 def _reduced_jump_poly(spec: TowerSpec) -> list[int]:
-    # f~ = f / (y - 1)^2: every term 2 - y^b - y^-b vanishes to order 2 at 1
-    q, r = polys.divmod_exact(_jump_poly(spec), [1, -2, 1])
-    if r:
-        raise ArithmeticError("jump polynomial has no double root at 1")
-    return q
+    # f~ = f / (1 - y)^2: every term 2 - y^b - y^-b vanishes to order 2 at
+    # 1.  For p(1) = 0, p / (1 - y) is p's running sums bar the last, p(1).
+    f = _jump_poly(spec)
+    for _ in range(2):
+        *f, last = itertools.accumulate(f)
+        if last:
+            raise ArithmeticError("jump polynomial has no double root at 1")
+    return f
 
 
 class _Tower:

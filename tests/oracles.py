@@ -12,8 +12,9 @@ valuations, which the library takes of f(zeta)),
 Sylvester-matrix resultants over Fractions, and the subresultant PRS with
 its Res(Phi_{l^i}, f), the reference for the library's Graeffe norms and
 its division-by-(1 - zeta) valuations, trial division by the primes
-of a sieve, the reference for the command line's wheel, cyclotomic
-polynomials by dividing y**n - 1 by those of every proper divisor, and
+of a sieve, the reference for the command line's wheel, polynomial long
+division and through it cyclotomic polynomials by dividing y**n - 1 by
+those of every proper divisor, and
 the orbit pencils from every power of a companion matrix, the reference
 for the voltage module's residue table.  None of it
 shares code paths with the library implementations it checks.
@@ -538,24 +539,33 @@ def random_voltage_graph(rng, max_vertices=4, max_modulus=12,
             return vg
 
 
+def poly_divmod(p: list[int], d: list[int]) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of p by d != 0 by long division, every
+    division by lc(d) exact (d monic, or the quotient known to be in Z[y]):
+    the reference for the library's running-sum quotients by 1 - y^d."""
+    r, k = list(p), len(d) - 1
+    q = [0] * max(len(p) - k, 0)
+    for i in range(len(q) - 1, -1, -1):
+        c, rem = divmod(r[i + k], d[-1])
+        if rem:
+            raise ArithmeticError("inexact polynomial division")
+        q[i] = c
+        if c:
+            for j, e in enumerate(d):
+                r[i + j] -= c * e
+    return _trim(q), _trim(r)
+
+
 @functools.lru_cache(maxsize=None)
 def cyclotomic_by_division(n: int) -> tuple[int, ...]:
     """Phi_n by its definition: y**n - 1 divided, one long division each,
-    by Phi_d for every proper divisor d of n (each monic), recursively.
+    by Phi_d for every proper divisor d of n, recursively.
     The reference for ``polys.cyclotomic_polynomial``."""
     p = [-1] + [0] * (n - 1) + [1]
     for d in range(1, n):
         if n % d == 0:
-            phi = cyclotomic_by_division(d)
-            k = len(phi) - 1
-            q = [0] * (len(p) - k)
-            for i in range(len(q) - 1, -1, -1):
-                c = q[i] = p[i + k]
-                if c:
-                    for j, e in enumerate(phi):
-                        p[i + j] -= c * e
-            assert not any(p[:k]), "cyclotomic division left a remainder"
-            p = q
+            p, r = poly_divmod(p, list(cyclotomic_by_division(d)))
+            assert not r, "cyclotomic division left a remainder"
     return tuple(p)
 
 

@@ -110,13 +110,6 @@ def test_generator_has_full_order_below_1000():
         assert polys.norm([1, -1] + [0] * (ell - 2), ell) == ell
 
 
-def test_divmod_exact():
-    q, r = polys.divmod_exact([-1, 0, 0, 1], [-1, 1])  # (y^3-1)/(y-1)
-    assert q == [1, 1, 1] and r == []
-    with pytest.raises(ArithmeticError):
-        polys.divmod_exact([1, 1], [1, 2])
-
-
 def test_prem_basic():
     # prem(y^2, y - 3) = 9 after scaling by lc=1
     assert prem([0, 0, 1], [-3, 1]) == [9]
@@ -187,18 +180,18 @@ def test_cyclotomic_polynomial_matches_the_definition(ns):
             cyclotomic_by_division(n)), n
 
 
-def test_cyclotomic_polynomial_divides_once_a_prime(monkeypatch):
-    # 5040 = 2^4 3^2 5 7: one exact division for each of its four primes
-    calls = []
-    divide = polys.divmod_exact
+def test_cyclotomic_polynomial_takes_one_pass_per_divisor(monkeypatch):
+    # 5040 = 2^4 3^2 5 7: Phi_210(y^24), one pass by 1 - y^d for each of
+    # the 2^4 divisors d of 210, each pass one range of coefficients
+    passes = []
 
-    def spy(p, d):
-        calls.append(len(d) - 1)
-        return divide(p, d)
-    monkeypatch.setattr(polys, "divmod_exact", spy)
+    def spy(*bounds):
+        passes.append(bounds)
+        return range(*bounds)
+    monkeypatch.setattr(polys, "range", spy, raising=False)
     assert polys.cyclotomic_polynomial(5040) == list(
         cyclotomic_by_division(5040))
-    assert len(calls) == 4
+    assert len(passes) == 16
 
 
 def test_format_poly():

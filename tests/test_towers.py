@@ -36,8 +36,8 @@ from graph_iwasawa import (
 from graph_iwasawa.cyclotomic import euler_phi_prime_power
 from graph_iwasawa.towers import _jump_poly
 from graph_iwasawa import cli, cyclotomic, polys, towers
-from oracles import (cyc_add, cyc_mul, p_poly_table, poly_eval, q_at_epsilon,
-                     resultant_with_phi, sylvester_resultant)
+from oracles import (cyc_add, cyc_mul, p_poly_table, poly_divmod, poly_eval,
+                     q_at_epsilon, resultant_with_phi, sylvester_resultant)
 from test_acceptance import CORPUS, corpus_depth
 
 
@@ -236,6 +236,24 @@ def test_level_valuation_builds_no_q(monkeypatch):
 
 def test_jump_poly_zero_generator_drops_out():
     assert _jump_poly(TowerSpec(2, (1, 0))) == _jump_poly(TowerSpec(2, (1,)))
+
+
+@given(st.sampled_from([2, 3, 5, 7]),
+       st.lists(st.integers(-60, 60), min_size=1, max_size=4))
+def test_reduced_jump_poly_is_the_quotient_by_a_double_root(ell, gens):
+    # f~ by two running-sum passes is f's long division by (y - 1)^2
+    assume(any(math.gcd(a, ell) == 1 for a in gens))
+    spec = TowerSpec(ell, tuple(gens))
+    f, reduced = _jump_poly(spec), towers._reduced_jump_poly(spec)
+    assert poly_divmod(f, [1, -2, 1]) == (reduced, [])
+    assert polys.mul([1, -2, 1], reduced) == f
+
+
+def test_a_simple_root_at_one_is_refused(monkeypatch, fresh_table):
+    # f = (y - 1)(y + 2): its first pass ends in 0, its second in -3
+    monkeypatch.setattr(towers, "_jump_poly", lambda spec: [-2, 1, 1])
+    with pytest.raises(ArithmeticError, match="no double root at 1"):
+        kappa_exact(TowerSpec(3, (1, 2)), 2)
 
 
 def test_kappa_examples():

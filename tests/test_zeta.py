@@ -18,7 +18,8 @@ from graph_iwasawa import (
 )
 from graph_iwasawa import linalg, polys
 from graph_iwasawa.zeta import pencil_det
-from oracles import det_poly_matrix, poly_pow, random_base_multigraph
+from oracles import (det_poly_matrix, poly_divmod, poly_pow,
+                     random_base_multigraph)
 
 
 def four_edge_join():
@@ -146,7 +147,7 @@ def _det_bareiss_poly(m):
             for j in range(k + 1, n):
                 num = polys.sub(polys.mul(a[k][k], a[i][j]),
                                 polys.mul(a[i][k], a[k][j]))
-                q, r = polys.divmod_exact(num, prev) if num else ([], [])
+                q, r = poly_divmod(num, prev) if num else ([], [])
                 assert not r
                 a[i][j] = q
             a[i][k] = []
