@@ -5,8 +5,9 @@ deterministic: identical invocations produce identical bytes.  Every
 kappa, N_i and polynomial coefficient is printed in full decimal, however
 many digits it has, by the one renderer ``polys.decimal``.  tower's
 --parallel is accepted for compatibility and has no effect.
-Sizes (--budget-bits, --cap-vertices) are checked here, before any work;
-a negative one is a usage error.
+Sizes (--budget-bits, --cap-vertices) are checked before any work, here
+or, for zeta's --cap-vertices, by the spanning-tree count that it runs
+first; a negative one is a usage error.
 tower and kappa run on the pure-Python towers, cyclotomic and polys and
 load no numpy, no serre and no dataclasses, and their text and csv output
 loads no json: importing this module loads only what they run.  zeta,
@@ -125,6 +126,13 @@ def _cap(what: str, n: int, cap: int) -> None:
         raise ValueError(f"{what} has {n} vertices, beyond the cap of {cap}")
 
 
+def _write_json(payload) -> None:
+    import json
+
+    sys.stdout.write(json.dumps(payload, indent=2))
+    sys.stdout.write("\n")
+
+
 def _admit_q(spec: towers.TowerSpec, budget: int) -> None:
     """Refuse up front a Q(T) whose coefficients may outgrow the budget."""
     estimate = towers.q_bits_bound(spec)
@@ -143,10 +151,7 @@ def cmd_tower(args) -> int:
     _admit_q(spec, args.budget)
     report = towers.build_tower_report(spec, args.levels)
     if args.format == "json":
-        import json
-
-        sys.stdout.write(json.dumps(towers.report_to_json(report), indent=2))
-        sys.stdout.write("\n")
+        _write_json(towers.report_to_json(report))
     elif args.format == "csv":
         sys.stdout.write(towers.report_to_csv(report))
     else:
@@ -180,13 +185,9 @@ def cmd_kappa(args) -> int:
     kappas = towers.kappa_levels(spec, args.levels)
     decimal = polys.decimal(kappas[-1])
     if args.format == "json":
-        import json
-
-        sys.stdout.write(json.dumps(
-            {"prime": str(spec.ell),
-             "generators": [str(a) for a in spec.generators],
-             "n": str(args.levels), "kappa": decimal}, indent=2))
-        sys.stdout.write("\n")
+        _write_json({"prime": str(spec.ell),
+                     "generators": [str(a) for a in spec.generators],
+                     "n": str(args.levels), "kappa": decimal})
     else:
         # an unfactored kappa_m below n spares trial division of the rest
         *_, fac = _factor_kappas(kappas)
@@ -206,14 +207,12 @@ def cmd_zeta(args) -> int:
     cap = _vertex_cap(args)
     with open(args.graph_file, encoding="utf-8") as fh:
         graph = serre.multigraph_from_json(json.load(fh))
-    _cap("graph", graph.num_vertices, cap)
-    exponent, h = zeta.ihara_Z(graph)
+    # the count refuses a graph past the cap before any other work
     kappa = serre.spanning_tree_count(graph, cap=cap)
+    exponent, h = zeta.ihara_Z(graph)
     if args.format == "json":
-        sys.stdout.write(json.dumps(
-            {"h": polys.poly_to_json(h), "z_exponent": str(exponent),
-             "kappa": polys.decimal(kappa)}, indent=2))
-        sys.stdout.write("\n")
+        _write_json({"h": polys.poly_to_json(h), "z_exponent": str(exponent),
+                     "kappa": polys.decimal(kappa)})
     else:
         print(f"h(u) = {polys.format_poly(h)}")
         print(f"Z(u) = (1 - u^2)^{exponent} * h(u)")
@@ -242,15 +241,13 @@ def cmd_cover_verify(args) -> int:
                      if chi != 0 else None)
     ok = product.ok and (decomposition is None or decomposition.ok)
     if args.format == "json":
-        payload = {
+        _write_json({
             "product_formula": product.ok,
             "cover_h": polys.poly_to_json(product.cover_h),
             "orbit_product": polys.poly_to_json(product.orbit_product),
             "integer_decomposition":
                 None if decomposition is None else decomposition.ok,
-        }
-        sys.stdout.write(json.dumps(payload, indent=2))
-        sys.stdout.write("\n")
+        })
     else:
         print(f"product formula: {'PASS' if product.ok else 'FAIL'}")
         if not product.ok:

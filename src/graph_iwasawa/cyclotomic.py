@@ -82,11 +82,11 @@ def _reduce(ell: int, i: int, coeffs: list[int]) -> tuple:
     m = ell ** i
     step = ell ** (i - 1)
     deg = (ell - 1) * step
-    acc = [0] * m
-    for e, c in enumerate(coeffs):
-        if c:
-            acc[e % m] += c
+    # Phi divides y**m - 1: fold a longer f to m coefficients, as the
+    # Graeffe chain does, pad it to m past the fold's trim, then reduce by
     # y**deg = -(1 + y**step + ... + y**((l-2)*step))
+    acc = polys.fold(coeffs, m) if len(coeffs) > m else list(coeffs)
+    acc += [0] * (m - len(acc))
     for e in range(m - 1, deg - 1, -1):
         c = acc[e]
         if c:

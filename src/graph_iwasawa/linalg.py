@@ -10,9 +10,9 @@ each row divided by its content (the gcd of its values), the primes of a
 bound on the divided matrix's determinant, then ``det_residues``, then
 ``_crt``, the one CRT, which refuses a result past its bound, times the
 product of the contents.  So it is exact, not probabilistic.  The bound is
-the Hadamard bound of the divided rows (``_row_norms``), or one stated by
-the code that built the matrix through ``_det_bounded``, the tail of
-``det_pattern``, as ``serre.spanning_tree_count`` does: no matrix is
+one stated by the code that built the matrix, divided by the contents, as
+``serre.spanning_tree_count`` states its diagonal's product, or else the
+Hadamard bound of the divided rows (``_row_norms``): no matrix is
 inspected for its shape, and no float is computed.
 ``zeta.pencil_det`` calls ``det_residues`` with its 2n + 1 node matrices
 and the primes of the pencil's unit-circle Hadamard bound, from
@@ -505,18 +505,11 @@ def _crt(primes: list[int], residues: list[list[int]],
 
 
 def det_pattern(n: int, rows: np.ndarray, cols: np.ndarray,
-                vals: np.ndarray) -> int:
+                vals: np.ndarray, *, bound: int | None = None) -> int:
     """Exact determinant of the n x n matrix M whose nonzeros lie among the
-    distinct positions (rows[e], cols[e]), with int64 values vals[e], under
-    Hadamard's bound of M's rows divided by their contents
-    (``_det_bounded``)."""
-    return _det_bounded(n, rows, cols, vals)
-
-
-def _det_bounded(n: int, rows: np.ndarray, cols: np.ndarray,
-                 vals: np.ndarray, bound: int | None = None) -> int:
-    """det M for the matrix M of ``det_pattern``, given bound >= |det M| by
-    the code that built M, or under Hadamard's bound when bound is None.
+    distinct positions (rows[e], cols[e]), with int64 values vals[e], given
+    bound >= |det M| by the code that built M, or under Hadamard's bound
+    when bound is None.
 
     det M = c_0 ... c_{n-1} det M', where c_r is the content of row r and
     M' is M with each row r divided by c_r: the primes above twice a bound

@@ -231,7 +231,7 @@ def spanning_tree_count(x: Multigraph, *,
     # vertex v > 0 is row v - 1
     rows, cols, lap = rows[keep] - 1, cols[keep] - 1, lap[keep]
     bound = math.prod(lap[rows == cols].tolist())
-    det = linalg._det_bounded(n - 1, rows, cols, lap, bound)
+    det = linalg.det_pattern(n - 1, rows, cols, lap, bound=bound)
     if det <= 0:  # require_valid proved x connected: an engine fault
         raise ArithmeticError("reduced Laplacian is singular")
     return det

@@ -933,6 +933,23 @@ def test_zeta_vertex_cap_before_any_work(monkeypatch, tmp_path, capsys):
     assert "40 vertices" in err and "cap of 8" in err
 
 
+@pytest.mark.parametrize("graph, flags, message", [
+    (cycle_graph(40), ("--cap-vertices", "8"),
+     "graph has 40 vertices, beyond the cap of 8"),
+    (Multigraph(2, [(0, 0), (1, 1)]), (), "graph is not connected"),
+    (Multigraph(3, [(0, 1), (1, 2)]), (),
+     "invalid multigraph: vertex 0: valency 1 < 2; vertex 2: valency 1 < 2"),
+], ids=["over-cap", "disconnected", "path"])
+def test_zeta_refusals_keep_their_bytes(tmp_path, capsys, graph, flags,
+                                        message):
+    # the spanning-tree count runs before h and refuses each of these with
+    # the bytes zeta gave when it checked the cap and built h first
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(multigraph_to_json(graph)))
+    code, out, err = run(capsys, "zeta", str(path), *flags)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
 def test_cover_verify_caps_the_derived_cover(tmp_path, capsys):
     # one vertex with one loop: chi = 0, so no matrix-tree count ever ran
     payload = {"m": 40, "edges": [{"u": 0, "v": 0, "voltage": 1}]}
@@ -964,7 +981,7 @@ def test_a_singular_laplacian_is_a_fault_not_an_input_error(
     theta = Multigraph(2, [(0, 1)] * 3)
     path = tmp_path / "theta.json"
     path.write_text(json.dumps(multigraph_to_json(theta)))
-    monkeypatch.setattr(linalg, "_det_bounded", lambda *args: 0)
+    monkeypatch.setattr(linalg, "det_pattern", lambda *args, **kwargs: 0)
     code, out, err = run(capsys, "zeta", str(path))
     assert (code, out) == (2, "")
     assert "reduced Laplacian is singular" in err

@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 from graph_iwasawa import INFINITY, cyc_from_poly, epsilon, ord_L, ord_int
 from graph_iwasawa import cyclotomic, polys
 from graph_iwasawa.cyclotomic import euler_phi_prime_power
-from oracles import (cyc_add, cyc_mul, cyc_pow, poly_eval, resultant_with_phi,
+from oracles import (cyc_add, cyc_mul, cyc_pow, cyclotomic_by_division,
+                     poly_divmod, poly_eval, resultant_with_phi,
                      sylvester_resultant)
 
 
@@ -17,6 +18,22 @@ def test_phi_poly_properties(ell, i):
     assert p[-1] == 1
     assert len(p) - 1 == euler_phi_prime_power(ell, i)
     assert poly_eval(p, 1) == ell
+
+
+@given(st.sampled_from([2, 3, 5, 7]), st.integers(1, 3), st.data())
+@settings(max_examples=60)
+def test_cyc_from_poly_is_the_remainder_by_phi(ell, i, data):
+    # up to three periods of l^i coefficients, negative ones and trailing
+    # zeros among them, so the fold adds periods and its trim is padded
+    m = ell ** i
+    size = data.draw(st.integers(0, 3 * m))
+    zeros = data.draw(st.integers(0, size))
+    p = data.draw(st.lists(st.integers(-50, 50), min_size=size - zeros,
+                           max_size=size - zeros)) + [0] * zeros
+    _, rem = poly_divmod(p, list(cyclotomic_by_division(m)))
+    phi = euler_phi_prime_power(ell, i)
+    assert list(cyc_from_poly(ell, i, p).coeffs) \
+        == rem + [0] * (phi - len(rem))
 
 
 def test_epsilon_examples():

@@ -333,8 +333,8 @@ def test_det_crt_row_contents_shed_bound_bits(monkeypatch):
     # a bound stated by the caller, m's diagonal product 12^40, sheds the
     # contents too: 2^40 is left
     rows, cols = np.nonzero(m)
-    assert linalg._det_bounded(40, rows, cols, m[rows, cols],
-                               12 ** 40) == 6 ** 40 * 41
+    assert linalg.det_pattern(40, rows, cols, m[rows, cols],
+                              bound=12 ** 40) == 6 ** 40 * 41
     assert seen[-1][-1] == len(linalg._primes_above(2 * 2 ** 40 + 1))
 
 
@@ -395,8 +395,8 @@ def test_unsymmetric_matrix_keeps_the_hadamard_bound(monkeypatch):
     for matrix in (m, m.T, sym):
         assert _det_crt(matrix) == det_bareiss(matrix.tolist())
     rows, cols = np.nonzero(sym)
-    assert linalg._det_bounded(60, rows, cols, sym[rows, cols],
-                               4 ** 60) == det_bareiss(sym.tolist())
+    assert linalg.det_pattern(60, rows, cols, sym[rows, cols],
+                              bound=4 ** 60) == det_bareiss(sym.tolist())
     assert [count for *_, count in seen] == [5, 5, 3, 2]
     assert _hadamard_bound(m) == linalg._isqrt_ceil(20 * 21 ** 58 * 17)
     assert _hadamard_bound(sym // 2) == 5 * 6 ** 29
