@@ -39,6 +39,7 @@ _HOME = {
                     "voltage"),
     **dict.fromkeys(("SpecialValues", "ihara_Z", "ihara_h", "special_values"),
                     "zeta"),
+    "InputError": "_records",
     **{name: name for name in ("cyclotomic", "linalg", "polys", "serre",
                                "towers", "voltage", "zeta")},
 }

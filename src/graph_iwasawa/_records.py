@@ -13,6 +13,10 @@ from __future__ import annotations
 import operator
 
 
+class InputError(ValueError):
+    """A value from outside the package, refused where it is judged."""
+
+
 class Record:
     __slots__ = ()
 
@@ -56,9 +60,10 @@ def integer(value, what: str) -> int:
             return operator.index(value)
         except TypeError:
             pass
-    raise ValueError(f"{what} {value!r} is not an integer")
+    raise InputError(f"{what} {value!r} is not an integer")
 
 
 def json_int(value) -> int:
-    # via str: int() would truncate a float and take a bool as 0 or 1
+    # via str: int() would truncate a float and take a bool as 0 or 1.  Its
+    # ValueError names int(), and the loader that calls it refuses the file
     return int(str(value))

@@ -16,8 +16,8 @@ voltage modules when they start, and read the default --cap-vertices off
 serre then.  Text output factors kappa_n by
 trial division to 10^6 on a wheel mod 210, no prime table, and renders in
 decimal only the kappas it prints, each once; no kappa is ever a divisor.
-Exit codes: 0 success (tower: full fit verified), 1 invalid input, usage
-or size, 2 verification failure, internal inconsistency or other fault.
+Exit codes: 0 success (tower: full fit verified), 1 a usage error, an
+InputError or an OSError, 2 a failed check or any other exception.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ import math
 import sys
 
 from . import polys, towers
+from ._records import InputError
 from .cyclotomic import ord_int
 
 DEFAULT_BUDGET_BITS = 1 << 26
@@ -92,7 +93,7 @@ def _parse_generators(text: str) -> tuple:
     try:
         return tuple(int(part) for part in text.split(","))
     except ValueError as exc:
-        raise ValueError(f"bad generator list {text!r}") from exc
+        raise InputError(f"bad generator list {text!r}") from exc
 
 
 def _spec(args) -> towers.TowerSpec:
@@ -123,7 +124,17 @@ def _vertex_cap(args) -> int:
 
 def _cap(what: str, n: int, cap: int) -> None:
     if n > cap:
-        raise ValueError(f"{what} has {n} vertices, beyond the cap of {cap}")
+        raise InputError(f"{what} has {n} vertices, beyond the cap of {cap}")
+
+
+def _read_json(path: str):
+    import json
+
+    with open(path, encoding="utf-8") as fh:
+        try:  # not UTF-8, not JSON, nested past the recursion limit, or an
+            return json.load(fh)  # integer past the digit limit
+        except (ValueError, RecursionError) as exc:
+            raise InputError(str(exc)) from exc
 
 
 def _write_json(payload) -> None:
@@ -200,13 +211,10 @@ def cmd_kappa(args) -> int:
 
 
 def cmd_zeta(args) -> int:
-    import json
-
     from . import serre, zeta
 
     cap = _vertex_cap(args)
-    with open(args.graph_file, encoding="utf-8") as fh:
-        graph = serre.multigraph_from_json(json.load(fh))
+    graph = serre.multigraph_from_json(_read_json(args.graph_file))
     # the count refuses a graph past the cap before any other work
     kappa = serre.spanning_tree_count(graph, cap=cap)
     exponent, h = zeta.ihara_Z(graph)
@@ -221,20 +229,17 @@ def cmd_zeta(args) -> int:
 
 
 def cmd_cover_verify(args) -> int:
-    import json
-
     from . import serre, voltage
 
     cap = _vertex_cap(args)
-    with open(args.voltage_file, encoding="utf-8") as fh:
-        base, m, volts = voltage._read_voltage_json(json.load(fh))
+    base, m, volts = voltage._read_voltage_json(_read_json(args.voltage_file))
     # before the base's checks, which take time and memory per vertex
     _cap("derived cover", base.num_vertices * m, cap)
     vg = voltage.voltage_graph(base, m, volts)
     try:  # the base is valid, so only the cover's connectivity can fail
         product = voltage.verify_product_formula(vg)
     except serre.DisconnectedGraphError:
-        raise ValueError("invalid voltage graph: voltages do not generate "
+        raise InputError("invalid voltage graph: voltages do not generate "
                          "Z/mZ: derived cover disconnected") from None
     chi = serre.euler_characteristic(vg.base)
     decomposition = (voltage.verify_integer_decomposition(vg, cap=cap)
@@ -267,12 +272,12 @@ def cmd_export_dot(args) -> int:
     cap = _vertex_cap(args)
     spec = _spec(args)
     if args.levels < 0:
-        raise ValueError("level must be >= 0")
+        raise InputError("level must be >= 0")
     size = 1
     for _ in range(args.levels):  # stops at the cap, never builds a huge l^n
         size *= spec.ell
         if size > cap:
-            raise ValueError(
+            raise InputError(
                 f"level {args.levels} cover has {spec.ell}^{args.levels} "
                 f"vertices, beyond the cap of {cap}")
     vg = voltage.cayley_serre(spec.ell ** args.levels, spec.generators)
@@ -371,7 +376,7 @@ def main(argv=None) -> int:
         return 1 if exc.code else 0
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:  # JSON and graph errors included
+    except (InputError, OSError) as exc:  # the input's fault: exit 1
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ArithmeticError as exc:

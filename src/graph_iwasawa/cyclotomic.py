@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 
 from . import polys
-from ._records import Record
+from ._records import InputError, Record
 
 INFINITY = math.inf
 
@@ -31,9 +31,9 @@ _MR_PROVEN_BELOW = 318665857834031151167461
 
 def is_prime(n: int) -> bool:
     """Miller-Rabin on bases 2..37, deterministic below psi_12 = 3.1 * 10^23;
-    ValueError from there on, where it would only be probable."""
+    InputError from there on, where it would only be probable."""
     if n >= _MR_PROVEN_BELOW:
-        raise ValueError(f"{n} is past the proven range of the primality "
+        raise InputError(f"{n} is past the proven range of the primality "
                          f"test: Miller-Rabin on bases 2..37 decides only "
                          f"n < {_MR_PROVEN_BELOW}")
     if n < 2:
@@ -99,9 +99,9 @@ def _reduce(ell: int, i: int, coeffs: list[int]) -> tuple:
 
 def cyc_from_poly(ell: int, i: int, coeffs) -> CycElem:
     if not is_prime(ell):
-        raise ValueError(f"{ell} is not prime")
+        raise InputError(f"{ell} is not prime")
     if i < 1:
-        raise ValueError("level must be >= 1")
+        raise InputError("level must be >= 1")
     return CycElem(ell, i, _reduce(ell, i, list(coeffs)))
 
 

@@ -17,6 +17,8 @@ from __future__ import annotations
 import contextlib
 import sys
 
+from ._records import InputError
+
 def trim(p: list[int]) -> list[int]:
     n = len(p)
     while n and p[n - 1] == 0:
@@ -181,7 +183,7 @@ def cyclotomic_polynomial(n: int) -> list[int]:
     running-sum pass up, d places apart.  The cut is exact because the
     product is a polynomial of degree phi(r)."""
     if n < 1:
-        raise ValueError("n must be positive")
+        raise InputError("n must be positive")
     if n == 1:
         return [-1, 1]
     divisors, top, m, q = [(1, 1)], 1, n, 2  # (d, mu(d)) for d | r; phi(r)

@@ -23,14 +23,14 @@ from __future__ import annotations
 import math
 from itertools import chain
 
-from ._records import Record, integer, json_int
+from ._records import InputError, Record, integer, json_int
 
 # Graphs beyond this many vertices are refused by the matrix-tree count
 # and by the voltage-graph checks built on it.
 DEFAULT_VERTEX_CAP = 1 << 15
 
 
-class DisconnectedGraphError(ValueError):
+class DisconnectedGraphError(InputError):
     """The operation requires a connected multigraph."""
 
 
@@ -49,12 +49,12 @@ class Multigraph(Record):
     def __init__(self, num_vertices: int, edges=()):
         n = integer(num_vertices, "vertex count")
         if n < 1:
-            raise ValueError("a multigraph needs at least one vertex")
+            raise InputError("a multigraph needs at least one vertex")
         edges = tuple((integer(u, "vertex"), integer(v, "vertex"))
                       for u, v in edges)
         ends = list(chain.from_iterable(edges))
         if ends and not 0 <= min(ends) <= max(ends) < n:
-            raise ValueError("vertex id out of range")
+            raise InputError("vertex id out of range")
         self._set(n, edges)
 
     @property
@@ -143,7 +143,7 @@ def require_valid(x: Multigraph) -> None:
     if problems:
         if any("not connected" in p for p in problems):
             raise DisconnectedGraphError("; ".join(problems))
-        raise ValueError("invalid multigraph: " + "; ".join(problems))
+        raise InputError("invalid multigraph: " + "; ".join(problems))
 
 
 def _edge_pattern(n: int, origin, terminus) -> tuple:
@@ -214,7 +214,7 @@ def spanning_tree_count(x: Multigraph, *,
     """
     n = x.num_vertices
     if n > cap:
-        raise ValueError(f"graph has {n} vertices, beyond the cap of {cap}")
+        raise InputError(f"graph has {n} vertices, beyond the cap of {cap}")
     require_valid(x)
     if n == 1:
         return 1
@@ -261,5 +261,5 @@ def multigraph_from_json(data: dict) -> Multigraph:
         pairs = [(json_int(rec["u"]), json_int(rec["v"]))
                  for rec in data["edges"]]
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ValueError(f"malformed multigraph JSON: {exc!r}") from exc
+        raise InputError(f"malformed multigraph JSON: {exc!r}") from exc
     return Multigraph(n, pairs)

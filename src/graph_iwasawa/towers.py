@@ -40,9 +40,10 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import sys
 
 from . import cyclotomic, polys
-from ._records import Record, integer, json_int
+from ._records import InputError, Record, integer, json_int
 from .cyclotomic import INFINITY, ord_int
 
 
@@ -54,12 +55,12 @@ class TowerSpec(Record):
     def __init__(self, ell: int, generators: tuple):
         ell = integer(ell, "prime")
         if not cyclotomic.is_prime(ell):
-            raise ValueError(f"{ell} is not prime")
+            raise InputError(f"{ell} is not prime")
         gens = tuple(integer(a, "generator") for a in generators)
         if not gens:
-            raise ValueError("need at least one generator")
+            raise InputError("need at least one generator")
         if not any(math.gcd(a, ell) == 1 for a in gens):
-            raise ValueError(
+            raise InputError(
                 "no generator is coprime to the prime; covers are disconnected")
         self._set(ell, gens)
 
@@ -94,7 +95,7 @@ def p_poly(a: int) -> list[int]:
     exact; degree a, zero constant term, leading coefficient (-1)**(a+1).
     """
     if a < 0:
-        raise ValueError("a must be nonnegative")
+        raise InputError("a must be nonnegative")
     if a == 0:
         return []
     out = [0, a * a]
@@ -131,9 +132,9 @@ def mu_lambda(q: list[int], ell: int) -> tuple[int, int]:
     the smallest index j* attaining it."""
     q = polys.trim(list(q))
     if not q:
-        raise ValueError("zero polynomial has no invariants")
+        raise InputError("zero polynomial has no invariants")
     if q[0] != 0:
-        raise ValueError("expected zero constant term")
+        raise InputError("expected zero constant term")
     mu = None
     jstar = None
     for j in range(1, len(q)):
@@ -170,7 +171,7 @@ def level_valuation(spec: TowerSpec, i: int):
     unit, so no Q is built.
     """
     if i < 1:
-        raise ValueError("level must be >= 1")
+        raise InputError("level must be >= 1")
     return cyclotomic.ord_L(
         cyclotomic.cyc_from_poly(spec.ell, i, _jump_poly(spec)))
 
@@ -180,6 +181,9 @@ def _jump_poly(spec: TowerSpec) -> list[int]:
     # has a generator prime to l
     bs = spec.magnitudes
     big = max(bs)
+    if 2 * big + 1 > sys.maxsize:
+        raise InputError(f"jump {big} needs 2*{big} + 1 coefficients, past "
+                         "any list index; kappa_levels reads jumps mod l^n")
     f = [0] * (2 * big + 1)
     for b in bs:
         f[big] += 2
@@ -306,11 +310,11 @@ def level_norm(spec: TowerSpec, i: int) -> int:
     r_i the norm of G~^(i-1)(zeta_l).
     """
     if i < 1:
-        raise ValueError("level must be >= 1")
+        raise InputError("level must be >= 1")
     return _tower(spec).norm(i)
 
 
-class BudgetExceededError(ValueError):
+class BudgetExceededError(InputError):
     """A level (norm_bits_bound) or a Q(T) (q_bits_bound) whose a-priori
     size is over a caller's budget, refused."""
 
@@ -320,7 +324,7 @@ def norm_bits_bound(spec: TowerSpec, i: int) -> int:
     work: N_i is a product of phi(l^i) conjugates of sum_j (2 - z^b_j -
     z^-b_j), each at most 4t in absolute value."""
     if i < 1:
-        raise ValueError("level must be >= 1")
+        raise InputError("level must be >= 1")
     return (cyclotomic.euler_phi_prime_power(spec.ell, i)
             * (4 * spec.t - 1).bit_length() + 1)
 
@@ -331,7 +335,7 @@ def kappa_exact(spec: TowerSpec, n: int) -> int:
     r_n|, a product of the Graeffe chain's level norms with no division,
     and 1 at level 0, the bouquet."""
     if n < 0:
-        raise ValueError("level must be >= 0")
+        raise InputError("level must be >= 0")
     return _tower(spec).kappa(n) if n else 1
 
 
@@ -345,7 +349,7 @@ def kappa_levels(spec: TowerSpec, n: int) -> list[int]:
     a loop), and starts with under l^n coefficients.  A jump within
     +-l^n / 2 is kept as it is, so such a spec reads its own table."""
     if n < 0:
-        raise ValueError("level must be >= 0")
+        raise InputError("level must be >= 0")
     if not n:
         return [1]
     mod = spec.ell ** n
@@ -359,7 +363,7 @@ def kappa_levels(spec: TowerSpec, n: int) -> list[int]:
 def ord_kappa(spec: TowerSpec, n: int) -> int:
     """ord_l(kappa_n) as -n + sum of level valuations (no big kappa built)."""
     if n < 0:
-        raise ValueError("level must be >= 0")
+        raise InputError("level must be >= 0")
     return _tower(spec).ords(n)[n]
 
 
@@ -426,7 +430,7 @@ def verify_bounds(spec: TowerSpec, n_max: int) -> BoundsReport:
     is grown to n_max + 1 before any level is read.
     """
     if n_max < 1:
-        raise ValueError("n_max must be >= 1")
+        raise InputError("n_max must be >= 1")
     ell, q, t = spec.ell, spec.q, spec.t
     tower = _tower(spec)
     tower.grow(n_max + 1)
@@ -484,7 +488,7 @@ def build_tower_report(spec: TowerSpec, n_max: int) -> TowerReport:
     algorithms.
     """
     if n_max < 0:
-        raise ValueError("n_max must be >= 0")
+        raise InputError("n_max must be >= 0")
     inv = invariants(spec)
     tower = _tower(spec)
     tower.grow(n_max)
@@ -588,7 +592,7 @@ def report_from_json(data: dict) -> TowerReport:
             consistency_ok=_json_flag(data["consistency_ok"]),
             fit_ok=_json_flag(data["fit_ok"]))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ValueError(f"malformed tower report JSON: {exc!r}") from exc
+        raise InputError(f"malformed tower report JSON: {exc!r}") from exc
 
 
 def report_to_csv(report: TowerReport) -> str:

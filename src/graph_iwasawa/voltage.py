@@ -32,7 +32,7 @@ import math
 import numpy as np
 
 from . import linalg, polys, serre, zeta
-from ._records import Record, json_int
+from ._records import InputError, Record, json_int
 from .serre import DisconnectedGraphError, Multigraph
 
 
@@ -44,17 +44,17 @@ class VoltageGraph(Record):
 
     def __init__(self, base: Multigraph, modulus: int, voltage):
         if modulus < 1:
-            raise ValueError("modulus must be >= 1")
+            raise InputError("modulus must be >= 1")
         voltage = tuple(v % modulus for v in voltage)
         if len(voltage) != base.num_directed_edges:
-            raise ValueError("one voltage per directed edge required")
+            raise InputError("one voltage per directed edge required")
         problems = serre.validate_serre(base)
         for e, s in enumerate(voltage):
             if voltage[e ^ 1] != -s % modulus:
                 problems.append(
                     f"edge {e}: voltage not antisymmetric under inversion")
         if problems:
-            raise ValueError("invalid voltage graph: " + "; ".join(problems))
+            raise InputError("invalid voltage graph: " + "; ".join(problems))
         self._set(base, modulus, voltage)
 
 
@@ -64,7 +64,7 @@ def voltage_graph(base: Multigraph, modulus: int,
     volt = [0] * base.num_directed_edges
     for e, s in undirected_voltages.items():
         if not 0 <= e < len(volt):
-            raise ValueError(f"voltage key {e!r} is not a directed edge of "
+            raise InputError(f"voltage key {e!r} is not a directed edge of "
                              f"the base (0..{len(volt) - 1})")
         volt[e], volt[e ^ 1] = s, -s
     return VoltageGraph(base, modulus, volt)
@@ -75,7 +75,7 @@ def cayley_serre(m: int, generators) -> VoltageGraph:
     Z/mZ with jumps ``generators``."""
     gens = [int(a) for a in generators]
     if not gens:
-        raise ValueError("need at least one generator")
+        raise InputError("need at least one generator")
     if math.gcd(m, *[abs(a) for a in gens]) != 1:
         raise DisconnectedGraphError(
             "generators do not generate Z/mZ: derived cover is disconnected")
@@ -150,7 +150,7 @@ def orbit_h_poly(vg: VoltageGraph, d: int) -> list[int]:
     For d = 1 this is just the zeta polynomial of the base.
     """
     if d < 1 or vg.modulus % d != 0:
-        raise ValueError("d must divide the modulus")
+        raise InputError("d must divide the modulus")
     return zeta.pencil_det(*_orbit_pencil(vg, d))
 
 
@@ -189,7 +189,7 @@ def verify_integer_decomposition(
     breaks down for cycle graphs.
     """
     if serre.euler_characteristic(vg.base) == 0:
-        raise ValueError("integer decomposition requires chi(base) != 0")
+        raise InputError("integer decomposition requires chi(base) != 0")
     cover = derived_cover(vg)
     kappa_cover = serre.spanning_tree_count(cover, cap=cap)
     kappa_base = serre.spanning_tree_count(vg.base, cap=cap)
@@ -234,9 +234,9 @@ def _read_voltage_json(data: dict) -> tuple:
         recs = [(json_int(rec["u"]), json_int(rec["v"]),
                  json_int(rec["voltage"])) for rec in data["edges"]]
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ValueError(f"malformed voltage JSON: {exc!r}") from exc
+        raise InputError(f"malformed voltage JSON: {exc!r}") from exc
     if m < 1:
-        raise ValueError(f"malformed voltage JSON: modulus {m} < 1")
+        raise InputError(f"malformed voltage JSON: modulus {m} < 1")
     base = Multigraph(max((max(u, v) + 1 for u, v, _ in recs), default=0),
                       [(u, v) for u, v, _ in recs])
     return base, m, dict(zip(base.undirected_edges(),

@@ -7,7 +7,7 @@ import graph_iwasawa
 
 PUBLIC = [
     "BudgetExceededError", "CycElem", "DisconnectedGraphError", "INFINITY",
-    "IwasawaInvariants", "Multigraph", "SpecialValues", "TowerReport",
+    "InputError", "IwasawaInvariants", "Multigraph", "SpecialValues", "TowerReport",
     "TowerSpec", "VoltageGraph", "adjacency_matrix", "artin_A_sigma",
     "betti1", "bouquet", "build_tower_report", "cayley_serre",
     "cyc_from_poly", "cycle_graph", "cyclotomic", "derived_cover", "epsilon",

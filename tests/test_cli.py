@@ -5,6 +5,7 @@ import math
 import operator
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -996,6 +997,107 @@ def test_an_unexpected_exception_exits_2(monkeypatch, capsys):
     # the traceback names the route, the last line the fault
     assert "in cmd_kappa" in err
     assert err.endswith("internal error: RuntimeError('injected')\n")
+
+
+def _raise(exc):
+    def boom(*args, **kwargs):
+        raise exc
+    return boom
+
+
+def test_a_value_error_of_the_engine_exits_2(monkeypatch, capsys):
+    # only an InputError is the input's fault: a ValueError from inside the
+    # chain is a fault, with its traceback
+    towers._tower.cache_clear()
+    monkeypatch.setattr(polys, "graeffe", _raise(ValueError("injected")))
+    code, out, err = run(capsys, "kappa", "-l", "3", "-a", "1,4", "-n", "3")
+    towers._tower.cache_clear()
+    assert (code, out) == (2, "")
+    assert err.startswith("Traceback") and "in cmd_kappa" in err
+    assert err.endswith("internal error: ValueError('injected')\n")
+
+
+def test_a_value_error_of_the_determinant_exits_2(monkeypatch, tmp_path,
+                                                  capsys):
+    # a numpy-style ValueError in the determinant kernel under zeta
+    path = tmp_path / "theta.json"
+    path.write_text(json.dumps(multigraph_to_json(Multigraph(2, [(0, 1)] * 3))))
+    monkeypatch.setattr(linalg, "det_residues",
+                        _raise(ValueError("operands could not be broadcast")))
+    code, out, err = run(capsys, "zeta", str(path))
+    assert (code, out) == (2, "")
+    assert "in det_pattern" in err
+    assert err.endswith("internal error: ValueError('operands could not be "
+                        "broadcast')\n")
+
+
+def _corrupt_kappa_5(monkeypatch):
+    # kappa_5 of l = 2, a = (3, 5), at n0_certified, gains a factor 2
+    real = towers._Tower.kappa
+    monkeypatch.setattr(towers._Tower, "kappa", lambda tower, n: real(
+        tower, n) * (2 if n == 5 else 1))
+
+
+# one run per exit path README names: the words README files it under,
+# the exit code README gives those words, the argv ({} is a directory of
+# the files below) and what to patch first
+_EXIT_PATHS = [
+    ("usage error", 1, ["kappa", "-l", "2"], None),
+    ("composite ℓ", 1, ["kappa", "-l", "4", "-a", "1", "-n", "2"], None),
+    ("ℓ ≥ ψ₁₂", 1, ["tower", "-l", "318665857834031151167461", "-a", "1",
+                    "-n", "0"], None),
+    ("over `--budget-bits`", 1, ["kappa", "-l", "2", "-a", "1,2", "-n", "5",
+                                 "--budget-bits", "8"], None),
+    ("over `--cap-vertices`", 1, ["export-dot", "-l", "2", "-a", "1", "-n",
+                                  "3", "--cap-vertices", "4"], None),
+    ("malformed", 1, ["zeta", "{}/bad.json"], None),
+    ("too deeply nested file", 1, ["cover-verify", "{}/deep.json"], None),
+    ("non-UTF-8", 1, ["zeta", "{}/latin1.json"], None),
+    ("missing file", 1, ["zeta", "{}/missing.json"], None),
+    ("derived cover is disconnected", 1, ["cover-verify", "{}/even.json"],
+     None),
+    ("`--help`", 0, ["kappa", "--help"], None),
+    ("success", 0, ["zeta", "{}/theta.json"], None),
+    ("verification", 2, ["tower", "-l", "2", "-a", "3,5", "-n", "6"],
+     _corrupt_kappa_5),
+    ("any other exception", 2, ["kappa", "-l", "2", "-a", "1,1", "-n", "3"],
+     lambda mp: mp.setattr(towers, "_tower", _raise(RuntimeError("x")))),
+]
+_EXIT_FILES = {
+    "bad.json": b"{not json",
+    "deep.json": b"[" * 100000,
+    "latin1.json": '{"vertices": 1, "edges": [], "é": 0}'.encode("latin-1"),
+    "even.json": json.dumps({"m": 4, "edges": [
+        {"u": 0, "v": 0, "voltage": 2}, {"u": 0, "v": 0, "voltage": 2}]
+    }).encode(),
+    "theta.json": json.dumps(multigraph_to_json(
+        Multigraph(2, [(0, 1)] * 3))).encode(),
+}
+
+
+def _readme_exit_codes() -> dict:
+    # README's exit-code paragraph, cut at each code: {code: its words}
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    text = " ".join(readme.split("Exit codes ", 1)[1].split("\n\n")[0]
+                    .split())
+    _, zero, one, two = re.split(r"`[012]` ", text)
+    return {0: zero, 1: one, 2: two}
+
+
+@pytest.mark.parametrize("words, code, argv, patch", _EXIT_PATHS,
+                         ids=[row[0] for row in _EXIT_PATHS])
+def test_each_exit_path_exits_as_readme_says(monkeypatch, tmp_path, capsys,
+                                             words, code, argv, patch):
+    assert words in _readme_exit_codes()[code]
+    for name, data in _EXIT_FILES.items():
+        (tmp_path / name).write_bytes(data)
+    if patch is not None:
+        patch(monkeypatch)
+    got, out, err = run(capsys, *(a.format(tmp_path) for a in argv))
+    assert got == code
+    # a refused input is named on stderr, with no traceback
+    assert code != 1 or (out == "" and "error: " in err
+                         and "Traceback" not in err)
 
 
 def test_readme_tower_example(capsys):

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 from graph_iwasawa import (
+    InputError,
     IwasawaInvariants,
     TowerSpec,
     build_tower_report,
@@ -659,6 +660,19 @@ def test_kappa_levels_reads_each_jump_mod_l_to_the_n(fresh_table):
     towers.kappa_levels(spec, 4)
     assert len(towers._tower(spec).products) == 5
     assert towers._tower.cache_info().currsize == 2
+
+
+@pytest.mark.parametrize("read, level", [
+    (kappa_exact, 4), (level_norm, 2), (ord_kappa, 3), (level_valuation, 1)])
+def test_a_jump_past_any_list_index_is_refused(fresh_table, read, level):
+    # the true jump polynomial of 10^20 + 1 has more coefficients than a
+    # list can index: an input error naming the jump, not the interpreter's
+    # OverflowError, which reads as an internal consistency failure
+    spec = TowerSpec(2, (10 ** 20 + 1, 3))
+    with pytest.raises(InputError, match=r"jump 100000000000000000001 .*"
+                                         r"kappa_levels"):
+        read(spec, level)
+    assert towers.kappa_levels(spec, 4) == [1, 4, 32, 4096, 37879808]
 
 
 def test_fold_keeps_the_true_chain_and_its_values(fresh_table):
