@@ -29,8 +29,9 @@ P_a(eps(1)) = eps(a).  This module computes everything exactly:
   provably holds for every larger level, not just the inspected ones.
 
 One level table per spec (``_tower``) holds all three, grown on demand.
-A read of level N needs G~^k only mod z^(l^(N-k)) - 1, and the chain folds
-a longer G~^k to that.
+Level N is the Cayley graph of Z/l^N, so a read of level N starts the chain
+from the jumps mod l^N, needs G~^k only mod z^(l^(N-k)) - 1, and folds a
+longer G~^k to that.
 The cycle tower (t = 1) takes the same route: Q = P_|a| has the l-unit a^2
 as its linear coefficient, so mu = 0, lambda = 1 and n0_certified = 1.
 """
@@ -98,10 +99,23 @@ def p_poly(a: int) -> list[int]:
         raise InputError("a must be nonnegative")
     if a == 0:
         return []
-    out = [0, a * a]
+    out = _zeros(a, a + 1)
+    out[1] = a * a
     for k in range(1, a):
-        out.append(-out[-1] * (a + k) * (a - k) // ((2 * k + 1) * (2 * k + 2)))
+        out[k + 1] = -out[k] * (a + k) * (a - k) // ((2 * k + 1) * (2 * k + 2))
     return out
+
+
+def _zeros(jump: int, count: int) -> list[int]:
+    # the count coefficients a jump needs, refused as input past any list
+    # index before any is allocated; below it, an unallocatable count raises
+    # MemoryError at once
+    if count > sys.maxsize:
+        raise InputError(
+            f"jump {jump} needs {count} coefficients, past any list index; "
+            "a chain read of level n (kappa_exact, kappa_levels, level_norm) "
+            "reads the jumps mod l^n")
+    return [0] * count
 
 
 def q_bits_bound(spec: TowerSpec) -> int:
@@ -173,18 +187,15 @@ def level_valuation(spec: TowerSpec, i: int):
     if i < 1:
         raise InputError("level must be >= 1")
     return cyclotomic.ord_L(
-        cyclotomic.cyc_from_poly(spec.ell, i, _jump_poly(spec)))
+        cyclotomic.cyc_from_poly(spec.ell, i, _jump_poly(spec.magnitudes)))
 
 
-def _jump_poly(spec: TowerSpec) -> list[int]:
-    # y**B * sum_j (2 - y**b_j - y**(-b_j)), B = max |a_j| >= 1: a spec
-    # has a generator prime to l
-    bs = spec.magnitudes
+def _jump_poly(bs: tuple) -> list[int]:
+    # y**B * sum_j (2 - y**b_j - y**(-b_j)) for the jump magnitudes b_j,
+    # B = max b_j >= 1: a spec has a jump prime to l, and so has its
+    # reduction mod l^n for n >= 1
     big = max(bs)
-    if 2 * big + 1 > sys.maxsize:
-        raise InputError(f"jump {big} needs 2*{big} + 1 coefficients, past "
-                         "any list index; kappa_levels reads jumps mod l^n")
-    f = [0] * (2 * big + 1)
+    f = _zeros(big, 2 * big + 1)
     for b in bs:
         f[big] += 2
         f[big + b] -= 1
@@ -192,10 +203,10 @@ def _jump_poly(spec: TowerSpec) -> list[int]:
     return polys.trim(f)
 
 
-def _reduced_jump_poly(spec: TowerSpec) -> list[int]:
+def _reduced_jump_poly(bs: tuple) -> list[int]:
     # f~ = f / (1 - y)^2: every term 2 - y^b - y^-b vanishes to order 2 at
     # 1.  For p(1) = 0, p / (1 - y) is p's running sums bar the last, p(1).
-    f = _jump_poly(spec)
+    f = _jump_poly(bs)
     for _ in range(2):
         *f, last = itertools.accumulate(f)
         if last:
@@ -210,23 +221,37 @@ class _Tower:
     are the l^k-th ones), Q's law, and ord_l(kappa_n) from the valuations
     alone.
 
-    The table keeps g_0 = f~(1), the level norms r_k = g_k / g_(k-1) and
-    their prefix products h_k = r_1 ... r_k, so g_k = g_0 h_k and kappa_n =
-    l^n |h_n|: every value is a product and none is divided.
+    The table keeps the level norms r_k = g_k / g_(k-1) and their prefix
+    products h_k = r_1 ... r_k, so g_k = g_0 h_k and kappa_n = l^n |h_n|:
+    every value is a product and none is divided.
     For j >= k, g_j is the product of G~^k over the l^(j-k)-th roots of
     unity, so a read of level N needs G~^k only mod z^(l^(N-k)) - 1, and
     ``grow`` folds a longer one to that (``polys.fold``).  The r and h
     values read off a folded polynomial are exact and kept; the polynomial
-    is not.  The one polynomial kept is the deepest unfolded G~^depth, from
-    which a deeper read steps on.  Each step, one norm in Z[zeta_l], has
-    its G~(1) checked against g_k = g_0 h_k, which took no step."""
+    is not.  The one polynomial kept is the deepest unfolded G~^depth of
+    the true jumps, from which a deeper read steps on.
+
+    Level N is the Cayley graph of Z/l^N, so a read of level N starts its
+    chain from f~' of the least absolute residues b' of the jumps mod l^N
+    (0 is a loop), with B' = max b' against B = max |a|.  For w^(l^N) = 1
+    the sum L(w) = sum_j (2 - w^a_j - w^-a_j) reads each jump mod l^N, and
+    f(w) = w^B L(w), f'(w) = w^B' L(w); so f~(w) = w^(B - B') f~'(w) for
+    w != 1.  The product of the primitive l^k-th roots of unity is 1,
+    except -1 when l^k = 2.  So for k <= N the spec's own r_k is r_k',
+    except r_1 = s r_1' with s = (-1)^(B - B') at l = 2 (s = 1 otherwise);
+    the table stores those, and G~'^k(1) = g_0' r_1' ... r_k' = s g_0' h_k.
+    g_0 itself is not a function of the jumps mod l^N.  If no jump moved,
+    f~' = f~ and the chain is the true one, kept for every depth; else it
+    serves levels up to N only, and a deeper read N' starts again from the
+    jumps mod l^N'.  Each step, one norm in Z[zeta_l], has its G~(1)
+    checked against s g_0' h_k, which took no step."""
 
     def __init__(self, spec: TowerSpec):
         self.spec = spec
         self.ell = spec.ell
-        self.poly = _reduced_jump_poly(spec)  # G~^depth
+        self.poly = None  # G~^depth of the true jumps, once a read starts it
         self.depth = 0
-        self.g0 = sum(self.poly)
+        self.g0 = None
         self.ratios = [None]
         self.products = [1]  # h_k
         self._ords = [0]
@@ -237,8 +262,20 @@ class _Tower:
         l1 norm and a step raises it at most to the power l, so each of those
         coefficients has at most l^k log2 ||f~||_1 bits.  A caller reading
         several levels grows to the deepest first, or a deeper read steps
-        again the depths that a shallower one folded."""
-        poly, depth = self.poly, self.depth
+        again the depths that a shallower one folded or started on moved
+        jumps."""
+        if n < len(self.products):
+            return
+        poly, depth, g0, sign = self.poly, self.depth, self.g0, 1
+        if poly is None:
+            mod = self.ell ** n
+            bs = tuple(min(b % mod, -b % mod) for b in self.spec.magnitudes)
+            poly, depth = _reduced_jump_poly(bs), 0
+            g0 = sum(poly)
+            if bs == self.spec.magnitudes:  # no jump moved: the true f~
+                self.poly, self.g0 = poly, g0
+            elif self.ell == 2 and (max(self.spec.magnitudes) - max(bs)) % 2:
+                sign = -1
         while len(self.products) <= n:
             level = len(self.products)
             while depth < level - 1:
@@ -247,8 +284,8 @@ class _Tower:
                     poly = polys.fold(poly, width)
                 step = polys.graeffe(poly, self.ell)
                 # two routes to g_(depth+1): the step's G~(1), the product
-                # g_0 h_(depth+1); a step that fails is never kept
-                if sum(step) != self.g0 * self.products[depth + 1]:
+                # s g_0 h_(depth+1); a step that fails is never kept
+                if sum(step) != sign * g0 * self.products[depth + 1]:
                     raise ArithmeticError(
                         f"level {depth + 1}: the Graeffe step's G~(1) and "
                         "the product of the level norms disagree")
@@ -260,6 +297,8 @@ class _Tower:
                 raise ArithmeticError(
                     f"level {level} norm vanished; tower invariants are "
                     "violated")
+            if level == 1:
+                r *= sign
             self.ratios.append(r)
             self.products.append(self.products[-1] * r)
 
@@ -341,21 +380,13 @@ def kappa_exact(spec: TowerSpec, n: int) -> int:
 
 def kappa_levels(spec: TowerSpec, n: int) -> list[int]:
     """[kappa_0, ..., kappa_n] off one Graeffe chain, grown to level n
-    before any level is read so that every step folds toward n
-    (``_Tower.grow``); level 0 takes no chain.
-
-    Level m is the Cayley graph of Z/l^m, so kappa_0..kappa_n read each
-    jump mod l^n only: the chain runs on the least absolute residues (0 is
-    a loop), and starts with under l^n coefficients.  A jump within
-    +-l^n / 2 is kept as it is, so such a spec reads its own table."""
+    before any level is read, so that it starts on the jumps mod l^n and
+    every step folds toward n (``_Tower.grow``); level 0 takes no chain."""
     if n < 0:
         raise InputError("level must be >= 0")
     if not n:
         return [1]
-    mod = spec.ell ** n
-    tower = _tower(TowerSpec(spec.ell, tuple(
-        a if 2 * abs(a) <= mod else (a + mod // 2) % mod - mod // 2
-        for a in spec.generators)))
+    tower = _tower(spec)
     tower.grow(n)
     return [tower.kappa(m) for m in range(n + 1)]
 
@@ -432,6 +463,7 @@ def verify_bounds(spec: TowerSpec, n_max: int) -> BoundsReport:
     if n_max < 1:
         raise InputError("n_max must be >= 1")
     ell, q, t = spec.ell, spec.q, spec.t
+    inv = invariants(spec)  # Q's refusal comes before any chain work
     tower = _tower(spec)
     tower.grow(n_max + 1)
     kappas = [tower.kappa(m) for m in range(n_max + 2)]
@@ -449,7 +481,7 @@ def verify_bounds(spec: TowerSpec, n_max: int) -> BoundsReport:
         if kappas[n + 1] != kappas[n] * ell * abs(tower.ratios[n + 1]):
             divisibility_ok = False
             failures.append(f"kappa_{n} does not divide kappa_{n + 1}")
-    mu_ok = ell ** invariants(spec).mu <= 2 * (q + 1)
+    mu_ok = ell ** inv.mu <= 2 * (q + 1)
     if not mu_ok:
         failures.append("mu exceeds log_l(2(q+1))")
     return BoundsReport(spec, n_max, upper_ok, lower_ok, divisibility_ok,

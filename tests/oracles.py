@@ -11,7 +11,9 @@ elements and Q(eps) by Horner's rule with it (the reference for the level
 valuations, which the library takes of f(zeta)),
 Sylvester-matrix resultants over Fractions, and the subresultant PRS with
 its Res(Phi_{l^i}, f), the reference for the library's Graeffe norms and
-its division-by-(1 - zeta) valuations, trial division by the primes
+its division-by-(1 - zeta) valuations, f~ by squares and the product of
+f~ over the l^n-th roots of unity mod a prime by one Euclid, the modular
+reference for kappa_n at any depth, trial division by the primes
 of a sieve, the reference for the command line's wheel, polynomial long
 division and through it cyclotomic polynomials by dividing y**n - 1 by
 those of every proper divisor, and
@@ -426,6 +428,76 @@ def resultant_with_phi(ell: int, i: int, f: list[int]) -> int:
     if rem:
         raise ArithmeticError("resultant scaling was not exact")
     return q
+
+
+def reduced_jump_poly_by_squares(spec) -> list[int]:
+    """f~ = f / (y - 1)^2 for f = y^B sum_j (2 - y^b_j - y^-b_j), B =
+    max b_j, as -sum_j y^(B - b_j) (1 + y + ... + y^(b_j - 1))^2: each term
+    is -y^-b (y^b - 1)^2, and a zero jump gives nothing.  The reference for
+    the library's running sums."""
+    bs = [abs(a) for a in spec.generators]
+    big = max(bs)
+    out = [0] * (2 * big - 1)
+    for b in bs:
+        for i, c in enumerate(_mul([1] * b, [1] * b)):
+            out[big - b + i] -= c
+    return _trim(out)
+
+
+def _rem_mod_p(a: list[int], b: list[int], p: int) -> list[int]:
+    # a mod b over F_p, lc(b) a unit mod p
+    r, inv = [c % p for c in a], pow(b[-1], -1, p)
+    while len(r) >= len(b):
+        c = r[-1] * inv % p
+        for i, e in enumerate(b, len(r) - len(b)):
+            r[i] = (r[i] - c * e) % p
+        r = _trim(r)
+    return r
+
+
+def _resultant_mod_p(a: list[int], b: list[int], p: int) -> int:
+    # Res(a, b) over F_p by Euclid, b != 0 and lc(b) a unit mod p:
+    # Res(a, b) = (-1)^(deg a deg b) lc(b)^(deg a - deg r) Res(b, r) for
+    # r = a mod b, and Res(a, c) = c^deg a for a constant c (Cohen, "A
+    # Course in Computational Algebraic Number Theory", 1993, 3.3)
+    out = 1
+    while len(b) > 1:
+        r = _rem_mod_p(a, b, p)
+        if not r:
+            return 0
+        da, db = len(a) - 1, len(b) - 1
+        out = out * (-1) ** (da * db) * pow(b[-1], da - len(r) + 1, p) % p
+        a, b = b, r
+    return out * pow(b[0], len(a) - 1, p) % p
+
+
+def chain_values_mod_p(spec, n: int, p: int) -> tuple[int, int]:
+    """(g_0, g_n) mod the prime p, g_k the product of f~ over the l^k-th
+    roots of unity: the modular reference for kappa_n at any depth, since
+    l^n kappa_n = prod N_i makes kappa_n g_0 = +-l^n g_n.
+
+    g_n = Res(y^(l^n) - 1, f~), the first factor monic: y^(l^n) mod f~ by
+    binary powering over F_p, then one Euclid, O(n log l deg(f~)^2) work
+    whatever l^n is.  p must not divide lc(f~) = -#{j : |a_j| = B}.
+    Shares nothing with the library beyond the spec's fields."""
+    f = reduced_jump_poly_by_squares(spec)
+    g0 = sum(f) % p
+    big = spec.ell ** n
+    if len(f) == 1:
+        return g0, pow(f[0], big, p)
+    power, base = [1], _rem_mod_p([0, 1], f, p)
+    for bit in bin(big)[2:]:
+        power = _rem_mod_p(_mul(power, power), f, p)
+        if bit == "1":
+            power = _rem_mod_p(_mul(power, base), f, p)
+    r = _trim([(power[0] - 1) % p] + power[1:])  # y is a unit mod f~
+    if not r:
+        return g0, 0
+    # Res(y^N - 1, f~) = (-1)^(N d) lc(f~)^(N - deg r) Res(f~, r)
+    d = len(f) - 1
+    sign = -1 if big * d % 2 else 1
+    return g0, sign * pow(f[-1], big - len(r) + 1, p) \
+        * _resultant_mod_p(f, r, p) % p
 
 
 def cyc_add(x, y, k: int = 1):

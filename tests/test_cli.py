@@ -525,8 +525,8 @@ def test_kappa_runs_its_chain_on_the_jumps_mod_the_level(monkeypatch,
     lengths = []
     real = towers._jump_poly
 
-    def spy(spec):
-        f = real(spec)
+    def spy(bs):
+        f = real(bs)
         lengths.append(len(f))
         return f
 

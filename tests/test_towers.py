@@ -37,8 +37,10 @@ from graph_iwasawa import (
 from graph_iwasawa.cyclotomic import euler_phi_prime_power
 from graph_iwasawa.towers import _jump_poly
 from graph_iwasawa import cli, cyclotomic, polys, towers
-from oracles import (cyc_add, cyc_mul, p_poly_table, poly_divmod, poly_eval,
-                     q_at_epsilon, resultant_with_phi, sylvester_resultant)
+from oracles import (chain_values_mod_p, cyc_add, cyc_mul, p_poly_table,
+                     poly_divmod, poly_eval, q_at_epsilon,
+                     reduced_jump_poly_by_squares, resultant_with_phi,
+                     sylvester_resultant)
 from test_acceptance import CORPUS, corpus_depth
 
 
@@ -224,7 +226,7 @@ def test_sum_of_epsilons_is_q_at_epsilon_and_f_at_zeta():
             assert total == q_at_epsilon(spec, i), (ell, gens, i)
             shift = cyc_from_poly(ell, i, [0] * max(spec.magnitudes) + [1])
             assert cyc_mul(shift, total) \
-                == cyc_from_poly(ell, i, _jump_poly(spec))
+                == cyc_from_poly(ell, i, _jump_poly(spec.magnitudes))
 
 
 def test_level_valuation_builds_no_q(monkeypatch):
@@ -236,7 +238,7 @@ def test_level_valuation_builds_no_q(monkeypatch):
 
 
 def test_jump_poly_zero_generator_drops_out():
-    assert _jump_poly(TowerSpec(2, (1, 0))) == _jump_poly(TowerSpec(2, (1,)))
+    assert _jump_poly((1, 0)) == _jump_poly((1,))
 
 
 @given(st.sampled_from([2, 3, 5, 7]),
@@ -245,14 +247,15 @@ def test_reduced_jump_poly_is_the_quotient_by_a_double_root(ell, gens):
     # f~ by two running-sum passes is f's long division by (y - 1)^2
     assume(any(math.gcd(a, ell) == 1 for a in gens))
     spec = TowerSpec(ell, tuple(gens))
-    f, reduced = _jump_poly(spec), towers._reduced_jump_poly(spec)
+    bs = spec.magnitudes
+    f, reduced = _jump_poly(bs), towers._reduced_jump_poly(bs)
     assert poly_divmod(f, [1, -2, 1]) == (reduced, [])
     assert polys.mul([1, -2, 1], reduced) == f
 
 
 def test_a_simple_root_at_one_is_refused(monkeypatch, fresh_table):
     # f = (y - 1)(y + 2): its first pass ends in 0, its second in -3
-    monkeypatch.setattr(towers, "_jump_poly", lambda spec: [-2, 1, 1])
+    monkeypatch.setattr(towers, "_jump_poly", lambda bs: [-2, 1, 1])
     with pytest.raises(ArithmeticError, match="no double root at 1"):
         kappa_exact(TowerSpec(3, (1, 2)), 2)
 
@@ -540,12 +543,14 @@ def test_one_level_table(monkeypatch, fresh_table):
     _read(steps, spec, lambda: build_tower_report(spec, n), n)
     for i in range(1, n + 1):
         _read(steps, spec, lambda: level_norm(spec, i), i)
-    # one chain for the spec, r_1..r_n each read once.  f~ has 9
-    # coefficients, so a step at depth j during the read of level k is
-    # unfolded, and kept, only when 2^(k - j) >= 9: the reads of levels 2
-    # and 3 step from depth 0 (1 + 2 steps), and each read of level
-    # k = 4..7 steps from the kept depth k - 4 up to k - 1 (4 x 3 steps),
-    # 15 in all; the later reads take none
+    # one table for the spec, r_1..r_n each read once.  The reads of levels
+    # 1..3 start on the jumps mod 2^k, (-1, -1), (-1, 1) and (3, -3), and
+    # step from depth 0 (0 + 1 + 2 steps, the first of 1 and 5
+    # coefficients); from level 4 on no jump moves, f~ has 9 coefficients,
+    # and a step at depth j during the read of level k is unfolded, and
+    # kept, only when 2^(k - j) >= 9: each read of level k = 4..7 steps
+    # from the kept depth k - 4 up to k - 1 (4 x 3 steps), 15 in all; the
+    # later reads take none
     assert len(steps) == 15
     assert len(norms) == n
     assert valuation_calls
@@ -649,30 +654,95 @@ _FOLDING = [(2, (1, 2000), 12), (2, (1, 60), 9), (3, (1, 4, 20), 7),
 
 def test_kappa_levels_reads_each_jump_mod_l_to_the_n(fresh_table):
     # kappa_0..kappa_4 read each jump mod 2^4, where 10^20 + 1 is 1: no
-    # jump polynomial of degree 2 10^20 is built
-    huge = (10 ** 20 + 1, 3)
-    kappas = towers.kappa_levels(TowerSpec(2, huge), 4)
+    # jump polynomial of degree 2 10^20 is built, and the spec's own table
+    # keeps the levels but no polynomial, which serves no deeper level
+    huge = TowerSpec(2, (10 ** 20 + 1, 3))
+    kappas = towers.kappa_levels(huge, 4)
+    table = towers._tower(huge)
+    assert len(table.products) == 5 and table.poly is None
+    assert towers._tower.cache_info().currsize == 1
     assert kappas == towers.kappa_levels(TowerSpec(2, (1, 3)), 4)
     assert kappas == [spanning_tree_count(derived_cover(cayley_serre(
-        2 ** m, huge))) for m in range(5)]
-    # a jump within +-2^4 / 2 is kept, so the spec reads its own table
+        2 ** m, huge.generators))) for m in range(5)]
+    # a jump within +-2^4 / 2 does not move, so the chain is the true one
     spec = TowerSpec(2, (-8, 3))
     towers.kappa_levels(spec, 4)
-    assert len(towers._tower(spec).products) == 5
-    assert towers._tower.cache_info().currsize == 2
+    assert towers._tower(spec).poly is not None
 
 
 @pytest.mark.parametrize("read, level", [
     (kappa_exact, 4), (level_norm, 2), (ord_kappa, 3), (level_valuation, 1)])
 def test_a_jump_past_any_list_index_is_refused(fresh_table, read, level):
-    # the true jump polynomial of 10^20 + 1 has more coefficients than a
-    # list can index: an input error naming the jump, not the interpreter's
-    # OverflowError, which reads as an internal consistency failure
+    # the true jump polynomial of 10^20 + 1, and its P_a, have more
+    # coefficients than a list can index: a read that needs them is refused
+    # with an input error naming the jump, not the interpreter's
+    # OverflowError, which reads as an internal consistency failure.  A
+    # chain read of level n reads the jumps mod l^n, where 10^20 + 1 is 1,
+    # and gives the matrix-tree values
     spec = TowerSpec(2, (10 ** 20 + 1, 3))
-    with pytest.raises(InputError, match=r"jump 100000000000000000001 .*"
-                                         r"kappa_levels"):
-        read(spec, level)
+    if read in (kappa_exact, level_norm):
+        kappas = [spanning_tree_count(derived_cover(cayley_serre(
+            2 ** m, spec.generators))) for m in (level - 1, level)]
+        # l^n kappa_n = N_1 ... N_n
+        assert read(spec, level) == (kappas[1] if read is kappa_exact
+                                     else spec.ell * kappas[1] // kappas[0])
+    else:
+        with pytest.raises(InputError, match=r"jump 100000000000000000001 "
+                                             r".*reads the jumps mod l\^n"):
+            read(spec, level)
     assert towers.kappa_levels(spec, 4) == [1, 4, 32, 4096, 37879808]
+
+
+def test_p_poly_refuses_a_jump_past_any_list_index(fresh_table):
+    # P_a has a + 1 coefficients: refused before its loop, which ran for as
+    # long as the jump, and so is every reader of Q, before any chain work
+    spec = TowerSpec(2, (10 ** 20 + 1, 3))
+    for read in (lambda: p_poly(10 ** 20 + 1), lambda: q_poly(spec),
+                 lambda: invariants(spec),
+                 lambda: build_tower_report(spec, 3),
+                 lambda: verify_bounds(spec, 3)):
+        with pytest.raises(InputError, match=r"jump 100000000000000000001 "
+                                             r"needs 100000000000000000002 "):
+            read()
+    # 10^20 + 54321 is 11215 mod 2^16: a chain from 22 429 coefficients,
+    # whose 16 levels took 0.76 s when they came before the refusal
+    spec = TowerSpec(2, (10 ** 20 + 54321, 1))
+    with pytest.raises(InputError, match="jump 100000000000000054321 "):
+        verify_bounds(spec, 15)
+    assert len(towers._tower(spec).products) == 1
+
+
+@given(st.sampled_from((2, 3, 5)), st.data())
+def test_a_start_on_moved_jumps_stores_the_specs_own_level_norms(ell, data):
+    # each read of level m starts the chain on the jumps mod l^m.  The
+    # stored r_1..r_n are a fresh table's on the jumps reduced mod l^n, but
+    # for r_1, negated at l = 2 when B - B' is odd, and they are the true
+    # chain's.  Reading level by level, every restart steps against the h_k
+    # that an earlier start stored, so a dropped sign fails a step check
+    n = data.draw(st.sampled_from(_shallow_levels(ell)))
+    mod = ell ** n
+    gens = data.draw(st.lists(st.integers(-3 * mod, 3 * mod), min_size=1,
+                              max_size=4))
+    assume(any(a % ell for a in gens))
+    spec = TowerSpec(ell, tuple(gens))
+    reduced = TowerSpec(ell, tuple(min(a % mod, -a % mod) for a in gens))
+    towers._tower.cache_clear()
+    for m in range(1, n + 1):
+        kappa_exact(spec, m)
+    stored = towers._tower(spec).ratios[1:]
+    fresh = towers._tower(reduced)
+    fresh.grow(n)
+    odd = (max(spec.magnitudes) - max(reduced.magnitudes)) % 2
+    sign = -1 if ell == 2 and odd else 1
+    assert stored == [sign * fresh.ratios[1], *fresh.ratios[2:]]
+    towers._tower.cache_clear()
+    deep = n
+    while ell ** deep < 2 * max(spec.magnitudes):
+        deep += 1
+    true = towers._tower(spec)
+    true.grow(deep)  # no jump moves mod l^deep
+    assert true.poly is not None and true.ratios[1:n + 1] == stored
+    towers._tower.cache_clear()
 
 
 def test_fold_keeps_the_true_chain_and_its_values(fresh_table):
@@ -804,7 +874,7 @@ def test_any_read_order_gives_the_prs_norms(ell, data):
 
 
 def _prs_norm(spec, i):
-    return abs(resultant_with_phi(spec.ell, i, _jump_poly(spec)))
+    return abs(resultant_with_phi(spec.ell, i, _jump_poly(spec.magnitudes)))
 
 
 def _kappa_of_norms(ell, norms):
@@ -821,6 +891,65 @@ def test_chain_norms_match_the_prs_on_the_corpus():
             assert level_norm(spec, i) == _prs_norm(spec, i), (ell, gens, i)
 
 
+P61 = 2 ** 61 - 1
+
+
+def _agrees_mod_p(spec, n, kappa):
+    # kappa_n g_0 = +-l^n g_n (mod p), up to sign: kappa_n = l^n |h_n|, and
+    # the sign of h_n = g_n / g_0 is the chain's, not the resultant's
+    g0, gn = chain_values_mod_p(spec, n, P61)
+    lhs, rhs = kappa * g0 % P61, spec.ell ** n * gn % P61
+    return lhs in (rhs, -rhs % P61)
+
+
+def test_kappa_matches_the_resultant_mod_p_on_the_corpus(fresh_table):
+    # criterion 4's levels, where the matrix-tree count checks kappa_n too,
+    # and the first level past its 2048 vertices, where nothing else does
+    for ell, gens in CORPUS:
+        spec = TowerSpec(ell, gens)
+        assert reduced_jump_poly_by_squares(spec) \
+            == towers._reduced_jump_poly(spec.magnitudes)
+        for n in range(corpus_depth(ell) + 2):
+            assert _agrees_mod_p(spec, n, kappa_exact(spec, n)), \
+                (ell, gens, n)
+
+
+@pytest.mark.parametrize("ell, gens, n", [(2, (2, 7), 3), (3, (1, 40), 3)])
+def test_both_reads_of_a_moved_jump_match_the_resultant(fresh_table, ell,
+                                                        gens, n):
+    # kappa_levels starts on the jumps mod l^n, which move ((2, 7) is
+    # (2, 1) mod 8, with B - B' odd); kappa_exact two levels deeper starts
+    # again, on jumps that do not
+    spec = TowerSpec(ell, gens)
+    kappas = towers.kappa_levels(spec, n)
+    assert towers._tower(spec).poly is None
+    deeper = kappa_exact(spec, n + 2)
+    assert towers._tower(spec).poly is not None
+    assert all(_agrees_mod_p(spec, m, k) for m, k in enumerate(kappas))
+    assert _agrees_mod_p(spec, n + 2, deeper)
+
+
+def test_the_resultant_check_fails_on_a_broken_chain(monkeypatch,
+                                                     fresh_table):
+    # a fold that swaps residues 0 and l keeps G~ at every l-th root of
+    # unity, so no step check sees it; nor does one see a bad r_n, after
+    # which the read takes no step
+    spec, n = TowerSpec(2, (1, -2, 7, 25)), 12
+    real = polys.fold
+
+    def swapped(p, width):
+        q = real(p, width)
+        q[0], q[spec.ell] = q[spec.ell], q[0]
+        return q
+
+    monkeypatch.setattr(polys, "fold", swapped)
+    assert not _agrees_mod_p(spec, n, kappa_exact(spec, n))
+    monkeypatch.undo()
+    towers._tower.cache_clear()
+    _corrupt_norm(monkeypatch, n)
+    assert not _agrees_mod_p(spec, n, kappa_exact(spec, n))
+
+
 @pytest.mark.parametrize("ell", [11, 13, 31])
 @pytest.mark.parametrize("gens", [(3, 5), (1, 4, 20)])
 def test_chain_norms_match_the_prs_at_large_primes(ell, gens):
@@ -833,7 +962,7 @@ def test_chain_norms_match_the_prs_at_large_primes(ell, gens):
                                       (5, (2, -25)), (7, (3, 5))])
 def test_graeffe_step_is_a_resultant(ell, gens):
     # G(z0) = Res_x(x^l - z0, p), for one step and the next
-    p = towers._reduced_jump_poly(TowerSpec(ell, gens))
+    p = towers._reduced_jump_poly(TowerSpec(ell, gens).magnitudes)
     for _ in range(2):
         g = polys.graeffe(p, ell)
         assert len(g) == len(p)
@@ -848,7 +977,7 @@ def test_graeffe_step_is_a_resultant(ell, gens):
 def test_graeffe_norm_is_the_norm_of_p_at_zeta(ell):
     # prod over the primitive l-th roots of p, Res(Phi_l, p) by the PRS, on
     # f~, its first two steps and f~ folded to l coefficients
-    p = towers._reduced_jump_poly(TowerSpec(ell, (1, 4, 20)))
+    p = towers._reduced_jump_poly((1, 4, 20))
     chain = [p, polys.fold(p, ell)]
     for _ in range(2):
         p = polys.graeffe(p, ell)
