@@ -180,14 +180,18 @@ def level_valuation(spec: TowerSpec, i: int):
     """v_i = ord_L(f(zeta)) inside Z[y]/Phi_{l^i}, f the jump polynomial;
     its norm is +-N_i.
 
-    f(zeta) = zeta^B * Q(eps(1)) with B = max|a|, since P_a(eps(1)) =
-    eps(a) makes Q(eps(1)) = sum_j eps(a_j): the same element up to a
-    unit, so no Q is built.
+    f(zeta) = zeta^B * L(zeta), B = max|a|, with L = sum_j (2 - y^a_j -
+    y^-a_j) = Q(eps(1)) built mod y^(l^i) - 1 from the jumps mod l^i: the
+    same element up to a unit, and no Q is built.
     """
     if i < 1:
         raise InputError("level must be >= 1")
-    return cyclotomic.ord_L(
-        cyclotomic.cyc_from_poly(spec.ell, i, _jump_poly(spec.magnitudes)))
+    m = spec.ell ** i
+    terms = [2 * spec.t] + [0] * (m - 1)
+    for a in spec.generators:
+        terms[a % m] -= 1
+        terms[-a % m] -= 1
+    return cyclotomic.ord_L(cyclotomic.cyc_from_poly(spec.ell, i, terms))
 
 
 def _jump_poly(bs: tuple) -> list[int]:

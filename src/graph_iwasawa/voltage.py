@@ -19,9 +19,9 @@ C^sigma and delta = (D - I) (x) 1.  The block C^s is read off one
 residue table, the rows y^e mod Phi_d: its columns are y^(s+j) mod Phi_d,
 j < phi(d).  A is built dense, since it is only
 g * phi(d) on a side, and handed on once as its pattern (its nonzeros and
-the diagonal): ``zeta.pencil_det`` evaluates the pencil there, and at
-u = 1 it is the single determinant det(D (x) 1 - A) of the same pattern's
-values.
+the diagonal) to ``zeta.pencil_det``.  The h(u, Psi_d) of one voltage
+graph are one table (``_orbit_factors``): the product formula multiplies
+them, and the integer decomposition takes their coefficient sums.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import math
 
 import numpy as np
 
-from . import linalg, polys, serre, zeta
+from . import polys, serre, zeta
 from ._records import InputError, Record, json_int
 from .serre import DisconnectedGraphError, Multigraph
 
@@ -162,10 +162,19 @@ class ProductFormulaReport(Record):
         self._set(ok, cover_h, orbit_product, orbit_factors)
 
 
+# The orbit factors of the last voltage graph checked, for both checks.
+@functools.lru_cache(maxsize=1)
+def _orbit_factors(vg: VoltageGraph) -> tuple:
+    """(d, h(u, Psi_d)) for each divisor d of the modulus, increasing, each
+    h a tuple: a report takes lists of its own."""
+    return tuple((d, tuple(orbit_h_poly(vg, d)))
+                 for d in _divisors(vg.modulus))
+
+
 def verify_product_formula(vg: VoltageGraph) -> ProductFormulaReport:
     """Check h_cover = prod over divisors d of m of h(u, Psi_d), exactly."""
     lhs = zeta.ihara_h(derived_cover(vg))
-    factors = {d: orbit_h_poly(vg, d) for d in _divisors(vg.modulus)}
+    factors = {d: list(h) for d, h in _orbit_factors(vg)}
     rhs = functools.reduce(polys.mul, factors.values(), [1])
     return ProductFormulaReport(ok=(lhs == rhs), cover_h=lhs,
                                 orbit_product=rhs, orbit_factors=factors)
@@ -195,11 +204,9 @@ def verify_integer_decomposition(
     kappa_base = serre.spanning_tree_count(vg.base, cap=cap)
     values = {}
     rhs = kappa_base
-    for d in _divisors(vg.modulus)[1:]:
-        # h(1, Psi_d) = det(I - A + diag(delta)), the pencil at u = 1
-        rows, cols, a, delta = _orbit_pencil(vg, d)
-        at_one = zeta._pencil_values(rows, cols, a, delta, 1)
-        val = linalg.det_pattern(len(delta), rows, cols, at_one)
+    # after both counts: a cover past the cap builds no orbit pencil
+    for d, h in _orbit_factors(vg)[1:]:
+        val = sum(h)  # h(1, Psi_d)
         if val == 0:
             raise ArithmeticError(
                 f"h(1, Psi_{d}) vanished for a nontrivial orbit")

@@ -19,9 +19,11 @@ its nonzeros and at the whole diagonal (a graph's comes from
 3. interpolation mod each prime, vectorized over primes and nodes;
 4. one CRT per coefficient, which refuses a coefficient past the bound.
 
-At u = 1 the determinant vanishes (singular Laplacian) and, away from the
-cycle-graph case chi(X) = 0, h_X'(1) = -2 chi(X) kappa_X recovers the
-spanning-tree count.
+No pencil is evaluated at a single node: a special value is read off h's
+coefficients, as the integer decomposition takes h(1, Psi_d) as the
+coefficient sum of h(u, Psi_d).  At u = 1 a graph's determinant vanishes
+(singular Laplacian) and, away from the cycle-graph case chi(X) = 0,
+h_X'(1) = -2 chi(X) kappa_X recovers the spanning-tree count.
 """
 
 from __future__ import annotations
@@ -139,10 +141,10 @@ def _running_products(a: np.ndarray, ps: np.ndarray) -> np.ndarray:
 
 
 def _pencil_values(rows: np.ndarray, cols: np.ndarray, a: np.ndarray,
-                   delta: np.ndarray, nodes: list[int] | int) -> np.ndarray:
+                   delta: np.ndarray, nodes: list[int]) -> np.ndarray:
     """The values of I - A u + diag(delta) u^2 on the pattern, one row per
-    node u of a list, or one 1-D row for a single node."""
-    u = np.array(nodes, dtype=np.int64)[..., None]
+    node u."""
+    u = np.array(nodes, dtype=np.int64)[:, None]
     return np.where(rows == cols, 1 + u * u * delta[rows], 0) - u * a
 
 

@@ -13,7 +13,7 @@ from hypothesis import Phase, given, settings, strategies as st
 from graph_iwasawa import (TowerSpec, cayley_serre, cycle_graph, cyclotomic,
                            derived_cover, ihara_h, kappa_exact, linalg,
                            spanning_tree_count, verify_integer_decomposition,
-                           verify_product_formula, zeta)
+                           verify_product_formula, voltage, zeta)
 from graph_iwasawa.serre import adjacency_matrix
 from oracles import det_bareiss, det_leibniz, random_voltage_graph
 
@@ -304,7 +304,9 @@ def test_det_crt_divides_rows_by_their_contents():
 
 
 def _spy_det_residues(monkeypatch):
-    """Record (rows, cols, values, prime count) of every det_residues call."""
+    """Record (rows, cols, values, prime count) of every det_residues call,
+    from an empty table of orbit factors."""
+    voltage._orbit_factors.cache_clear()
     seen = []
     real = linalg.det_residues
 
@@ -404,17 +406,23 @@ def test_unsymmetric_matrix_keeps_the_hadamard_bound(monkeypatch):
 
 
 def test_orbit_values_keep_their_bound(monkeypatch):
-    # h(1, Psi_7) of the voltage bouquet with jumps (1, 2) mod 7: a block of
-    # companion matrix powers, under the Hadamard bound of its divided
-    # rows; the count of its 7-vertex cover takes its diagonal's primes
+    # h(1, Psi_7) of the voltage bouquet with jumps (1, 2) mod 7 is the
+    # coefficient sum of h(u, Psi_7), whose pencil of companion matrix
+    # powers takes the primes of its unit-circle bound; the count of the
+    # 7-vertex cover takes its diagonal's, and the one-vertex base none.
+    # The base's orbit factor comes between them
     vg = cayley_serre(7, (1, 2))
     seen = _spy_det_residues(monkeypatch)
     assert verify_integer_decomposition(vg).ok
-    [(rows, cols, vals, count), (o_rows, _, o_vals, o_count)] = seen
+    [(rows, cols, vals, count), _, (_, _, o_vals, o_count)] = seen
     diagonal = math.prod(vals[0][rows == cols].tolist())
     assert diagonal == 4 ** 6
     assert count == len(linalg._primes_above(2 * diagonal + 1))
-    bound = linalg._hadamard_bound(int(o_rows.max()) + 1, o_rows, o_vals[0])
+    rows, cols, a, delta = voltage._orbit_pencil(vg, 7)
+    assert len(o_vals) == 2 * len(delta) + 1
+    norms = np.abs(a)
+    norms[rows == cols] += 1 + np.abs(delta[rows[rows == cols]])
+    bound = linalg._hadamard_bound(len(delta), rows, norms)
     assert o_count == len(linalg._primes_above(2 * bound + 1))
 
 
@@ -426,12 +434,13 @@ _MATRIX_TREE_PRIMES = [((3, (1, 4, 20), 5), 21), ((2, (3, 5), 9), 34),
                        ((2, (1, 1), 10), 34)]
 # ... and the product formula's and the integer decomposition's calls on
 # the first ten criterion-5 voltage graphs whose covers have 24-32
-# vertices: the cover's pencil or count, then the base's, then one a
-# nontrivial orbit, orbit values under the Hadamard bound
-_VOLTAGE_PRIMES = [([2, 1, 1, 1, 1], [2, 1, 1, 1, 1])] * 5 + [
-    ([2, 1, 2], [2, 1, 2]), ([2, 1, 1, 1, 1], [2, 1, 1, 1, 1]),
-    ([2, 1, 2], [2, 1, 2]), ([2, 1, 1, 1, 1], [2, 1, 1, 1, 1]),
-    ([2, 1, 2], [1, 1, 2])]
+# vertices: the cover's pencil or count, then the base's, then, in the
+# product formula, one a nontrivial orbit.  The decomposition reads its
+# orbit values off the product formula's orbit factors
+_VOLTAGE_PRIMES = [([2, 1, 1, 1, 1], [2, 1])] * 5 + [
+    ([2, 1, 2], [2, 1]), ([2, 1, 1, 1, 1], [2, 1]),
+    ([2, 1, 2], [2, 1]), ([2, 1, 1, 1, 1], [2, 1]),
+    ([2, 1, 2], [1, 1])]
 
 
 def test_cover_oracle_calls_keep_their_primes(monkeypatch):

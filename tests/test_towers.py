@@ -674,18 +674,23 @@ def test_kappa_levels_reads_each_jump_mod_l_to_the_n(fresh_table):
     (kappa_exact, 4), (level_norm, 2), (ord_kappa, 3), (level_valuation, 1)])
 def test_a_jump_past_any_list_index_is_refused(fresh_table, read, level):
     # the true jump polynomial of 10^20 + 1, and its P_a, have more
-    # coefficients than a list can index: a read that needs them is refused
-    # with an input error naming the jump, not the interpreter's
-    # OverflowError, which reads as an internal consistency failure.  A
-    # chain read of level n reads the jumps mod l^n, where 10^20 + 1 is 1,
-    # and gives the matrix-tree values
+    # coefficients than a list can index: a read that needs them (ord_kappa
+    # below n0_certified, through Q) is refused with an input error naming
+    # the jump, not the interpreter's OverflowError, which reads as an
+    # internal consistency failure.  A chain read of level n, and the
+    # valuation of level n, read the jumps mod l^n, where 10^20 + 1 is 1,
+    # and give the matrix-tree values
     spec = TowerSpec(2, (10 ** 20 + 1, 3))
-    if read in (kappa_exact, level_norm):
+    if read in (kappa_exact, level_norm, level_valuation):
         kappas = [spanning_tree_count(derived_cover(cayley_serre(
             2 ** m, spec.generators))) for m in (level - 1, level)]
         # l^n kappa_n = N_1 ... N_n
-        assert read(spec, level) == (kappas[1] if read is kappa_exact
-                                     else spec.ell * kappas[1] // kappas[0])
+        norm = spec.ell * kappas[1] // kappas[0]
+        if read is level_valuation:  # v_1 = ord_2(N_1), N_1 = 8
+            assert (norm, read(spec, level)) == (8, 3)
+        else:
+            assert read(spec, level) == (kappas[1] if read is kappa_exact
+                                         else norm)
     else:
         with pytest.raises(InputError, match=r"jump 100000000000000000001 "
                                              r".*reads the jumps mod l\^n"):
@@ -927,6 +932,29 @@ def test_both_reads_of_a_moved_jump_match_the_resultant(fresh_table, ell,
     assert towers._tower(spec).poly is not None
     assert all(_agrees_mod_p(spec, m, k) for m, k in enumerate(kappas))
     assert _agrees_mod_p(spec, n + 2, deeper)
+
+
+# The level whose kappa takes about 10 ms from an empty table at |a| <= 40
+_MOD_P_DEPTH = {2: 14, 3: 9, 5: 5, 7: 4}
+
+
+@given(st.sampled_from(sorted(_MOD_P_DEPTH)), st.data())
+def test_kappa_matches_the_resultant_mod_p_deep_in_the_tower(ell, data):
+    # up to four jumps of |a| <= 40, zero jumps and multiples of l among
+    # them.  A shallow read first starts the chain on the jumps mod l^m,
+    # which may move; the deepest read, l^n > 80, reads the true jumps
+    jump = st.one_of(st.integers(-40, 40), st.just(0),
+                     st.integers(-40 // ell, 40 // ell).map(ell.__mul__))
+    gens = data.draw(st.lists(jump, min_size=1, max_size=4))
+    assume(any(a % ell for a in gens))
+    spec, n = TowerSpec(ell, tuple(gens)), _MOD_P_DEPTH[ell]
+    m = data.draw(st.integers(1, 3))
+    towers._tower.cache_clear()
+    kappas = towers.kappa_levels(spec, m)
+    assert all(_agrees_mod_p(spec, k, kappa)
+               for k, kappa in enumerate(kappas))
+    assert _agrees_mod_p(spec, n, kappa_exact(spec, n))
+    towers._tower.cache_clear()
 
 
 def test_the_resultant_check_fails_on_a_broken_chain(monkeypatch,

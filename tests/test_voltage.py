@@ -27,8 +27,8 @@ from graph_iwasawa import (
     voltage_graph,
     voltage_to_json,
 )
-from graph_iwasawa import polys, serre, voltage
-from oracles import (orbit_pencil_by_powers, poly_divmod,
+from graph_iwasawa import linalg, polys, serre, voltage
+from oracles import (det_bareiss, orbit_pencil_by_powers, poly_divmod,
                      random_voltage_graph)
 
 
@@ -244,6 +244,17 @@ def test_integer_decomposition_rejects_cycle_base():
         verify_integer_decomposition(vg)
 
 
+def _orbit_value_by_bareiss(vg, d):
+    # h(1, Psi_d) = det(I - A + diag(delta)), the reference pencil at u = 1
+    rows, cols, a, delta = orbit_pencil_by_powers(vg, d)
+    m = [[0] * len(delta) for _ in delta]
+    for i, j, v in zip(rows.tolist(), cols.tolist(), a.tolist()):
+        m[i][j] -= v
+    for i, dv in enumerate(delta.tolist()):
+        m[i][i] += 1 + dv
+    return det_bareiss(m)
+
+
 def test_randomized_identities():
     rng = random.Random(2024)
     for _ in range(25):
@@ -252,10 +263,60 @@ def test_randomized_identities():
         assert verify_product_formula(vg).ok
         rpt = verify_integer_decomposition(vg)
         assert rpt.ok
-        # h(1, Psi_d) taken at u = 1 is the coefficient sum of h(u, Psi_d)
-        assert rpt.orbit_values == {d: sum(orbit_h_poly(vg, d))
+        # the coefficient sums of h(u, Psi_d) are the determinants of the
+        # companion-power pencils at u = 1
+        assert rpt.orbit_values == {d: _orbit_value_by_bareiss(vg, d)
                                     for d in range(2, vg.modulus + 1)
                                     if vg.modulus % d == 0}
+
+
+def _theta_over_6():
+    # three parallel edges with voltages 0, 1, 2 mod 6: chi = -1, and a
+    # base of two vertices, whose count takes a determinant
+    base = Multigraph(2, [(0, 1)] * 3)
+    return voltage_graph(base, 6, dict(zip(base.undirected_edges(),
+                                           (0, 1, 2))))
+
+
+def test_the_decomposition_reads_the_product_formulas_orbit_factors(
+        monkeypatch):
+    # after the product formula the decomposition's only determinants are
+    # its two matrix-tree counts, of the 12-vertex cover and of the base;
+    # with no product formula before it, it builds the orbit factors itself
+    # and gives the same report
+    vg = _theta_over_6()
+    voltage._orbit_factors.cache_clear()
+    assert verify_product_formula(vg).ok
+    rows = []
+    real = linalg.det_residues
+
+    def spy(n, *args):
+        rows.append(n)
+        return real(n, *args)
+
+    monkeypatch.setattr(linalg, "det_residues", spy)
+    warm = verify_integer_decomposition(vg)
+    assert warm.ok and rows == [11, 1]
+    voltage._orbit_factors.cache_clear()
+    rows.clear()
+    assert verify_integer_decomposition(_theta_over_6()) == warm
+    assert rows[:2] == [11, 1] and len(rows) == 2 + 4
+
+
+def test_a_report_shares_no_list_with_the_next():
+    # the orbit factors are kept for the next check: a caller that edits a
+    # report's lists changes no later report for an equal voltage graph
+    first = verify_product_formula(_theta_over_6())
+    expected = repr(first)
+    for h in (first.cover_h, first.orbit_product,
+              *first.orbit_factors.values()):
+        h[0] += 1
+        h.append(7)
+    first.orbit_factors[6] = [1]
+    again = verify_product_formula(_theta_over_6())
+    assert repr(again) == expected and again.ok
+    assert verify_integer_decomposition(_theta_over_6()).orbit_values == {
+        d: sum(h) for d, h in again.orbit_factors.items() if d > 1}
 
 
 def test_kappa_divides_cover_kappa():
