@@ -6,14 +6,13 @@ there and never as a dense matrix.  ``det_residues`` takes the determinant
 of every matrix mod each prime of one list shared by all k: the primes are
 lanes, the last axis of one array of residues, a lane per (matrix, prime)
 pair.  ``det_pattern`` is the exact determinant of one matrix (k = 1):
-each row divided by its content (the gcd of its values), the primes of a
-bound on the divided matrix's determinant, then ``det_residues``, then
-``_crt``, the one CRT, which refuses a result past its bound, times the
-product of the contents.  So it is exact, not probabilistic.  The bound is
-one stated by the code that built the matrix, divided by the contents, as
-``serre.spanning_tree_count`` states its diagonal's product, or else the
-Hadamard bound of the divided rows (``_row_norms``): no matrix is
-inspected for its shape, and no float is computed.
+each row divided by its content (the gcd of its values' magnitudes), the
+primes of a bound on the divided matrix's determinant, then
+``det_residues``, then ``_crt``, the one CRT, which refuses a result past
+its bound, times the product of the contents.  So it is exact, not
+probabilistic.  The bound is the one its caller states, divided by the
+contents, as ``serre.spanning_tree_count`` states its diagonal's product:
+no matrix is inspected for its shape, and no float is computed.
 ``zeta.pencil_det`` calls ``det_residues`` with its 2n + 1 node matrices
 and the primes of the pencil's unit-circle Hadamard bound, from
 ``_hadamard_bound``, and ``_crt`` after it has interpolated mod each prime.
@@ -315,22 +314,16 @@ def _det_swaps(n: int, w: int, places: np.ndarray, vals: np.ndarray,
     return det
 
 
-def _row_norms(n: int, rows: np.ndarray, vals: np.ndarray) -> tuple | None:
-    """(squared norms, contents) of the rows of the n x n matrix, n >= 1,
-    whose entries in row rows[e] are the integers vals[e], as lists in row
-    order: a row's content is the gcd of its values, 0 when they are all 0.
-    None for a matrix with a zero row."""
+def _row_reduce(ufunc, n: int, rows: np.ndarray,
+                vals: np.ndarray) -> np.ndarray | None:
+    """ufunc (np.gcd or np.add) reduced over each row of the n x n matrix,
+    n >= 1, whose entries in row rows[e] are vals[e], in row order; None
+    for a matrix with a row that has no entry."""
     counts = np.bincount(rows, minlength=n)
     if counts.min() == 0:
         return None
-    starts = np.cumsum(counts) - counts
-    sq = vals[np.argsort(rows, kind="stable")]
-    contents = np.gcd.reduceat(sq, starts)
-    top = max(int(vals.max()), -int(vals.min()))
-    if top * top * int(counts.max()) >= 1 << 63:
-        sq = sq.astype(object)  # Python ints: an int64 row norm could overflow
-    norms = np.add.reduceat(sq * sq, starts)
-    return norms.tolist(), contents.tolist()
+    return ufunc.reduceat(vals[np.argsort(rows, kind="stable")],
+                          np.cumsum(counts) - counts)
 
 
 def _hadamard_bound(n: int, rows: np.ndarray, vals: np.ndarray) -> int:
@@ -338,8 +331,13 @@ def _hadamard_bound(n: int, rows: np.ndarray, vals: np.ndarray) -> int:
     rows[e] are the integers vals[e]; 0 for a matrix with a zero row."""
     if n == 0:
         return 1
-    rowwise = _row_norms(n, rows, vals)
-    return 0 if rowwise is None else _isqrt_ceil(math.prod(rowwise[0]))
+    # a row's squared norm is below top^2 times its entry count, at most
+    # len(vals): Python ints where an int64 one could overflow
+    top = max(int(vals.max(initial=0)), -int(vals.min(initial=0)))
+    if top * top * len(vals) >= 1 << 63:
+        vals = vals.astype(object)
+    norms = _row_reduce(np.add, n, rows, vals * vals)
+    return 0 if norms is None else _isqrt_ceil(math.prod(norms.tolist()))
 
 
 def _isqrt_ceil(n: int) -> int:
@@ -505,34 +503,26 @@ def _crt(primes: list[int], residues: list[list[int]],
 
 
 def det_pattern(n: int, rows: np.ndarray, cols: np.ndarray,
-                vals: np.ndarray, *, bound: int | None = None) -> int:
+                vals: np.ndarray, *, bound: int) -> int:
     """Exact determinant of the n x n matrix M whose nonzeros lie among the
     distinct positions (rows[e], cols[e]), with int64 values vals[e], given
-    bound >= |det M| by the code that built M, or under Hadamard's bound
-    when bound is None.
+    bound >= |det M| by the code that built M.
 
-    det M = c_0 ... c_{n-1} det M', where c_r is the content of row r and
-    M' is M with each row r divided by c_r: the primes above twice a bound
-    on |det M'|, one kernel run and one CRT give det M'.  That bound is
-    bound // (c_0 ... c_{n-1}), det M' being an integer, or the Hadamard
-    bound of M''s rows.  A row with a common factor, which uniform edge
-    multiplicities (a repeated jump) give a reduced Laplacian, takes that
-    factor's bits off the bound, so fewer primes are needed."""
+    det M = c_0 ... c_{n-1} det M', where c_r >= 0 is the content of row r
+    and M' is M with each row r divided by c_r: the primes above twice
+    bound // (c_0 ... c_{n-1}), a bound on the integer |det M'|, one kernel
+    run and one CRT give det M'.  A row with a common factor, which uniform
+    edge multiplicities (a repeated jump) give a reduced Laplacian, takes
+    that factor's bits off the bound, so fewer primes are needed."""
     if n == 0:
         return 1
-    rowwise = _row_norms(n, rows, vals)
-    if rowwise is None:
-        return 0
-    norms, contents = rowwise
-    if 0 in contents:
-        return 0  # a row whose values are all 0, before any division
-    scale = math.prod(contents)
-    # c_r^2 divides row r's squared norm: prod(norms) // scale^2 is the
-    # square of M''s Hadamard bound
-    bound = (_isqrt_ceil(math.prod(norms) // (scale * scale))
-             if bound is None else bound // scale)
+    contents = _row_reduce(np.gcd, n, rows, np.abs(vals))
+    if contents is None or not contents.all():
+        return 0  # a row with no entry, or whose values are all 0
+    scale = math.prod(contents.tolist())
+    bound //= scale
     if scale != 1:
-        vals = vals // np.array(contents)[rows]
+        vals = vals // contents[rows]
     primes = _primes_above(2 * bound + 1)
     residues = det_residues(n, rows, cols, vals[None], primes)
     return scale * _crt(primes, residues, bound)[0]

@@ -32,7 +32,7 @@ import math
 import numpy as np
 
 from . import polys, serre, zeta
-from ._records import InputError, Record, json_int
+from ._records import InputError, Record, integer, json_int
 from .serre import DisconnectedGraphError, Multigraph
 
 
@@ -43,9 +43,10 @@ class VoltageGraph(Record):
     __slots__ = ("base", "modulus", "voltage")
 
     def __init__(self, base: Multigraph, modulus: int, voltage):
+        modulus = integer(modulus, "modulus")
         if modulus < 1:
             raise InputError("modulus must be >= 1")
-        voltage = tuple(v % modulus for v in voltage)
+        voltage = tuple(integer(v, "voltage") % modulus for v in voltage)
         if len(voltage) != base.num_directed_edges:
             raise InputError("one voltage per directed edge required")
         problems = serre.validate_serre(base)
@@ -63,6 +64,7 @@ def voltage_graph(base: Multigraph, modulus: int,
     """Build from voltages on canonical undirected representatives."""
     volt = [0] * base.num_directed_edges
     for e, s in undirected_voltages.items():
+        e, s = integer(e, "voltage key"), integer(s, "voltage")
         if not 0 <= e < len(volt):
             raise InputError(f"voltage key {e!r} is not a directed edge of "
                              f"the base (0..{len(volt) - 1})")
@@ -73,7 +75,8 @@ def voltage_graph(base: Multigraph, modulus: int,
 def cayley_serre(m: int, generators) -> VoltageGraph:
     """Voltage bouquet whose derived cover is the circulant multigraph on
     Z/mZ with jumps ``generators``."""
-    gens = [int(a) for a in generators]
+    m = integer(m, "modulus")
+    gens = [integer(a, "generator") for a in generators]
     if not gens:
         raise InputError("need at least one generator")
     if math.gcd(m, *[abs(a) for a in gens]) != 1:

@@ -13,8 +13,10 @@ Sylvester-matrix resultants over Fractions, and the subresultant PRS with
 its Res(Phi_{l^i}, f), the reference for the library's Graeffe norms and
 its division-by-(1 - zeta) valuations, f~ by squares and the product of
 f~ over the l^n-th roots of unity mod a prime by one Euclid, the modular
-reference for kappa_n at any depth, trial division by the primes
-of a sieve, the reference for the command line's wheel, polynomial long
+reference for kappa_n at any depth, mu, lambda and the certified level
+from F(T) = f~(1 + T), the reference for those read off Q, trial
+division by the primes of a sieve, the reference for the command line's
+wheel, polynomial long
 division and through it cyclotomic polynomials by dividing y**n - 1 by
 those of every proper divisor, and
 the orbit pencils from every power of a companion matrix, the reference
@@ -442,6 +444,36 @@ def reduced_jump_poly_by_squares(spec) -> list[int]:
         for i, c in enumerate(_mul([1] * b, [1] * b)):
             out[big - b + i] -= c
     return _trim(out)
+
+
+def series_invariants(spec) -> tuple[int, int, int]:
+    """(mu, lambda, n0_certified) of the tower from its Iwasawa power
+    series F(T) = f~(1 + T), with no P_a and no Q (Washington,
+    "Introduction to Cyclotomic Fields", 1997, 7.1).  F is the Taylor shift
+    of f~ by squares, F_k = sum_i C(i, k) f~_i.  By Weierstrass preparation
+    in Z_l[[T]], mu = min ord_l(F_k) and lambda(F) is the first k that
+    attains it; f = (y - 1)^2 f~ and the l^n in l^n kappa_n give lambda =
+    1 + lambda(F).  At level i, where ord_l(zeta - 1) = 1 / phi(l^i),
+    n0_certified is the first i whose term lambda(F) of F(zeta - 1)
+    strictly dominates every other: phi(l^i) (v_k - mu) + k - lambda(F) > 0
+    for every other nonzero F_k."""
+    ell, f = spec.ell, reduced_jump_poly_by_squares(spec)
+    shifted = [sum(math.comb(i, k) * c for i, c in enumerate(f))
+               for k in range(len(f))]
+    vals = []
+    for k, c in enumerate(shifted):
+        if c:
+            v = 0
+            while c % ell == 0:
+                c, v = c // ell, v + 1
+            vals.append((k, v))
+    mu = min(v for _, v in vals)
+    lam_f = min(k for k, v in vals if v == mu)
+    level = 1
+    while not all((ell - 1) * ell ** (level - 1) * (v - mu) + k - lam_f > 0
+                  for k, v in vals if k != lam_f):
+        level += 1
+    return mu, 1 + lam_f, level
 
 
 def _rem_mod_p(a: list[int], b: list[int], p: int) -> list[int]:

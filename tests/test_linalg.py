@@ -74,10 +74,12 @@ def _det_stack(stack):
 
 
 def _det_crt(matrix):
-    """linalg.det_pattern on the nonzeros of one dense matrix."""
+    """linalg.det_pattern on the nonzeros of one dense matrix, under the
+    Hadamard bound of its rows."""
     rows, cols = np.nonzero(matrix)
-    return linalg.det_pattern(matrix.shape[0], rows, cols,
-                              matrix[rows, cols])
+    n, vals = matrix.shape[0], matrix[rows, cols]
+    return linalg.det_pattern(n, rows, cols, vals,
+                              bound=linalg._hadamard_bound(n, rows, vals))
 
 
 def test_det_crt_matches_bareiss():
@@ -301,6 +303,11 @@ def test_det_crt_divides_rows_by_their_contents():
         factors = [rng.choice((1, -1, 2, -3, 6, 10 ** 6)) for _ in range(n)]
         m *= np.array(factors, dtype=np.int64)[:, None]
         assert _det_crt(m) == det_bareiss(m.tolist()), trial
+    # a row with one negative entry has a positive content: were it the
+    # signed entry, an odd count of such rows would make the product of the
+    # contents negative, and the bound divided by it with it
+    for m in ([[5, 1], [0, -2]], [[-4]], [[-6, 0, 0], [1, 2, 0], [3, -1, 5]]):
+        assert _det_crt(np.array(m, dtype=np.int64)) == det_bareiss(m), m
 
 
 def _spy_det_residues(monkeypatch):
@@ -319,17 +326,17 @@ def _spy_det_residues(monkeypatch):
 
 
 def test_det_crt_row_contents_shed_bound_bits(monkeypatch):
-    # 6 x the path Laplacian: every row has content 6, so the bound of the
-    # divided matrix is 6^-n times the bound of m
+    # 6 x the path Laplacian: every row has content 6, so the stated bound
+    # is divided by 6^n
     m = 6 * _path_laplacian_like(40, 2)
     seen = _spy_det_residues(monkeypatch)
     assert _det_crt(m) == 6 ** 40 * 41
     [(_, _, vals, count)] = seen
     assert set(vals.ravel().tolist()) == {2, -1}
-    # the bound is the Hadamard bound of m // 6, 5 6^19, two primes, where
-    # that of m itself, 6^40 times it, would take six
+    # the stated Hadamard bound of m, 6^40 5 6^19, leaves that of m // 6,
+    # two primes, where m's own bound would take six
     bound = _hadamard_bound(m // 6)
-    assert bound == 5 * 6 ** 19
+    assert bound == 5 * 6 ** 19 and _hadamard_bound(m) == 6 ** 40 * bound
     assert count == len(linalg._primes_above(2 * bound + 1)) == 2
     assert len(linalg._primes_above(2 * _hadamard_bound(m) + 1)) == 6
     # a bound stated by the caller, m's diagonal product 12^40, sheds the
@@ -349,7 +356,7 @@ def test_det_crt_all_zero_pattern_row(monkeypatch):
     vals[rows == 2] = 0
     monkeypatch.setattr(linalg, "det_residues", None)
     with np.errstate(all="raise"):
-        assert linalg.det_pattern(6, rows, cols, vals) == 0
+        assert linalg.det_pattern(6, rows, cols, vals, bound=1) == 0
 
 
 def test_det_crt_uniform_multiplicity_cover_takes_fewer_primes(monkeypatch):
@@ -384,12 +391,14 @@ def test_reduced_laplacian_takes_the_primes_of_its_diagonal(
 
 
 def test_unsymmetric_matrix_keeps_the_hadamard_bound(monkeypatch):
-    # a dominant diagonal of 4, with -2 above it and -1 below: the primes
-    # are those of the Hadamard bound 21^30, five, not the four of 4^60;
-    # its transpose is the same case.  Made symmetric with -2 both sides,
-    # content 2 leaves rows (2, -1, -1): det_pattern takes the three primes
-    # of their Hadamard bound 5 6^29 whatever the matrix's shape, and the
-    # diagonal 4^60, stated by its caller, leaves 2^60, two primes
+    # a dominant diagonal of 4, with -2 above it and -1 below: under the
+    # stated Hadamard bound 21^30 the primes are five, not the four of
+    # 4^60, the bound divided by the one row content 2 of the matrix or of
+    # its transpose.  Made symmetric with -2 both sides, content 2 leaves
+    # rows (2, -1, -1): det_pattern divides whatever bound its caller
+    # states by the contents, whatever the matrix's shape, so its Hadamard
+    # bound 2^60 5 6^29 takes the three primes of 5 6^29, and the diagonal
+    # 4^60 leaves 2^60, two primes
     m = (4 * np.eye(60, dtype=np.int64) - 2 * np.eye(60, k=1, dtype=np.int64)
          - np.eye(60, k=-1, dtype=np.int64))
     sym = m - np.eye(60, k=-1, dtype=np.int64)
@@ -401,6 +410,7 @@ def test_unsymmetric_matrix_keeps_the_hadamard_bound(monkeypatch):
                               bound=4 ** 60) == det_bareiss(sym.tolist())
     assert [count for *_, count in seen] == [5, 5, 3, 2]
     assert _hadamard_bound(m) == linalg._isqrt_ceil(20 * 21 ** 58 * 17)
+    assert _hadamard_bound(sym) == 2 ** 60 * _hadamard_bound(sym // 2)
     assert _hadamard_bound(sym // 2) == 5 * 6 ** 29
     assert len(linalg._primes_above(2 * 4 ** 60 + 1)) == 4
 
@@ -977,7 +987,9 @@ def test_fallback_inputs_property(case):
     expected = [det_bareiss(m.tolist()) for m in stack]
     rows, cols = np.nonzero(mask)
     vals = stack[:, rows, cols]
-    assert [linalg.det_pattern(n, rows, cols, v) for v in vals] == expected
+    assert [linalg.det_pattern(n, rows, cols, v,
+                               bound=linalg._hadamard_bound(n, rows, v))
+            for v in vals] == expected
     with pytest.MonkeyPatch.context() as mp:
         assert _sliding_dets(stack, mask, mp)[0] == expected
     w, brows, bcols = linalg._band_order(n, rows, cols)

@@ -40,7 +40,7 @@ from graph_iwasawa import cli, cyclotomic, polys, towers
 from oracles import (chain_values_mod_p, cyc_add, cyc_mul, p_poly_table,
                      poly_divmod, poly_eval, q_at_epsilon,
                      reduced_jump_poly_by_squares, resultant_with_phi,
-                     sylvester_resultant)
+                     series_invariants, sylvester_resultant)
 from test_acceptance import CORPUS, corpus_depth
 
 
@@ -341,6 +341,48 @@ CORPUS_INVARIANTS_REPR = [
 def test_corpus_invariants_repr():
     assert [repr(invariants(TowerSpec(ell, gens)))
             for ell, gens in CORPUS] == CORPUS_INVARIANTS_REPR
+
+
+def _read_off_q(spec):
+    # (mu, lambda, n0_certified) as invariants reads them off Q, from an
+    # empty level table
+    towers._tower.cache_clear()
+    inv = invariants(spec)
+    return inv.mu, inv.lam, inv.n0_certified
+
+
+def test_invariants_match_the_power_series_on_the_corpus(fresh_table):
+    for ell, gens in CORPUS + [(2, (1,)), (2, (1, 0))]:
+        spec = TowerSpec(ell, gens)
+        assert series_invariants(spec) == _read_off_q(spec), (ell, gens)
+
+
+@given(st.sampled_from([2, 3, 5, 7]), st.data())
+def test_invariants_match_the_power_series(ell, data):
+    # the draws of the resultant property: up to four jumps of |a| <= 40,
+    # zero jumps and multiples of l among them
+    jump = st.one_of(st.integers(-40, 40), st.just(0),
+                     st.integers(-40 // ell, 40 // ell).map(ell.__mul__))
+    gens = data.draw(st.lists(jump, min_size=1, max_size=4))
+    assume(any(a % ell for a in gens))
+    spec = TowerSpec(ell, tuple(gens))
+    assert series_invariants(spec) == _read_off_q(spec)
+    towers._tower.cache_clear()
+
+
+def test_the_power_series_check_fails_on_a_broken_q(monkeypatch,
+                                                    fresh_table):
+    # Q of (2, (3, 5)) is 34 T - 56 T^2 + 36 T^3 - 10 T^4 + T^5: c_1 + 1 is
+    # a unit, so lambda drops from 9 to 1; c_1 + 2 = 36 keeps mu and
+    # lambda, and c_1's term dominates from level 4, not 5
+    spec = TowerSpec(2, (3, 5))
+    assert series_invariants(spec) == _read_off_q(spec) == (0, 9, 5)
+    real = towers.q_poly
+    for shift, broken in ((1, (0, 1, 1)), (2, (0, 9, 4))):
+        monkeypatch.setattr(towers, "q_poly", lambda spec, shift=shift: [
+            c + shift * (j == 1) for j, c in enumerate(real(spec))])
+        assert _read_off_q(spec) == broken
+        assert series_invariants(spec) != broken
 
 
 def test_invariants_coprime_sum_corollary():

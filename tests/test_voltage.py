@@ -3,10 +3,12 @@ import json
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from graph_iwasawa import (
     DisconnectedGraphError,
+    InputError,
     Multigraph,
     VoltageGraph,
     adjacency_matrix,
@@ -345,6 +347,29 @@ def test_a_voltage_key_must_name_a_directed_edge(key):
     with pytest.raises(ValueError, match=message):
         voltage_graph(bouquet(1), 4, {key: 1})
     assert voltage_graph(bouquet(1), 4, {0: 1}).voltage == (1, 3)
+
+
+@pytest.mark.parametrize("build, refused", [
+    (lambda: VoltageGraph(bouquet(2), 4.0, (1, -1, 2, -2)), "modulus 4.0"),
+    (lambda: VoltageGraph(bouquet(2), 4, (1.0, -1.0, 2, -2)), "voltage 1.0"),
+    (lambda: VoltageGraph(bouquet(2), True, (1, -1, 2, -2)), "modulus True"),
+    (lambda: VoltageGraph(bouquet(2), "4", (1, -1, 2, -2)), "modulus '4'"),
+    (lambda: voltage_graph(bouquet(2), 4, {"0": 1}), "voltage key '0'"),
+    (lambda: voltage_graph(bouquet(2), 4, {0: 1.5}), "voltage 1.5"),
+    (lambda: cayley_serre(8, [1.5, 3]), "generator 1.5"),
+    (lambda: cayley_serre("8", [1, 3]), "modulus '8'"),
+], ids=["float-modulus", "float-voltage", "bool-modulus", "str-modulus",
+        "str-key", "float-value", "float-generator", "str-cayley-modulus"])
+def test_a_voltage_graph_is_built_of_integers(build, refused):
+    # judged as TowerSpec and Multigraph judge theirs: a float was kept or
+    # truncated, True taken as 1, and a str raised TypeError
+    with pytest.raises(InputError, match=f"^{refused} is not an integer$"):
+        build()
+    # numpy integers are integers, and are kept as ints
+    vg = voltage_graph(bouquet(2), np.int64(4),
+                       {np.int64(0): np.int32(1), 2: np.int64(-2)})
+    assert vg == cayley_serre(np.int64(4), [np.int32(1), -2])
+    assert [type(s) for s in (vg.modulus, *vg.voltage)] == [int] * 5
 
 
 def test_the_criterion_5_covers_keep_their_json_and_dot():
