@@ -8,8 +8,9 @@ the one quotient, by 1 - y^d in ``cyclotomic_polynomial``, is a running sum.
 ``norm``, N(alpha) in Z[zeta_l] by O(log l) products of Galois conjugates
 and no division, is the one norm kernel of the package: the l-Graeffe step
 G(z) = prod over y^l = z of p(y) (``graeffe``) and the norm G(1) / p(1) of
-p(zeta_l) (``graeffe_norm``) are each one norm.  The towers module runs a
-chain of them per tower.
+p(zeta_l) (``graeffe_norm``) are each one norm.  For l >= 5 it walks the
+real subfield on half coordinates, and the l = 2 step is two squarings
+(``square``).  The towers module runs a chain of them per tower.
 """
 
 from __future__ import annotations
@@ -66,6 +67,22 @@ def mul(p: list[int], q: list[int]) -> list[int]:
     return _mul_kronecker(p, q)
 
 
+def square(p: list[int]) -> list[int]:
+    """mul(p, p) by mul's rule, forming each coefficient product once:
+    schoolbook takes each a_i^2 and each 2 a_i a_j, i < j, and Kronecker
+    squares its packed integer as x * x, which CPython squares as such."""
+    if len(p) >= _KRONECKER_CUTOFF:
+        return _mul_kronecker(p, p)
+    out = [0] * (2 * len(p) - 1)
+    for i, a in enumerate(p):
+        if a:
+            out[2 * i] += a * a
+            a += a  # 2 a_i, times each later a_j
+            for k, b in enumerate(p[i + 1:], 2 * i + 1):
+                out[k] += a * b
+    return trim(out)
+
+
 def _mul_school(p, q):
     out = [0] * (len(p) + len(q) - 1)
     for i, a in enumerate(p):
@@ -76,10 +93,13 @@ def _mul_school(p, q):
 
 
 def _mul_kronecker(p, q):
-    # evaluate at X = 2**(8w), multiply, read the signed digits back
+    # evaluate at X = 2**(8w), multiply, read the signed digits back; p is q
+    # packs once and squares
     w = (max(map(abs, p)).bit_length() + max(map(abs, q)).bit_length()
          + min(len(p), len(q)).bit_length() + 9) // 8
-    return _digits(_evaluate(p, w) * _evaluate(q, w), w, len(p) + len(q) - 1)
+    x = _evaluate(p, w)
+    y = x if q is p else _evaluate(q, w)
+    return _digits(x * y, w, len(p) + len(q) - 1)
 
 
 # p(X) and its inverse, X = 2**(8w), for digits |c| < X / 2: each digit
@@ -114,9 +134,13 @@ def graeffe(p: list[int], ell: int) -> list[int]:
     fit: G(y^l) = prod_j p(zeta^j y), and the l1 norm of a product is at
     most the product of the l1 norms, each ||p||_1 as |zeta^j| = 1, so
     ||G||_inf <= ||p||_1^l < X^l / 2 once 8w > log2 ||p||_1 + 1.  For
-    l = 2 the norm from Q(zeta_2) = Q is trivial: G = F_0^2 - z*F_1^2."""
+    l >= 5, norm(alpha) = prod over i < h of sigma_(g^i)(alpha
+    sigma_-1(alpha)), g^h = -1: sigma_-1 fixes each factor, sigma_g the
+    product, whose image is h paired products (``norm`` proves it).  For
+    l = 2 the norm from Q(zeta_2) = Q is trivial: G = F_0^2 - z*F_1^2, two
+    squarings that form each a_i a_j once (``square``)."""
     if ell == 2:
-        return sub(mul(p[0::2], p[0::2]), shift(mul(p[1::2], p[1::2]), 1))
+        return sub(square(p[0::2]), shift(square(p[1::2]), 1))
     w = sum(map(abs, p)).bit_length() // 8 + 1
     alpha = [_evaluate(p[r::ell], w * ell) << (8 * w * r) for r in range(ell)]
     return _digits(sum(alpha) * norm(alpha, ell), w * ell, len(p))
@@ -131,27 +155,78 @@ def graeffe_norm(p: list[int], ell: int) -> int:
 
 def norm(a: list[int], ell: int) -> int:
     """N(alpha) = prod over j = 1..l-1 of sigma_j(alpha), sigma_j: zeta ->
-    zeta^j, for alpha = sum_r a_r zeta^r in Z[zeta_l], l prime.
+    zeta^j, for alpha = sum_r a_r zeta^r in Z[zeta_l], l prime, kept in
+    Z[x]/(x^l - 1), which maps onto Z[zeta_l].
 
-    Elements are kept in Z[x]/(x^l - 1), which maps onto Z[zeta_l].  With g
-    a generator of (Z/l)^x and P_k = prod over i < k of sigma_(g^i)(alpha),
-    P_2k = P_k sigma_(g^k)(P_k) and P_(k+1) = alpha sigma_g(P_k).  Every
-    sigma_j fixes P_(l-1), so its coordinates past c_0 are one c and its
-    image in Z[zeta] is c_0 - c: the last product forms only that."""
-    g = _generator(ell)
+    For l >= 5 it goes through the real subfield.  beta = alpha
+    sigma_-1(alpha) has beta_k = sum_r a_r a_(r-k) = beta_-k: sigma_-1
+    fixes it, and coordinates 0..h, h = (l - 1) / 2, hold it.  A generator
+    g of (Z/l)^x has g^h = -1, so the units are g^i and -g^i, i < h, and
+    N(alpha) = P_h, P_k = prod over i < k of sigma_(g^i)(beta), taken as
+    P_2j = P_j sigma_(g^j)(P_j) and P_2j+1 = P_j+1 sigma_(g^(j+1))(P_j),
+    P_j+1 = beta sigma_g(P_j): each a product of sigma_-1-fixed elements,
+    forming only coordinates 0..h (``_mul_half``).  sigma_g fixes P_h, as
+    it takes the factor sigma_(g^(h-1))(beta) to sigma_-1(beta) = beta, so
+    P_h's coordinates past c_0 are one c and its image in Z[zeta] is c_0 -
+    c_1 = sum over r mod l of u_r (v_r - v_(r-1)), P_h = u v.  That is half
+    of sum over r of (u_r - u_(r-1))(v_r - v_(r-1)), whose terms pair up
+    (r = j + 1 with r = -j for j < h, and r = h + 1 gives 0): N(alpha) =
+    sum over j < h of (u_j - u_(j+1))(v_j - v_(j+1)), h products.  For
+    l = 3 the real subfield is Q: N(alpha) = alpha sigma_-1(alpha), read
+    as c_0 - c_1 of its l coordinates; for l = 2, N(alpha) = a_0 - a_1."""
+    if ell < 5:  # one product: alpha sigma_-1(alpha), or alpha times 1
+        u, v = (a, a[:1] + a[:0:-1]) if ell == 3 else (a, [1, 0])
+        return sum(c * (v[-r] - v[1 - r]) for r, c in enumerate(u))
+    g, h = _generator(ell), ell // 2
+    if ell < _KRONECKER_CUTOFF:  # a_r a_(r+d) once, into x^d + x^-d
+        out = [0] * ell
+        for r, c in enumerate(a):
+            if c:
+                for d, b in enumerate(a[r:]):
+                    out[d] += c * b
+        beta = [out[k] + out[-k] for k in range(h + 1)]
+        beta[0] = out[0]
+    else:  # packed; coordinate i of alpha times reversed alpha is x^(i-l+1)'s
+        prod = mul(a, a[::-1])
+        beta = [sum(prod[(k - 1) % ell::ell]) for k in range(h + 1)]
 
     def conjugates(k):  # P_k, k >= 1
-        prod = mul(*factors(k)) if k > 1 else a
-        return [sum(prod[r::ell]) for r in range(ell)]
+        return _mul_half(*factors(k), ell) if k > 1 else beta
 
     def factors(k):  # two elements whose product is P_k, k >= 2
+        j = k // 2
+        half = conjugates(j)
         if k % 2:
-            return a, _sigma(conjugates(k - 1), g, ell)
-        half = conjugates(k // 2)
-        return half, _sigma(half, pow(g, k // 2, ell), ell)
+            return (_mul_half(beta, _sigma(half, g, ell), ell),
+                    _sigma(half, pow(g, j + 1, ell), ell))
+        return half, _sigma(half, pow(g, j, ell), ell)
 
-    u, v = factors(ell - 1) if ell > 2 else (a, [1, 0])  # l = 2: alpha * 1
-    return sum(c * (v[-r] - v[1 - r]) for r, c in enumerate(u))
+    u, v = factors(h)
+    return sum((u[j] - u[j + 1]) * (v[j] - v[j + 1]) for j in range(h))
+
+
+def _mul_half(u: list[int], v: list[int], ell: int) -> list[int]:
+    """Coordinates 0..h of u v, u and v fixed by sigma_-1 and held by their
+    coordinates 0..h.  Packed: u_0..u_h times v_-h..v_h, folded mod l, is
+    the terms r = 0..h of sum_r u_r v_(k-r); its terms r = -1..-h are those
+    for -k, less u_0 v_k.  Schoolbook: (x^r + x^-r)(x^s + x^-s) = x^(r+s)
+    + x^-(r+s) + x^(r-s) + x^(s-r), so each u_r v_s, r, s >= 1, is formed
+    once."""
+    h, u0, v0 = len(u) - 1, u[0], v[0]
+    if ell >= _KRONECKER_CUTOFF:
+        e = _mul_kronecker(u, v[:0:-1] + v)
+        e = [sum(e[j::ell]) for j in range(ell)]
+        return [e[h + k] + e[h - k] - u0 * v[k] for k in range(h + 1)]
+    out = [0] * ell
+    for r, c in enumerate(u[1:], 1):
+        if c:
+            for s, b in enumerate(v[1:], 1):
+                c_b = c * b
+                out[r + s] += c_b
+                out[r - s] += c_b
+    w = [out[k] + out[-k] + u0 * v[k] + v0 * u[k] for k in range(h + 1)]
+    w[0] -= u0 * v0
+    return w
 
 
 def _generator(ell: int) -> int:
@@ -161,9 +236,10 @@ def _generator(ell: int) -> int:
 
 
 def _sigma(a: list[int], j: int, ell: int) -> list[int]:
-    # x -> x^j on Z[x]/(x^l - 1): coordinate j*r is a's coordinate r
-    inverse = pow(j, -1, ell)
-    return [a[s * inverse % ell] for s in range(ell)]
+    # x -> x^j on coordinates 0..h of an element fixed by sigma_-1:
+    # coordinate j*r is coordinate r, and coordinate -k is k's
+    inverse, full = pow(j, -1, ell), a + a[:0:-1]
+    return [full[s * inverse % ell] for s in range(len(a))]
 
 
 def fold(p: list[int], width: int) -> list[int]:

@@ -17,7 +17,9 @@ P_a(eps(1)) = eps(a).  This module computes everything exactly:
   (Bostan, Flajolet, Salvy and Schost, "Fast computation of special
   resultants", 2006).  A step (``polys.graeffe``) and the norm r_i of
   G~^(i-1)(zeta_l) (``polys.graeffe_norm``) are each one norm in
-  Z[zeta_l], O(log l) products of Galois conjugates with no division.
+  Z[zeta_l], O(log l) products of Galois conjugates with no division,
+  taken on half coordinates through the real subfield for l >= 5; at
+  l = 2 a step is two squarings.
   N_i = l^2 |r_i|, g_n = g_0 r_1 ... r_n and kappa_n = l^n |r_1 ... r_n|:
   every value is a product, and the chain divides nothing.
 * the per-level valuation v_i = ord_L(Q(eps)) = ord_L(f(zeta)), read off

@@ -873,6 +873,16 @@ _BYTE_TABLE = {
         "90525227e6eddb257969d2186d294664d55944c28b567bb6c0b8a0be0cf5b873",
     "kappa 5 2,-25 3 json":
         "87a61b629e4ff7689ecd9880b96438ec99d38b966087428ff7099fdd545f011c",
+    # deep reads through the real-subfield norm (l = 5, 17, 23) and the
+    # l = 2 squarings
+    "kappa 5 2,-25 7 json":
+        "fe72d0c589779216d7df9c7e0e0d5640c344ead4652875923f54a710b4e1412f",
+    "kappa 17 1,4,20 3 json":
+        "488cabfc06b7c7ea980b0e21c63d85ca2224388967ef02db77005072ca0a7108",
+    "kappa 23 1,4,20 2 json":
+        "b041b6704e99b4b9f2e3db26b213a56ff419e110286e07b014a20905365ae34d",
+    "tower 2 1,-2,7,25 14 json":
+        "8a883e079b0a40748ea16d3e2c055a9801dec7a6635d54f2e1337acb25306825",
     # the 8-vertex cover of cayley_serre(8, (1, 3)), and that voltage graph
     "zeta text":
         "a85d2beae2da3cfd8e7caa27402a808494e225cfb19ec46fb425203e595edd2b",

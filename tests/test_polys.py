@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from graph_iwasawa import polys
 from oracles import (cyclotomic_by_division, interpolate, poly_eval, prem,
@@ -47,6 +47,34 @@ def test_kronecker_matches_schoolbook_on_wide_coefficients():
     assert polys._mul_kronecker(p, q) == polys._mul_school(p, q)
 
 
+@st.composite
+def _square_inputs(draw):
+    # lengths 0 to 40, across the Kronecker cutoff, with runs of zeros and
+    # coefficients of either sign up to 10^4 bits
+    n = draw(st.integers(0, 40))
+    coefficient = st.one_of(st.integers(-3, 3), st.integers(-2 ** 64, 2 ** 64),
+                            st.integers(-2 ** 10 ** 4, 2 ** 10 ** 4))
+    p = []
+    while len(p) < n:
+        if draw(st.booleans()):
+            p += [0] * draw(st.integers(1, 12))
+        else:
+            p.append(draw(coefficient))
+    return p[:n]
+
+
+_WIDE = 2 ** 10 ** 4 - 1
+
+
+@given(_square_inputs())
+@example([_WIDE, -_WIDE, 0, 0, 0] * 6 + [1])  # 31, the last schoolbook
+@example([-_WIDE, 0, 0, _WIDE] * 8)  # 32, the first packed
+@settings(max_examples=60, deadline=None)
+def test_square_matches_mul(p):
+    # list(p) is not p, so mul packs both operands as for any product
+    assert polys.square(p) == polys.mul(p, p) == polys.mul(p, list(p))
+
+
 def _check_step(p, ell):
     # G(z0) = Res_x(x^l - z0, p) and the norm of p(zeta_l) = Res(Phi_l, p),
     # both by oracles that share no code with the kernel
@@ -67,6 +95,23 @@ KERNEL_PRIMES = (2, 3, 5, 7, 11, 13)
 @settings(max_examples=40, deadline=None)
 def test_graeffe_kernel_matches_the_resultants(ell, p):
     _check_step(p, ell)
+
+
+@pytest.mark.parametrize("ell", [17, 19, 23, 31, 37])
+def test_real_subfield_norm_matches_the_cyclotomic_resultants(ell):
+    # h = 8 a power of two, h = 9 and 11 odd, 31 the last schoolbook l and
+    # 37 the first packed one
+    rng = random.Random(ell)
+    for bits in (8, 100):
+        a = [rng.randint(-2 ** bits, 2 ** bits) for _ in range(ell)]
+        k = rng.randrange(4)  # zero coordinates at the top
+        a[ell - k:] = [0] * k
+        assert polys.norm(a, ell) == resultant_with_phi(ell, 1, polys.trim(a))
+        p = polys.trim([rng.randint(-2 ** bits, 2 ** bits)
+                        for _ in range(rng.randrange(2, 2 * ell + 3))])
+        assert polys.graeffe_norm(p, ell) == resultant_with_phi(ell, 1, p)
+    _check_step(polys.trim([rng.randint(-2 ** 16, 2 ** 16)
+                            for _ in range(rng.randrange(2, 12))]), ell)
 
 
 def _one_signed(total, n):
