@@ -178,17 +178,13 @@ def norm(a: list[int], ell: int) -> int:
         u, v = (a, a[:1] + a[:0:-1]) if ell == 3 else (a, [1, 0])
         return sum(c * (v[-r] - v[1 - r]) for r, c in enumerate(u))
     g, h = _generator(ell), ell // 2
-    if ell < _KRONECKER_CUTOFF:  # a_r a_(r+d) once, into x^d + x^-d
-        out = [0] * ell
-        for r, c in enumerate(a):
-            if c:
-                for d, b in enumerate(a[r:]):
-                    out[d] += c * b
-        beta = [out[k] + out[-k] for k in range(h + 1)]
-        beta[0] = out[0]
-    else:  # packed; coordinate i of alpha times reversed alpha is x^(i-l+1)'s
-        prod = mul(a, a[::-1])
-        beta = [sum(prod[(k - 1) % ell::ell]) for k in range(h + 1)]
+    out = [0] * ell  # a_r a_(r+d) once, into x^d + x^-d
+    for r, c in enumerate(a):
+        if c:
+            for d, b in enumerate(a[r:]):
+                out[d] += c * b
+    beta = [out[k] + out[-k] for k in range(h + 1)]
+    beta[0] = out[0]
 
     def conjugates(k):  # P_k, k >= 1
         return _mul_half(*factors(k), ell) if k > 1 else beta
@@ -207,16 +203,9 @@ def norm(a: list[int], ell: int) -> int:
 
 def _mul_half(u: list[int], v: list[int], ell: int) -> list[int]:
     """Coordinates 0..h of u v, u and v fixed by sigma_-1 and held by their
-    coordinates 0..h.  Packed: u_0..u_h times v_-h..v_h, folded mod l, is
-    the terms r = 0..h of sum_r u_r v_(k-r); its terms r = -1..-h are those
-    for -k, less u_0 v_k.  Schoolbook: (x^r + x^-r)(x^s + x^-s) = x^(r+s)
-    + x^-(r+s) + x^(r-s) + x^(s-r), so each u_r v_s, r, s >= 1, is formed
-    once."""
+    coordinates 0..h: (x^r + x^-r)(x^s + x^-s) = x^(r+s) + x^-(r+s) +
+    x^(r-s) + x^(s-r), so each u_r v_s, r, s >= 1, is formed once."""
     h, u0, v0 = len(u) - 1, u[0], v[0]
-    if ell >= _KRONECKER_CUTOFF:
-        e = _mul_kronecker(u, v[:0:-1] + v)
-        e = [sum(e[j::ell]) for j in range(ell)]
-        return [e[h + k] + e[h - k] - u0 * v[k] for k in range(h + 1)]
     out = [0] * ell
     for r, c in enumerate(u[1:], 1):
         if c:

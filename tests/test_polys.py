@@ -99,8 +99,8 @@ def test_graeffe_kernel_matches_the_resultants(ell, p):
 
 @pytest.mark.parametrize("ell", [17, 19, 23, 31, 37])
 def test_real_subfield_norm_matches_the_cyclotomic_resultants(ell):
-    # h = 8 a power of two, h = 9 and 11 odd, 31 the last schoolbook l and
-    # 37 the first packed one
+    # h = 8 a power of two, h = 9 and 11 odd, and 31 and 37 on either side
+    # of the Kronecker cutoff, which the norm's products do not follow
     rng = random.Random(ell)
     for bits in (8, 100):
         a = [rng.randint(-2 ** bits, 2 ** bits) for _ in range(ell)]
