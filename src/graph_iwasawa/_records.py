@@ -1,11 +1,13 @@
 """The package's one record class: the dataclass ``==`` and ``repr``
 without importing ``dataclasses``, which loads ``inspect``.
 
-A subclass names its fields in ``__slots__``, in constructor order, and
-its ``__init__`` checks them and passes their values to ``_set``.  A
-``Record`` is frozen: it refuses to assign or delete a field, hashes its
-fields, and copies and pickles through ``__init__``, so a check that its
-constructor made of an immutable value holds for the record's whole life.
+A subclass names its fields once, in ``__slots__``, and ``Record.__init__``
+takes them in that order, by position and then by name, each exactly once.
+A subclass that judges its input or keeps a default writes an ``__init__``
+that ends in ``super().__init__``: one place sets a field.  A ``Record``
+is frozen: it refuses to assign or delete a field, hashes its fields, and
+copies and pickles through ``__init__``, so a check that its constructor
+made of an immutable value holds for the record's whole life.
 """
 
 from __future__ import annotations
@@ -26,8 +28,14 @@ class Record:
             # the field values as one tuple, read in C
             cls._fields = property(operator.attrgetter(*cls.__slots__))
 
-    def _set(self, *values) -> None:
-        for name, value in zip(self.__slots__, values):
+    def __init__(self, *values, **named):
+        fields = self.__slots__
+        values += tuple(named.pop(name) for name in fields[len(values):]
+                        if name in named)
+        if named or len(values) != len(fields):
+            raise TypeError(f"{self.__class__.__qualname__} takes each of "
+                            f"its fields {', '.join(fields)} exactly once")
+        for name, value in zip(fields, values):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value=None):

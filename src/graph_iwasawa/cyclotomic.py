@@ -67,9 +67,6 @@ class CycElem(Record):
 
     __slots__ = ("ell", "level", "coeffs")
 
-    def __init__(self, ell: int, level: int, coeffs: tuple):
-        self._set(ell, level, coeffs)
-
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
 

@@ -80,8 +80,8 @@ def crt_primes(count: int) -> list[int]:
     2 has order 31 modulo the prime 2^31 - 1, so leading minors of pencil
     node matrices at u = +-2^i vanish mod it (on a cycle such a minor is
     (u^(2m + 2) - 1) / (u^2 - 1)), and their lanes would need the fallback.
-    No product code calls it: perfbench/tracer.py reads it to count the
-    primes of each CRT it traces."""
+    Nothing calls it (perfbench/tracer.py's caller hooks the gone det_crt),
+    but the tracer reads the attribute when it installs, so it stays."""
     _grow_primes(count)
     return _PRIME_CACHE[:count]
 

@@ -51,11 +51,13 @@ def shift(p: list[int], k: int) -> list[int]:
     return [0] * k + list(p)
 
 
-# Schoolbook below this length, Kronecker from it on; either alone is slower
-# (kappa_exact to level n on a fresh table, one Xeon core, Python 3.11, best
-# of 5): always Kronecker, (2, (3, 5)) n = 13 0.75 -> 1.8 ms and (5, (1, 7))
-# n = 6 8.8 -> 11.6 ms; always schoolbook, (2, (1, 2000)) n = 12 31 -> 1720
-# ms and (2, (1, 300)) n = 12 9.8 -> 100 ms.  Cutoffs of 8 to 64 tie.
+# Schoolbook below this length, Kronecker from it on (mul and square; graeffe
+# at l >= 3 packs itself).  mul packs 6 of the 68 orbit-factor products of
+# cover-oracle's 20 voltage graphs (seeds 0 and 1), all 33 x 33, at 37-49 us
+# against 38-90 us schoolbook (one Xeon core, timeit, min of 5 x 200).
+# square packs only the l = 2 step of an f~ of 64 or more coefficients, on
+# no workload: kappa -l 2 -a 1,2000 -n 12 takes 14-22 ms, 460-630 ms by the
+# loop (BENCH_real_subfield.json l2_fork: 17.0-18.7 ms).
 _KRONECKER_CUTOFF = 32
 
 

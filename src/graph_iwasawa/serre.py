@@ -55,7 +55,7 @@ class Multigraph(Record):
         ends = list(chain.from_iterable(edges))
         if ends and not 0 <= min(ends) <= max(ends) < n:
             raise InputError("vertex id out of range")
-        self._set(n, edges)
+        super().__init__(n, edges)
 
     @property
     def origin(self) -> tuple:

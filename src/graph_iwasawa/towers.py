@@ -65,7 +65,7 @@ class TowerSpec(Record):
         if not any(math.gcd(a, ell) == 1 for a in gens):
             raise InputError(
                 "no generator is coprime to the prime; covers are disconnected")
-        self._set(ell, gens)
+        super().__init__(ell, gens)
 
     @property
     def t(self) -> int:
@@ -410,7 +410,7 @@ class IwasawaInvariants(Record):
 
     def __init__(self, mu: int, lam: int, nu: int, n0_certified: int,
                  n0_observed: int, cycle_case: bool = False):
-        self._set(mu, lam, nu, n0_certified, n0_observed, cycle_case)
+        super().__init__(mu, lam, nu, n0_certified, n0_observed, cycle_case)
 
 
 def invariants(spec: TowerSpec) -> IwasawaInvariants:
@@ -445,9 +445,9 @@ class BoundsReport(Record):
     def __init__(self, spec: TowerSpec, n_max: int, upper_bound_ok: bool,
                  lower_bound_ok: bool, divisibility_ok: bool,
                  mu_bound_ok: bool, failures: list | None = None):
-        self._set(spec, n_max, upper_bound_ok, lower_bound_ok,
-                  divisibility_ok, mu_bound_ok,
-                  [] if failures is None else failures)
+        super().__init__(spec, n_max, upper_bound_ok, lower_bound_ok,
+                         divisibility_ok, mu_bound_ok,
+                         [] if failures is None else failures)
 
     @property
     def ok(self) -> bool:
@@ -470,9 +470,8 @@ def verify_bounds(spec: TowerSpec, n_max: int) -> BoundsReport:
         raise InputError("n_max must be >= 1")
     ell, q, t = spec.ell, spec.q, spec.t
     inv = invariants(spec)  # Q's refusal comes before any chain work
-    tower = _tower(spec)
-    tower.grow(n_max + 1)
-    kappas = [tower.kappa(m) for m in range(n_max + 2)]
+    kappas = kappa_levels(spec, n_max + 1)
+    ratios = _tower(spec).ratios
     upper_ok = lower_ok = divisibility_ok = True
     failures = []
     for n in range(n_max + 1):
@@ -484,7 +483,7 @@ def verify_bounds(spec: TowerSpec, n_max: int) -> BoundsReport:
         if ord_int(kappas[n], ell) < n:
             lower_ok = False
             failures.append(f"ord_l(kappa_{n}) < {n}")
-        if kappas[n + 1] != kappas[n] * ell * abs(tower.ratios[n + 1]):
+        if kappas[n + 1] != kappas[n] * ell * abs(ratios[n + 1]):
             divisibility_ok = False
             failures.append(f"kappa_{n} does not divide kappa_{n + 1}")
     mu_ok = ell ** inv.mu <= 2 * (q + 1)
@@ -501,20 +500,10 @@ def verify_bounds(spec: TowerSpec, n_max: int) -> BoundsReport:
 class LevelRecord(Record):
     __slots__ = ("n", "kappa", "ord_kappa", "v", "norm", "fit")
 
-    def __init__(self, n: int, kappa: int, ord_kappa: int, v: int | None,
-                 norm: int | None, fit: bool):
-        self._set(n, kappa, ord_kappa, v, norm, fit)
-
 
 class TowerReport(Record):
     __slots__ = ("spec", "n_max", "q_coeffs", "invariants", "levels",
                  "consistency_ok", "fit_ok")
-
-    def __init__(self, spec: TowerSpec, n_max: int, q_coeffs: list,
-                 invariants: IwasawaInvariants, levels: list,
-                 consistency_ok: bool, fit_ok: bool):
-        self._set(spec, n_max, q_coeffs, invariants, levels, consistency_ok,
-                  fit_ok)
 
 
 def build_tower_report(spec: TowerSpec, n_max: int) -> TowerReport:

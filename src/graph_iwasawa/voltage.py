@@ -56,7 +56,7 @@ class VoltageGraph(Record):
                     f"edge {e}: voltage not antisymmetric under inversion")
         if problems:
             raise InputError("invalid voltage graph: " + "; ".join(problems))
-        self._set(base, modulus, voltage)
+        super().__init__(base, modulus, voltage)
 
 
 def voltage_graph(base: Multigraph, modulus: int,
@@ -160,10 +160,6 @@ def orbit_h_poly(vg: VoltageGraph, d: int) -> list[int]:
 class ProductFormulaReport(Record):
     __slots__ = ("ok", "cover_h", "orbit_product", "orbit_factors")
 
-    def __init__(self, ok: bool, cover_h: list, orbit_product: list,
-                 orbit_factors: dict):
-        self._set(ok, cover_h, orbit_product, orbit_factors)
-
 
 # The orbit factors of the last voltage graph checked, for both checks.
 @functools.lru_cache(maxsize=1)
@@ -186,10 +182,6 @@ def verify_product_formula(vg: VoltageGraph) -> ProductFormulaReport:
 class DecompositionReport(Record):
     __slots__ = ("ok", "modulus", "kappa_cover", "kappa_base",
                  "orbit_values")
-
-    def __init__(self, ok: bool, modulus: int, kappa_cover: int,
-                 kappa_base: int, orbit_values: dict):
-        self._set(ok, modulus, kappa_cover, kappa_base, orbit_values)
 
 
 def verify_integer_decomposition(

@@ -176,10 +176,6 @@ def ihara_Z(x: Multigraph) -> tuple[int, list[int]]:
 class SpecialValues(Record):
     __slots__ = ("h_at_1", "dh_at_1", "d2h_at_1", "kappa_implied")
 
-    def __init__(self, h_at_1: int, dh_at_1: int, d2h_at_1: int,
-                 kappa_implied: int | None):
-        self._set(h_at_1, dh_at_1, d2h_at_1, kappa_implied)
-
 
 def special_values(h: list[int], x: Multigraph) -> SpecialValues:
     """Evaluate h, h', h'' at 1 symbolically and recover the tree count.

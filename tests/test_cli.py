@@ -892,7 +892,17 @@ _BYTE_TABLE = {
         "f4ac1b8b83d22458d78b06e063fab442ada69db394a436f125d532e224b0e9b3",
     "cover-verify json":
         "d97d3104dc481bec1abed521fb1e0813106716a7688b1c9fdbe678121ab7f7a8",
+    # _PACKED_VOLTAGE: its text equals the row above
+    "cover-verify packed json":
+        "9a94fcae59d0a0eea40fa55a705fadadda56e3ae41f2df3f2b6c963b21644798",
 }
+
+# cover-oracle's seed-0 voltage graph #4, whose 32-vertex cover's
+# orbit-factor product takes mul's packed side once (33 x 33 coefficients)
+_PACKED_VOLTAGE = {"m": 8, "edges": [
+    {"u": 1, "v": 0, "voltage": 4}, {"u": 2, "v": 1, "voltage": 7},
+    {"u": 3, "v": 0, "voltage": 3}, {"u": 2, "v": 3, "voltage": 2},
+    {"u": 0, "v": 2, "voltage": 2}]}
 
 
 @pytest.mark.parametrize("case", _BYTE_TABLE)
@@ -903,8 +913,12 @@ def test_byte_table(tmp_path, capsys, case):
         argv = [command, "-l", ell, "-a", gens, "-n", n]
     else:
         vg = cayley_serre(8, (1, 3))
-        payload = (voltage_to_json(vg) if args[0] == "cover-verify"
-                   else multigraph_to_json(voltage.derived_cover(vg)))
+        if args[1:] == ["packed"]:
+            payload = _PACKED_VOLTAGE
+        elif args[0] == "cover-verify":
+            payload = voltage_to_json(vg)
+        else:
+            payload = multigraph_to_json(voltage.derived_cover(vg))
         path = tmp_path / "input.json"
         path.write_text(json.dumps(payload))
         argv = [args[0], str(path)]

@@ -1,9 +1,11 @@
-"""Every record of the package is one frozen ``_records.Record``: it
+"""Every record of the package is one frozen ``_records.Record``: its
+constructor takes each field exactly once, by position or by name; it
 refuses assignment, copies and pickles through its constructor, and keeps
 the dataclass ``repr``.  The matrix modules import no ``dataclasses``."""
 
 import copy
 import pickle
+import re
 
 import pytest
 
@@ -45,6 +47,49 @@ def _subclasses(cls):
 
 def test_one_instance_of_every_record_class():
     assert {type(r) for r in _records()} == set(_subclasses(Record))
+
+
+# the records whose constructor is Record.__init__
+PLAIN = [r for r in _records() if "__init__" not in vars(type(r))]
+
+
+def test_six_records_take_the_record_constructor():
+    plain = {cls for cls in _subclasses(Record) if "__init__" not in vars(cls)}
+    assert plain == {type(r) for r in PLAIN}
+    assert sorted(cls.__name__ for cls in plain) == [
+        "CycElem", "DecompositionReport", "LevelRecord",
+        "ProductFormulaReport", "SpecialValues", "TowerReport"]
+
+
+@pytest.mark.parametrize("record", PLAIN, ids=lambda r: type(r).__name__)
+def test_a_record_is_built_by_position_by_name_or_both(record):
+    cls, names, values = type(record), record.__slots__, record._fields
+    named = dict(zip(names, values))
+    assert cls(*values) == record
+    assert cls(**named) == record
+    assert cls(**dict(reversed(named.items()))) == record
+    assert cls(*values[:1], **dict(zip(names[1:], values[1:]))) == record
+    assert cls(*values[:-1], **{names[-1]: values[-1]}) == record
+
+
+@pytest.mark.parametrize("record", PLAIN, ids=lambda r: type(r).__name__)
+def test_a_record_takes_each_field_exactly_once(record):
+    cls, names, values = type(record), record.__slots__, record._fields
+    named = dict(zip(names, values))
+    message = re.escape(f"{cls.__name__} takes each of its fields "
+                        f"{', '.join(names)} exactly once")
+    for args, kwargs in [
+            (values[:-1], {}),                               # missing
+            ((), {k: v for k, v in named.items() if k != names[1]}),
+            (values, {"colour": 1}),                         # unknown
+            ((), {**named, "colour": 1}),
+            (values, {names[0]: values[0]}),                 # repeated
+            # ... in place of a missing one
+            (values[:1], {names[0]: values[0], **dict(zip(names[2:],
+                                                          values[2:]))}),
+            ((*values, None), {})]:                          # extra
+        with pytest.raises(TypeError, match=message):
+            cls(*args, **kwargs)
 
 
 def test_a_checked_voltage_graph_stays_checked():
