@@ -30,7 +30,7 @@ _HOME = {
                      "level_norm",
                      "level_valuation", "mu_lambda", "norm_bits_bound",
                      "ord_kappa", "p_poly", "q_bits_bound", "q_poly",
-                     "report_from_json", "report_to_csv", "report_to_json",
+                     "report_to_csv", "report_to_json",
                      "stabilization_level", "verify_bounds"), "towers"),
     **dict.fromkeys(("VoltageGraph", "artin_A_sigma", "cayley_serre",
                      "derived_cover", "orbit_h_poly",

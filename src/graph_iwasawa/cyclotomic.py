@@ -118,7 +118,9 @@ def epsilon(ell: int, i: int, a: int) -> CycElem:
 # ---------------------------------------------------------------------------
 
 def ord_int(n: int, ell: int):
-    """l-adic valuation of an integer; infinity for 0."""
+    """l-adic valuation of an integer; infinity for 0.  Refuses l < 2."""
+    if ell < 2:
+        raise InputError(f"ord_int needs l >= 2, not {ell}")
     if n == 0:
         return INFINITY
     n = abs(n)

@@ -15,7 +15,6 @@ real subfield on half coordinates, and the l = 2 step is two squarings
 
 from __future__ import annotations
 
-import contextlib
 import sys
 
 from ._records import InputError
@@ -297,31 +296,23 @@ def format_poly(p: list[int], var: str = "u") -> str:
     return " ".join(parts)
 
 
-@contextlib.contextmanager
-def unlimited_digits():
-    """Convert integers of any size to and from decimal inside the block.
+def decimal(n: int) -> str:
+    """n in decimal, however many digits it has: the one renderer of every
+    kappa, N_i and polynomial coefficient the package prints or writes.
 
     CPython refuses int/str conversions past 4300 digits, to bound the cost
     of parsing untrusted text.  Exact results outgrow that at modest depth,
-    so the limit is lifted around ``decimal`` and around re-reading this
-    package's own reports, never around parsing input files.
+    so the limit is lifted around this one conversion and restored after
+    it; parsing input files keeps it.
     """
     if not hasattr(sys, "set_int_max_str_digits"):  # no limit before 3.10.7
-        yield
-        return
+        return str(n)
     old = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
-        yield
+        return str(n)
     finally:
         sys.set_int_max_str_digits(old)
-
-
-def decimal(n: int) -> str:
-    """n in decimal, however many digits it has: the one renderer of every
-    kappa, N_i and polynomial coefficient the package prints or writes."""
-    with unlimited_digits():
-        return str(n)
 
 
 def poly_to_json(p: list[int]) -> list[str]:

@@ -46,7 +46,7 @@ import math
 import sys
 
 from . import cyclotomic, polys
-from ._records import InputError, Record, integer, json_int
+from ._records import InputError, Record, integer
 from .cyclotomic import INFINITY, ord_int
 
 
@@ -442,13 +442,6 @@ class BoundsReport(Record):
     __slots__ = ("spec", "n_max", "upper_bound_ok", "lower_bound_ok",
                  "divisibility_ok", "mu_bound_ok", "failures")
 
-    def __init__(self, spec: TowerSpec, n_max: int, upper_bound_ok: bool,
-                 lower_bound_ok: bool, divisibility_ok: bool,
-                 mu_bound_ok: bool, failures: list | None = None):
-        super().__init__(spec, n_max, upper_bound_ok, lower_bound_ok,
-                         divisibility_ok, mu_bound_ok,
-                         [] if failures is None else failures)
-
     @property
     def ok(self) -> bool:
         return (self.upper_bound_ok and self.lower_bound_ok
@@ -576,50 +569,6 @@ def report_to_json(report: TowerReport) -> dict:
         "consistency_ok": report.consistency_ok,
         "fit_ok": report.fit_ok,
     }
-
-
-def _json_ints(value) -> list[int]:
-    # a string would be read digit by digit
-    if not isinstance(value, list):
-        raise ValueError(f"{value!r} is not a JSON array")
-    return [json_int(v) for v in value]
-
-
-def _json_flag(value) -> bool:
-    if not isinstance(value, bool):
-        raise ValueError(f"{value!r} is not a JSON boolean")
-    return value
-
-
-@polys.unlimited_digits()
-def report_from_json(data: dict) -> TowerReport:
-    try:
-        spec = TowerSpec(json_int(data["prime"]),
-                         _json_ints(data["generators"]))
-        raw = data["invariants"]
-        inv = IwasawaInvariants(
-            mu=json_int(raw["mu"]), lam=json_int(raw["lambda"]),
-            nu=json_int(raw["nu"]),
-            n0_certified=json_int(raw["n0_certified"]),
-            n0_observed=json_int(raw["n0_observed"]),
-            cycle_case=_json_flag(data["cycle_case"]))
-        levels = [
-            LevelRecord(
-                n=json_int(rec["n"]), kappa=json_int(rec["kappa"]),
-                ord_kappa=json_int(rec["ord_kappa"]),
-                v=None if rec["v"] is None else json_int(rec["v"]),
-                norm=None if rec["N"] is None else json_int(rec["N"]),
-                fit=_json_flag(rec["fit"]))
-            for rec in data["levels"]
-        ]
-        return TowerReport(
-            spec=spec, n_max=json_int(data["n_max"]),
-            q_coeffs=_json_ints(data["q_poly"]),
-            invariants=inv, levels=levels,
-            consistency_ok=_json_flag(data["consistency_ok"]),
-            fit_ok=_json_flag(data["fit_ok"]))
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise InputError(f"malformed tower report JSON: {exc!r}") from exc
 
 
 def report_to_csv(report: TowerReport) -> str:

@@ -16,8 +16,8 @@ PUBLIC = [
     "level_valuation", "linalg",
     "mu_lambda", "multigraph_from_json", "multigraph_to_json",
     "norm_bits_bound", "orbit_h_poly", "ord_L", "ord_int", "ord_kappa",
-    "p_poly", "polys", "q_bits_bound", "q_poly", "report_from_json",
-    "report_to_csv", "report_to_json", "serre", "spanning_tree_count",
+    "p_poly", "polys", "q_bits_bound", "q_poly", "report_to_csv",
+    "report_to_json", "serre", "spanning_tree_count",
     "special_values", "stabilization_level", "to_dot", "towers",
     "valency_matrix", "validate_serre", "verify_bounds",
     "verify_integer_decomposition", "verify_product_formula", "voltage",

@@ -1,10 +1,15 @@
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from graph_iwasawa import INFINITY, cyc_from_poly, epsilon, ord_L, ord_int
+from graph_iwasawa import (INFINITY, InputError, cyc_from_poly, epsilon, ord_L,
+                           ord_int)
 from graph_iwasawa import cyclotomic, polys
 from graph_iwasawa.cyclotomic import euler_phi_prime_power
 from oracles import (cyc_add, cyc_mul, cyc_pow, cyclotomic_by_division,
@@ -81,6 +86,35 @@ def test_ord_int():
     assert ord_int(48, 2) == 4
     assert ord_int(-45, 3) == 2
     assert ord_int(7, 5) == 0
+
+
+# 1 divides every integer, so without the guard ord_int's squaring loop
+# would grow its list of powers until memory runs out
+_ORD_INT_ELL_ONE = """
+import resource
+resource.setrlimit(resource.RLIMIT_AS, (1 << 28, 1 << 28))
+from graph_iwasawa import InputError, ord_int
+try:
+    ord_int(5, 1)
+except InputError as exc:
+    print(exc)
+"""
+
+
+def test_ord_int_refuses_a_base_below_two():
+    for ell in (0, -2):
+        with pytest.raises(InputError, match=f"l >= 2, not {ell}$"):
+            ord_int(8, ell)
+    # in a child with capped memory and a timeout, so that a regression
+    # fails rather than hangs the suite
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+        str(Path(__file__).resolve().parents[1] / "src"),
+        env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _ORD_INT_ELL_ONE], env=env,
+                          capture_output=True, text=True, timeout=10)
+    assert (proc.returncode, proc.stdout) \
+        == (0, "ord_int needs l >= 2, not 1\n")
 
 
 @pytest.mark.parametrize("ell", [3, 5])

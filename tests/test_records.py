@@ -53,11 +53,11 @@ def test_one_instance_of_every_record_class():
 PLAIN = [r for r in _records() if "__init__" not in vars(type(r))]
 
 
-def test_six_records_take_the_record_constructor():
+def test_seven_records_take_the_record_constructor():
     plain = {cls for cls in _subclasses(Record) if "__init__" not in vars(cls)}
     assert plain == {type(r) for r in PLAIN}
     assert sorted(cls.__name__ for cls in plain) == [
-        "CycElem", "DecompositionReport", "LevelRecord",
+        "BoundsReport", "CycElem", "DecompositionReport", "LevelRecord",
         "ProductFormulaReport", "SpecialValues", "TowerReport"]
 
 
